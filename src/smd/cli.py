@@ -33,7 +33,7 @@ from .evolution import (
     write_eval_csv,
 )
 from .metrics import accuracy
-from .mutation import MutationParams, derive_seed, mask_to_rle, sample_mask
+from .mutation import MutationParams, complement, derive_seed, mask_to_rle, sample_mask
 from .network import Network, forward, init_network, softmax
 from .training import train_model
 
@@ -146,6 +146,13 @@ def _resolve_mutation(cfg: dict, parent, val) -> MutationParams:
     return MutationParams(sigma=outcome.sigma, rho=outcome.rho)
 
 
+def _child_mask(w: int, rho: float, child: dict):
+    """The support a child was mutated on: its group's mask M, or the
+    complement M' for the anti-random roles "+M'" and "-M'"."""
+    mask = sample_mask(w, rho, child["mask_seed"])
+    return complement(mask) if child["role"].endswith("'") else mask
+
+
 def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     _, val, test = cfgmod.build_task_data(cfg)
     if not datasets_disjoint(val, test):
@@ -154,7 +161,7 @@ def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     mutation = _resolve_mutation(cfg, parent, val)
     gen_cfg, master_seed = cfgmod.build_generation_config(cfg, mutation)
 
-    repeats = max(1, args.repeats)
+    repeats = args.repeats
     reports = []
     for r in range(repeats):
         seed_r = master_seed if repeats == 1 else derive_seed(master_seed, _REPEAT_NS, r)
@@ -174,10 +181,9 @@ def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     write_eval_csv([best], out_dir / "eval_report.csv")
 
     if args.dump_masks:
-        w = parent.params.w
         lines = [
             f"{c['index']} group={c['group']} role={c['role']} "
-            + mask_to_rle(sample_mask(w, mutation.rho, c["mask_seed"]))
+            + mask_to_rle(_child_mask(parent.params.w, mutation.rho, c))
             for c in best.per_child
         ]
         (out_dir / "masks.rle.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -259,6 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1 or args.repeats < 1:
+            raise ConfigurationError(
+                f"--workers and --repeats must be >= 1, got {args.workers} and {args.repeats}"
+            )
         cfg = cfgmod.load_config(args.config)
         out_dir = cfgmod.resolve_out_dir(cfg, args.out)
         return _COMMANDS[args.command](cfg, out_dir, args)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -66,6 +67,8 @@ class Population:
     children: list[Child]
     fitness: np.ndarray | None = None
     val_nll: np.ndarray | None = None
+    # Per-child validation logits, (n, C) each, filled by evaluate_fitness.
+    val_logits: list[np.ndarray] | None = None
 
 
 @dataclass
@@ -137,17 +140,21 @@ def spawn_population(
 def evaluate_fitness(pop: Population, val: Dataset, workers: int = 1) -> np.ndarray:
     """Validation accuracy per child (the parent is never scored).
 
-    Also records per-child validation NLL for selection tie-breaks. With
-    workers > 1 children are scored on a thread pool; each child's
-    computation is self-contained, so results match the serial run.
+    This is the one validation pass per child: its logits are kept in
+    `pop.val_logits` and reused by `run_generation` for the KL probe and
+    the ensemble's validation accuracy. Also records per-child validation
+    NLL for selection tie-breaks. With workers > 1 children are scored on
+    a thread pool; each child's computation is self-contained, so results
+    match the serial run.
     """
     if val.n < 1:
         raise ConfigurationError("validation set is empty")
 
-    def score(i: int) -> tuple[float, float]:
-        probs = softmax(forward(Network(pop.parent.spec, pop.children[i].params), val.inputs))
+    def score(i: int) -> tuple[np.ndarray, float, float]:
+        logits = forward(Network(pop.parent.spec, pop.children[i].params), val.inputs)
+        probs = softmax(logits)
         correct = float((probs.argmax(axis=1) == val.labels).mean())
-        return correct, nll_loss(probs, val.labels)
+        return logits, correct, nll_loss(probs, val.labels)
 
     indices = range(len(pop.children))
     if workers > 1:
@@ -156,8 +163,9 @@ def evaluate_fitness(pop: Population, val: Dataset, workers: int = 1) -> np.ndar
     else:
         scored = [score(i) for i in indices]
 
-    pop.fitness = np.array([s[0] for s in scored])
-    pop.val_nll = np.array([s[1] for s in scored])
+    pop.val_logits = [s[0] for s in scored]
+    pop.fitness = np.array([s[1] for s in scored])
+    pop.val_nll = np.array([s[2] for s in scored])
     return pop.fitness
 
 
@@ -197,23 +205,20 @@ def ensemble_predict(candidates: list[Network], inputs: np.ndarray) -> np.ndarra
             net.spec.hidden_activation != spec.hidden_activation
         ):
             raise ShapeError("ensemble members must share one architecture")
-    probs = [softmax(forward(net, inputs)) for net in candidates]
-    return np.mean(np.stack(probs), axis=0)
+    return _mean_softmax(forward(net, inputs) for net in candidates)
 
 
-def run_generation(
-    parent: Network,
-    cfg: GenerationConfig,
-    val: Dataset,
-    test: Dataset,
-    master_seed: int,
-    workers: int = 1,
-) -> EvalReport:
-    """Spawn, score, select, combine; report metrics on the test set.
+def _mean_softmax(member_logits: Iterable[np.ndarray]) -> np.ndarray:
+    return np.mean(np.stack([softmax(z) for z in member_logits]), axis=0)
 
-    With generations > 1 the averaged model becomes the next parent; the
-    report describes the final generation (its parent is the chained
-    model). Per-child KL to the parent is probed on the validation set.
+
+def _evolve(
+    parent: Network, cfg: GenerationConfig, val: Dataset, master_seed: int, workers: int
+) -> tuple[Population, list[int], ParamVector]:
+    """Run cfg.generations generations on validation data only.
+
+    Returns the final generation's scored population (its parent is the
+    chained model), the selected indices and their weight average.
     """
     current = parent
     for gen in range(cfg.generations):
@@ -224,36 +229,53 @@ def run_generation(
         averaged = average_weights([pop.children[i].params for i in selected])
         if gen < cfg.generations - 1:
             current = Network(current.spec, averaged)
+    return pop, selected, averaged
 
-    parent_val_logits = forward(current, val.inputs)
-    per_child = []
-    child_kls = []
-    for i, child in enumerate(pop.children):
-        child_logits = forward(Network(current.spec, child.params), val.inputs)
-        kl = kl_from_logits(parent_val_logits, child_logits)
-        child_kls.append(kl)
-        per_child.append(
-            {
-                "index": i,
-                "group": child.group,
-                "role": child.role,
-                "seed": child.seed,
-                "mask_seed": child.mask_seed,
-                "fitness": float(pop.fitness[i]),
-                "val_nll": float(pop.val_nll[i]),
-                "kl_to_parent": kl,
-            }
-        )
 
-    member_nets = [Network(current.spec, pop.children[i].params) for i in selected]
-    ensemble_val_acc = float(
-        (ensemble_predict(member_nets, val.inputs).argmax(axis=1) == val.labels).mean()
-    )
+def _score_parent(parent: Network, val: Dataset, test: Dataset) -> tuple[np.ndarray, MetricTriple]:
+    """The parent's validation logits (for the KL probe) and test metrics."""
+    val_logits = forward(parent, val.inputs)
+    return val_logits, metric_triple(softmax(forward(parent, test.inputs)), test.labels)
 
-    # Test data is read from here on only.
-    parent_metrics = metric_triple(softmax(forward(current, test.inputs)), test.labels)
+
+def _report(
+    pop: Population,
+    selected: list[int],
+    averaged: ParamVector,
+    cfg: GenerationConfig,
+    val: Dataset,
+    test: Dataset,
+    master_seed: int,
+    parent_scores: tuple[np.ndarray, MetricTriple],
+) -> EvalReport:
+    """Report one scored generation from its cached validation logits and
+    its parent's `_score_parent` result.
+
+    Only the averaged model and the ensemble members are run forward, on
+    the test set.
+    """
+    parent_val_logits, parent_metrics = parent_scores
+    spec = pop.parent.spec
+    child_kls = [kl_from_logits(parent_val_logits, z) for z in pop.val_logits]
+    per_child = [
+        {
+            "index": i,
+            "group": child.group,
+            "role": child.role,
+            "seed": child.seed,
+            "mask_seed": child.mask_seed,
+            "fitness": float(pop.fitness[i]),
+            "val_nll": float(pop.val_nll[i]),
+            "kl_to_parent": child_kls[i],
+        }
+        for i, child in enumerate(pop.children)
+    ]
+    ensemble_val_probs = _mean_softmax(pop.val_logits[i] for i in selected)
+    ensemble_val_acc = float((ensemble_val_probs.argmax(axis=1) == val.labels).mean())
+
+    member_nets = [Network(spec, pop.children[i].params) for i in selected]
     averaged_metrics = metric_triple(
-        softmax(forward(Network(current.spec, averaged), test.inputs)), test.labels
+        softmax(forward(Network(spec, averaged), test.inputs)), test.labels
     )
     ensemble_metrics = metric_triple(ensemble_predict(member_nets, test.inputs), test.labels)
 
@@ -278,6 +300,30 @@ def run_generation(
     )
 
 
+def run_generation(
+    parent: Network,
+    cfg: GenerationConfig,
+    val: Dataset,
+    test: Dataset,
+    master_seed: int,
+    workers: int = 1,
+) -> EvalReport:
+    """Spawn, score, select, combine; report metrics on the test set.
+
+    With generations > 1 the averaged model becomes the next parent; the
+    report describes the final generation (its parent is the chained
+    model). Each child's validation logits are computed once, by
+    `evaluate_fitness`, and reused for fitness, NLL, the per-child KL to
+    the parent and the ensemble's validation accuracy, so one generation
+    runs P + k + 3 forward passes: P on validation, then the parent on
+    validation and test, and the averaged model and k members on test.
+    """
+    pop, selected, averaged = _evolve(parent, cfg, val, master_seed, workers)
+    # Selection is done: test data is read from here on only.
+    parent_scores = _score_parent(pop.parent, val, test)
+    return _report(pop, selected, averaged, cfg, val, test, master_seed, parent_scores)
+
+
 def run_ablation(
     parent: Network,
     sigma_grid: list[float],
@@ -293,10 +339,13 @@ def run_ablation(
     """Full factorial sweep over (sigma, rho, subspace mode, seed).
 
     Each sweep point runs one generation; rows carry both the averaged
-    model's and the ensemble's test accuracy plus the mean child KL.
+    model's and the ensemble's test accuracy plus the mean child KL. The
+    fixed parent's validation logits and test metrics are computed once
+    for the whole sweep; no selection reads them.
     """
     if not sigma_grid or not rho_grid or not modes or not seeds:
         raise ConfigurationError("ablation grids, modes, and seeds must be nonempty")
+    parent_scores = _score_parent(parent, val, test)
     rows = []
     for sigma in sigma_grid:
         for rho in rho_grid:
@@ -309,7 +358,10 @@ def run_ablation(
                         combine="both",
                         generations=1,
                     )
-                    report = run_generation(parent, cfg, val, test, seed, workers)
+                    pop, selected, averaged = _evolve(parent, cfg, val, seed, workers)
+                    report = _report(
+                        pop, selected, averaged, cfg, val, test, seed, parent_scores
+                    )
                     rows.append(
                         {
                             "sigma": sigma,

@@ -136,14 +136,19 @@ def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate_inplace(z: np.ndarray, kind: str) -> None:
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        np.maximum(z, 0.0, out=z)
+    else:
+        np.tanh(z, out=z)
 
 
 def forward(net: Network, inputs: np.ndarray) -> np.ndarray:
-    """Logits for a batch of inputs, shape (n, output_dim)."""
+    """Logits for a batch of inputs, shape (n, output_dim).
+
+    Each layer allocates one array: the bias add and the activation write
+    into the fresh matmul result, never into `inputs` or the genome.
+    """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.spec.input_dim:
         raise ShapeError(
@@ -152,8 +157,11 @@ def forward(net: Network, inputs: np.ndarray) -> np.ndarray:
     layers = unflatten(net.spec, net.params.values)
     a = x
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
-        a = _activate(z, net.spec.hidden_activation) if i < len(layers) - 1 else z
+        z = a @ w
+        z += b
+        if i < len(layers) - 1:
+            _activate_inplace(z, net.spec.hidden_activation)
+        a = z
     return a
 
 

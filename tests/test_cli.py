@@ -233,6 +233,35 @@ class TestEvolveCommand:
         assert len(dump) == 8
         assert "role=" in dump[0]
 
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_dump_masks_match_child_support(self, trained, mirrored):
+        from smd.checkpoint import load_checkpoint
+        from smd.evolution import _GENERATION_NS
+        from smd.mutation import MutationParams, derive_seed, rle_to_mask, spawn_mutations
+
+        mutation = {"sigma": 0.05, "rho": 0.5, "mirrored": mirrored, "anti_random": True}
+        path, out = self.evolve_config(trained, mutation)
+        assert main(["evolve", "--config", path, "--dump-masks"]) == 0
+        parent = load_checkpoint(out / "model.ckpt")
+        seed = derive_seed(0, _GENERATION_NS, 0)
+        children = spawn_mutations(parent.params, MutationParams(**mutation), 8, seed)
+        dump = (out / "masks.rle.txt").read_text().splitlines()
+        roles = set()
+        for line, child in zip(dump, children, strict=True):
+            _, _, role, rle = line.split(" ", 3)
+            assert role == f"role={child.role}"
+            roles.add(child.role)
+            support = (child.params.values != parent.params.values).astype(np.uint8)
+            np.testing.assert_array_equal(rle_to_mask(rle), support)
+        assert {"+M'"} <= roles
+
+    @pytest.mark.parametrize("flag", [["--workers", "0"], ["--repeats", "-3"]])
+    def test_nonpositive_count_flags_exit_2(self, trained, flag, capsys):
+        path, out = self.evolve_config(trained)
+        assert main(["evolve", "--config", path, *flag]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "eval_report.json").exists()
+
 
 class TestBoundaryCommand:
     def test_four_cells_eight_files(self, trained):

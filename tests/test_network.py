@@ -122,6 +122,31 @@ class TestForward:
         # tanh saturates, so huge inputs cannot blow up the hidden layer
         assert np.all(np.abs(out) < 1e3)
 
+    @pytest.mark.parametrize(
+        "sizes, activation",
+        [([2, 8, 8, 2], "relu"), ([2, 8, 8, 2], "tanh"), ([2, 2], "relu"), ([2, 2], "tanh")],
+    )
+    def test_in_place_layers_write_only_their_own_arrays(self, rng, sizes, activation):
+        net = init_network(NetworkSpec(sizes, hidden_activation=activation, seed=3))
+        net.params.values += rng.normal(size=net.params.w)  # nonzero biases
+        x = rng.normal(size=(9, 2))
+        x_before, genome_before = x.copy(), net.params.values.copy()
+
+        logits = forward(net, x)
+
+        assert x.tobytes() == x_before.tobytes()
+        assert net.params.values.tobytes() == genome_before.tobytes()
+        assert not np.shares_memory(logits, x)
+        assert not np.shares_memory(logits, net.params.values)
+        # Reference: the out-of-place layer ops, bit for bit.
+        act = np.tanh if activation == "tanh" else (lambda z: np.maximum(z, 0.0))
+        layers = unflatten(net.spec, genome_before)
+        a = x_before
+        for i, (w, b) in enumerate(layers):
+            z = a @ w + b
+            a = act(z) if i < len(layers) - 1 else z
+        assert logits.tobytes() == a.tobytes()
+
 
 class TestSoftmax:
     def test_symmetry(self):

@@ -1,0 +1,175 @@
+"""One scoring pass per dataset.
+
+Each child's validation logits are computed once, in `evaluate_fitness`,
+and reused for fitness, NLL, KL to the parent and the ensemble's
+validation accuracy. These tests pin the resulting `forward` call counts,
+check the cached values against a direct recompute bit for bit, and pin
+the bytes of the evolve and ablate artifacts on a tiny config.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+import smd.evolution as evolution
+from smd.cli import main
+from smd.divergence import kl_from_logits
+from smd.evolution import (
+    GenerationConfig,
+    ensemble_predict,
+    evaluate_fitness,
+    run_ablation,
+    run_generation,
+    spawn_population,
+)
+from smd.mutation import MutationParams, derive_seed
+from smd.network import Network, forward
+
+POP, TOP_K = 8, 4
+
+
+@pytest.fixture()
+def forward_calls(monkeypatch):
+    """Counts every `forward` call made from `smd.evolution`."""
+    calls = []
+
+    def counting(net, inputs):
+        calls.append(len(inputs))
+        return forward(net, inputs)
+
+    monkeypatch.setattr(evolution, "forward", counting)
+    return calls
+
+
+def gen_cfg(generations=1, **mutation):
+    params = dict(sigma=0.05, rho=0.5)
+    params.update(mutation)
+    return GenerationConfig(
+        mutation=MutationParams(**params), pop_size=POP, top_k=TOP_K, generations=generations
+    )
+
+
+class TestForwardCallCount:
+    @pytest.mark.parametrize("generations", [1, 2])
+    def test_run_generation(self, spiral_task, forward_calls, generations):
+        t = spiral_task
+        run_generation(t.parent, gen_cfg(generations), t.val, t.test, 3)
+        # P per generation for fitness; then parent val, parent test,
+        # averaged test, and k ensemble members on test.
+        assert len(forward_calls) == generations * POP + TOP_K + 3
+
+    def test_run_ablation(self, spiral_task, forward_calls):
+        t = spiral_task
+        rows = run_ablation(
+            t.parent, [0.05, 0.1], [0.5], ["static", "dynamic"], t.val, t.test, [0, 1],
+            pop_size=POP, top_k=TOP_K,
+        )
+        points = len(rows)
+        assert points == 8
+        # The fixed parent's val logits and test metrics are shared by the sweep.
+        assert len(forward_calls) == (POP + TOP_K + 1) * points + 2
+
+    def test_evaluate_fitness_one_pass_per_child(self, spiral_task, forward_calls):
+        t = spiral_task
+        pop = spawn_population(t.parent, gen_cfg().mutation, POP, 4)
+        evaluate_fitness(pop, t.val)
+        assert forward_calls == [t.val.n] * POP
+        assert len(pop.val_logits) == POP
+
+
+class TestCachedScores:
+    def test_val_logits_match_direct_forward(self, spiral_task):
+        t = spiral_task
+        pop = spawn_population(t.parent, gen_cfg().mutation, POP, 5)
+        evaluate_fitness(pop, t.val, workers=3)
+        for child, cached in zip(pop.children, pop.val_logits):
+            direct = forward(Network(t.parent.spec, child.params), t.val.inputs)
+            assert cached.tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("generations", [1, 2])
+    def test_kl_and_ensemble_val_match_recompute(self, spiral_task, generations):
+        t = spiral_task
+        seed = 6
+        cfg = gen_cfg(generations)
+        report = run_generation(t.parent, cfg, t.val, t.test, seed)
+
+        current = t.parent
+        for gen in range(generations):
+            pop = spawn_population(
+                current, cfg.mutation, POP, derive_seed(seed, evolution._GENERATION_NS, gen)
+            )
+            evaluate_fitness(pop, t.val)
+            selected = evolution.select_top_k(pop, TOP_K)
+            averaged = evolution.average_weights([pop.children[i].params for i in selected])
+            if gen < generations - 1:
+                current = Network(current.spec, averaged)
+        assert report.selected_indices == selected
+
+        parent_logits = forward(current, t.val.inputs)
+        nets = [Network(current.spec, c.params) for c in pop.children]
+        for record, net in zip(report.per_child, nets):
+            kl = kl_from_logits(parent_logits, forward(net, t.val.inputs))
+            assert record["kl_to_parent"] == kl
+        members = [nets[i] for i in selected]
+        probs = ensemble_predict(members, t.val.inputs)
+        ens_val = float((probs.argmax(axis=1) == t.val.labels).mean())
+        assert report.ensemble_val_accuracy == ens_val
+
+
+# SHA-256s of the artifacts the tiny config below writes, recorded before
+# the scoring cache existed. Float64 numpy on OpenBLAS; another BLAS build
+# may round a matmul differently and legitimately change them.
+GOLDEN = {
+    "eval_report.json": "fcd3307c1a50126f5c77ac6f146039d607d0f16551c76b32e22f417cd84252ff",
+    "ablation.csv": "7870229b0d7f42c1faf34bd2f7a5ede9f04c8df289e784e88586e81d34899a65",
+}
+
+
+def _task():
+    return {
+        "dataset": "spirals",
+        "n_train": 600,
+        "n_eval": 600,
+        "noise_std": 0.05,
+        "turns": 1.75,
+        "train_seed": 1,
+        "eval_seed": 2,
+        "split_seed": 3,
+        "eval_fractions": [0.5, 0.5],
+    }
+
+
+def _run(tmp_path, name, payload, *flags):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload))
+    assert main([name, "--config", str(path), *flags]) == 0
+
+
+def test_artifact_bytes_pinned(tmp_path):
+    out = tmp_path / "out"
+    task = _task()
+    _run(tmp_path, "train", {
+        "task": task,
+        "model": {"layer_sizes": [2, 16, 2], "seed": 7, "train": {"epochs": 5, "batch_size": 16}},
+        "output": {"dir": str(out)},
+    })
+    checkpoint = {"checkpoint": str(out / "model.ckpt")}
+    _run(tmp_path, "evolve", {
+        "task": task,
+        "model": checkpoint,
+        "mutation": {"sigma": 0.05, "rho": 0.5, "anti_random": True},
+        "evolution": {"pop_size": 8, "top_k": 4, "generations": 2, "master_seed": 0},
+        "output": {"dir": str(out)},
+    }, "--workers", "2")
+    _run(tmp_path, "ablate", {
+        "task": task,
+        "model": checkpoint,
+        "ablation": {
+            "sigma_grid": [0.05, 0.1], "rho_grid": [0.0, 0.5], "modes": ["static", "dynamic"],
+            "seeds": [0, 1], "pop_size": 4, "top_k": 2,
+        },
+        "output": {"dir": str(out)},
+    })
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN}
+    assert digests == GOLDEN
