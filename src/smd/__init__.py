@@ -34,11 +34,9 @@ from .metrics import MetricTriple, accuracy, ece, metric_triple
 from .mutation import (
     Child,
     MutationParams,
-    SparseMutation,
-    apply,
+    build_genomes,
+    child_genome,
     complement,
-    compose,
-    mirrored_quad,
     partition_masks,
     sample_mask,
     sample_noise,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import TaskMismatchError
-from .mutation import apply, compose, derive_seed, sample_mask, sample_noise
+from .mutation import Child, MutationParams, build_genomes, derive_seed
 from .network import Network, forward, softmax
 
 # Spawn-key namespace for boundary-cell perturbations.
@@ -69,10 +69,15 @@ def perturbed_network(parent: Network, sigma: float, rho: float, seed: int) -> N
     """One sampled mutation of the parent; sigma == 0 returns the parent."""
     if sigma == 0.0:
         return parent
-    w = parent.params.w
-    mask = sample_mask(w, rho, derive_seed(seed, _BOUNDARY_NS, 0))
-    noise = sample_noise(w, 0.0, sigma, derive_seed(seed, _BOUNDARY_NS, 1))
-    return Network(parent.spec, apply(parent.params, compose(noise, mask), +1))
+    child = Child(
+        seed=derive_seed(seed, _BOUNDARY_NS, 1),
+        mask_seed=derive_seed(seed, _BOUNDARY_NS, 0),
+        group=0,
+        role="solo",
+    )
+    params = MutationParams(sigma=sigma, rho=rho)
+    (genome,) = build_genomes(parent.params, params, [child])
+    return Network(parent.spec, genome)
 
 
 def write_grid_csv(grid: BoundaryGrid, path: str | Path) -> None:

@@ -33,7 +33,7 @@ from .evolution import (
     write_eval_csv,
 )
 from .metrics import accuracy
-from .mutation import MutationParams, complement, derive_seed, mask_to_rle, sample_mask
+from .mutation import MutationParams, derive_seed, mask_to_rle, role_support, sample_mask
 from .network import Network, forward, init_network, softmax
 from .training import train_model
 
@@ -132,25 +132,18 @@ def _resolve_mutation(cfg: dict, parent, val) -> MutationParams:
     if mode == "explicit":
         return cfgmod.build_mutation_params(cfg)
     if mode == "search_result":
-        mutation = cfg["mutation"]
-        path = Path(mutation["search_result"])
+        path = Path(cfg["mutation"]["search_result"])
         if not path.is_file():
             raise ConfigurationError(f"search result not found: {path}")
         try:
             found = json.loads(path.read_text(encoding="utf-8"))
-            return MutationParams(sigma=float(found["sigma"]), rho=float(found["rho"]))
+            sigma, rho = float(found["sigma"]), float(found["rho"])
         except (json.JSONDecodeError, KeyError) as exc:
             raise ConfigurationError(f"{path}: not a search result artifact ({exc})") from exc
+        return cfgmod.build_mutation_params(cfg, sigma, rho)
     search_cfg, seed = cfgmod.build_search_config(cfg)
     outcome = grid_search(parent, val, search_cfg, seed)
-    return MutationParams(sigma=outcome.sigma, rho=outcome.rho)
-
-
-def _child_mask(w: int, rho: float, child: dict):
-    """The support a child was mutated on: its group's mask M, or the
-    complement M' for the anti-random roles "+M'" and "-M'"."""
-    mask = sample_mask(w, rho, child["mask_seed"])
-    return complement(mask) if child["role"].endswith("'") else mask
+    return cfgmod.build_mutation_params(cfg, outcome.sigma, outcome.rho)
 
 
 def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
@@ -183,7 +176,9 @@ def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     if args.dump_masks:
         lines = [
             f"{c['index']} group={c['group']} role={c['role']} "
-            + mask_to_rle(_child_mask(parent.params.w, mutation.rho, c))
+            + mask_to_rle(
+                role_support(sample_mask(parent.params.w, mutation.rho, c["mask_seed"]), c["role"])
+            )
             for c in best.per_child
         ]
         (out_dir / "masks.rle.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -254,21 +249,21 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--workers", type=int, default=1, help="worker pool size")
-        p.add_argument("--repeats", type=int, default=1, help="best-of-R evolve runs")
         p.add_argument("--out", default=None, help="output directory (SMD_OUT overrides)")
-        p.add_argument(
-            "--dump-masks", action="store_true", help="write per-child masks as RLE text"
-        )
+        if name == "evolve":
+            p.add_argument("--repeats", type=int, default=1, help="best-of-R evolve runs")
+            p.add_argument(
+                "--dump-masks", action="store_true", help="write per-child masks as RLE text"
+            )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.workers < 1 or args.repeats < 1:
-            raise ConfigurationError(
-                f"--workers and --repeats must be >= 1, got {args.workers} and {args.repeats}"
-            )
+        for flag in ("workers", "repeats"):
+            if getattr(args, flag, 1) < 1:
+                raise ConfigurationError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
         cfg = cfgmod.load_config(args.config)
         out_dir = cfgmod.resolve_out_dir(cfg, args.out)
         return _COMMANDS[args.command](cfg, out_dir, args)

@@ -153,13 +153,23 @@ def mutation_mode(cfg: dict) -> str:
     return present[0]
 
 
-def build_mutation_params(cfg: dict) -> MutationParams:
+def build_mutation_params(
+    cfg: dict, sigma: float | None = None, rho: float | None = None
+) -> MutationParams:
+    """The mutation distribution and spawning strategy.
+
+    The explicit form reads sigma and rho from the section; the search
+    forms pass the values their search found. The strategy keys (mu,
+    subspace_mode, mirrored, anti_random) apply to all three forms.
+    """
     mutation = _section(cfg, "mutation", _MUTATION_KEYS)
-    if "sigma" not in mutation or "rho" not in mutation:
-        raise ConfigurationError("explicit mutation needs both 'sigma' and 'rho'")
+    if sigma is None or rho is None:
+        if "sigma" not in mutation or "rho" not in mutation:
+            raise ConfigurationError("explicit mutation needs both 'sigma' and 'rho'")
+        sigma, rho = float(mutation["sigma"]), float(mutation["rho"])
     return MutationParams(
-        sigma=float(mutation["sigma"]),
-        rho=float(mutation["rho"]),
+        sigma=sigma,
+        rho=rho,
         mu=float(mutation.get("mu", 0.0)),
         subspace_mode=mutation.get("subspace_mode", "dynamic"),
         mirrored=bool(mutation.get("mirrored", True)),

@@ -18,7 +18,7 @@ import numpy as np
 from .datasets import Dataset
 from .errors import ConfigurationError, ShapeError
 from .metrics import accuracy
-from .mutation import MutationParams, derive_seed, spawn_mutations
+from .mutation import MutationParams, build_genomes, derive_seed, spawn_mutations
 from .network import EPS_PROB, Network, forward, softmax
 
 # Spawn-key namespace for per-cell search randomness.
@@ -95,14 +95,25 @@ def mse_from_logits(parent_logits: np.ndarray, child_logits: np.ndarray) -> floa
     return float((diff**2).sum(axis=1).mean())
 
 
+def clamped_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax clamped at EPS_PROB and renormalized: one side of the KL probe."""
+    p = np.clip(softmax(logits), EPS_PROB, None)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def kl_from_probs(parent_probs: np.ndarray, child_logits: np.ndarray) -> float:
+    """Mean KL(parent || child), the parent given as its `clamped_softmax`.
+
+    Scoring many children against one parent computes that once.
+    """
+    q = clamped_softmax(child_logits)
+    kl = (parent_probs * np.log(parent_probs / q)).sum(axis=1).mean()
+    return max(float(kl), 0.0)
+
+
 def kl_from_logits(parent_logits: np.ndarray, child_logits: np.ndarray) -> float:
     """Mean KL(parent || child) between clamped, renormalized softmaxes."""
-    p = np.clip(softmax(parent_logits), EPS_PROB, None)
-    q = np.clip(softmax(child_logits), EPS_PROB, None)
-    p = p / p.sum(axis=1, keepdims=True)
-    q = q / q.sum(axis=1, keepdims=True)
-    kl = (p * np.log(p / q)).sum(axis=1).mean()
-    return max(float(kl), 0.0)
+    return kl_from_probs(clamped_softmax(parent_logits), child_logits)
 
 
 def output_mse(parent: Network, child: Network, probe: Dataset) -> float:
@@ -141,6 +152,7 @@ def sweep_cells(
     the outcome.
     """
     parent_logits = forward(parent, probe.inputs)
+    parent_probs = clamped_softmax(parent_logits)
     cells = []
     for ci, sigma in enumerate(sigma_grid):
         for cj, rho in enumerate(rho_grid):
@@ -149,9 +161,9 @@ def sweep_cells(
             params = _search_spawn_params(sigma, rho, samples_per_cell)
             children = spawn_mutations(parent.params, params, samples_per_cell, cell_seed)
             kls, mses, accs = [], [], []
-            for child in children:
-                child_logits = forward(Network(parent.spec, child.params), probe.inputs)
-                kls.append(kl_from_logits(parent_logits, child_logits))
+            for genome in build_genomes(parent.params, params, children):
+                child_logits = forward(Network(parent.spec, genome), probe.inputs)
+                kls.append(kl_from_probs(parent_probs, child_logits))
                 mses.append(mse_from_logits(parent_logits, child_logits))
                 accs.append(accuracy(softmax(child_logits), probe.labels))
             cells.append(

@@ -12,6 +12,7 @@ import csv
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,9 @@ import numpy as np
 from .datasets import Dataset
 from .errors import ConfigurationError, ShapeError, StateError
 from .metrics import MetricTriple, metric_triple
-from .mutation import Child, MutationParams, derive_seed, spawn_mutations
+from .mutation import Child, MutationParams, build_genomes, derive_seed, spawn_mutations
 from .network import Network, ParamVector, forward, nll_loss, softmax
-from .divergence import kl_from_logits
+from .divergence import clamped_softmax, kl_from_probs
 
 COMBINE_MODES = ("ensemble", "weight_average", "both")
 
@@ -63,7 +64,11 @@ class GenerationConfig:
 
 @dataclass
 class Population:
+    """A generation's children as seed records; genomes are rebuilt from
+    `mutation` and the parent only while a child is scored or combined."""
+
     parent: Network
+    mutation: MutationParams
     children: list[Child]
     fitness: np.ndarray | None = None
     val_nll: np.ndarray | None = None
@@ -134,7 +139,9 @@ class EvalReport:
 def spawn_population(
     parent: Network, params: MutationParams, pop_size: int, master_seed: int
 ) -> Population:
-    return Population(parent, spawn_mutations(parent.params, params, pop_size, master_seed))
+    return Population(
+        parent, params, spawn_mutations(parent.params, params, pop_size, master_seed)
+    )
 
 
 def evaluate_fitness(pop: Population, val: Dataset, workers: int = 1) -> np.ndarray:
@@ -143,25 +150,31 @@ def evaluate_fitness(pop: Population, val: Dataset, workers: int = 1) -> np.ndar
     This is the one validation pass per child: its logits are kept in
     `pop.val_logits` and reused by `run_generation` for the KL probe and
     the ensemble's validation accuracy. Also records per-child validation
-    NLL for selection tie-breaks. With workers > 1 children are scored on
-    a thread pool; each child's computation is self-contained, so results
-    match the serial run.
+    NLL for selection tie-breaks. Genomes are built one group at a time
+    and dropped once scored, so at most `workers` groups of genomes exist
+    at once. With workers > 1 groups are scored on a thread pool; each
+    group's computation is self-contained, so results match the serial run.
     """
     if val.n < 1:
         raise ConfigurationError("validation set is empty")
+    spec, theta = pop.parent.spec, pop.parent.params
 
-    def score(i: int) -> tuple[np.ndarray, float, float]:
-        logits = forward(Network(pop.parent.spec, pop.children[i].params), val.inputs)
-        probs = softmax(logits)
-        correct = float((probs.argmax(axis=1) == val.labels).mean())
-        return logits, correct, nll_loss(probs, val.labels)
+    def score(group: list[Child]) -> list[tuple[np.ndarray, float, float]]:
+        scored = []
+        for genome in build_genomes(theta, pop.mutation, group):
+            logits = forward(Network(spec, genome), val.inputs)
+            probs = softmax(logits)
+            correct = float((probs.argmax(axis=1) == val.labels).mean())
+            scored.append((logits, correct, nll_loss(probs, val.labels)))
+        return scored
 
-    indices = range(len(pop.children))
+    groups = [list(g) for _, g in groupby(pop.children, key=lambda c: c.group)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            scored = list(pool.map(score, indices))
+            per_group = list(pool.map(score, groups))
     else:
-        scored = [score(i) for i in indices]
+        per_group = [score(g) for g in groups]
+    scored = [s for group in per_group for s in group]
 
     pop.val_logits = [s[0] for s in scored]
     pop.fitness = np.array([s[1] for s in scored])
@@ -186,13 +199,21 @@ def select_top_k(pop: Population, k: int) -> list[int]:
 
 
 def average_weights(candidates: list[ParamVector]) -> ParamVector:
-    """Coordinatewise arithmetic mean of the candidate genomes."""
+    """Coordinatewise arithmetic mean of the candidate genomes.
+
+    A running sum in candidate order, then one division: the same
+    operations as `np.mean(np.stack(...), axis=0)` without the stack.
+    """
     if not candidates:
         raise ConfigurationError("cannot average an empty candidate list")
     lengths = {c.w for c in candidates}
     if len(lengths) != 1:
         raise ShapeError(f"candidate genomes disagree in length: {sorted(lengths)}")
-    return ParamVector(np.mean(np.stack([c.values for c in candidates]), axis=0))
+    total = candidates[0].values.copy()
+    for c in candidates[1:]:
+        total += c.values
+    total /= len(candidates)
+    return ParamVector(total)
 
 
 def ensemble_predict(candidates: list[Network], inputs: np.ndarray) -> np.ndarray:
@@ -214,11 +235,12 @@ def _mean_softmax(member_logits: Iterable[np.ndarray]) -> np.ndarray:
 
 def _evolve(
     parent: Network, cfg: GenerationConfig, val: Dataset, master_seed: int, workers: int
-) -> tuple[Population, list[int], ParamVector]:
+) -> tuple[Population, list[int], list[ParamVector], ParamVector]:
     """Run cfg.generations generations on validation data only.
 
     Returns the final generation's scored population (its parent is the
-    chained model), the selected indices and their weight average.
+    chained model), the selected indices, their genomes (rebuilt once, in
+    selection order) and their weight average.
     """
     current = parent
     for gen in range(cfg.generations):
@@ -226,21 +248,27 @@ def _evolve(
         pop = spawn_population(current, cfg.mutation, cfg.pop_size, gen_seed)
         evaluate_fitness(pop, val, workers)
         selected = select_top_k(pop, cfg.top_k)
-        averaged = average_weights([pop.children[i].params for i in selected])
+        members = list(
+            build_genomes(current.params, cfg.mutation, [pop.children[i] for i in selected])
+        )
+        averaged = average_weights(members)
         if gen < cfg.generations - 1:
             current = Network(current.spec, averaged)
-    return pop, selected, averaged
+            del members  # the next generation holds only its own selection
+    return pop, selected, members, averaged
 
 
 def _score_parent(parent: Network, val: Dataset, test: Dataset) -> tuple[np.ndarray, MetricTriple]:
-    """The parent's validation logits (for the KL probe) and test metrics."""
-    val_logits = forward(parent, val.inputs)
-    return val_logits, metric_triple(softmax(forward(parent, test.inputs)), test.labels)
+    """The parent's clamped validation distribution (the fixed side of the
+    KL probe) and its test metrics."""
+    val_probs = clamped_softmax(forward(parent, val.inputs))
+    return val_probs, metric_triple(softmax(forward(parent, test.inputs)), test.labels)
 
 
 def _report(
     pop: Population,
     selected: list[int],
+    members: list[ParamVector],
     averaged: ParamVector,
     cfg: GenerationConfig,
     val: Dataset,
@@ -254,9 +282,9 @@ def _report(
     Only the averaged model and the ensemble members are run forward, on
     the test set.
     """
-    parent_val_logits, parent_metrics = parent_scores
+    parent_val_probs, parent_metrics = parent_scores
     spec = pop.parent.spec
-    child_kls = [kl_from_logits(parent_val_logits, z) for z in pop.val_logits]
+    child_kls = [kl_from_probs(parent_val_probs, z) for z in pop.val_logits]
     per_child = [
         {
             "index": i,
@@ -273,7 +301,7 @@ def _report(
     ensemble_val_probs = _mean_softmax(pop.val_logits[i] for i in selected)
     ensemble_val_acc = float((ensemble_val_probs.argmax(axis=1) == val.labels).mean())
 
-    member_nets = [Network(spec, pop.children[i].params) for i in selected]
+    member_nets = [Network(spec, genome) for genome in members]
     averaged_metrics = metric_triple(
         softmax(forward(Network(spec, averaged), test.inputs)), test.labels
     )
@@ -317,11 +345,14 @@ def run_generation(
     the parent and the ensemble's validation accuracy, so one generation
     runs P + k + 3 forward passes: P on validation, then the parent on
     validation and test, and the averaged model and k members on test.
+    Children are kept as seed records: a genome exists only while its
+    group is scored, and the k selected genomes are rebuilt once for the
+    average and the ensemble.
     """
-    pop, selected, averaged = _evolve(parent, cfg, val, master_seed, workers)
+    pop, selected, members, averaged = _evolve(parent, cfg, val, master_seed, workers)
     # Selection is done: test data is read from here on only.
     parent_scores = _score_parent(pop.parent, val, test)
-    return _report(pop, selected, averaged, cfg, val, test, master_seed, parent_scores)
+    return _report(pop, selected, members, averaged, cfg, val, test, master_seed, parent_scores)
 
 
 def run_ablation(
@@ -358,9 +389,9 @@ def run_ablation(
                         combine="both",
                         generations=1,
                     )
-                    pop, selected, averaged = _evolve(parent, cfg, val, seed, workers)
                     report = _report(
-                        pop, selected, averaged, cfg, val, test, seed, parent_scores
+                        *_evolve(parent, cfg, val, seed, workers),
+                        cfg, val, test, seed, parent_scores,
                     )
                     rows.append(
                         {

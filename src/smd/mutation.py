@@ -12,6 +12,7 @@ cancel exactly and frozen coordinates stay bit-identical.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,23 +60,6 @@ class MutationParams:
             )
 
 
-@dataclass
-class SparseMutation:
-    """Realized sparse perturbation gamma = noise * mask."""
-
-    gamma: np.ndarray
-    mask: np.ndarray
-    seed: int = 0
-
-    def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=np.uint8)
-        if self.gamma.shape != self.mask.shape:
-            raise ShapeError(f"gamma {self.gamma.shape} vs mask {self.mask.shape}")
-        if np.any(self.gamma[self.mask == 0] != 0.0):
-            raise ConfigurationError("gamma must be exactly zero off the mask support")
-
-
 def sample_mask(w: int, rho: float, seed: int) -> np.ndarray:
     """Bernoulli mask of length w; each bit is 1 with probability 1 - rho."""
     if not 0.0 <= rho < 1.0:
@@ -119,56 +103,33 @@ def sample_noise(w: int, mu: float, sigma: float, seed: int) -> np.ndarray:
     return rng.normal(mu, sigma, size=w).astype(np.float32).astype(np.float64)
 
 
-def compose(noise: np.ndarray, mask: np.ndarray, seed: int = 0) -> SparseMutation:
-    """Hadamard product of noise and mask."""
-    noise = np.asarray(noise, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.uint8)
-    if noise.shape != mask.shape:
-        raise ShapeError(f"noise {noise.shape} vs mask {mask.shape}")
-    return SparseMutation(noise * mask, mask, seed)
+# Role table: each role's sign, and whether it perturbs its group's mask M
+# (False) or the complement M' (True).
+ROLES = {
+    "solo": (+1, False),
+    "+": (+1, False),
+    "-": (-1, False),
+    "+M": (+1, False),
+    "+M'": (+1, True),
+    "-M": (-1, False),
+    "-M'": (-1, True),
+}
 
 
-def apply(theta: ParamVector, gamma: SparseMutation, sign: int) -> ParamVector:
-    """Child genome theta + sign * gamma; frozen coordinates untouched."""
-    if sign not in (1, -1):
-        raise ConfigurationError(f"sign must be +1 or -1, got {sign}")
-    if gamma.gamma.shape != theta.values.shape:
-        raise ShapeError(f"gamma length {gamma.gamma.shape[0]} vs genome {theta.w}")
-    return ParamVector(theta.values + sign * gamma.gamma)
+def role_support(mask: np.ndarray, role: str) -> np.ndarray:
+    """The coordinates a child of `role` perturbs: its group's mask, or the
+    complement for the anti-random roles."""
+    return complement(mask) if ROLES[role][1] else mask
 
 
-def mirrored_quad(
-    theta: ParamVector, noise: np.ndarray, mask: np.ndarray
-) -> tuple[ParamVector, ParamVector, ParamVector, ParamVector]:
-    """The four-child construction from one (noise, mask) draw.
-
-    Children are (theta + N*M, theta + N*(1-M), theta - N*M, theta - N*(1-M)).
-    Their mean recovers theta exactly for float32-valued inputs.
-    """
-    noise = np.asarray(noise, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.uint8)
-    if noise.shape != theta.values.shape or mask.shape != theta.values.shape:
-        raise ShapeError("noise/mask length must match the genome")
-    g = noise * mask
-    g_anti = noise * (1 - mask)
-    t = theta.values
-    return (
-        ParamVector(t + g),
-        ParamVector(t + g_anti),
-        ParamVector(t - g),
-        ParamVector(t - g_anti),
-    )
-
-
-@dataclass
+@dataclass(frozen=True)
 class Child:
-    """One spawned genome plus the randomness bookkeeping that produced it."""
+    """One child, stored as the seeds and role that rebuild its genome."""
 
-    params: ParamVector
     seed: int  # noise seed of this child's group
     mask_seed: int
     group: int  # quad/pair index, or child index for independent children
-    role: str  # "+M" | "+M'" | "-M" | "-M'" | "+" | "-" | "solo"
+    role: str  # a key of ROLES
 
 
 def spawn_mutations(
@@ -177,59 +138,78 @@ def spawn_mutations(
     pop_size: int,
     master_seed: int,
 ) -> list[Child]:
-    """Generate a population of mutated genomes.
+    """Seed records for a population of pop_size children of theta.
 
     Static subspace mode reuses one mask (derived from master_seed alone)
     for every group with fresh noise per group; dynamic mode draws a fresh
     mask per group. All randomness derives from (master_seed, purpose,
-    group), so the result is independent of evaluation order.
+    group), so the result is independent of evaluation order. No genome is
+    built here: `build_genomes` makes them while they are needed.
     """
     if pop_size < 1:
         raise ConfigurationError("pop_size must be positive")
     if params.mirrored and params.anti_random:
-        if pop_size % 4 != 0:
-            raise ConfigurationError(
-                f"mirrored anti-random spawning needs pop_size divisible by 4, got {pop_size}"
-            )
-        group_size, roles = 4, ("+M", "+M'", "-M", "-M'")
-    elif params.mirrored or params.anti_random:
-        if pop_size % 2 != 0:
-            raise ConfigurationError(
-                f"paired spawning needs pop_size divisible by 2, got {pop_size}"
-            )
-        group_size = 2
-        roles = ("+", "-") if params.mirrored else ("+M", "+M'")
+        roles = ("+M", "+M'", "-M", "-M'")
+    elif params.mirrored:
+        roles = ("+", "-")
+    elif params.anti_random:
+        roles = ("+M", "+M'")
     else:
-        group_size, roles = 1, ("solo",)
-
-    w = theta.w
+        roles = ("solo",)
+    if pop_size % len(roles) != 0:
+        raise ConfigurationError(
+            f"spawning in groups {roles} needs pop_size divisible by {len(roles)}, "
+            f"got {pop_size}"
+        )
     static_mask_seed = derive_seed(master_seed, _MASK_NS)
     children: list[Child] = []
-    for group in range(pop_size // group_size):
+    for group in range(pop_size // len(roles)):
         if params.subspace_mode == "static":
             mask_seed = static_mask_seed
         else:
             mask_seed = derive_seed(master_seed, _MASK_NS, group)
         noise_seed = derive_seed(master_seed, _NOISE_NS, group)
-        mask = sample_mask(w, params.rho, mask_seed)
-        noise = sample_noise(w, params.mu, params.sigma, noise_seed)
-
-        if group_size == 4:
-            genomes = mirrored_quad(theta, noise, mask)
-        elif group_size == 2 and params.mirrored:
-            g = compose(noise, mask, noise_seed)
-            genomes = (apply(theta, g, +1), apply(theta, g, -1))
-        elif group_size == 2:
-            genomes = (
-                apply(theta, compose(noise, mask, noise_seed), +1),
-                apply(theta, compose(noise, complement(mask), noise_seed), +1),
-            )
-        else:
-            genomes = (apply(theta, compose(noise, mask, noise_seed), +1),)
-
-        for role, genome in zip(roles, genomes):
-            children.append(Child(genome, noise_seed, mask_seed, group, role))
+        children.extend(Child(noise_seed, mask_seed, group, role) for role in roles)
     return children
+
+
+def build_genomes(
+    theta: ParamVector, params: MutationParams, children: Iterable[Child]
+) -> Iterator[ParamVector]:
+    """Yield each child's genome theta + sign * (noise * support), in order.
+
+    A group's mask and noise are sampled once per run of consecutive
+    children that share them, so scoring a whole group costs one draw.
+    Besides that draw, only the genome being yielded is held here.
+    """
+    drawn = None
+    for child in children:
+        if drawn != (child.seed, child.mask_seed):
+            mask = noise = None  # release the previous draw before sampling
+            mask = sample_mask(theta.w, params.rho, child.mask_seed)
+            noise = sample_noise(theta.w, params.mu, params.sigma, child.seed)
+            drawn = (child.seed, child.mask_seed)
+        yield child_genome(theta, noise, mask, child.role)
+
+
+def child_genome(
+    theta: ParamVector, noise: np.ndarray, mask: np.ndarray, role: str
+) -> ParamVector:
+    """theta + sign * (noise * support) for `role`; frozen coordinates untouched.
+
+    For float32-valued theta and noise the sum is exact in float64, so a
+    mirrored group averages back to theta exactly.
+    """
+    if role not in ROLES:
+        raise ConfigurationError(f"unknown role {role!r}, expected one of {tuple(ROLES)}")
+    if noise.shape != theta.values.shape or mask.shape != theta.values.shape:
+        raise ShapeError(f"noise {noise.shape} and mask {mask.shape} vs genome {theta.w}")
+    genome = noise * role_support(mask, role)
+    if ROLES[role][0] > 0:
+        np.add(theta.values, genome, out=genome)
+    else:
+        np.subtract(theta.values, genome, out=genome)
+    return ParamVector(genome)
 
 
 def mask_to_rle(mask: np.ndarray) -> str:

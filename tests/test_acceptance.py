@@ -23,11 +23,11 @@ from smd.divergence import (
 from smd.evolution import GenerationConfig, run_generation, select_top_k
 from smd.metrics import accuracy, ece, metric_triple
 from smd.mutation import (
+    Child,
     MutationParams,
-    apply,
+    build_genomes,
+    child_genome,
     complement,
-    compose,
-    mirrored_quad,
     partition_masks,
     sample_mask,
     sample_noise,
@@ -59,19 +59,21 @@ class TestCriterion01MutationAlgebra:
             mask = sample_mask(w, float(rng.uniform(0, 0.99)), seed)
             noise = sample_noise(w, 0.0, float(rng.uniform(0.01, 0.5)), seed + 1)
 
-            gamma = compose(noise, mask)
-            assert np.array_equal(gamma.gamma, noise * mask)
+            gamma = child_genome(ParamVector(np.zeros(w)), noise, mask, "+").values
+            assert np.array_equal(gamma, noise * mask)
 
             comp = complement(mask)
             assert np.array_equal(comp, 1 - mask)
             assert int(mask.sum() + comp.sum()) == w
 
-            child = apply(theta, gamma, -1)
-            assert np.array_equal(child.values, theta.values - gamma.gamma)
+            child = child_genome(theta, noise, mask, "-")
+            assert np.array_equal(child.values, theta.values - gamma)
             frozen = mask == 0
             assert np.array_equal(child.values[frozen], theta.values[frozen])
 
-            c1, c2, c3, c4 = mirrored_quad(theta, noise, mask)
+            c1, c2, c3, c4 = (
+                child_genome(theta, noise, mask, r) for r in ("+M", "+M'", "-M", "-M'")
+            )
             expected = [
                 theta.values + noise * mask,
                 theta.values + noise * comp,
@@ -159,13 +161,11 @@ class TestCriterion04SparsityRetainsBehavior:
         means = {}
         for rho in (0.0, 0.9):
             accs = []
+            params = MutationParams(sigma=sigma, rho=rho)
             for seed in range(20):
-                w = bench_task.parent.params.w
-                mask = sample_mask(w, rho, 2 * seed)
-                noise = sample_noise(w, 0.0, sigma, 2 * seed + 1)
-                child = Network(
-                    bench_task.parent.spec, apply(bench_task.parent.params, compose(noise, mask), +1)
-                )
+                solo = Child(seed=2 * seed + 1, mask_seed=2 * seed, group=0, role="solo")
+                (genome,) = build_genomes(bench_task.parent.params, params, [solo])
+                child = Network(bench_task.parent.spec, genome)
                 probs = softmax(forward(child, bench_task.test.inputs))
                 accs.append(accuracy(probs, bench_task.test.labels))
             means[rho] = float(np.mean(accs))
@@ -367,7 +367,6 @@ class TestCriterion09MetricUnits:
 class TestCriterion10SelectionContract:
     def test_thousand_random_cases(self):
         from smd.evolution import Population
-        from smd.mutation import Child
 
         spec = NetworkSpec([1, 2])
         parent = init_network(spec)
@@ -377,8 +376,8 @@ class TestCriterion10SelectionContract:
             k = int(rng.integers(1, n + 1))
             fitness = rng.choice([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], size=n)
             nll = rng.random(n).round(3)
-            children = [Child(parent.params, i, i, i, "solo") for i in range(n)]
-            pop = Population(parent, children)
+            children = [Child(i, i, i, "solo") for i in range(n)]
+            pop = Population(parent, MutationParams(sigma=0.1, rho=0.5), children)
             pop.fitness = fitness
             pop.val_nll = nll
             sel = select_top_k(pop, k)

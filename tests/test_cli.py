@@ -194,6 +194,29 @@ class TestEvolveCommand:
         assert report["config"]["mutation"]["sigma"] == 0.05
         assert report["config"]["mutation"]["rho"] == 0.9
 
+    @pytest.mark.parametrize("form", ["search_result", "search"])
+    def test_strategy_keys_apply_to_search_forms(self, trained, form):
+        base, out, cfg = trained
+        if form == "search_result":
+            (out / "found.json").write_text(json.dumps({"sigma": 0.05, "rho": 0.9}))
+            mutation = {"search_result": str(out / "found.json")}
+        else:
+            mutation = {
+                "search": {
+                    "sigma_grid": [0.05], "rho_grid": [0.9], "samples_per_cell": 4,
+                    "probe_size": 300, "seed": 11,
+                }
+            }
+        mutation.update(subspace_mode="static", anti_random=True, mu=0.001)
+        path, _ = self.evolve_config(trained, mutation)
+        assert main(["evolve", "--config", path]) == 0
+        report = json.loads((out / "eval_report.json").read_text())
+        echo = report["config"]["mutation"]
+        assert (echo["sigma"], echo["rho"]) == (0.05, 0.9)
+        assert (echo["subspace_mode"], echo["anti_random"], echo["mu"]) == ("static", True, 0.001)
+        assert "+M'" in {c["role"] for c in report["per_child"]}
+        assert len({c["mask_seed"] for c in report["per_child"]}) == 1
+
     def test_repeats_records_all_runs(self, trained):
         path, out = self.evolve_config(trained)
         assert main(["evolve", "--config", path, "--repeats", "3"]) == 0
@@ -237,21 +260,29 @@ class TestEvolveCommand:
     def test_dump_masks_match_child_support(self, trained, mirrored):
         from smd.checkpoint import load_checkpoint
         from smd.evolution import _GENERATION_NS
-        from smd.mutation import MutationParams, derive_seed, rle_to_mask, spawn_mutations
+        from smd.mutation import (
+            MutationParams,
+            build_genomes,
+            derive_seed,
+            rle_to_mask,
+            spawn_mutations,
+        )
 
         mutation = {"sigma": 0.05, "rho": 0.5, "mirrored": mirrored, "anti_random": True}
         path, out = self.evolve_config(trained, mutation)
         assert main(["evolve", "--config", path, "--dump-masks"]) == 0
         parent = load_checkpoint(out / "model.ckpt")
         seed = derive_seed(0, _GENERATION_NS, 0)
-        children = spawn_mutations(parent.params, MutationParams(**mutation), 8, seed)
+        params = MutationParams(**mutation)
+        children = spawn_mutations(parent.params, params, 8, seed)
+        built = build_genomes(parent.params, params, children)
         dump = (out / "masks.rle.txt").read_text().splitlines()
         roles = set()
-        for line, child in zip(dump, children, strict=True):
+        for line, child, genome in zip(dump, children, built, strict=True):
             _, _, role, rle = line.split(" ", 3)
             assert role == f"role={child.role}"
             roles.add(child.role)
-            support = (child.params.values != parent.params.values).astype(np.uint8)
+            support = (genome.values != parent.params.values).astype(np.uint8)
             np.testing.assert_array_equal(rle_to_mask(rle), support)
         assert {"+M'"} <= roles
 
@@ -344,6 +375,16 @@ class TestAblateCommand:
         first = (out / "ablation.csv").read_bytes()
         assert main(["ablate", "--config", path]) == 0
         assert (out / "ablation.csv").read_bytes() == first
+
+
+class TestEvolveOnlyFlags:
+    @pytest.mark.parametrize("command", ["train", "search", "boundary", "ablate"])
+    @pytest.mark.parametrize("flag", [["--repeats", "2"], ["--dump-masks"]])
+    def test_rejected_by_other_commands(self, tmp_path, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(tmp_path / "unread.json"), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestOutputResolution:

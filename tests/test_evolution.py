@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,21 +18,24 @@ from smd.evolution import (
     spawn_population,
     write_ablation_csv,
 )
-from smd.mutation import MutationParams, compose, sample_mask, sample_noise, apply
+from smd.mutation import (
+    Child,
+    MutationParams,
+    build_genomes,
+    child_genome,
+    sample_mask,
+    sample_noise,
+    spawn_mutations,
+)
 from smd.network import Network, NetworkSpec, ParamVector, forward, init_network, softmax
 
 
 def make_population(fitness, nll=None):
-    """Population stub with given fitness; children carry dummy genomes."""
+    """Population stub with given fitness; children carry dummy seeds."""
     spec = NetworkSpec([1, 2])
     parent = init_network(spec)
-    from smd.mutation import Child
-
-    children = [
-        Child(parent.params.copy(), seed=i, mask_seed=i, group=i, role="solo")
-        for i in range(len(fitness))
-    ]
-    pop = Population(parent, children)
+    children = [Child(seed=i, mask_seed=i, group=i, role="solo") for i in range(len(fitness))]
+    pop = Population(parent, MutationParams(sigma=0.1, rho=0.5), children)
     pop.fitness = np.asarray(fitness, dtype=float)
     pop.val_nll = np.asarray(nll if nll is not None else np.zeros(len(fitness)), dtype=float)
     return pop
@@ -55,9 +60,8 @@ class TestEvaluateFitness:
         # a [1,2] "network" that outputs (x, -x): positive inputs -> class 0
         spec = NetworkSpec([1, 2])
         parent = Network(spec, ParamVector(np.array([1.0, -1.0, 0.0, 0.0])))
-        from smd.mutation import Child
-
-        pop = Population(parent, [Child(parent.params.copy(), 0, 0, 0, "solo")])
+        params = MutationParams(sigma=1e-12, rho=0.0, mirrored=False)
+        pop = Population(parent, params, spawn_mutations(parent.params, params, 1, 0))
         val = Dataset(np.array([[1.0], [2.0], [-3.0]]), np.array([0, 0, 1]), 2)
         fitness = evaluate_fitness(pop, val)
         assert fitness[0] == 1.0
@@ -117,9 +121,15 @@ class TestAverageWeights:
 
     def test_mirrored_pair_recovers_parent(self, rng):
         theta = ParamVector(rng.normal(size=64).astype(np.float32).astype(np.float64))
-        g = compose(sample_noise(64, 0.0, 0.3, 1), sample_mask(64, 0.5, 2))
-        avg = average_weights([apply(theta, g, +1), apply(theta, g, -1)])
+        noise, mask = sample_noise(64, 0.0, 0.3, 1), sample_mask(64, 0.5, 2)
+        avg = average_weights([child_genome(theta, noise, mask, r) for r in ("+", "-")])
         assert np.array_equal(avg.values, theta.values)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 17])
+    def test_running_sum_matches_stacked_mean(self, rng, k):
+        cands = [ParamVector(rng.normal(size=257)) for _ in range(k)]
+        reference = np.mean(np.stack([c.values for c in cands]), axis=0)
+        assert average_weights(cands).values.tobytes() == reference.tobytes()
 
     def test_permutation_stable_within_tolerance(self, rng):
         cands = [ParamVector(rng.normal(size=32)) for _ in range(5)]
@@ -163,7 +173,10 @@ class TestEnsemblePredict:
     def test_rows_normalized(self, spiral_task):
         params = MutationParams(sigma=0.1, rho=0.5)
         pop = spawn_population(spiral_task.parent, params, 4, master_seed=5)
-        members = [Network(spiral_task.parent.spec, c.params) for c in pop.children]
+        members = [
+            Network(spiral_task.parent.spec, g)
+            for g in build_genomes(spiral_task.parent.params, params, pop.children)
+        ]
         probs = ensemble_predict(members, spiral_task.val.inputs)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-6)
 
@@ -275,6 +288,26 @@ class TestRunGeneration:
         fields = ["Acc", "NLL", "ECE", "eAcc", "eNLL", "eECE", "dAcc", "sigma", "rho", "KL"]
         positions = [line.index(f" {f} ") if f" {f} " in line else line.index(f) for f in fields]
         assert positions == sorted(positions)
+
+
+class TestGenerationMemory:
+    def test_peak_holds_top_k_genomes_not_the_population(self):
+        """A generation builds each group's genomes only while it is scored,
+        so its traced peak is a few genomes beyond the k it combines."""
+        spec = NetworkSpec([2, 256, 256, 2], seed=3)
+        values = init_network(spec).params.values.astype(np.float32).astype(np.float64)
+        parent = Network(spec, ParamVector(values))
+        val = make_spirals(250, seed=2)
+        test = make_spirals(250, seed=3)
+        cfg = GenerationConfig(MutationParams(sigma=0.01, rho=0.5), pop_size=32, top_k=4)
+        genome_bytes = parent.params.w * 8
+        tracemalloc.start()
+        try:
+            run_generation(parent, cfg, val, test, master_seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (cfg.top_k + 6) * genome_bytes, peak / genome_bytes
 
 
 class TestRunAblation:

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smd.errors import ConfigurationError, ShapeError
 from smd.mutation import (
-    Child,
+    SUBSPACE_MODES,
     MutationParams,
-    apply,
+    build_genomes,
+    child_genome,
     complement,
-    compose,
     derive_seed,
     mask_to_rle,
-    mirrored_quad,
     partition_masks,
     rle_to_mask,
     sample_mask,
@@ -23,6 +24,15 @@ from smd.network import ParamVector
 def f32_genome(rng, w):
     """Random float32-valued genome, as produced by checkpoint loading."""
     return ParamVector(rng.normal(0, 0.2, w).astype(np.float32).astype(np.float64))
+
+
+def quad(theta, noise, mask):
+    """The four anti-random mirrored children of one (noise, mask) draw."""
+    return tuple(child_genome(theta, noise, mask, r) for r in ("+M", "+M'", "-M", "-M'"))
+
+
+def genomes(theta, params, children):
+    return list(build_genomes(theta, params, children))
 
 
 class TestSampleMask:
@@ -106,45 +116,51 @@ class TestSampleNoise:
 
 
 class TestComposeApply:
+    """The genome builder: theta + sign * (noise * support)."""
+
     def test_compose_definitional(self):
-        g = compose(np.array([0.3, -0.2, 0.5]), np.array([1, 0, 1], dtype=np.uint8))
-        assert np.array_equal(g.gamma, [0.3, 0.0, 0.5])
+        theta = ParamVector(np.zeros(3))
+        mask = np.array([1, 0, 1], dtype=np.uint8)
+        g = child_genome(theta, np.array([0.3, -0.2, 0.5]), mask, "+")
+        assert np.array_equal(g.values, [0.3, 0.0, 0.5])
 
     def test_compose_zero_mask(self):
-        g = compose(np.array([1.0, 2.0]), np.zeros(2, dtype=np.uint8))
-        assert np.all(g.gamma == 0.0)
+        zero = ParamVector(np.zeros(2))
+        g = child_genome(zero, np.array([1.0, 2.0]), np.zeros(2, dtype=np.uint8), "+")
+        assert np.all(g.values == 0.0)
 
     def test_compose_ones_mask_is_identity(self, rng):
         noise = rng.normal(size=50)
-        g = compose(noise, np.ones(50, dtype=np.uint8))
-        assert np.array_equal(g.gamma, noise)
+        g = child_genome(ParamVector(np.zeros(50)), noise, np.ones(50, dtype=np.uint8), "+")
+        assert np.array_equal(g.values, noise)
 
     def test_compose_length_mismatch(self):
         with pytest.raises(ShapeError):
-            compose(np.zeros(3), np.zeros(4, dtype=np.uint8))
+            child_genome(ParamVector(np.zeros(3)), np.zeros(3), np.zeros(4, dtype=np.uint8), "+")
+        with pytest.raises(ShapeError):
+            child_genome(ParamVector(np.zeros(3)), np.zeros(4), np.zeros(3, dtype=np.uint8), "+")
 
     def test_apply_mirrored_pair_averages_to_parent(self, rng):
         theta = f32_genome(rng, 512)
-        g = compose(sample_noise(512, 0.0, 0.3, 9), sample_mask(512, 0.5, 10))
-        plus = apply(theta, g, +1)
-        minus = apply(theta, g, -1)
+        noise, mask = sample_noise(512, 0.0, 0.3, 9), sample_mask(512, 0.5, 10)
+        plus = child_genome(theta, noise, mask, "+")
+        minus = child_genome(theta, noise, mask, "-")
         assert np.array_equal((plus.values + minus.values) / 2.0, theta.values)
 
     def test_apply_zero_gamma_is_parent(self, rng):
         theta = f32_genome(rng, 64)
-        g = compose(np.zeros(64), np.zeros(64, dtype=np.uint8))
-        assert np.array_equal(apply(theta, g, +1).values, theta.values)
+        g = child_genome(theta, np.zeros(64), np.zeros(64, dtype=np.uint8), "+")
+        assert np.array_equal(g.values, theta.values)
 
     def test_apply_negative_sign_example(self):
         theta = ParamVector(np.array([1.0, 1.0]))
-        g = compose(np.array([0.5, 0.7]), np.array([1, 0], dtype=np.uint8))
-        assert np.array_equal(apply(theta, g, -1).values, [0.5, 1.0])
+        g = child_genome(theta, np.array([0.5, 0.7]), np.array([1, 0], dtype=np.uint8), "-")
+        assert np.array_equal(g.values, [0.5, 1.0])
 
     def test_apply_rejects_bad_sign(self):
         theta = ParamVector(np.zeros(2))
-        g = compose(np.zeros(2), np.zeros(2, dtype=np.uint8))
         with pytest.raises(ConfigurationError):
-            apply(theta, g, 2)
+            child_genome(theta, np.zeros(2), np.zeros(2, dtype=np.uint8), "+2")
 
 
 class TestBruteForceOracle:
@@ -160,18 +176,18 @@ class TestBruteForceOracle:
         mask = sample_mask(w, rho, seed)
         noise = sample_noise(w, 0.0, sigma, seed + 1)
 
-        gamma = compose(noise, mask)
+        gamma = child_genome(ParamVector(np.zeros(w)), noise, mask, "+").values
         expect_gamma = np.array([noise[i] * mask[i] for i in range(w)])
-        assert np.array_equal(gamma.gamma, expect_gamma)
+        assert np.array_equal(gamma, expect_gamma)
 
         comp = complement(mask)
         assert np.array_equal(comp, np.array([1 - mask[i] for i in range(w)]))
 
-        child = apply(theta, gamma, -1)
-        expect_child = np.array([theta.values[i] - gamma.gamma[i] for i in range(w)])
+        child = child_genome(theta, noise, mask, "-")
+        expect_child = np.array([theta.values[i] - gamma[i] for i in range(w)])
         assert np.array_equal(child.values, expect_child)
 
-        c1, c2, c3, c4 = mirrored_quad(theta, noise, mask)
+        c1, c2, c3, c4 = quad(theta, noise, mask)
         for got, sign, m in ((c1, +1, mask), (c2, +1, comp), (c3, -1, mask), (c4, -1, comp)):
             expect = np.array([theta.values[i] + sign * noise[i] * m[i] for i in range(w)])
             assert np.array_equal(got.values, expect)
@@ -197,7 +213,7 @@ class TestMirroredQuad:
         theta = f32_genome(rng, 256)
         noise = sample_noise(256, 0.0, 0.2, 11)
         mask = sample_mask(256, 0.5, 12)
-        c1, c2, c3, c4 = mirrored_quad(theta, noise, mask)
+        c1, c2, c3, c4 = quad(theta, noise, mask)
         assert np.array_equal(c1.values + c3.values, 2.0 * theta.values)
         assert np.array_equal(c2.values + c4.values, 2.0 * theta.values)
 
@@ -205,16 +221,19 @@ class TestMirroredQuad:
         theta = f32_genome(rng, 128)
         noise = sample_noise(128, 0.0, 0.2, 13)
         mask = sample_mask(128, 0.5, 14)
-        c1, c2, _, _ = mirrored_quad(theta, noise, mask)
+        c1, c2, _, _ = quad(theta, noise, mask)
         assert np.array_equal((c1.values - theta.values) + (c2.values - theta.values), noise)
 
     def test_norm_law(self):
         # E ||gamma||^2 = (1 - rho) * w * sigma^2 at mu = 0
         w, rho, sigma = 10_000, 0.5, 0.1
         norms = []
+        zero = ParamVector(np.zeros(w))
         for seed in range(100):
-            g = compose(sample_noise(w, 0.0, sigma, seed), sample_mask(w, rho, 1000 + seed))
-            norms.append(float((g.gamma**2).sum()))
+            g = child_genome(
+                zero, sample_noise(w, 0.0, sigma, seed), sample_mask(w, rho, 1000 + seed), "+"
+            )
+            norms.append(float((g.values**2).sum()))
         expected = (1 - rho) * w * sigma**2
         assert np.mean(norms) == pytest.approx(expected, rel=0.05)
 
@@ -230,33 +249,31 @@ class TestSpawnMutations:
         children = spawn_mutations(theta, self.params(anti_random=True), 16, master_seed=1)
         assert len(children) == 16
         assert sorted({c.group for c in children}) == [0, 1, 2, 3]
-        genomes = {c.params.values.tobytes() for c in children}
-        assert len(genomes) == 16  # all distinct
+        built = genomes(theta, self.params(anti_random=True), children)
+        distinct = {g.values.tobytes() for g in built}
+        assert len(distinct) == 16  # all distinct
 
     def test_mirrored_pair(self, rng):
         theta = f32_genome(rng, 100)
         pair = spawn_mutations(theta, self.params(), 2, master_seed=2)
         assert [c.role for c in pair] == ["+", "-"]
-        assert np.array_equal(
-            (pair[0].params.values + pair[1].params.values) / 2.0, theta.values
-        )
+        plus, minus = genomes(theta, self.params(), pair)
+        assert np.array_equal((plus.values + minus.values) / 2.0, theta.values)
 
     def test_static_mode_shares_mask_support(self, rng):
         theta = f32_genome(rng, 400)
-        children = spawn_mutations(
-            theta, self.params(subspace_mode="static", mirrored=True), 8, master_seed=3
-        )
-        supports = {(c.params.values != theta.values).tobytes() for c in children}
+        params = self.params(subspace_mode="static", mirrored=True)
+        children = spawn_mutations(theta, params, 8, master_seed=3)
+        supports = {(g.values != theta.values).tobytes() for g in genomes(theta, params, children)}
         # one mask: every child touches exactly the same coordinates
         assert len({c.mask_seed for c in children}) == 1
         assert len(supports) <= 2  # +/- pairs share support; noise varies per pair
 
     def test_static_mode_uses_fresh_noise_per_group(self, rng):
         theta = f32_genome(rng, 400)
-        children = spawn_mutations(
-            theta, self.params(subspace_mode="static"), 4, master_seed=4
-        )
-        assert not np.array_equal(children[0].params.values, children[2].params.values)
+        params = self.params(subspace_mode="static")
+        built = genomes(theta, params, spawn_mutations(theta, params, 4, master_seed=4))
+        assert not np.array_equal(built[0].values, built[2].values)
 
     def test_dynamic_mode_draws_fresh_masks(self, rng):
         theta = f32_genome(rng, 400)
@@ -265,13 +282,13 @@ class TestSpawnMutations:
 
     def test_anti_random_only_pairs(self, rng):
         theta = f32_genome(rng, 300)
-        children = spawn_mutations(
-            theta, self.params(mirrored=False, anti_random=True), 4, master_seed=6
-        )
+        params = self.params(mirrored=False, anti_random=True)
+        children = spawn_mutations(theta, params, 4, master_seed=6)
         assert [c.role for c in children[:2]] == ["+M", "+M'"]
         # the pair's supports are disjoint and exhaustive
-        a = children[0].params.values != theta.values
-        b = children[1].params.values != theta.values
+        first, second = genomes(theta, params, children[:2])
+        a = first.values != theta.values
+        b = second.values != theta.values
         assert not np.any(a & b)
 
     def test_plain_spawning_any_size(self, rng):
@@ -295,19 +312,63 @@ class TestSpawnMutations:
 
     def test_deterministic_and_order_independent(self, rng):
         theta = f32_genome(rng, 128)
-        a = spawn_mutations(theta, self.params(anti_random=True), 8, master_seed=9)
-        b = spawn_mutations(theta, self.params(anti_random=True), 8, master_seed=9)
+        params = self.params(anti_random=True)
+        a = spawn_mutations(theta, params, 8, master_seed=9)
+        b = spawn_mutations(theta, params, 8, master_seed=9)
+        for x, y in zip(genomes(theta, params, a), genomes(theta, params, b[::-1])[::-1]):
+            assert np.array_equal(x.values, y.values)
         for x, y in zip(a, b):
-            assert np.array_equal(x.params.values, y.params.values)
             assert (x.seed, x.mask_seed, x.group, x.role) == (y.seed, y.mask_seed, y.group, y.role)
 
     def test_frozen_coordinates_bit_identical(self, rng):
         theta = f32_genome(rng, 512)
         params = self.params(rho=0.9)
-        for child in spawn_mutations(theta, params, 4, master_seed=10):
+        children = spawn_mutations(theta, params, 4, master_seed=10)
+        for child, genome in zip(children, genomes(theta, params, children)):
             mask = sample_mask(512, params.rho, child.mask_seed)
             support = mask == 0 if child.role in ("+M'", "-M'") else mask == 1
-            assert np.array_equal(child.params.values[~support], theta.values[~support])
+            assert np.array_equal(genome.values[~support], theta.values[~support])
+
+
+class TestRoleTable:
+    """Every spawning strategy against the meaning of the role names: a
+    leading '-' negates the noise, a trailing "'" perturbs the complement."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        mirrored=st.booleans(),
+        anti_random=st.booleans(),
+        subspace_mode=st.sampled_from(SUBSPACE_MODES),
+        master_seed=st.integers(0, 2**32 - 1),
+        theta_seed=st.integers(0, 2**32 - 1),
+        w=st.integers(1, 300),
+        rho=st.floats(0.0, 0.95),
+    )
+    def test_genomes_follow_roles(
+        self, mirrored, anti_random, subspace_mode, master_seed, theta_seed, w, rho
+    ):
+        theta = f32_genome(np.random.default_rng(theta_seed), w)
+        params = MutationParams(
+            sigma=0.1, rho=rho, subspace_mode=subspace_mode,
+            mirrored=mirrored, anti_random=anti_random,
+        )
+        group = (2 if mirrored else 1) * (2 if anti_random else 1)
+        children = spawn_mutations(theta, params, 3 * group, master_seed)
+        built = genomes(theta, params, children)
+        by_group = {}
+        for child, genome in zip(children, built, strict=True):
+            mask = sample_mask(w, rho, child.mask_seed)
+            noise = sample_noise(w, 0.0, 0.1, child.seed)
+            sign = -1.0 if child.role.startswith("-") else 1.0
+            support = (1 - mask) if child.role.endswith("'") else mask
+            assert np.array_equal(genome.values, theta.values + sign * noise * support)
+            frozen = support == 0
+            assert genome.values[frozen].tobytes() == theta.values[frozen].tobytes()
+            by_group.setdefault(child.group, []).append(genome.values)
+        assert len(by_group) == 3
+        if mirrored:
+            for members in by_group.values():
+                assert np.array_equal(np.mean(members, axis=0), theta.values)
 
 
 class TestSeedDerivation:

@@ -23,7 +23,7 @@ from smd.evolution import (
     run_generation,
     spawn_population,
 )
-from smd.mutation import MutationParams, derive_seed
+from smd.mutation import MutationParams, build_genomes, derive_seed
 from smd.network import Network, forward
 
 POP, TOP_K = 8, 4
@@ -83,8 +83,9 @@ class TestCachedScores:
         t = spiral_task
         pop = spawn_population(t.parent, gen_cfg().mutation, POP, 5)
         evaluate_fitness(pop, t.val, workers=3)
-        for child, cached in zip(pop.children, pop.val_logits):
-            direct = forward(Network(t.parent.spec, child.params), t.val.inputs)
+        built = build_genomes(t.parent.params, pop.mutation, pop.children)
+        for genome, cached in zip(built, pop.val_logits, strict=True):
+            direct = forward(Network(t.parent.spec, genome), t.val.inputs)
             assert cached.tobytes() == direct.tobytes()
 
     @pytest.mark.parametrize("generations", [1, 2])
@@ -101,13 +102,19 @@ class TestCachedScores:
             )
             evaluate_fitness(pop, t.val)
             selected = evolution.select_top_k(pop, TOP_K)
-            averaged = evolution.average_weights([pop.children[i].params for i in selected])
+            chosen = [pop.children[i] for i in selected]
+            averaged = evolution.average_weights(
+                list(build_genomes(current.params, cfg.mutation, chosen))
+            )
             if gen < generations - 1:
                 current = Network(current.spec, averaged)
         assert report.selected_indices == selected
 
         parent_logits = forward(current, t.val.inputs)
-        nets = [Network(current.spec, c.params) for c in pop.children]
+        nets = [
+            Network(current.spec, g)
+            for g in build_genomes(current.params, cfg.mutation, pop.children)
+        ]
         for record, net in zip(report.per_child, nets):
             kl = kl_from_logits(parent_logits, forward(net, t.val.inputs))
             assert record["kl_to_parent"] == kl
