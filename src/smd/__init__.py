@@ -4,7 +4,7 @@ The genome is the flat parameter vector of a small feed-forward network.
 Children are spawned by adding Gaussian noise restricted to random binary
 subspaces (optionally mirrored and anti-random for variance reduction),
 scored on validation accuracy, and the best are combined by weight
-averaging or softmax ensembling. A KL-divergence probe budgets the
+averaging and softmax ensembling. A KL-divergence probe budgets the
 mutation hyperparameters.
 """
 
@@ -14,7 +14,6 @@ from .divergence import (
     DivergenceReport,
     GridSearchConfig,
     grid_search,
-    kl_accuracy_curve,
     output_kl,
     output_mse,
 )

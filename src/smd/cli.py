@@ -118,8 +118,7 @@ def cmd_search(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
             "seed": seed,
         },
     )
-    rows = sorted(outcome.cells, key=lambda c: (c.rho, c.sigma))
-    write_sweep_csv(rows, out_dir / "sweep.csv")
+    write_sweep_csv(outcome.cells, out_dir / "sweep.csv")
     print(
         f"sigma {outcome.sigma:g} | rho {outcome.rho:g} | mean KL {outcome.report.kl:.4f}"
         f" | in_band {outcome.in_band}"
@@ -158,7 +157,7 @@ def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     reports = []
     for r in range(repeats):
         seed_r = master_seed if repeats == 1 else derive_seed(master_seed, _REPEAT_NS, r)
-        reports.append(run_generation(parent, gen_cfg, val, test, seed_r, args.workers))
+        reports.append(run_generation(parent, gen_cfg, val, test, seed_r))
     # Best-of-R selection peeks only at validation-side accuracy.
     best_idx = max(range(repeats), key=lambda r: (reports[r].ensemble_val_accuracy, -r))
     best = reports[best_idx]
@@ -224,7 +223,6 @@ def cmd_ablate(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
         [int(s) for s in section["seeds"]],
         pop_size=int(section.get("pop_size", 16)),
         top_k=int(section.get("top_k", 4)),
-        workers=args.workers,
     )
     write_ablation_csv(rows, out_dir / "ablation.csv")
     print(f"wrote {len(rows)} ablation rows to {out_dir / 'ablation.csv'}")
@@ -248,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--workers", type=int, default=1, help="worker pool size")
         p.add_argument("--out", default=None, help="output directory (SMD_OUT overrides)")
         if name == "evolve":
             p.add_argument("--repeats", type=int, default=1, help="best-of-R evolve runs")
@@ -261,9 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("workers", "repeats"):
-            if getattr(args, flag, 1) < 1:
-                raise ConfigurationError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+        if getattr(args, "repeats", 1) < 1:
+            raise ConfigurationError(f"--repeats must be >= 1, got {args.repeats}")
         cfg = cfgmod.load_config(args.config)
         out_dir = cfgmod.resolve_out_dir(cfg, args.out)
         return _COMMANDS[args.command](cfg, out_dir, args)

@@ -33,10 +33,10 @@ _SEARCH_KEYS = {
     "sigma_grid", "rho_grid", "kl_target", "kl_tolerance",
     "samples_per_cell", "probe_size", "seed",
 }
-_EVOLUTION_KEYS = {"pop_size", "top_k", "combine", "generations", "master_seed"}
+_EVOLUTION_KEYS = {"pop_size", "top_k", "generations", "master_seed"}
 _BOUNDARY_KEYS = {"sigma_grid", "rho_grid", "resolution", "seed"}
 _ABLATION_KEYS = {"sigma_grid", "rho_grid", "modes", "seeds", "pop_size", "top_k"}
-_OUTPUT_KEYS = {"dir", "formats"}
+_OUTPUT_KEYS = {"dir"}
 
 
 def load_config(path: str | Path) -> dict:
@@ -198,7 +198,6 @@ def build_generation_config(cfg: dict, mutation: MutationParams) -> tuple[Genera
         mutation=mutation,
         pop_size=int(evolution.get("pop_size", 16)),
         top_k=int(evolution.get("top_k", 8)),
-        combine=evolution.get("combine", "both"),
         generations=int(evolution.get("generations", 1)),
     )
     return gen_cfg, int(evolution.get("master_seed", 0))

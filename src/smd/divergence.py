@@ -147,15 +147,16 @@ def sweep_cells(
 ) -> list[CellResult]:
     """Evaluate every (sigma, rho) cell: mean KL/MSE/accuracy of fresh children.
 
-    Cell randomness derives from (master_seed, cell index, child index), so
-    cells may be evaluated in any order or concurrently without changing
-    the outcome.
+    Cells come out sorted by (rho, sigma) for ascending grids. Cell
+    randomness derives from (master_seed, cell index, child index), with
+    the cell index counted sigma-major, so the visiting order does not
+    change any cell's values.
     """
     parent_logits = forward(parent, probe.inputs)
     parent_probs = clamped_softmax(parent_logits)
     cells = []
-    for ci, sigma in enumerate(sigma_grid):
-        for cj, rho in enumerate(rho_grid):
+    for cj, rho in enumerate(rho_grid):
+        for ci, sigma in enumerate(sigma_grid):
             cell_index = ci * len(rho_grid) + cj
             cell_seed = derive_seed(master_seed, _CELL_NS, cell_index)
             params = _search_spawn_params(sigma, rho, samples_per_cell)
@@ -213,19 +214,6 @@ def grid_search(
         child_accuracy=best.mean_child_acc,
     )
     return GridSearchOutcome(best.sigma, best.rho, report, flag, tuple(cells))
-
-
-def kl_accuracy_curve(
-    parent: Network,
-    probe: Dataset,
-    sigma_grid: tuple[float, ...],
-    rho_grid: tuple[float, ...],
-    master_seed: int,
-    samples_per_cell: int = 4,
-) -> list[CellResult]:
-    """Full sweep table for ablation plots, sorted by (rho, sigma)."""
-    cells = sweep_cells(parent, probe, tuple(sigma_grid), tuple(rho_grid), samples_per_cell, master_seed)
-    return sorted(cells, key=lambda c: (c.rho, c.sigma))
 
 
 def _cap_probe(probe: Dataset, probe_size: int) -> Dataset:

@@ -9,10 +9,8 @@ exactly once, when the final report metrics are computed.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +21,6 @@ from .metrics import MetricTriple, metric_triple
 from .mutation import Child, MutationParams, build_genomes, derive_seed, spawn_mutations
 from .network import Network, ParamVector, forward, nll_loss, softmax
 from .divergence import clamped_softmax, kl_from_probs
-
-COMBINE_MODES = ("ensemble", "weight_average", "both")
 
 # Spawn-key namespace separating per-generation randomness.
 _GENERATION_NS = 3
@@ -46,7 +42,6 @@ class GenerationConfig:
     mutation: MutationParams
     pop_size: int = 16
     top_k: int = 8
-    combine: str = "both"
     generations: int = 1
 
     def __post_init__(self):
@@ -56,8 +51,6 @@ class GenerationConfig:
             raise ConfigurationError(
                 f"top_k must lie in [1, pop_size], got {self.top_k} with pop {self.pop_size}"
             )
-        if self.combine not in COMBINE_MODES:
-            raise ConfigurationError(f"combine must be one of {COMBINE_MODES}")
         if self.generations < 1:
             raise ConfigurationError("generations must be >= 1")
 
@@ -144,41 +137,29 @@ def spawn_population(
     )
 
 
-def evaluate_fitness(pop: Population, val: Dataset, workers: int = 1) -> np.ndarray:
+def evaluate_fitness(pop: Population, val: Dataset) -> np.ndarray:
     """Validation accuracy per child (the parent is never scored).
 
     This is the one validation pass per child: its logits are kept in
     `pop.val_logits` and reused by `run_generation` for the KL probe and
     the ensemble's validation accuracy. Also records per-child validation
-    NLL for selection tie-breaks. Genomes are built one group at a time
-    and dropped once scored, so at most `workers` groups of genomes exist
-    at once. With workers > 1 groups are scored on a thread pool; each
-    group's computation is self-contained, so results match the serial run.
+    NLL for selection tie-breaks. `build_genomes` draws each group's mask
+    and noise once and yields its genomes one at a time, so each genome is
+    dropped once scored.
     """
     if val.n < 1:
         raise ConfigurationError("validation set is empty")
-    spec, theta = pop.parent.spec, pop.parent.params
-
-    def score(group: list[Child]) -> list[tuple[np.ndarray, float, float]]:
-        scored = []
-        for genome in build_genomes(theta, pop.mutation, group):
-            logits = forward(Network(spec, genome), val.inputs)
-            probs = softmax(logits)
-            correct = float((probs.argmax(axis=1) == val.labels).mean())
-            scored.append((logits, correct, nll_loss(probs, val.labels)))
-        return scored
-
-    groups = [list(g) for _, g in groupby(pop.children, key=lambda c: c.group)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_group = list(pool.map(score, groups))
-    else:
-        per_group = [score(g) for g in groups]
-    scored = [s for group in per_group for s in group]
-
-    pop.val_logits = [s[0] for s in scored]
-    pop.fitness = np.array([s[1] for s in scored])
-    pop.val_nll = np.array([s[2] for s in scored])
+    spec = pop.parent.spec
+    val_logits, fitness, nll = [], [], []
+    for genome in build_genomes(pop.parent.params, pop.mutation, pop.children):
+        logits = forward(Network(spec, genome), val.inputs)
+        probs = softmax(logits)
+        val_logits.append(logits)
+        fitness.append(float((probs.argmax(axis=1) == val.labels).mean()))
+        nll.append(nll_loss(probs, val.labels))
+    pop.val_logits = val_logits
+    pop.fitness = np.array(fitness)
+    pop.val_nll = np.array(nll)
     return pop.fitness
 
 
@@ -234,26 +215,29 @@ def _mean_softmax(member_logits: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def _evolve(
-    parent: Network, cfg: GenerationConfig, val: Dataset, master_seed: int, workers: int
+    parent: Network, cfg: GenerationConfig, val: Dataset, master_seed: int
 ) -> tuple[Population, list[int], list[ParamVector], ParamVector]:
     """Run cfg.generations generations on validation data only.
 
     Returns the final generation's scored population (its parent is the
     chained model), the selected indices, their genomes (rebuilt once, in
-    selection order) and their weight average.
+    selection order) and their weight average. A chained parent is
+    quantized to float32 values, as a checkpoint round-trip would, so its
+    mirrored children still average back to it exactly.
     """
     current = parent
     for gen in range(cfg.generations):
         gen_seed = derive_seed(master_seed, _GENERATION_NS, gen)
         pop = spawn_population(current, cfg.mutation, cfg.pop_size, gen_seed)
-        evaluate_fitness(pop, val, workers)
+        evaluate_fitness(pop, val)
         selected = select_top_k(pop, cfg.top_k)
         members = list(
             build_genomes(current.params, cfg.mutation, [pop.children[i] for i in selected])
         )
         averaged = average_weights(members)
         if gen < cfg.generations - 1:
-            current = Network(current.spec, averaged)
+            quantized = averaged.values.astype(np.float32).astype(np.float64)
+            current = Network(current.spec, ParamVector(quantized))
             del members  # the next generation holds only its own selection
     return pop, selected, members, averaged
 
@@ -310,7 +294,6 @@ def _report(
     config_echo = {
         "pop_size": cfg.pop_size,
         "top_k": cfg.top_k,
-        "combine": cfg.combine,
         "generations": cfg.generations,
         "mutation": asdict(cfg.mutation),
     }
@@ -334,7 +317,6 @@ def run_generation(
     val: Dataset,
     test: Dataset,
     master_seed: int,
-    workers: int = 1,
 ) -> EvalReport:
     """Spawn, score, select, combine; report metrics on the test set.
 
@@ -349,7 +331,7 @@ def run_generation(
     group is scored, and the k selected genomes are rebuilt once for the
     average and the ensemble.
     """
-    pop, selected, members, averaged = _evolve(parent, cfg, val, master_seed, workers)
+    pop, selected, members, averaged = _evolve(parent, cfg, val, master_seed)
     # Selection is done: test data is read from here on only.
     parent_scores = _score_parent(pop.parent, val, test)
     return _report(pop, selected, members, averaged, cfg, val, test, master_seed, parent_scores)
@@ -365,7 +347,6 @@ def run_ablation(
     seeds: list[int],
     pop_size: int = 16,
     top_k: int = 4,
-    workers: int = 1,
 ) -> list[dict]:
     """Full factorial sweep over (sigma, rho, subspace mode, seed).
 
@@ -386,11 +367,10 @@ def run_ablation(
                         mutation=MutationParams(sigma=sigma, rho=rho, subspace_mode=mode),
                         pop_size=pop_size,
                         top_k=top_k,
-                        combine="both",
                         generations=1,
                     )
                     report = _report(
-                        *_evolve(parent, cfg, val, seed, workers),
+                        *_evolve(parent, cfg, val, seed),
                         cfg, val, test, seed, parent_scores,
                     )
                     rows.append(

@@ -31,7 +31,7 @@ def derive_seed(master_seed: int, *key: int) -> int:
     """Stable 64-bit seed for (master_seed, key...).
 
     Counter-based: every consumer derives its own stream, so results do
-    not depend on evaluation order or worker count.
+    not depend on evaluation order.
     """
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=key)
     return int(ss.generate_state(1, dtype=np.uint64)[0])

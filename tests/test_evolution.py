@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import smd.evolution as evolution
 from smd.datasets import Dataset, make_spirals
 from smd.errors import ConfigurationError, ShapeError, StateError
 from smd.evolution import (
@@ -65,15 +66,6 @@ class TestEvaluateFitness:
         val = Dataset(np.array([[1.0], [2.0], [-3.0]]), np.array([0, 0, 1]), 2)
         fitness = evaluate_fitness(pop, val)
         assert fitness[0] == 1.0
-
-    def test_workers_match_serial(self, spiral_task):
-        params = MutationParams(sigma=0.05, rho=0.5)
-        pop_a = spawn_population(spiral_task.parent, params, 8, master_seed=3)
-        pop_b = spawn_population(spiral_task.parent, params, 8, master_seed=3)
-        serial = evaluate_fitness(pop_a, spiral_task.val, workers=1)
-        pooled = evaluate_fitness(pop_b, spiral_task.val, workers=8)
-        assert np.array_equal(serial, pooled)
-        assert np.array_equal(pop_a.val_nll, pop_b.val_nll)
 
 
 class TestSelectTopK:
@@ -241,8 +233,8 @@ class TestRunGeneration:
 
     def test_deterministic_across_worker_counts(self, spiral_task):
         cfg = self.gen_cfg()
-        a = run_generation(spiral_task.parent, cfg, spiral_task.val, spiral_task.test, 9, 1)
-        b = run_generation(spiral_task.parent, cfg, spiral_task.val, spiral_task.test, 9, 8)
+        a = run_generation(spiral_task.parent, cfg, spiral_task.val, spiral_task.test, 9)
+        b = run_generation(spiral_task.parent, cfg, spiral_task.val, spiral_task.test, 9)
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_test_set_read_once_at_the_end(self, spiral_task):
@@ -308,6 +300,40 @@ class TestGenerationMemory:
         finally:
             tracemalloc.stop()
         assert peak < (cfg.top_k + 6) * genome_bytes, peak / genome_bytes
+
+
+class TestChainedParent:
+    @pytest.mark.parametrize("anti_random", [False, True])
+    def test_mirrored_pairs_cancel_in_generation_2(self, spiral_task, monkeypatch, anti_random):
+        """The averaged genome chained into generation 2 is float32-valued,
+        so each +/- pair of that generation averages back to it bit for bit."""
+        scored = []
+
+        def recording(pop, val):
+            scored.append(pop)
+            return evaluate_fitness(pop, val)
+
+        monkeypatch.setattr(evolution, "evaluate_fitness", recording)
+        params = MutationParams(sigma=0.05, rho=0.5, anti_random=anti_random)
+        cfg = GenerationConfig(params, pop_size=8, top_k=3, generations=2)
+        run_generation(spiral_task.parent, cfg, spiral_task.val, spiral_task.test, 4)
+        assert len(scored) == 2
+        final = scored[-1]
+        theta = final.parent.params
+        assert theta.values.tobytes() != spiral_task.parent.params.values.tobytes()
+        genomes = dict(zip(final.children, build_genomes(theta, params, final.children)))
+        pairs = 0
+        for plus in final.children:
+            if not plus.role.startswith("+"):
+                continue
+            minus = next(
+                c for c in final.children
+                if c.group == plus.group and c.role == "-" + plus.role[1:]
+            )
+            mean = (genomes[plus].values + genomes[minus].values) / 2
+            assert mean.tobytes() == theta.values.tobytes()
+            pairs += 1
+        assert pairs == 4
 
 
 class TestRunAblation:
@@ -385,7 +411,3 @@ class TestGenerationConfig:
     def test_top_k_bounded(self):
         with pytest.raises(ConfigurationError):
             GenerationConfig(MutationParams(sigma=0.1, rho=0.5), pop_size=4, top_k=5)
-
-    def test_combine_validated(self):
-        with pytest.raises(ConfigurationError):
-            GenerationConfig(MutationParams(sigma=0.1, rho=0.5), combine="vote")

@@ -10,6 +10,7 @@ the bytes of the evolve and ablate artifacts on a tiny config.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import smd.evolution as evolution
@@ -24,7 +25,7 @@ from smd.evolution import (
     spawn_population,
 )
 from smd.mutation import MutationParams, build_genomes, derive_seed
-from smd.network import Network, forward
+from smd.network import Network, ParamVector, forward
 
 POP, TOP_K = 8, 4
 
@@ -82,7 +83,7 @@ class TestCachedScores:
     def test_val_logits_match_direct_forward(self, spiral_task):
         t = spiral_task
         pop = spawn_population(t.parent, gen_cfg().mutation, POP, 5)
-        evaluate_fitness(pop, t.val, workers=3)
+        evaluate_fitness(pop, t.val)
         built = build_genomes(t.parent.params, pop.mutation, pop.children)
         for genome, cached in zip(built, pop.val_logits, strict=True):
             direct = forward(Network(t.parent.spec, genome), t.val.inputs)
@@ -107,7 +108,9 @@ class TestCachedScores:
                 list(build_genomes(current.params, cfg.mutation, chosen))
             )
             if gen < generations - 1:
-                current = Network(current.spec, averaged)
+                # A chained parent is float32-valued, like a loaded checkpoint.
+                quantized = averaged.values.astype(np.float32).astype(np.float64)
+                current = Network(current.spec, ParamVector(quantized))
         assert report.selected_indices == selected
 
         parent_logits = forward(current, t.val.inputs)
@@ -124,11 +127,12 @@ class TestCachedScores:
         assert report.ensemble_val_accuracy == ens_val
 
 
-# SHA-256s of the artifacts the tiny config below writes, recorded before
-# the scoring cache existed. Float64 numpy on OpenBLAS; another BLAS build
-# may round a matmul differently and legitimately change them.
+# SHA-256s of the artifacts the tiny config below writes. `ablation.csv`
+# was recorded before the scoring cache existed. Float64 numpy on
+# OpenBLAS; another BLAS build may round a matmul differently and
+# legitimately change them.
 GOLDEN = {
-    "eval_report.json": "fcd3307c1a50126f5c77ac6f146039d607d0f16551c76b32e22f417cd84252ff",
+    "eval_report.json": "2e668d312a90a89e4df39f52165a56b4426b680b7c4ddafc1594d4f3e3160b5b",
     "ablation.csv": "7870229b0d7f42c1faf34bd2f7a5ede9f04c8df289e784e88586e81d34899a65",
 }
 
@@ -168,7 +172,7 @@ def test_artifact_bytes_pinned(tmp_path):
         "mutation": {"sigma": 0.05, "rho": 0.5, "anti_random": True},
         "evolution": {"pop_size": 8, "top_k": 4, "generations": 2, "master_seed": 0},
         "output": {"dir": str(out)},
-    }, "--workers", "2")
+    })
     _run(tmp_path, "ablate", {
         "task": task,
         "model": checkpoint,
