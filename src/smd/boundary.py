@@ -7,7 +7,6 @@ cell yields a CSV of (x, y, class, confidence) and an 8-bit PGM image.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,15 +80,22 @@ def perturbed_network(parent: Network, sigma: float, rho: float, seed: int) -> N
 
 
 def write_grid_csv(grid: BoundaryGrid, path: str | Path) -> None:
+    """Header `x,y,class,confidence`, then one line per lattice point, y-major.
+
+    Floats are written as their shortest round-trip `repr`, lines end in LF.
+    Each x is formatted once per grid and each y once per lattice row; the
+    grid is converted to Python scalars one row at a time, so the writer's
+    memory stays O(resolution).
+    """
+    xs = [repr(x) for x in grid.xs.tolist()]
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "class", "confidence"])
-        for i, y in enumerate(grid.ys):
-            for j, x in enumerate(grid.xs):
-                writer.writerow(
-                    [repr(float(x)), repr(float(y)), int(grid.classes[i, j]),
-                     repr(float(grid.confidence[i, j]))]
-                )
+        fh.write("x,y,class,confidence\n")
+        for y, classes, confidence in zip(grid.ys.tolist(), grid.classes, grid.confidence):
+            mid = f",{y!r},"
+            fh.write("".join([
+                f"{x}{mid}{c},{p!r}\n"
+                for x, c, p in zip(xs, classes.tolist(), confidence.tolist())
+            ]))
 
 
 def write_grid_pgm(grid: BoundaryGrid, path: str | Path) -> None:

@@ -187,21 +187,21 @@ def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
 
 
 def cmd_boundary(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
+    section = cfgmod.boundary_section(cfg)
     train, _, _ = cfgmod.build_task_data(cfg)
     parent = _load_parent(cfg)
     if parent.spec.input_dim != 2:
         raise TaskMismatchError(
             f"boundary command needs a 2-D input task, model takes {parent.spec.input_dim}"
         )
-    section = cfgmod.boundary_section(cfg)
     written = export_boundary_cells(
         parent,
         train,
-        [float(s) for s in section["sigma_grid"]],
-        [float(r) for r in section["rho_grid"]],
+        section["sigma_grid"],
+        section["rho_grid"],
         out_dir,
-        master_seed=int(section.get("seed", 0)),
-        resolution=int(section.get("resolution", 200)),
+        master_seed=section["seed"],
+        resolution=section["resolution"],
     )
     print(f"wrote {len(written)} boundary files to {out_dir}")
     return EXIT_OK

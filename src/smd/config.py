@@ -8,9 +8,11 @@ fail loudly instead of silently using defaults.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
+from .boundary import DEFAULT_RESOLUTION, cell_tag
 from .datasets import Dataset, SplitSpec, load_csv, make_spirals, split
 from .divergence import GridSearchConfig
 from .errors import ConfigurationError
@@ -203,11 +205,50 @@ def build_generation_config(cfg: dict, mutation: MutationParams) -> tuple[Genera
     return gen_cfg, int(evolution.get("master_seed", 0))
 
 
+def _int_key(section: dict, name: str, key: str, default: int, minimum: int) -> int:
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigurationError(f"{name} '{key}' must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _number_grid(section: dict, name: str, key: str, rule: str, ok) -> list[float]:
+    grid = section[key]
+    if not isinstance(grid, list) or not grid:
+        raise ConfigurationError(f"{name} '{key}' must be a non-empty list, got {grid!r}")
+    for value in grid:
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or not ok(value)
+        ):
+            raise ConfigurationError(f"{name} '{key}' values must be {rule}, got {value!r}")
+    return [float(v) for v in grid]
+
+
 def boundary_section(cfg: dict) -> dict:
+    """The boundary section with defaults filled in and every value checked.
+
+    Returns sigma_grid and rho_grid as float lists, resolution and seed as
+    ints. Grids whose cells would share an output file name are rejected.
+    """
     section = _section(cfg, "boundary", _BOUNDARY_KEYS)
     if "sigma_grid" not in section or "rho_grid" not in section:
         raise ConfigurationError("boundary section needs 'sigma_grid' and 'rho_grid'")
-    return section
+    sigmas = _number_grid(section, "boundary", "sigma_grid", "finite and >= 0", lambda s: s >= 0)
+    rhos = _number_grid(section, "boundary", "rho_grid", "in [0, 1)", lambda r: 0 <= r < 1)
+    tags = {cell_tag(s, r) for s in sigmas for r in rhos}
+    if len(tags) != len(sigmas) * len(rhos):
+        raise ConfigurationError(
+            f"boundary grids name the same cell twice: sigma_grid {sigmas}, rho_grid {rhos}"
+        )
+    return {
+        "sigma_grid": sigmas,
+        "rho_grid": rhos,
+        "resolution": _int_key(section, "boundary", "resolution", DEFAULT_RESOLUTION, 1),
+        "seed": _int_key(section, "boundary", "seed", 0, 0),
+    }
 
 
 def ablation_section(cfg: dict) -> dict:

@@ -13,7 +13,15 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import ConfigurationError, TrainingDivergenceError
-from .network import Network, NetworkSpec, ParamVector, forward, softmax, unflatten
+from .network import (
+    Network,
+    NetworkSpec,
+    ParamVector,
+    _activate_inplace,
+    forward,
+    softmax,
+    unflatten,
+)
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -34,67 +42,84 @@ class TrainConfig:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be a positive integer")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be a positive integer")
+        for key, minimum in (("epochs", 1), ("batch_size", 1), ("shuffle_seed", 0)):
+            value = getattr(self, key)
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not integer or value < minimum:
+                raise ConfigurationError(f"{key} must be an integer >= {minimum}, got {value!r}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ConfigurationError("adam betas must lie in (0, 1)")
         if self.adam_eps <= 0:
             raise ConfigurationError("adam_eps must be positive")
 
 
+def _loss_and_delta(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy and its gradient w.r.t. the logits, from one `exp`.
+
+    The gradient is (softmax(logits) - onehot(labels)) / n; the shifted
+    logits are the ones `network.softmax` computes, so its probabilities
+    are the same bit for bit.
+    """
+    n = len(labels)
+    rows = np.arange(n)
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    norm = e.sum(axis=1, keepdims=True)
+    loss = float((np.log(norm[:, 0]) - z[rows, labels]).mean())
+    e /= norm
+    e[rows, labels] -= 1.0
+    e /= n
+    return loss, e
+
+
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy from raw logits via a stable log-softmax."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1))
-    return float((log_norm - z[np.arange(len(labels)), labels]).mean())
+    return _loss_and_delta(logits, labels)[0]
 
 
 def loss_and_grad(
-    spec: NetworkSpec, values: np.ndarray, inputs: np.ndarray, labels: np.ndarray
+    spec: NetworkSpec,
+    values: np.ndarray,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    grad: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and its gradient w.r.t. the flat parameter vector.
 
     Standard backprop: forward pass caching activations, then the softmax
-    cross-entropy delta is pushed back through each layer.
+    cross-entropy delta is pushed back through each layer. The gradient is
+    written into `grad` when given (shape of `values`), else into a new
+    array; either way that array is returned.
     """
     layers = unflatten(spec, values)
-    n = inputs.shape[0]
+    if grad is None:
+        grad = np.empty_like(values)
+    grads = unflatten(spec, grad)
+    last = len(layers) - 1
 
     acts = [np.asarray(inputs, dtype=np.float64)]
-    pre = []
-    a = acts[0]
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
-        pre.append(z)
-        if i < len(layers) - 1:
-            a = np.tanh(z) if spec.hidden_activation == "tanh" else np.maximum(z, 0.0)
-        else:
-            a = z
-        acts.append(a)
+        z = acts[-1] @ w
+        z += b
+        if i < last:
+            _activate_inplace(z, spec.hidden_activation)
+        acts.append(z)
 
-    logits = acts[-1]
-    loss = cross_entropy(logits, labels)
+    loss, delta = _loss_and_delta(acts[-1], labels)
 
-    probs = softmax(logits)
-    delta = probs
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-
-    grads: list[np.ndarray | None] = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        gw = acts[i].T @ delta
-        gb = delta.sum(axis=0)
-        grads[i] = np.concatenate([gw.ravel(), gb])
+    for i in range(last, -1, -1):
+        gw, gb = grads[i]
+        np.matmul(acts[i].T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
         if i > 0:
-            delta = delta @ w.T
+            delta = delta @ layers[i][0].T
+            # derivatives from the stored activations: tanh' = 1 - tanh^2,
+            # and relu(z) > 0 exactly where z > 0
             if spec.hidden_activation == "tanh":
-                delta = delta * (1.0 - np.tanh(pre[i - 1]) ** 2)
+                delta *= 1.0 - acts[i] ** 2
             else:
-                delta = delta * (pre[i - 1] > 0)
-    return loss, np.concatenate(grads)
+                delta *= acts[i] > 0
+    return loss, grad
 
 
 def train_model(
@@ -107,7 +132,9 @@ def train_model(
 
     Appends one {"epoch", "loss", "accuracy"} record per epoch to `history`
     when given. Raises TrainingDivergenceError on the first non-finite
-    batch loss.
+    batch loss. The optimizer state lives in buffers allocated once and
+    updated in place, in the same elementwise order as the textbook
+    out-of-place update, so the result is the same bit for bit.
     """
     if data.labels.max() >= net.spec.output_dim:
         raise ConfigurationError(
@@ -119,8 +146,11 @@ def train_model(
     shuffle_rng = np.random.default_rng(cfg.shuffle_seed)
     n = data.inputs.shape[0]
 
+    grad = np.empty_like(theta)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    tmp = np.empty_like(theta)
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     step = 0
 
     for epoch in range(cfg.epochs):
@@ -128,19 +158,32 @@ def train_model(
         epoch_loss = 0.0
         for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):
             sel = order[start : start + cfg.batch_size]
-            loss, grad = loss_and_grad(net.spec, theta, data.inputs[sel], data.labels[sel])
+            loss, _ = loss_and_grad(net.spec, theta, data.inputs[sel], data.labels[sel], grad)
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(epoch, batch_idx)
             epoch_loss += loss * len(sel)
             step += 1
             if cfg.optimizer == "adam":
-                m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * grad
-                v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * grad**2
-                m_hat = m / (1 - cfg.adam_beta1**step)
-                v_hat = v / (1 - cfg.adam_beta2**step)
-                theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+                # m = b1*m + (1-b1)*grad;  v = b2*v + (1-b2)*grad**2
+                m *= b1
+                np.multiply(1 - b1, grad, out=tmp)
+                m += tmp
+                v *= b2
+                np.square(grad, out=tmp)
+                tmp *= 1 - b2
+                v += tmp
+                # theta -= lr*m_hat / (sqrt(v_hat) + eps); grad is spent, so
+                # it holds the denominator
+                np.divide(v, 1 - b2**step, out=grad)
+                np.sqrt(grad, out=grad)
+                grad += cfg.adam_eps
+                np.divide(m, 1 - b1**step, out=tmp)
+                tmp *= cfg.learning_rate
+                tmp /= grad
+                theta -= tmp
             else:
-                theta = theta - cfg.learning_rate * grad
+                grad *= cfg.learning_rate
+                theta -= grad
 
         if history is not None:
             trained = Network(net.spec, ParamVector(theta))

@@ -1,5 +1,14 @@
+import csv
+import hashlib
+import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smd.boundary import (
     BoundaryGrid,
@@ -11,9 +20,14 @@ from smd.boundary import (
     write_grid_csv,
     write_grid_pgm,
 )
+from smd.checkpoint import save_checkpoint
+from smd.cli import main
+from smd.config import boundary_section, load_config
 from smd.datasets import make_spirals
 from smd.errors import TaskMismatchError
 from smd.network import NetworkSpec, init_network
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture()
@@ -111,3 +125,156 @@ class TestExport:
         lines = (tmp_path / "boundary_sigma0.1_rho0.5.csv").read_text().splitlines()
         assert lines[0] == "x,y,class,confidence"
         assert len(lines) == 1 + 10 * 10
+
+
+def reference_csv(grid, path):
+    """The writer's byte contract, spelled out with `csv.writer` and `repr`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["x", "y", "class", "confidence"])
+        for i, y in enumerate(grid.ys):
+            for j, x in enumerate(grid.xs):
+                writer.writerow(
+                    [repr(float(x)), repr(float(y)), int(grid.classes[i, j]),
+                     repr(float(grid.confidence[i, j]))]
+                )
+
+
+# Confidences whose repr takes each shape: exponent, subnormal, integral,
+# short, large, negative zero.
+SPECIAL_FLOATS = [1e-05, 5e-324, 1.0, 0.5, 1e16, -0.0]
+
+
+@st.composite
+def grids(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    values = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    return BoundaryGrid(
+        xs=np.array(draw(st.lists(values, min_size=cols, max_size=cols))),
+        ys=np.array(draw(st.lists(values, min_size=rows, max_size=rows))),
+        classes=np.array(
+            draw(st.lists(st.integers(0, 9), min_size=rows * cols, max_size=rows * cols))
+        ).reshape(rows, cols),
+        confidence=np.array(
+            draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+        ).reshape(rows, cols),
+    )
+
+
+class TestCsvBytes:
+    def test_golden_sha256(self, net, data, tmp_path):
+        grid = evaluate_grid(net, lattice_bounds(data), resolution=50)
+        path = tmp_path / "grid.csv"
+        write_grid_csv(grid, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "e84cdc15a6b36c237e342c0d3a019aab7c7c464bd64ae46c441feed27eb40e06"
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(grids())
+    @example(
+        BoundaryGrid(
+            xs=np.array([-0.0, 1e16]),
+            ys=np.array([5e-324, 0.5, 1.0]),
+            classes=np.arange(6).reshape(3, 2),
+            confidence=np.array(SPECIAL_FLOATS).reshape(3, 2),
+        )
+    )
+    def test_matches_csv_writer_reference(self, grid):
+        with tempfile.TemporaryDirectory() as tmp:
+            written, expected = Path(tmp, "written.csv"), Path(tmp, "expected.csv")
+            write_grid_csv(grid, written)
+            reference_csv(grid, expected)
+            assert written.read_bytes() == expected.read_bytes()
+
+    def test_peak_memory_is_linear_in_resolution(self, tmp_path):
+        res = 400
+        rng = np.random.default_rng(0)
+        grid = BoundaryGrid(
+            xs=np.linspace(-1.3, 1.7, res),
+            ys=np.linspace(-2.1, 0.9, res),
+            classes=rng.integers(0, 2, size=(res, res)),
+            confidence=rng.uniform(0.5, 1.0, size=(res, res)),
+        )
+        path = tmp_path / "grid.csv"
+        tracemalloc.start()
+        try:
+            write_grid_csv(grid, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # res^2 Python floats alone would take 24 * res^2 = 3.84 MB
+        assert peak < 2_000 * res
+
+
+@pytest.fixture()
+def boundary_run(tmp_path):
+    """Write a config for `smd boundary` around a given boundary section."""
+    ckpt = tmp_path / "parent.ckpt"
+    save_checkpoint(init_network(NetworkSpec([2, 8, 2], seed=1)), ckpt)
+    out = tmp_path / "out"
+
+    def run(section):
+        payload = {
+            "task": {"dataset": "spirals", "n_train": 200, "n_eval": 100},
+            "model": {"checkpoint": str(ckpt)},
+            "boundary": section,
+            "output": {"dir": str(out)},
+        }
+        path = tmp_path / "boundary.json"
+        path.write_text(json.dumps(payload))
+        return main(["boundary", "--config", str(path)]), out
+
+    return run
+
+
+def _override_id(override: dict) -> str:
+    return ",".join(f"{k}={json.dumps(v, separators=(',', ':'))}" for k, v in override.items())
+
+
+BASE_SECTION = {"sigma_grid": [0.05, 0.25], "rho_grid": [0.0, 0.9], "resolution": 8, "seed": 13}
+
+
+class TestStrictBoundarySection:
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"resolution": 0},
+            {"resolution": -3},
+            {"resolution": 2.7},
+            {"resolution": "200"},
+            {"resolution": True},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"sigma_grid": [0.05, 0.05]},
+            {"sigma_grid": [0.05, 0.0500000001]},
+            {"rho_grid": []},
+            {"sigma_grid": []},
+            {"sigma_grid": [-0.1]},
+            {"sigma_grid": ["0.1"]},
+            {"sigma_grid": 0.1},
+            {"rho_grid": [1.0]},
+            {"rho_grid": [-0.5]},
+            {"rho_grid": [True]},
+        ],
+        ids=_override_id,
+    )
+    def test_bad_value_exits_2(self, boundary_run, override, capsys):
+        code, out = boundary_run(dict(BASE_SECTION, **override))
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not any(out.glob("boundary_*"))
+
+    def test_shipped_config_passes(self):
+        section = boundary_section(load_config(CONFIG_DIR / "spiral_boundary.json"))
+        assert section == {
+            "sigma_grid": [0.05, 0.25],
+            "rho_grid": [0.0, 0.9],
+            "resolution": 200,
+            "seed": 13,
+        }
+
+    def test_defaults(self):
+        section = boundary_section({"boundary": {"sigma_grid": [0], "rho_grid": [0.5]}})
+        assert section["resolution"] == 200 and section["seed"] == 0
+        assert section["sigma_grid"] == [0.0]

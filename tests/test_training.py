@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from smd.cli import main
 from smd.datasets import Dataset, make_spirals
 from smd.errors import ConfigurationError, TrainingDivergenceError
 from smd.metrics import accuracy
@@ -142,3 +146,107 @@ class TestTrainConfig:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigurationError):
             TrainConfig(**kwargs)
+
+
+def _sha(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+# (hidden activation, optimizer settings, SHA-256 of the trained float64
+# parameter vector, SHA-256 of training_log.csv), for a [2,16,16,2] net
+# trained 2 epochs at batch 8 on 300 spiral samples.
+TRAINING_GOLDENS = {
+    "adam_relu": (
+        "relu",
+        {"optimizer": "adam", "learning_rate": 0.01},
+        "6aeb68a7f8392ac056832f02909c25b6b83df4431921441da980c83edb464755",
+        "216ce792492b66ff378b829391cbf71f321ebc9c8ffbfd34516d140fcbd8ccd0",
+    ),
+    "adam_tanh": (
+        "tanh",
+        {"optimizer": "adam", "learning_rate": 0.01},
+        "698e7c0fecfc43771972103d6670162e1f84750589d162cf7f82a75ff21c470e",
+        "c3b9aefaeac3c68e28da429efd29ed574fdcc146f860234a8b28272426b78640",
+    ),
+    "sgd": (
+        "relu",
+        {"optimizer": "sgd", "learning_rate": 0.1},
+        "4653e3254c510a3773a4da10eb2324a35e006a9f4c54657501fee31e6dc196e6",
+        "1f762af607fa341986ef7b0e0b1d1b74410422a23a5348898a7052df88cc7730",
+    ),
+}
+
+
+def _train_config(tmp_path, activation, train):
+    payload = {
+        "task": {"dataset": "spirals", "n_train": 300, "n_eval": 200, "train_seed": 1},
+        "model": {
+            "layer_sizes": [2, 16, 16, 2],
+            "hidden_activation": activation,
+            "seed": 3,
+            "train": train,
+        },
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _override_id(override: dict) -> str:
+    return ",".join(f"{k}={json.dumps(v, separators=(',', ':'))}" for k, v in override.items())
+
+
+class TestTrainingBytesPinned:
+    @pytest.mark.parametrize("case", sorted(TRAINING_GOLDENS))
+    def test_parameters_and_log_match_golden(self, case, tmp_path):
+        activation, optimizer, params_sha, log_sha = TRAINING_GOLDENS[case]
+        train = dict(optimizer, epochs=2, batch_size=8, shuffle_seed=5)
+        net = init_network(NetworkSpec([2, 16, 16, 2], hidden_activation=activation, seed=3))
+        before = net.params.values.copy()
+        trained = train_model(net, make_spirals(300, seed=1), TrainConfig(**train))
+        assert _sha(trained.params.values.tobytes()) == params_sha
+        assert np.array_equal(net.params.values.view(np.uint64), before.view(np.uint64))
+
+        assert main(["train", "--config", _train_config(tmp_path, activation, train)]) == 0
+        assert _sha((tmp_path / "out" / "training_log.csv").read_bytes()) == log_sha
+
+
+class TestGradBuffer:
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_buffer_matches_allocating_call(self, rng, activation):
+        spec = NetworkSpec([2, 5, 4, 3], hidden_activation=activation, seed=2)
+        values = init_network(spec).params.values
+        x, y = tiny_batch(rng, classes=3)
+        loss, grad = loss_and_grad(spec, values, x, y)
+        buf = np.full_like(values, np.nan)
+        loss_buf, out = loss_and_grad(spec, values, x, y, grad=buf)
+        assert out is buf
+        assert loss_buf == loss
+        assert np.array_equal(buf.view(np.uint64), grad.view(np.uint64))
+
+
+class TestTrainConfigTypes:
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"epochs": 2.5},
+            {"epochs": True},
+            {"batch_size": 2.5},
+            {"batch_size": "8"},
+            {"shuffle_seed": 1.5},
+            {"shuffle_seed": -1},
+        ],
+        ids=_override_id,
+    )
+    def test_non_integer_or_negative_exits_2(self, override, tmp_path, capsys):
+        train = dict({"epochs": 1, "batch_size": 8, "shuffle_seed": 0}, **override)
+        with pytest.raises(ConfigurationError):
+            TrainConfig(**train)
+        assert main(["train", "--config", _train_config(tmp_path, "relu", train)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.ckpt").exists()
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), shuffle_seed=np.uint8(0))
+        assert cfg.epochs == 2
