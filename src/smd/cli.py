@@ -208,21 +208,21 @@ def cmd_boundary(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
+    section = cfgmod.ablation_section(cfg)
     _, val, test = cfgmod.build_task_data(cfg)
     if not datasets_disjoint(val, test):
         raise DataHygieneError("validation and test sets share samples")
     parent = _load_parent(cfg)
-    section = cfgmod.ablation_section(cfg)
     rows = run_ablation(
         parent,
-        [float(s) for s in section["sigma_grid"]],
-        [float(r) for r in section["rho_grid"]],
-        list(section.get("modes", ["dynamic"])),
+        section["sigma_grid"],
+        section["rho_grid"],
+        section["modes"],
         val,
         test,
-        [int(s) for s in section["seeds"]],
-        pop_size=int(section.get("pop_size", 16)),
-        top_k=int(section.get("top_k", 4)),
+        section["seeds"],
+        pop_size=section["pop_size"],
+        top_k=section["top_k"],
     )
     write_ablation_csv(rows, out_dir / "ablation.csv")
     print(f"wrote {len(rows)} ablation rows to {out_dir / 'ablation.csv'}")

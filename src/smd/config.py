@@ -17,7 +17,7 @@ from .datasets import Dataset, SplitSpec, load_csv, make_spirals, split
 from .divergence import GridSearchConfig
 from .errors import ConfigurationError
 from .evolution import GenerationConfig
-from .mutation import MutationParams
+from .mutation import SUBSPACE_MODES, MutationParams
 from .network import NetworkSpec
 from .training import TrainConfig
 
@@ -205,11 +205,14 @@ def build_generation_config(cfg: dict, mutation: MutationParams) -> tuple[Genera
     return gen_cfg, int(evolution.get("master_seed", 0))
 
 
-def _int_key(section: dict, name: str, key: str, default: int, minimum: int) -> int:
-    value = section.get(key, default)
+def _int_value(value, name: str, key: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigurationError(f"{name} '{key}' must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def _int_key(section: dict, name: str, key: str, default: int, minimum: int) -> int:
+    return _int_value(section.get(key, default), name, key, minimum)
 
 
 def _number_grid(section: dict, name: str, key: str, rule: str, ok) -> list[float]:
@@ -252,14 +255,33 @@ def boundary_section(cfg: dict) -> dict:
 
 
 def ablation_section(cfg: dict) -> dict:
+    """The ablation section with defaults filled in and every value checked.
+
+    Returns sigma_grid and rho_grid as float lists, modes as a list of
+    subspace modes, seeds as an int list, and pop_size and top_k as ints.
+    """
     section = _section(cfg, "ablation", _ABLATION_KEYS)
     for key in ("sigma_grid", "rho_grid", "seeds"):
         if key not in section:
             raise ConfigurationError(f"ablation section needs '{key}'")
     modes = section.get("modes", ["dynamic"])
-    if any(m not in ("static", "dynamic") for m in modes):
-        raise ConfigurationError(f"ablation modes must be static/dynamic, got {modes}")
-    return section
+    if not isinstance(modes, list) or not modes or any(m not in SUBSPACE_MODES for m in modes):
+        raise ConfigurationError(
+            f"ablation 'modes' must be a non-empty list of {SUBSPACE_MODES}, got {modes!r}"
+        )
+    seeds = section["seeds"]
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigurationError(f"ablation 'seeds' must be a non-empty list, got {seeds!r}")
+    return {
+        "sigma_grid": _number_grid(
+            section, "ablation", "sigma_grid", "finite and > 0", lambda s: s > 0
+        ),
+        "rho_grid": _number_grid(section, "ablation", "rho_grid", "in [0, 1)", lambda r: 0 <= r < 1),
+        "modes": modes,
+        "seeds": [_int_value(seed, "ablation", "seeds", 0) for seed in seeds],
+        "pop_size": _int_key(section, "ablation", "pop_size", 16, 1),
+        "top_k": _int_key(section, "ablation", "top_k", 4, 1),
+    }
 
 
 def resolve_out_dir(cfg: dict, cli_out: str | None) -> Path:

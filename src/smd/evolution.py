@@ -179,35 +179,44 @@ def select_top_k(pop: Population, k: int) -> list[int]:
     return order[:k]
 
 
-def average_weights(candidates: list[ParamVector]) -> ParamVector:
+def average_weights(candidates: Iterable[ParamVector]) -> ParamVector:
     """Coordinatewise arithmetic mean of the candidate genomes.
 
     A running sum in candidate order, then one division: the same
     operations as `np.mean(np.stack(...), axis=0)` without the stack.
+    Candidates are read one at a time, so a generator of genomes is never
+    held whole.
     """
-    if not candidates:
+    total, n = None, 0
+    for c in candidates:
+        if total is None:
+            total = c.values.copy()
+        elif c.w != total.size:
+            raise ShapeError(f"candidate genomes disagree in length: {total.size} vs {c.w}")
+        else:
+            total += c.values
+        n += 1
+    if total is None:
         raise ConfigurationError("cannot average an empty candidate list")
-    lengths = {c.w for c in candidates}
-    if len(lengths) != 1:
-        raise ShapeError(f"candidate genomes disagree in length: {sorted(lengths)}")
-    total = candidates[0].values.copy()
-    for c in candidates[1:]:
-        total += c.values
-    total /= len(candidates)
+    total /= n
     return ParamVector(total)
 
 
-def ensemble_predict(candidates: list[Network], inputs: np.ndarray) -> np.ndarray:
-    """Unweighted mean of member softmax outputs."""
-    if not candidates:
-        raise ConfigurationError("cannot ensemble an empty member list")
-    spec = candidates[0].spec
-    for net in candidates[1:]:
-        if net.spec.layer_sizes != spec.layer_sizes or (
+def ensemble_predict(candidates: Iterable[Network], inputs: np.ndarray) -> np.ndarray:
+    """Unweighted mean of member softmax outputs. Members are run one at a
+    time, so a generator of networks is never held whole."""
+    member_logits, spec = [], None
+    for net in candidates:
+        if spec is None:
+            spec = net.spec
+        elif net.spec.layer_sizes != spec.layer_sizes or (
             net.spec.hidden_activation != spec.hidden_activation
         ):
             raise ShapeError("ensemble members must share one architecture")
-    return _mean_softmax(forward(net, inputs) for net in candidates)
+        member_logits.append(forward(net, inputs))
+    if not member_logits:
+        raise ConfigurationError("cannot ensemble an empty member list")
+    return _mean_softmax(member_logits)
 
 
 def _mean_softmax(member_logits: Iterable[np.ndarray]) -> np.ndarray:
@@ -216,12 +225,12 @@ def _mean_softmax(member_logits: Iterable[np.ndarray]) -> np.ndarray:
 
 def _evolve(
     parent: Network, cfg: GenerationConfig, val: Dataset, master_seed: int
-) -> tuple[Population, list[int], list[ParamVector], ParamVector]:
+) -> tuple[Population, list[int], ParamVector]:
     """Run cfg.generations generations on validation data only.
 
     Returns the final generation's scored population (its parent is the
-    chained model), the selected indices, their genomes (rebuilt once, in
-    selection order) and their weight average. A chained parent is
+    chained model), the selected indices and the weight average of their
+    genomes, rebuilt one at a time in selection order. A chained parent is
     quantized to float32 values, as a checkpoint round-trip would, so its
     mirrored children still average back to it exactly.
     """
@@ -231,15 +240,12 @@ def _evolve(
         pop = spawn_population(current, cfg.mutation, cfg.pop_size, gen_seed)
         evaluate_fitness(pop, val)
         selected = select_top_k(pop, cfg.top_k)
-        members = list(
-            build_genomes(current.params, cfg.mutation, [pop.children[i] for i in selected])
-        )
-        averaged = average_weights(members)
+        chosen = [pop.children[i] for i in selected]
+        averaged = average_weights(build_genomes(current.params, cfg.mutation, chosen))
         if gen < cfg.generations - 1:
             quantized = averaged.values.astype(np.float32).astype(np.float64)
             current = Network(current.spec, ParamVector(quantized))
-            del members  # the next generation holds only its own selection
-    return pop, selected, members, averaged
+    return pop, selected, averaged
 
 
 def _score_parent(parent: Network, val: Dataset, test: Dataset) -> tuple[np.ndarray, MetricTriple]:
@@ -252,7 +258,6 @@ def _score_parent(parent: Network, val: Dataset, test: Dataset) -> tuple[np.ndar
 def _report(
     pop: Population,
     selected: list[int],
-    members: list[ParamVector],
     averaged: ParamVector,
     cfg: GenerationConfig,
     val: Dataset,
@@ -264,7 +269,8 @@ def _report(
     its parent's `_score_parent` result.
 
     Only the averaged model and the ensemble members are run forward, on
-    the test set.
+    the test set. The members are rebuilt from their seed records one at a
+    time, as the ensemble runs them.
     """
     parent_val_probs, parent_metrics = parent_scores
     spec = pop.parent.spec
@@ -285,7 +291,10 @@ def _report(
     ensemble_val_probs = _mean_softmax(pop.val_logits[i] for i in selected)
     ensemble_val_acc = float((ensemble_val_probs.argmax(axis=1) == val.labels).mean())
 
-    member_nets = [Network(spec, genome) for genome in members]
+    chosen = [pop.children[i] for i in selected]
+    member_nets = (
+        Network(spec, genome) for genome in build_genomes(pop.parent.params, cfg.mutation, chosen)
+    )
     averaged_metrics = metric_triple(
         softmax(forward(Network(spec, averaged), test.inputs)), test.labels
     )
@@ -328,13 +337,13 @@ def run_generation(
     runs P + k + 3 forward passes: P on validation, then the parent on
     validation and test, and the averaged model and k members on test.
     Children are kept as seed records: a genome exists only while its
-    group is scored, and the k selected genomes are rebuilt once for the
-    average and the ensemble.
+    group is scored, and the k selected genomes are rebuilt one at a time,
+    once for the average and once for the ensemble.
     """
-    pop, selected, members, averaged = _evolve(parent, cfg, val, master_seed)
+    pop, selected, averaged = _evolve(parent, cfg, val, master_seed)
     # Selection is done: test data is read from here on only.
     parent_scores = _score_parent(pop.parent, val, test)
-    return _report(pop, selected, members, averaged, cfg, val, test, master_seed, parent_scores)
+    return _report(pop, selected, averaged, cfg, val, test, master_seed, parent_scores)
 
 
 def run_ablation(

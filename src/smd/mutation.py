@@ -4,10 +4,18 @@ Masks are 0/1 uint8 vectors (1 = parameter mutated, 0 = frozen). `rho` is
 the expected FROZEN fraction throughout the package: a mask bit is 1 with
 probability (1 - rho), so rho = 0.9 mutates roughly 10% of parameters.
 
-Noise vectors are quantized to float32-representable values. Parents
+A child's noise lives on its support only: its group's mask M, or the
+complement M' for the anti-random roles. One Gaussian value is drawn per
+support coordinate, and the k-th value goes to the k-th support index in
+ascending order. M draws from the group's noise seed, M' from a seed
+derived from it, so a draw costs O(support), not O(w). At rho 0 the
+support is every coordinate and the draw is the full dense vector.
+
+Noise values are quantized to float32-representable values. Parents
 loaded from checkpoints are float32-valued too, so sums theta +- gamma of
 two 24-bit significands are exact in float64 arithmetic: mirrored pairs
-cancel exactly and frozen coordinates stay bit-identical.
+cancel exactly. Frozen coordinates are never written, so they stay
+bit-identical (-0.0 included).
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ SUBSPACE_MODES = ("static", "dynamic")
 # Spawn-key namespaces for per-purpose seed derivation.
 _MASK_NS = 0
 _NOISE_NS = 1
+_COMPLEMENT_NS = 2  # the M' stream, derived from the group's noise seed
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -89,18 +98,19 @@ def partition_masks(w: int, n_parts: int, seed: int) -> list[np.ndarray]:
     return [(assign == p).astype(np.uint8) for p in range(n_parts)]
 
 
-def sample_noise(w: int, mu: float, sigma: float, seed: int) -> np.ndarray:
-    """I.i.d. Gaussian noise vector, quantized to float32 values.
+def sample_noise(n: int, mu: float, sigma: float, seed: int) -> np.ndarray:
+    """n i.i.d. Gaussian values, quantized to float32 values; n = 0 gives
+    an empty draw (an empty support).
 
     The quantization (relative error ~6e-8) keeps theta +- noise exact in
     float64 for float32-valued parents; see module docstring.
     """
     if sigma <= 0:
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
-    if w < 1:
-        raise ConfigurationError("w must be positive")
+    if n < 0:
+        raise ConfigurationError(f"n must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
-    return rng.normal(mu, sigma, size=w).astype(np.float32).astype(np.float64)
+    return rng.normal(mu, sigma, size=n).astype(np.float32).astype(np.float64)
 
 
 # Role table: each role's sign, and whether it perturbs its group's mask M
@@ -176,39 +186,75 @@ def spawn_mutations(
 def build_genomes(
     theta: ParamVector, params: MutationParams, children: Iterable[Child]
 ) -> Iterator[ParamVector]:
-    """Yield each child's genome theta + sign * (noise * support), in order.
+    """Yield each child's genome: theta plus sign * noise on its support, in order.
 
-    A group's mask and noise are sampled once per run of consecutive
-    children that share them, so scoring a whole group costs one draw.
-    Besides that draw, only the genome being yielded is held here.
+    A group's mask is sampled once per run of consecutive children that
+    share it. Each support it uses (M, or M' for the anti-random roles) is
+    located and drawn once, then reused by every child of the group.
+    Besides those draws, only the genome being yielded is held here.
     """
     drawn = None
     for child in children:
         if drawn != (child.seed, child.mask_seed):
-            mask = noise = None  # release the previous draw before sampling
+            mask = supports = None  # release the previous draw before sampling
             mask = sample_mask(theta.w, params.rho, child.mask_seed)
-            noise = sample_noise(theta.w, params.mu, params.sigma, child.seed)
+            supports = {}
             drawn = (child.seed, child.mask_seed)
-        yield child_genome(theta, noise, mask, child.role)
+        sign, on_complement = _role(child.role)
+        if on_complement not in supports:
+            supports[on_complement] = _draw_support(mask, child, params)
+        yield _scatter(theta, *supports[on_complement], sign)
 
 
 def child_genome(
-    theta: ParamVector, noise: np.ndarray, mask: np.ndarray, role: str
+    theta: ParamVector, values: np.ndarray, mask: np.ndarray, role: str
 ) -> ParamVector:
-    """theta + sign * (noise * support) for `role`; frozen coordinates untouched.
+    """theta plus sign * values on `role`'s support; frozen coordinates are
+    never written.
 
-    For float32-valued theta and noise the sum is exact in float64, so a
-    mirrored group averages back to theta exactly.
+    `values` holds one value per support coordinate, in ascending index
+    order. For float32-valued theta and values the sum is exact in float64,
+    so a mirrored group averages back to theta exactly.
     """
+    sign, _ = _role(role)
+    if mask.shape != theta.values.shape:
+        raise ShapeError(f"mask {mask.shape} vs genome {theta.w}")
+    index = _support_index(mask, role)
+    if values.shape != index.shape:
+        raise ShapeError(f"{values.shape} values for a support of {index.size}")
+    return _scatter(theta, index, values, sign)
+
+
+def _role(role: str) -> tuple[int, bool]:
     if role not in ROLES:
         raise ConfigurationError(f"unknown role {role!r}, expected one of {tuple(ROLES)}")
-    if noise.shape != theta.values.shape or mask.shape != theta.values.shape:
-        raise ShapeError(f"noise {noise.shape} and mask {mask.shape} vs genome {theta.w}")
-    genome = noise * role_support(mask, role)
-    if ROLES[role][0] > 0:
-        np.add(theta.values, genome, out=genome)
+    return ROLES[role]
+
+
+def _support_index(mask: np.ndarray, role: str) -> np.ndarray:
+    """Ascending indices of `role`'s support."""
+    return np.flatnonzero(role_support(mask, role) == 1)
+
+
+def _draw_support(
+    mask: np.ndarray, child: Child, params: MutationParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The support indices of `child`'s role and one noise value for each:
+    M draws from the group's noise seed, M' from a seed derived from it."""
+    index = _support_index(mask, child.role)
+    seed = child.seed
+    if ROLES[child.role][1]:
+        seed = derive_seed(child.seed, _COMPLEMENT_NS)
+    return index, sample_noise(index.size, params.mu, params.sigma, seed)
+
+
+def _scatter(theta: ParamVector, index: np.ndarray, values: np.ndarray, sign: int) -> ParamVector:
+    """A copy of theta with theta[index] + sign * values written at index."""
+    genome = theta.values.copy()
+    if sign > 0:
+        genome[index] = theta.values[index] + values
     else:
-        np.subtract(theta.values, genome, out=genome)
+        genome[index] = theta.values[index] - values
     return ParamVector(genome)
 
 

@@ -59,20 +59,21 @@ class TestCriterion01MutationAlgebra:
             mask = sample_mask(w, float(rng.uniform(0, 0.99)), seed)
             noise = sample_noise(w, 0.0, float(rng.uniform(0.01, 0.5)), seed + 1)
 
-            gamma = child_genome(ParamVector(np.zeros(w)), noise, mask, "+").values
+            gamma = child_genome(ParamVector(np.zeros(w)), noise[mask == 1], mask, "+").values
             assert np.array_equal(gamma, noise * mask)
 
             comp = complement(mask)
             assert np.array_equal(comp, 1 - mask)
             assert int(mask.sum() + comp.sum()) == w
 
-            child = child_genome(theta, noise, mask, "-")
+            child = child_genome(theta, noise[mask == 1], mask, "-")
             assert np.array_equal(child.values, theta.values - gamma)
             frozen = mask == 0
             assert np.array_equal(child.values[frozen], theta.values[frozen])
 
             c1, c2, c3, c4 = (
-                child_genome(theta, noise, mask, r) for r in ("+M", "+M'", "-M", "-M'")
+                child_genome(theta, noise[support == 1], mask, r)
+                for r, support in (("+M", mask), ("+M'", comp), ("-M", mask), ("-M'", comp))
             )
             expected = [
                 theta.values + noise * mask,

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smd.checkpoint import save_checkpoint
 from smd.cli import main
+from smd.config import ablation_section, load_config
+from smd.network import NetworkSpec, init_network
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -370,6 +373,100 @@ class TestAblateCommand:
         first = (out / "ablation.csv").read_bytes()
         assert main(["ablate", "--config", path]) == 0
         assert (out / "ablation.csv").read_bytes() == first
+
+
+@pytest.fixture()
+def ablate_run(tmp_path):
+    """Run `smd ablate` on a tiny [2, 8, 2] checkpoint around a given section."""
+    ckpt = tmp_path / "parent.ckpt"
+    save_checkpoint(init_network(NetworkSpec([2, 8, 2], seed=1)), ckpt)
+    out = tmp_path / "out"
+
+    def run(section):
+        payload = {
+            "task": {"dataset": "spirals", "n_train": 200, "n_eval": 100},
+            "model": {"checkpoint": str(ckpt)},
+            "ablation": section,
+            "output": {"dir": str(out)},
+        }
+        path = write_config(tmp_path / "ablate.json", payload)
+        return main(["ablate", "--config", path]), out
+
+    return run
+
+
+ABLATION_BASE = {
+    "sigma_grid": [0.05],
+    "rho_grid": [0.5],
+    "modes": ["dynamic"],
+    "seeds": [0],
+    "pop_size": 4,
+    "top_k": 2,
+}
+
+
+class TestStrictAblationSection:
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"sigma_grid": [0.0]},
+            {"sigma_grid": [-0.1]},
+            {"sigma_grid": ["0.1"]},
+            {"sigma_grid": []},
+            {"sigma_grid": 0.1},
+            {"rho_grid": [1.0]},
+            {"rho_grid": [-0.5]},
+            {"rho_grid": [True]},
+            {"seeds": [1.5]},
+            {"seeds": [-1]},
+            {"seeds": ["0"]},
+            {"seeds": [True]},
+            {"seeds": []},
+            {"seeds": 0},
+            {"pop_size": "4"},
+            {"pop_size": 4.9},
+            {"pop_size": 0},
+            {"pop_size": True},
+            {"top_k": 0},
+            {"top_k": 2.5},
+            {"modes": []},
+            {"modes": ["random"]},
+            {"modes": "static"},
+        ],
+        ids=lambda o: ",".join(f"{k}={json.dumps(v, separators=(',', ':'))}" for k, v in o.items()),
+    )
+    def test_bad_value_exits_2(self, ablate_run, override, capsys):
+        code, out = ablate_run(dict(ABLATION_BASE, **override))
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_base_section_runs(self, ablate_run):
+        code, out = ablate_run(ABLATION_BASE)
+        assert code == 0
+        assert len((out / "ablation.csv").read_text().splitlines()) == 2
+
+    def test_shipped_config_passes(self):
+        section = ablation_section(load_config(CONFIG_DIR / "spiral_ablate.json"))
+        assert section == {
+            "sigma_grid": [0.05, 0.1, 0.15, 0.2, 0.25],
+            "rho_grid": [0.0, 0.3, 0.6, 0.9],
+            "modes": ["static", "dynamic"],
+            "seeds": [0, 1, 2, 3, 4],
+            "pop_size": 16,
+            "top_k": 4,
+        }
+
+    def test_defaults(self):
+        section = ablation_section({"ablation": {"sigma_grid": [1], "rho_grid": [0], "seeds": [2]}})
+        assert section == {
+            "sigma_grid": [1.0],
+            "rho_grid": [0.0],
+            "modes": ["dynamic"],
+            "seeds": [2],
+            "pop_size": 16,
+            "top_k": 4,
+        }
 
 
 class TestEvolveOnlyFlags:

@@ -114,7 +114,7 @@ class TestAverageWeights:
     def test_mirrored_pair_recovers_parent(self, rng):
         theta = ParamVector(rng.normal(size=64).astype(np.float32).astype(np.float64))
         noise, mask = sample_noise(64, 0.0, 0.3, 1), sample_mask(64, 0.5, 2)
-        avg = average_weights([child_genome(theta, noise, mask, r) for r in ("+", "-")])
+        avg = average_weights([child_genome(theta, noise[mask == 1], mask, r) for r in ("+", "-")])
         assert np.array_equal(avg.values, theta.values)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 17])
@@ -300,6 +300,26 @@ class TestGenerationMemory:
         finally:
             tracemalloc.stop()
         assert peak < (cfg.top_k + 6) * genome_bytes, peak / genome_bytes
+
+    @pytest.mark.parametrize("anti_random", [False, True])
+    def test_selected_genomes_are_combined_one_at_a_time(self, anti_random):
+        """The k selected genomes are rebuilt one at a time for the average
+        and for the ensemble, so the traced peak does not grow with k."""
+        spec = NetworkSpec([2, 256, 256, 2], seed=3)
+        values = init_network(spec).params.values.astype(np.float32).astype(np.float64)
+        parent = Network(spec, ParamVector(values))
+        val = make_spirals(250, seed=2)
+        test = make_spirals(250, seed=3)
+        params = MutationParams(sigma=0.01, rho=0.5, anti_random=anti_random)
+        cfg = GenerationConfig(params, pop_size=32, top_k=16)
+        genome_bytes = parent.params.w * 8
+        tracemalloc.start()
+        try:
+            run_generation(parent, cfg, val, test, master_seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * genome_bytes, peak / genome_bytes
 
 
 class TestChainedParent:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from smd.errors import ConfigurationError, ShapeError
 from smd.mutation import (
+    _COMPLEMENT_NS,
     SUBSPACE_MODES,
     MutationParams,
     build_genomes,
@@ -26,9 +29,17 @@ def f32_genome(rng, w):
     return ParamVector(rng.normal(0, 0.2, w).astype(np.float32).astype(np.float64))
 
 
+def on_support(noise, mask, role):
+    """A dense noise vector restricted to `role`'s support, in index order."""
+    support = complement(mask) if role.endswith("'") else mask
+    return noise[support == 1]
+
+
 def quad(theta, noise, mask):
     """The four anti-random mirrored children of one (noise, mask) draw."""
-    return tuple(child_genome(theta, noise, mask, r) for r in ("+M", "+M'", "-M", "-M'"))
+    return tuple(
+        child_genome(theta, on_support(noise, mask, r), mask, r) for r in ("+M", "+M'", "-M", "-M'")
+    )
 
 
 def genomes(theta, params, children):
@@ -114,6 +125,11 @@ class TestSampleNoise:
         with pytest.raises(ConfigurationError):
             sample_noise(10, 0.0, 0.0, 0)
 
+    def test_empty_support_draws_nothing(self):
+        assert sample_noise(0, 0.0, 0.1, 0).shape == (0,)
+        with pytest.raises(ConfigurationError):
+            sample_noise(-1, 0.0, 0.1, 0)
+
 
 class TestComposeApply:
     """The genome builder: theta + sign * (noise * support)."""
@@ -121,12 +137,12 @@ class TestComposeApply:
     def test_compose_definitional(self):
         theta = ParamVector(np.zeros(3))
         mask = np.array([1, 0, 1], dtype=np.uint8)
-        g = child_genome(theta, np.array([0.3, -0.2, 0.5]), mask, "+")
+        g = child_genome(theta, np.array([0.3, -0.2, 0.5])[mask == 1], mask, "+")
         assert np.array_equal(g.values, [0.3, 0.0, 0.5])
 
     def test_compose_zero_mask(self):
-        zero = ParamVector(np.zeros(2))
-        g = child_genome(zero, np.array([1.0, 2.0]), np.zeros(2, dtype=np.uint8), "+")
+        zero, mask = ParamVector(np.zeros(2)), np.zeros(2, dtype=np.uint8)
+        g = child_genome(zero, np.array([1.0, 2.0])[mask == 1], mask, "+")
         assert np.all(g.values == 0.0)
 
     def test_compose_ones_mask_is_identity(self, rng):
@@ -143,18 +159,20 @@ class TestComposeApply:
     def test_apply_mirrored_pair_averages_to_parent(self, rng):
         theta = f32_genome(rng, 512)
         noise, mask = sample_noise(512, 0.0, 0.3, 9), sample_mask(512, 0.5, 10)
-        plus = child_genome(theta, noise, mask, "+")
-        minus = child_genome(theta, noise, mask, "-")
+        plus = child_genome(theta, noise[mask == 1], mask, "+")
+        minus = child_genome(theta, noise[mask == 1], mask, "-")
         assert np.array_equal((plus.values + minus.values) / 2.0, theta.values)
 
     def test_apply_zero_gamma_is_parent(self, rng):
         theta = f32_genome(rng, 64)
-        g = child_genome(theta, np.zeros(64), np.zeros(64, dtype=np.uint8), "+")
+        mask = np.zeros(64, dtype=np.uint8)
+        g = child_genome(theta, np.zeros(64)[mask == 1], mask, "+")
         assert np.array_equal(g.values, theta.values)
 
     def test_apply_negative_sign_example(self):
         theta = ParamVector(np.array([1.0, 1.0]))
-        g = child_genome(theta, np.array([0.5, 0.7]), np.array([1, 0], dtype=np.uint8), "-")
+        mask = np.array([1, 0], dtype=np.uint8)
+        g = child_genome(theta, np.array([0.5, 0.7])[mask == 1], mask, "-")
         assert np.array_equal(g.values, [0.5, 1.0])
 
     def test_apply_rejects_bad_sign(self):
@@ -176,14 +194,14 @@ class TestBruteForceOracle:
         mask = sample_mask(w, rho, seed)
         noise = sample_noise(w, 0.0, sigma, seed + 1)
 
-        gamma = child_genome(ParamVector(np.zeros(w)), noise, mask, "+").values
+        gamma = child_genome(ParamVector(np.zeros(w)), noise[mask == 1], mask, "+").values
         expect_gamma = np.array([noise[i] * mask[i] for i in range(w)])
         assert np.array_equal(gamma, expect_gamma)
 
         comp = complement(mask)
         assert np.array_equal(comp, np.array([1 - mask[i] for i in range(w)]))
 
-        child = child_genome(theta, noise, mask, "-")
+        child = child_genome(theta, noise[mask == 1], mask, "-")
         expect_child = np.array([theta.values[i] - gamma[i] for i in range(w)])
         assert np.array_equal(child.values, expect_child)
 
@@ -230,9 +248,8 @@ class TestMirroredQuad:
         norms = []
         zero = ParamVector(np.zeros(w))
         for seed in range(100):
-            g = child_genome(
-                zero, sample_noise(w, 0.0, sigma, seed), sample_mask(w, rho, 1000 + seed), "+"
-            )
+            mask = sample_mask(w, rho, 1000 + seed)
+            g = child_genome(zero, sample_noise(w, 0.0, sigma, seed)[mask == 1], mask, "+")
             norms.append(float((g.values**2).sum()))
         expected = (1 - rho) * w * sigma**2
         assert np.mean(norms) == pytest.approx(expected, rel=0.05)
@@ -330,9 +347,43 @@ class TestSpawnMutations:
             assert np.array_equal(genome.values[~support], theta.values[~support])
 
 
+class TestSupportDraw:
+    """A child's noise is drawn on its support only, so building a sparse
+    child holds no dense noise vector."""
+
+    def test_pair_build_memory_is_o_support(self, rng):
+        w = 200_000
+        theta = f32_genome(rng, w)
+        params = MutationParams(sigma=0.1, rho=0.99)
+        children = spawn_mutations(theta, params, 2, master_seed=1)
+        tracemalloc.start()
+        try:
+            pair = genomes(theta, params, children)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the two genomes take 2*w*8 bytes; one dense float64 draw adds w*8 more
+        assert peak < 2.75 * w * 8
+        assert np.array_equal((pair[0].values + pair[1].values) / 2.0, theta.values)
+
+    def test_rho_zero_keeps_the_dense_draw(self, rng):
+        theta = f32_genome(rng, 1000)
+        params = MutationParams(sigma=0.1, rho=0.0, anti_random=True)
+        children = spawn_mutations(theta, params, 4, master_seed=2)
+        noise = sample_noise(1000, 0.0, 0.1, children[0].seed)
+        plus_m, plus_comp, minus_m, minus_comp = genomes(theta, params, children)
+        assert np.array_equal(plus_m.values, theta.values + noise)
+        assert np.array_equal(minus_m.values, theta.values - noise)
+        assert plus_comp.values.tobytes() == theta.values.tobytes()
+        assert minus_comp.values.tobytes() == theta.values.tobytes()
+
+
 class TestRoleTable:
     """Every spawning strategy against the meaning of the role names: a
-    leading '-' negates the noise, a trailing "'" perturbs the complement."""
+    leading '-' negates the noise, a trailing "'" perturbs the complement,
+    whose values come from their own stream. The k-th value of a stream
+    goes to the k-th coordinate of its support. Every third coordinate of
+    theta is -0.0, so a frozen coordinate that is written shows in its bits."""
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -348,6 +399,7 @@ class TestRoleTable:
         self, mirrored, anti_random, subspace_mode, master_seed, theta_seed, w, rho
     ):
         theta = f32_genome(np.random.default_rng(theta_seed), w)
+        theta.values[::3] = -0.0
         params = MutationParams(
             sigma=0.1, rho=rho, subspace_mode=subspace_mode,
             mirrored=mirrored, anti_random=anti_random,
@@ -358,9 +410,12 @@ class TestRoleTable:
         by_group = {}
         for child, genome in zip(children, built, strict=True):
             mask = sample_mask(w, rho, child.mask_seed)
-            noise = sample_noise(w, 0.0, 0.1, child.seed)
             sign = -1.0 if child.role.startswith("-") else 1.0
-            support = (1 - mask) if child.role.endswith("'") else mask
+            on_complement = child.role.endswith("'")
+            support = (1 - mask) if on_complement else mask
+            stream = derive_seed(child.seed, _COMPLEMENT_NS) if on_complement else child.seed
+            noise = np.zeros(w)
+            noise[support == 1] = sample_noise(int(support.sum()), 0.0, 0.1, stream)
             assert np.array_equal(genome.values, theta.values + sign * noise * support)
             frozen = support == 0
             assert genome.values[frozen].tobytes() == theta.values[frozen].tobytes()

@@ -127,13 +127,14 @@ class TestCachedScores:
         assert report.ensemble_val_accuracy == ens_val
 
 
-# SHA-256s of the artifacts the tiny config below writes. `ablation.csv`
-# was recorded before the scoring cache existed. Float64 numpy on
-# OpenBLAS; another BLAS build may round a matmul differently and
-# legitimately change them.
+# SHA-256s of the artifacts the tiny config below writes, recorded when
+# noise became one draw per support coordinate (every rho > 0 value moved;
+# the rho-0 ablation rows kept their bytes). Float64 numpy on OpenBLAS;
+# another BLAS build may round a matmul differently and legitimately
+# change them.
 GOLDEN = {
-    "eval_report.json": "2e668d312a90a89e4df39f52165a56b4426b680b7c4ddafc1594d4f3e3160b5b",
-    "ablation.csv": "7870229b0d7f42c1faf34bd2f7a5ede9f04c8df289e784e88586e81d34899a65",
+    "eval_report.json": "8b0b5cf3f5f188d9f63d3a600fa1fc9546cd4ff1a99b46fd777ff2434234b4b0",
+    "ablation.csv": "4233414fa6d36f7f6e09491c323054ed160b7391d11e740fbd98a453946dd449",
 }
 
 
