@@ -168,14 +168,15 @@ def build_mutation_params(
     if sigma is None or rho is None:
         if "sigma" not in mutation or "rho" not in mutation:
             raise ConfigurationError("explicit mutation needs both 'sigma' and 'rho'")
-        sigma, rho = float(mutation["sigma"]), float(mutation["rho"])
+        sigma = _number_key(mutation, "mutation", "sigma", None)
+        rho = _number_key(mutation, "mutation", "rho", None)
     return MutationParams(
         sigma=sigma,
         rho=rho,
-        mu=float(mutation.get("mu", 0.0)),
+        mu=_number_key(mutation, "mutation", "mu", 0.0),
         subspace_mode=mutation.get("subspace_mode", "dynamic"),
-        mirrored=bool(mutation.get("mirrored", True)),
-        anti_random=bool(mutation.get("anti_random", False)),
+        mirrored=_bool_key(mutation, "mutation", "mirrored", True),
+        anti_random=_bool_key(mutation, "mutation", "anti_random", False),
     )
 
 
@@ -198,11 +199,11 @@ def build_generation_config(cfg: dict, mutation: MutationParams) -> tuple[Genera
     evolution = _section(cfg, "evolution", _EVOLUTION_KEYS)
     gen_cfg = GenerationConfig(
         mutation=mutation,
-        pop_size=int(evolution.get("pop_size", 16)),
-        top_k=int(evolution.get("top_k", 8)),
-        generations=int(evolution.get("generations", 1)),
+        pop_size=_int_key(evolution, "evolution", "pop_size", 16, 1),
+        top_k=_int_key(evolution, "evolution", "top_k", 8, 1),
+        generations=_int_key(evolution, "evolution", "generations", 1, 1),
     )
-    return gen_cfg, int(evolution.get("master_seed", 0))
+    return gen_cfg, _int_key(evolution, "evolution", "master_seed", 0, 0)
 
 
 def _int_value(value, name: str, key: str, minimum: int) -> int:
@@ -215,17 +216,32 @@ def _int_key(section: dict, name: str, key: str, default: int, minimum: int) -> 
     return _int_value(section.get(key, default), name, key, minimum)
 
 
+def _is_finite_number(value) -> bool:
+    return (
+        not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    )
+
+
+def _number_key(section: dict, name: str, key: str, default) -> float:
+    value = section.get(key, default)
+    if not _is_finite_number(value):
+        raise ConfigurationError(f"{name} '{key}' must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _bool_key(section: dict, name: str, key: str, default: bool) -> bool:
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} '{key}' must be true or false, got {value!r}")
+    return value
+
+
 def _number_grid(section: dict, name: str, key: str, rule: str, ok) -> list[float]:
     grid = section[key]
     if not isinstance(grid, list) or not grid:
         raise ConfigurationError(f"{name} '{key}' must be a non-empty list, got {grid!r}")
     for value in grid:
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-            or not ok(value)
-        ):
+        if not _is_finite_number(value) or not ok(value):
             raise ConfigurationError(f"{name} '{key}' values must be {rule}, got {value!r}")
     return [float(v) for v in grid]
 

@@ -19,7 +19,7 @@ from .datasets import Dataset
 from .errors import ConfigurationError, ShapeError
 from .metrics import accuracy
 from .mutation import MutationParams, build_genomes, derive_seed, spawn_mutations
-from .network import EPS_PROB, Network, forward, softmax
+from .network import EPS_PROB, Network, forward, softmax, workspace
 
 # Spawn-key namespace for per-cell search randomness.
 _CELL_NS = 2
@@ -150,9 +150,11 @@ def sweep_cells(
     Cells come out sorted by (rho, sigma) for ascending grids. Cell
     randomness derives from (master_seed, cell index, child index), with
     the cell index counted sigma-major, so the visiting order does not
-    change any cell's values.
+    change any cell's values. The parent and every child run through one
+    activation workspace.
     """
-    parent_logits = forward(parent, probe.inputs)
+    scratch = workspace(parent.spec, probe.n)
+    parent_logits = forward(parent, probe.inputs, scratch)
     parent_probs = clamped_softmax(parent_logits)
     cells = []
     for cj, rho in enumerate(rho_grid):
@@ -163,7 +165,8 @@ def sweep_cells(
             children = spawn_mutations(parent.params, params, samples_per_cell, cell_seed)
             kls, mses, accs = [], [], []
             for genome in build_genomes(parent.params, params, children):
-                child_logits = forward(Network(parent.spec, genome), probe.inputs)
+                child_logits = forward(Network(parent.spec, genome), probe.inputs, scratch)
+                del genome  # release it before the next genome is built
                 kls.append(kl_from_probs(parent_probs, child_logits))
                 mses.append(mse_from_logits(parent_logits, child_logits))
                 accs.append(accuracy(softmax(child_logits), probe.labels))

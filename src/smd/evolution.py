@@ -19,7 +19,7 @@ from .datasets import Dataset
 from .errors import ConfigurationError, ShapeError, StateError
 from .metrics import MetricTriple, metric_triple
 from .mutation import Child, MutationParams, build_genomes, derive_seed, spawn_mutations
-from .network import Network, ParamVector, forward, nll_loss, softmax
+from .network import Network, ParamVector, forward, nll_loss, softmax, workspace
 from .divergence import clamped_softmax, kl_from_probs
 
 # Spawn-key namespace separating per-generation randomness.
@@ -145,14 +145,16 @@ def evaluate_fitness(pop: Population, val: Dataset) -> np.ndarray:
     the ensemble's validation accuracy. Also records per-child validation
     NLL for selection tie-breaks. `build_genomes` draws each group's mask
     and noise once and yields its genomes one at a time, so each genome is
-    dropped once scored.
+    dropped once scored. Every child runs through one activation workspace.
     """
     if val.n < 1:
         raise ConfigurationError("validation set is empty")
     spec = pop.parent.spec
+    scratch = workspace(spec, val.n)
     val_logits, fitness, nll = [], [], []
     for genome in build_genomes(pop.parent.params, pop.mutation, pop.children):
-        logits = forward(Network(spec, genome), val.inputs)
+        logits = forward(Network(spec, genome), val.inputs, scratch)
+        del genome  # release it before the next genome is built
         probs = softmax(logits)
         val_logits.append(logits)
         fitness.append(float((probs.argmax(axis=1) == val.labels).mean()))
@@ -196,6 +198,7 @@ def average_weights(candidates: Iterable[ParamVector]) -> ParamVector:
         else:
             total += c.values
         n += 1
+        del c  # release it before the next candidate is built
     if total is None:
         raise ConfigurationError("cannot average an empty candidate list")
     total /= n
@@ -204,16 +207,19 @@ def average_weights(candidates: Iterable[ParamVector]) -> ParamVector:
 
 def ensemble_predict(candidates: Iterable[Network], inputs: np.ndarray) -> np.ndarray:
     """Unweighted mean of member softmax outputs. Members are run one at a
-    time, so a generator of networks is never held whole."""
+    time through one activation workspace, so a generator of networks is
+    never held whole."""
     member_logits, spec = [], None
     for net in candidates:
         if spec is None:
             spec = net.spec
+            scratch = workspace(spec, len(inputs))
         elif net.spec.layer_sizes != spec.layer_sizes or (
             net.spec.hidden_activation != spec.hidden_activation
         ):
             raise ShapeError("ensemble members must share one architecture")
-        member_logits.append(forward(net, inputs))
+        member_logits.append(forward(net, inputs, scratch))
+        del net  # release it before the next member is built
     if not member_logits:
         raise ConfigurationError("cannot ensemble an empty member list")
     return _mean_softmax(member_logits)
@@ -292,8 +298,9 @@ def _report(
     ensemble_val_acc = float((ensemble_val_probs.argmax(axis=1) == val.labels).mean())
 
     chosen = [pop.children[i] for i in selected]
-    member_nets = (
-        Network(spec, genome) for genome in build_genomes(pop.parent.params, cfg.mutation, chosen)
+    # `map` keeps no reference to the previous genome while it builds the next.
+    member_nets = map(
+        lambda genome: Network(spec, genome), build_genomes(pop.parent.params, cfg.mutation, chosen)
     )
     averaged_metrics = metric_triple(
         softmax(forward(Network(spec, averaged), test.inputs)), test.labels

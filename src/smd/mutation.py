@@ -35,6 +35,9 @@ _MASK_NS = 0
 _NOISE_NS = 1
 _COMPLEMENT_NS = 2  # the M' stream, derived from the group's noise seed
 
+# Uniforms per block of a mask draw: 512 KiB of float64 scratch at any w.
+_MASK_BLOCK = 65_536
+
 
 def derive_seed(master_seed: int, *key: int) -> int:
     """Stable 64-bit seed for (master_seed, key...).
@@ -70,13 +73,24 @@ class MutationParams:
 
 
 def sample_mask(w: int, rho: float, seed: int) -> np.ndarray:
-    """Bernoulli mask of length w; each bit is 1 with probability 1 - rho."""
+    """Bernoulli mask of length w; each bit is 1 with probability 1 - rho.
+
+    Bit i is `u_i >= rho` for the i-th uniform of the seed's stream. The
+    uniforms are drawn in blocks of `_MASK_BLOCK` into one reused buffer,
+    which consumes the stream in the same order as one w-length draw.
+    """
     if not 0.0 <= rho < 1.0:
         raise ConfigurationError(f"rho must lie in [0, 1), got {rho}")
     if w < 1:
         raise ConfigurationError("w must be positive")
     rng = np.random.default_rng(seed)
-    return (rng.random(w) >= rho).astype(np.uint8)
+    mask = np.empty(w, dtype=np.uint8)
+    buf = np.empty(min(w, _MASK_BLOCK))
+    for start in range(0, w, _MASK_BLOCK):
+        u = buf[: min(_MASK_BLOCK, w - start)]
+        rng.random(out=u)
+        np.greater_equal(u, rho, out=mask[start : start + u.size], casting="unsafe")
+    return mask
 
 
 def complement(mask: np.ndarray) -> np.ndarray:

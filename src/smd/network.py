@@ -41,6 +41,15 @@ class NetworkSpec:
             )
         if self.seed < 0:
             raise ConfigurationError("seed must be a nonnegative integer")
+        # (fan_in, fan_out, weight start, bias start, end) per layer, computed
+        # once: unflatten runs on every forward call and training step. Not a
+        # field, so equality and hashing ignore it.
+        layout, pos = [], 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            bias = pos + fan_in * fan_out
+            layout.append((fan_in, fan_out, pos, bias, bias + fan_out))
+            pos = bias + fan_out
+        object.__setattr__(self, "_layout", tuple(layout))
 
     @property
     def input_dim(self) -> int:
@@ -52,10 +61,10 @@ class NetworkSpec:
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per layer in forward order."""
-        return list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        return [(fan_in, fan_out) for fan_in, fan_out, *_ in self._layout]
 
     def param_count(self) -> int:
-        return sum(i * o + o for i, o in self.layer_shapes())
+        return self._layout[-1][-1]
 
 
 @dataclass
@@ -117,15 +126,10 @@ def unflatten(spec: NetworkSpec, values: np.ndarray) -> list[tuple[np.ndarray, n
         raise ShapeError(
             f"expected flat vector of length {spec.param_count()}, got shape {values.shape}"
         )
-    layers = []
-    pos = 0
-    for fan_in, fan_out in spec.layer_shapes():
-        w = values[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
-        pos += fan_in * fan_out
-        b = values[pos : pos + fan_out]
-        pos += fan_out
-        layers.append((w, b))
-    return layers
+    return [
+        (values[w0:b0].reshape(fan_in, fan_out), values[b0:end])
+        for fan_in, fan_out, w0, b0, end in spec._layout
+    ]
 
 
 def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -143,26 +147,50 @@ def _activate_inplace(z: np.ndarray, kind: str) -> None:
         np.tanh(z, out=z)
 
 
-def forward(net: Network, inputs: np.ndarray) -> np.ndarray:
+def workspace(spec: NetworkSpec, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Activation scratch for `forward` on up to `rows` inputs of `spec`.
+
+    Two separate flat float64 arrays of rows x widest hidden layer; hidden
+    layers alternate between them. Hold one for a scoring pass and drop it
+    after: a cached workspace would outlive the pass and raise peak memory.
+    """
+    size = rows * max(spec.layer_sizes[1:-1], default=0)
+    return np.empty(size), np.empty(size)
+
+
+def forward(
+    net: Network, inputs: np.ndarray, scratch: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Logits for a batch of inputs, shape (n, output_dim).
 
-    Each layer allocates one array: the bias add and the activation write
-    into the fresh matmul result, never into `inputs` or the genome.
+    Hidden layer i writes its matmul into an (n, fan_out) view of
+    `scratch[i % 2]`, then adds the bias and applies the activation in
+    place; `inputs` and the genome are never written. Only the returned
+    logits are allocated, so they never alias the workspace. Without
+    `scratch` a `workspace` is made for this one call.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.spec.input_dim:
         raise ShapeError(
             f"inputs must be (n, {net.spec.input_dim}), got {x.shape}"
         )
-    layers = unflatten(net.spec, net.params.values)
+    n = x.shape[0]
+    if scratch is None:
+        scratch = workspace(net.spec, n)
+    *hidden, (w_out, b_out) = unflatten(net.spec, net.params.values)
     a = x
-    for i, (w, b) in enumerate(layers):
-        z = a @ w
+    for i, (w, b) in enumerate(hidden):
+        buf = scratch[i % 2]
+        size = n * w.shape[1]
+        if buf.size < size:
+            raise ShapeError(f"workspace of {buf.size} entries is too small for {n} x {w.shape[1]}")
+        z = np.matmul(a, w, out=buf[:size].reshape(n, w.shape[1]))
         z += b
-        if i < len(layers) - 1:
-            _activate_inplace(z, net.spec.hidden_activation)
+        _activate_inplace(z, net.spec.hidden_activation)
         a = z
-    return a
+    logits = a @ w_out
+    logits += b_out
+    return logits
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

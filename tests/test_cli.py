@@ -564,6 +564,48 @@ class TestConfigKeyContract:
         assert "error:" in capsys.readouterr().err
 
 
+STRICT_EVOLVE_CASES = [
+    ("mutation", "mirrored", "false"),
+    ("mutation", "mirrored", 0),
+    ("mutation", "anti_random", "no"),
+    ("mutation", "anti_random", 1),
+    ("mutation", "mu", "0.1"),
+    ("mutation", "mu", True),
+    ("mutation", "mu", float("nan")),
+    ("mutation", "mu", None),
+    ("mutation", "sigma", "0.05"),
+    ("mutation", "rho", True),
+    ("evolution", "pop_size", 4.9),
+    ("evolution", "pop_size", "8"),
+    ("evolution", "pop_size", 0),
+    ("evolution", "pop_size", True),
+    ("evolution", "top_k", "2"),
+    ("evolution", "top_k", 2.0),
+    ("evolution", "generations", True),
+    ("evolution", "generations", 0),
+    ("evolution", "master_seed", 1.5),
+    ("evolution", "master_seed", -1),
+    ("evolution", "master_seed", "0"),
+    ("evolution", "master_seed", None),
+]
+
+
+class TestStrictMutationAndEvolution:
+    @pytest.mark.parametrize(
+        "section, key, value",
+        STRICT_EVOLVE_CASES,
+        ids=[f"{s}.{k}={json.dumps(v)}" for s, k, v in STRICT_EVOLVE_CASES],
+    )
+    def test_bad_value_exits_2(self, contract_base, tmp_path, section, key, value, capsys):
+        cfg = json.loads(json.dumps(contract_base[0]))
+        cfg[section][key] = value
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "evolve.json", cfg)
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
 class TestOutputResolution:
     def test_env_overrides_flag(self, trained, tmp_path, monkeypatch):
         base, out, cfg = trained

@@ -322,6 +322,46 @@ class TestGenerationMemory:
         assert peak < 8 * genome_bytes, peak / genome_bytes
 
 
+class TestGenomeLifetime:
+    """Each consumer of `build_genomes` drops a genome before the next one is
+    built, so at most one child genome is alive besides the parent."""
+
+    @staticmethod
+    def setup():
+        spec = NetworkSpec([2, 400, 400, 2], seed=3)
+        values = init_network(spec).params.values.astype(np.float32).astype(np.float64)
+        parent = Network(spec, ParamVector(values))
+        assert parent.params.w == 162_402
+        return parent, MutationParams(sigma=0.01, rho=0.9)
+
+    @staticmethod
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_average_weights_holds_one_candidate(self):
+        parent, params = self.setup()
+        children = spawn_mutations(parent.params, params, 8, 0)
+        peak = self.traced_peak(
+            lambda: average_weights(build_genomes(parent.params, params, children))
+        )
+        genome_bytes = parent.params.w * 8
+        assert peak < 3 * genome_bytes, peak / genome_bytes
+
+    def test_evaluate_fitness_holds_one_genome(self):
+        parent, params = self.setup()
+        pop = spawn_population(parent, params, 8, 0)
+        val = make_spirals(100, seed=2)
+        peak = self.traced_peak(lambda: evaluate_fitness(pop, val))
+        genome_bytes = parent.params.w * 8
+        assert peak < 2.25 * genome_bytes, peak / genome_bytes
+
+
 class TestChainedParent:
     @pytest.mark.parametrize("anti_random", [False, True])
     def test_mirrored_pairs_cancel_in_generation_2(self, spiral_task, monkeypatch, anti_random):

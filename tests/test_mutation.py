@@ -68,6 +68,30 @@ class TestSampleMask:
             sample_mask(10, 1.0, 0)
 
 
+class TestBlockedMaskDraw:
+    """`sample_mask` draws its uniforms in fixed blocks; the one-shot
+    comparison of a single w-length draw is the oracle for its bytes."""
+
+    @pytest.mark.parametrize("w", [1, 5, 8_642, 65_536, 65_537, 527_874, 1_000_003])
+    def test_matches_one_shot_draw(self, w):
+        for rho in (0.0, 0.5, 0.9, 0.99):
+            for seed in (0, 7, 2**63 + 11):
+                oracle = (np.random.default_rng(seed).random(w) >= rho).astype(np.uint8)
+                mask = sample_mask(w, rho, seed)
+                assert mask.dtype == np.uint8
+                assert mask.tobytes() == oracle.tobytes(), (w, rho, seed)
+
+    def test_peak_memory_below_two_bytes_per_coordinate(self):
+        w = 1_000_003
+        tracemalloc.start()
+        try:
+            sample_mask(w, 0.9, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * w, peak / w
+
+
 class TestComplement:
     def test_elementwise(self):
         assert np.array_equal(complement(np.array([1, 0, 1], dtype=np.uint8)), [0, 1, 0])

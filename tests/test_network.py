@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smd.errors import ConfigurationError, ShapeError
 from smd.network import (
+    ACTIVATIONS,
     Network,
     NetworkSpec,
     ParamVector,
@@ -12,6 +17,7 @@ from smd.network import (
     nll_loss,
     softmax,
     unflatten,
+    workspace,
 )
 
 
@@ -37,6 +43,12 @@ class TestNetworkSpec:
     def test_rejects_unknown_activation(self):
         with pytest.raises(ConfigurationError):
             NetworkSpec([2, 2], hidden_activation="gelu")
+
+    def test_cached_layout_leaves_equality_hash_and_repr_alone(self):
+        a, b = NetworkSpec([2, 3, 2]), NetworkSpec((2, 3, 2))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, NetworkSpec([2, 3, 2], seed=1), NetworkSpec([2, 4, 2])}) == 3
+        assert repr(a) == "NetworkSpec(layer_sizes=(2, 3, 2), hidden_activation='relu', seed=0)"
 
 
 class TestInitNetwork:
@@ -80,6 +92,28 @@ class TestFlattenRoundTrip:
         assert np.array_equal(b0, [6, 7, 8])
         assert np.array_equal(w1.ravel(), [9, 10, 11])
         assert np.array_equal(b1, [12])
+
+    @pytest.mark.parametrize(
+        "sizes", [[1, 1], [2, 3, 1], [3, 5, 4, 2], [2, 64, 64, 64, 2], [7, 1, 9, 1, 3]]
+    )
+    def test_unflatten_views_match_the_layer_walk(self, sizes):
+        """The cached layout gives the same views as walking the layer shapes."""
+        spec = NetworkSpec(sizes)
+        values = np.arange(spec.param_count(), dtype=np.float64)
+        pos, expected = 0, []
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            w = values[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
+            pos += fan_in * fan_out
+            expected.append((w, values[pos : pos + fan_out]))
+            pos += fan_out
+        assert pos == spec.param_count()
+        assert spec.layer_shapes() == list(zip(sizes[:-1], sizes[1:]))
+        layers = unflatten(spec, values)
+        assert len(layers) == len(expected)
+        for (w, b), (w_ref, b_ref) in zip(layers, expected):
+            assert w.shape == w_ref.shape and np.array_equal(w, w_ref)
+            assert b.shape == b_ref.shape and np.array_equal(b, b_ref)
+            assert np.shares_memory(w, values) and np.shares_memory(b, values)
 
     def test_unflatten_rejects_wrong_length(self):
         with pytest.raises(ShapeError):
@@ -182,3 +216,76 @@ class TestNllLoss:
         loss = nll_loss(probs, np.array([0]))
         assert np.isfinite(loss)
         assert loss == pytest.approx(-np.log(1e-12))
+
+
+def _reference_forward(net, x):
+    """Forward with a fresh array per layer, the kernel's bytes oracle."""
+    layers = unflatten(net.spec, net.params.values)
+    a = x
+    for i, (w, b) in enumerate(layers):
+        z = a @ w
+        z += b
+        if i < len(layers) - 1:
+            z = np.tanh(z) if net.spec.hidden_activation == "tanh" else np.maximum(z, 0.0)
+        a = z
+    return a
+
+
+class TestWorkspace:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=2, max_size=5),
+        activation=st.sampled_from(ACTIVATIONS),
+        rows=st.lists(st.integers(1, 300), min_size=1, max_size=3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_shared_workspace_matches_per_layer_arrays(self, sizes, activation, rows, seed):
+        """0-3 hidden layers: one workspace reused across calls of any row
+        count gives the reference bytes, keeps earlier results intact and
+        never writes the inputs."""
+        rng = np.random.default_rng(seed)
+        net = init_network(NetworkSpec(sizes, hidden_activation=activation, seed=seed))
+        net.params.values += rng.normal(size=net.params.w)  # nonzero biases
+        scratch = workspace(net.spec, max(rows))
+        results = []
+        for n in rows:
+            x = rng.normal(size=(n, sizes[0]))
+            x_before = x.copy()
+            logits = forward(net, x, scratch)
+            assert x.tobytes() == x_before.tobytes()
+            assert logits.tobytes() == _reference_forward(net, x_before).tobytes()
+            assert not any(np.shares_memory(logits, buf) for buf in scratch)
+            results.append((logits, logits.copy()))
+        for logits, kept in results:
+            assert logits.tobytes() == kept.tobytes()
+
+    def test_two_separate_buffers_of_the_widest_hidden_layer(self):
+        first, second = workspace(NetworkSpec([2, 8, 30, 5, 2]), 11)
+        assert first.dtype == second.dtype == np.float64
+        assert first.shape == second.shape == (11 * 30,)
+        assert not np.shares_memory(first, second)
+        assert [buf.size for buf in workspace(NetworkSpec([3, 2]), 50)] == [0, 0]
+
+    def test_call_with_workspace_allocates_only_its_logits(self):
+        spec = NetworkSpec([2, 64, 64, 64, 2], seed=7)
+        net = init_network(spec)
+        x = np.random.default_rng(0).normal(size=(2500, 2))
+        scratch = workspace(spec, 2500)
+        tracemalloc.start()
+        try:
+            forward(net, x, scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2500 * 64 * 8 / 4, peak
+
+    def test_undersized_workspace_raises(self):
+        spec = NetworkSpec([2, 16, 2], seed=1)
+        x = np.zeros((11, 2))
+        with pytest.raises(ShapeError):
+            forward(init_network(spec), x, workspace(spec, 10))
+
+    def test_no_hidden_layer_needs_no_workspace(self):
+        net = init_network(NetworkSpec([3, 2], seed=1))
+        x = np.random.default_rng(1).normal(size=(6, 3))
+        assert forward(net, x, workspace(net.spec, 0)).tobytes() == forward(net, x).tobytes()

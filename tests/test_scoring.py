@@ -35,9 +35,9 @@ def forward_calls(monkeypatch):
     """Counts every `forward` call made from `smd.evolution`."""
     calls = []
 
-    def counting(net, inputs):
+    def counting(net, inputs, *scratch):
         calls.append(len(inputs))
-        return forward(net, inputs)
+        return forward(net, inputs, *scratch)
 
     monkeypatch.setattr(evolution, "forward", counting)
     return calls
