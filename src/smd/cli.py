@@ -136,13 +136,12 @@ def _resolve_mutation(cfg: dict, parent, val) -> MutationParams:
             raise ConfigurationError(f"search result not found: {path}")
         try:
             found = json.loads(path.read_text(encoding="utf-8"))
-            sigma, rho = float(found["sigma"]), float(found["rho"])
-        except (json.JSONDecodeError, KeyError) as exc:
+        except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{path}: not a search result artifact ({exc})") from exc
-        return cfgmod.build_mutation_params(cfg, sigma, rho)
+        return cfgmod.build_mutation_params(cfg, found, f"search result {path}")
     search_cfg, seed = cfgmod.build_search_config(cfg)
     outcome = grid_search(parent, val, search_cfg, seed)
-    return cfgmod.build_mutation_params(cfg, outcome.sigma, outcome.rho)
+    return cfgmod.build_mutation_params(cfg, {"sigma": outcome.sigma, "rho": outcome.rho})
 
 
 def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
@@ -262,6 +261,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigurationError(f"--repeats must be >= 1, got {args.repeats}")
         cfg = cfgmod.load_config(args.config)
         out_dir = cfgmod.resolve_out_dir(cfg, args.out)
+        for name in sorted(cfg.keys() - {"_comment"}):
+            cfgmod.section(cfg, name)
         return _COMMANDS[args.command](cfg, out_dir, args)
     except (ConfigurationError, ParseError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

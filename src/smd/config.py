@@ -1,8 +1,13 @@
 """JSON run-configuration parsing for the command-line harness.
 
-All randomness is seeded from config fields; nothing reads system entropy.
-Section schemas are strict: unknown keys are configuration errors so typos
-fail loudly instead of silently using defaults.
+`SCHEMA` declares every config key once: section -> key -> (kind, default).
+`section` checks a section, or a nested object such as `model.train`,
+against it. Unknown keys, values of the wrong kind and missing required keys
+are configuration errors that name the section and the key, so typos fail
+loudly instead of silently using defaults. A default of None leaves an absent
+key out, so the dataclass the key builds supplies its own default. Rules that
+tie keys together stay in the `build_*` functions. All randomness is seeded
+from config fields; nothing reads system entropy.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import json
 import math
 import os
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .boundary import DEFAULT_RESOLUTION, cell_tag
 from .datasets import Dataset, SplitSpec, load_csv, make_spirals, split
@@ -18,27 +24,131 @@ from .divergence import GridSearchConfig
 from .errors import ConfigurationError
 from .evolution import GenerationConfig
 from .mutation import SUBSPACE_MODES, MutationParams
-from .network import NetworkSpec
-from .training import TrainConfig
+from .network import ACTIVATIONS, NetworkSpec
+from .training import OPTIMIZERS, TrainConfig
 
-_TASK_KEYS = {
-    "dataset", "n_train", "n_eval", "noise_std", "turns",
-    "train_seed", "eval_seed", "split_seed", "eval_fractions",
-    "train_csv", "eval_csv", "val_csv", "test_csv",
+
+class Kind(NamedTuple):
+    """What a config value may be: its JSON types (a bool is never a number),
+    a range check, and the cast applied to a value that passes both."""
+
+    rule: str
+    types: tuple[type, ...]
+    ok: Callable = lambda v: True
+    cast: Callable = lambda v: v
+
+
+def _valid(kind: Kind, value) -> bool:
+    return type(value) in kind.types and kind.ok(value)
+
+
+def _integer(minimum: int) -> Kind:
+    return Kind(f"an integer >= {minimum}", (int,), lambda v: v >= minimum)
+
+
+def _number(rule: str = "", ok: Callable = lambda v: True) -> Kind:
+    return Kind(f"a finite number{rule}", (int, float), lambda v: math.isfinite(v) and ok(v), float)
+
+
+def _one_of(options: tuple[str, ...]) -> Kind:
+    return Kind(f"one of {list(options)}", (str,), lambda v: v in options)
+
+
+def _list_of(item: Kind, length: int = 0) -> Kind:
+    size = f"a list of {length}" if length else "a non-empty list"
+    return Kind(
+        f"{size}, each {item.rule}",
+        (list,),
+        lambda v: 0 < len(v) == (length or len(v)) and all(_valid(item, x) for x in v),
+        lambda v: [item.cast(x) for x in v],
+    )
+
+
+BOOL = Kind("true or false", (bool,))
+STRING = Kind("a string", (str,))
+OBJECT = Kind("an object", (dict,))  # a nested object, checked against SCHEMA["<section>.<key>"]
+REQUIRED = object()  # the default of a key the section cannot do without
+
+_SEED, _COUNT = _integer(0), _integer(1)
+_NONNEGATIVE = _number(" >= 0", lambda v: v >= 0)
+_POSITIVE = _number(" > 0", lambda v: v > 0)
+_RHO = _number(" in [0, 1)", lambda v: 0 <= v < 1)
+_BETA = _number(" in (0, 1)", lambda v: 0 < v < 1)
+
+SCHEMA: dict[str, dict[str, tuple[Kind, object]]] = {
+    "task": {
+        "dataset": (_one_of(("spirals", "csv")), "spirals"),
+        "n_train": (_COUNT, 2500),
+        "n_eval": (_COUNT, 1000),
+        "noise_std": (_NONNEGATIVE, None),
+        "turns": (_POSITIVE, None),
+        "train_seed": (_SEED, 1),
+        "eval_seed": (_SEED, 2),
+        "split_seed": (_SEED, 3),
+        "eval_fractions": (_list_of(_NONNEGATIVE, 2), [0.5, 0.5]),
+        "train_csv": (STRING, None),
+        "eval_csv": (STRING, None),
+        "val_csv": (STRING, None),
+        "test_csv": (STRING, None),
+    },
+    "model": {
+        "layer_sizes": (_list_of(_COUNT), None),
+        "hidden_activation": (_one_of(ACTIVATIONS), None),
+        "seed": (_SEED, None),
+        "train": (OBJECT, None),
+        "checkpoint": (STRING, None),
+    },
+    "model.train": {
+        "optimizer": (_one_of(OPTIMIZERS), None),
+        "learning_rate": (_POSITIVE, None),
+        "epochs": (_COUNT, None),
+        "batch_size": (_COUNT, None),
+        "adam_beta1": (_BETA, None),
+        "adam_beta2": (_BETA, None),
+        "adam_eps": (_POSITIVE, None),
+        "shuffle_seed": (_SEED, None),
+    },
+    "mutation": {
+        "sigma": (_POSITIVE, None),
+        "rho": (_RHO, None),
+        "mu": (_number(), None),
+        "subspace_mode": (_one_of(SUBSPACE_MODES), None),
+        "mirrored": (BOOL, None),
+        "anti_random": (BOOL, None),
+        "search": (OBJECT, None),
+        "search_result": (STRING, None),
+    },
+    "mutation.search": {
+        "sigma_grid": (_list_of(_POSITIVE), REQUIRED),
+        "rho_grid": (_list_of(_RHO), REQUIRED),
+        "kl_target": (_POSITIVE, None),
+        "kl_tolerance": (_POSITIVE, None),
+        "samples_per_cell": (_COUNT, None),
+        "probe_size": (_COUNT, None),
+        "seed": (_SEED, 0),
+    },
+    "evolution": {
+        "pop_size": (_COUNT, None),
+        "top_k": (_COUNT, None),
+        "generations": (_COUNT, None),
+        "master_seed": (_SEED, 0),
+    },
+    "boundary": {
+        "sigma_grid": (_list_of(_NONNEGATIVE), REQUIRED),
+        "rho_grid": (_list_of(_RHO), REQUIRED),
+        "resolution": (_COUNT, DEFAULT_RESOLUTION),
+        "seed": (_SEED, 0),
+    },
+    "ablation": {
+        "sigma_grid": (_list_of(_POSITIVE), REQUIRED),
+        "rho_grid": (_list_of(_RHO), REQUIRED),
+        "modes": (_list_of(_one_of(SUBSPACE_MODES)), ["dynamic"]),
+        "seeds": (_list_of(_SEED), REQUIRED),
+        "pop_size": (_COUNT, 16),
+        "top_k": (_COUNT, 4),
+    },
+    "output": {"dir": (STRING, "out")},
 }
-_MODEL_KEYS = {"layer_sizes", "hidden_activation", "seed", "train", "checkpoint"}
-_MUTATION_KEYS = {
-    "sigma", "rho", "mu", "subspace_mode", "mirrored", "anti_random",
-    "search", "search_result",
-}
-_SEARCH_KEYS = {
-    "sigma_grid", "rho_grid", "kl_target", "kl_tolerance",
-    "samples_per_cell", "probe_size", "seed",
-}
-_EVOLUTION_KEYS = {"pop_size", "top_k", "generations", "master_seed"}
-_BOUNDARY_KEYS = {"sigma_grid", "rho_grid", "resolution", "seed"}
-_ABLATION_KEYS = {"sigma_grid", "rho_grid", "modes", "seeds", "pop_size", "top_k"}
-_OUTPUT_KEYS = {"dir"}
 
 
 def load_config(path: str | Path) -> dict:
@@ -54,43 +164,48 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def _section(cfg: dict, name: str, allowed: set[str], required: bool = True) -> dict:
-    section = cfg.get(name)
-    if section is None:
-        if required:
-            raise ConfigurationError(f"config is missing the '{name}' section")
-        return {}
-    if not isinstance(section, dict):
-        raise ConfigurationError(f"'{name}' section must be an object")
-    unknown = set(section) - allowed - {"_comment"}
+def _value(name: str, key: str, kind: Kind, value):
+    if not _valid(kind, value):
+        raise ConfigurationError(f"{name} '{key}' must be {kind.rule}, got {value!r}")
+    return kind.cast(value)
+
+
+def section(cfg: dict, name: str, required: bool = False) -> dict:
+    """The checked `name` section of cfg, with defaults filled in.
+
+    A dotted name such as `mutation.search` names the object under its last
+    part; cfg is then the parent object.
+    """
+    if name not in SCHEMA:
+        raise ConfigurationError(f"config has an unknown section {name!r}")
+    parent, _, last = name.rpartition(".")
+    if last not in cfg and required:
+        raise ConfigurationError(f"config is missing the '{name}' section")
+    raw = _value(parent or "config", last, OBJECT, cfg.get(last, {}))
+    unknown = raw.keys() - SCHEMA[name].keys() - {"_comment"}
     if unknown:
         raise ConfigurationError(f"'{name}' section has unknown keys: {sorted(unknown)}")
-    return section
+    checked = {}
+    for key, (kind, default) in SCHEMA[name].items():
+        if key in raw and kind is OBJECT:
+            checked[key] = section(raw, f"{name}.{key}")
+        elif key in raw:
+            checked[key] = _value(name, key, kind, raw[key])
+        elif default is REQUIRED:
+            raise ConfigurationError(f"{name} section needs '{key}'")
+        elif default is not None:
+            checked[key] = kind.cast(default)
+    return checked
 
 
 def build_task_data(cfg: dict) -> tuple[Dataset, Dataset, Dataset]:
     """Materialize (train, validation, test) datasets from the task section."""
-    task = _section(cfg, "task", _TASK_KEYS)
-    kind = task.get("dataset", "spirals")
-    if kind == "spirals":
-        train = make_spirals(
-            n=int(task.get("n_train", 2500)),
-            noise_std=float(task.get("noise_std", 0.05)),
-            turns=float(task.get("turns", 1.75)),
-            seed=int(task.get("train_seed", 1)),
-        )
-        eval_pool = make_spirals(
-            n=int(task.get("n_eval", 1000)),
-            noise_std=float(task.get("noise_std", 0.05)),
-            turns=float(task.get("turns", 1.75)),
-            seed=int(task.get("eval_seed", 2)),
-        )
-        fractions = tuple(task.get("eval_fractions", (0.5, 0.5)))
-        if len(fractions) != 2:
-            raise ConfigurationError("eval_fractions must have exactly two entries")
-        val, test = split(eval_pool, SplitSpec(fractions, int(task.get("split_seed", 3))))
-        return train, val, test
-    if kind == "csv":
+    task = section(cfg, "task", required=True)
+    if task["dataset"] == "spirals":
+        shape = {k: task[k] for k in ("noise_std", "turns") if k in task}
+        train = make_spirals(task["n_train"], seed=task["train_seed"], **shape)
+        eval_pool = make_spirals(task["n_eval"], seed=task["eval_seed"], **shape)
+    else:
         if "train_csv" not in task:
             raise ConfigurationError("csv task needs 'train_csv'")
         train = load_csv(task["train_csv"])
@@ -103,17 +218,13 @@ def build_task_data(cfg: dict) -> tuple[Dataset, Dataset, Dataset]:
         if "eval_csv" not in task:
             raise ConfigurationError("csv task needs 'eval_csv' or val_csv/test_csv")
         eval_pool = load_csv(task["eval_csv"], class_count=train.class_count)
-        fractions = tuple(task.get("eval_fractions", (0.5, 0.5)))
-        val, test = split(eval_pool, SplitSpec(fractions, int(task.get("split_seed", 3))))
-        return train, val, test
-    raise ConfigurationError(f"unknown dataset kind {kind!r}")
+    val, test = split(eval_pool, SplitSpec(task["eval_fractions"], task["split_seed"]))
+    return train, val, test
 
 
 def build_model_section(cfg: dict) -> dict:
-    model = _section(cfg, "model", _MODEL_KEYS)
-    has_train = "train" in model
-    has_ckpt = "checkpoint" in model
-    if has_train == has_ckpt:
+    model = section(cfg, "model", required=True)
+    if ("train" in model) == ("checkpoint" in model):
         raise ConfigurationError("model section needs exactly one of 'train' or 'checkpoint'")
     return model
 
@@ -121,26 +232,17 @@ def build_model_section(cfg: dict) -> dict:
 def build_network_spec(model: dict) -> NetworkSpec:
     if "layer_sizes" not in model:
         raise ConfigurationError("model section needs 'layer_sizes' to train from scratch")
-    return NetworkSpec(
-        layer_sizes=tuple(model["layer_sizes"]),
-        hidden_activation=model.get("hidden_activation", "relu"),
-        seed=int(model.get("seed", 0)),
-    )
+    keys = ("layer_sizes", "hidden_activation", "seed")
+    return NetworkSpec(**{k: model[k] for k in keys if k in model})
 
 
 def build_train_config(model: dict) -> TrainConfig:
-    train = model.get("train")
-    if not isinstance(train, dict):
-        raise ConfigurationError("model 'train' must be an object")
-    try:
-        return TrainConfig(**train)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad train config: {exc}") from exc
+    return TrainConfig(**model["train"])
 
 
 def mutation_mode(cfg: dict) -> str:
     """Which of the three mutation forms the config uses."""
-    mutation = _section(cfg, "mutation", _MUTATION_KEYS)
+    mutation = section(cfg, "mutation", required=True)
     forms = [
         "explicit" if "sigma" in mutation or "rho" in mutation else None,
         "search" if "search" in mutation else None,
@@ -156,155 +258,55 @@ def mutation_mode(cfg: dict) -> str:
 
 
 def build_mutation_params(
-    cfg: dict, sigma: float | None = None, rho: float | None = None
+    cfg: dict, found: object = None, source: str = "mutation"
 ) -> MutationParams:
     """The mutation distribution and spawning strategy.
 
-    The explicit form reads sigma and rho from the section; the search
-    forms pass the values their search found. The strategy keys (mu,
+    sigma and rho come from `found` (what a search found, or a search result
+    artifact named `source`), else from the explicit form of the section;
+    either way they must pass the section's kinds. The strategy keys (mu,
     subspace_mode, mirrored, anti_random) apply to all three forms.
     """
-    mutation = _section(cfg, "mutation", _MUTATION_KEYS)
-    if sigma is None or rho is None:
-        if "sigma" not in mutation or "rho" not in mutation:
-            raise ConfigurationError("explicit mutation needs both 'sigma' and 'rho'")
-        sigma = _number_key(mutation, "mutation", "sigma", None)
-        rho = _number_key(mutation, "mutation", "rho", None)
-    return MutationParams(
-        sigma=sigma,
-        rho=rho,
-        mu=_number_key(mutation, "mutation", "mu", 0.0),
-        subspace_mode=mutation.get("subspace_mode", "dynamic"),
-        mirrored=_bool_key(mutation, "mutation", "mirrored", True),
-        anti_random=_bool_key(mutation, "mutation", "anti_random", False),
-    )
+    mutation = section(cfg, "mutation", required=True)
+    found = mutation if found is None else found
+    if not isinstance(found, dict) or not {"sigma", "rho"} <= found.keys():
+        raise ConfigurationError(f"{source} needs both 'sigma' and 'rho', got {found!r}")
+    sigma, rho = (_value(source, k, SCHEMA["mutation"][k][0], found[k]) for k in ("sigma", "rho"))
+    strategy = ("mu", "subspace_mode", "mirrored", "anti_random")
+    return MutationParams(sigma, rho, **{k: mutation[k] for k in strategy if k in mutation})
 
 
 def build_search_config(cfg: dict) -> tuple[GridSearchConfig, int]:
-    mutation = _section(cfg, "mutation", _MUTATION_KEYS)
-    search = mutation.get("search")
-    if not isinstance(search, dict):
-        raise ConfigurationError("mutation 'search' must be an object")
-    unknown = set(search) - _SEARCH_KEYS
-    if unknown:
-        raise ConfigurationError(f"search directive has unknown keys: {sorted(unknown)}")
-    if "sigma_grid" not in search or "rho_grid" not in search:
-        raise ConfigurationError("search directive needs 'sigma_grid' and 'rho_grid'")
-    seed = int(search.get("seed", 0))
-    kwargs = {k: v for k, v in search.items() if k != "seed"}
-    return GridSearchConfig(**kwargs), seed
+    search = dict(section(cfg, "mutation", required=True)["search"])
+    seed = search.pop("seed")
+    return GridSearchConfig(**search), seed
 
 
 def build_generation_config(cfg: dict, mutation: MutationParams) -> tuple[GenerationConfig, int]:
-    evolution = _section(cfg, "evolution", _EVOLUTION_KEYS)
-    gen_cfg = GenerationConfig(
-        mutation=mutation,
-        pop_size=_int_key(evolution, "evolution", "pop_size", 16, 1),
-        top_k=_int_key(evolution, "evolution", "top_k", 8, 1),
-        generations=_int_key(evolution, "evolution", "generations", 1, 1),
-    )
-    return gen_cfg, _int_key(evolution, "evolution", "master_seed", 0, 0)
-
-
-def _int_value(value, name: str, key: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigurationError(f"{name} '{key}' must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _int_key(section: dict, name: str, key: str, default: int, minimum: int) -> int:
-    return _int_value(section.get(key, default), name, key, minimum)
-
-
-def _is_finite_number(value) -> bool:
-    return (
-        not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
-    )
-
-
-def _number_key(section: dict, name: str, key: str, default) -> float:
-    value = section.get(key, default)
-    if not _is_finite_number(value):
-        raise ConfigurationError(f"{name} '{key}' must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _bool_key(section: dict, name: str, key: str, default: bool) -> bool:
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"{name} '{key}' must be true or false, got {value!r}")
-    return value
-
-
-def _number_grid(section: dict, name: str, key: str, rule: str, ok) -> list[float]:
-    grid = section[key]
-    if not isinstance(grid, list) or not grid:
-        raise ConfigurationError(f"{name} '{key}' must be a non-empty list, got {grid!r}")
-    for value in grid:
-        if not _is_finite_number(value) or not ok(value):
-            raise ConfigurationError(f"{name} '{key}' values must be {rule}, got {value!r}")
-    return [float(v) for v in grid]
+    evolution = dict(section(cfg, "evolution", required=True))
+    master_seed = evolution.pop("master_seed")
+    return GenerationConfig(mutation=mutation, **evolution), master_seed
 
 
 def boundary_section(cfg: dict) -> dict:
-    """The boundary section with defaults filled in and every value checked.
-
-    Returns sigma_grid and rho_grid as float lists, resolution and seed as
-    ints. Grids whose cells would share an output file name are rejected.
-    """
-    section = _section(cfg, "boundary", _BOUNDARY_KEYS)
-    if "sigma_grid" not in section or "rho_grid" not in section:
-        raise ConfigurationError("boundary section needs 'sigma_grid' and 'rho_grid'")
-    sigmas = _number_grid(section, "boundary", "sigma_grid", "finite and >= 0", lambda s: s >= 0)
-    rhos = _number_grid(section, "boundary", "rho_grid", "in [0, 1)", lambda r: 0 <= r < 1)
-    tags = {cell_tag(s, r) for s in sigmas for r in rhos}
-    if len(tags) != len(sigmas) * len(rhos):
+    """The checked boundary section; grids whose cells would share an output
+    file name are rejected."""
+    checked = section(cfg, "boundary", required=True)
+    sigmas, rhos = checked["sigma_grid"], checked["rho_grid"]
+    if len({cell_tag(s, r) for s in sigmas for r in rhos}) != len(sigmas) * len(rhos):
         raise ConfigurationError(
             f"boundary grids name the same cell twice: sigma_grid {sigmas}, rho_grid {rhos}"
         )
-    return {
-        "sigma_grid": sigmas,
-        "rho_grid": rhos,
-        "resolution": _int_key(section, "boundary", "resolution", DEFAULT_RESOLUTION, 1),
-        "seed": _int_key(section, "boundary", "seed", 0, 0),
-    }
+    return checked
 
 
 def ablation_section(cfg: dict) -> dict:
-    """The ablation section with defaults filled in and every value checked.
-
-    Returns sigma_grid and rho_grid as float lists, modes as a list of
-    subspace modes, seeds as an int list, and pop_size and top_k as ints.
-    """
-    section = _section(cfg, "ablation", _ABLATION_KEYS)
-    for key in ("sigma_grid", "rho_grid", "seeds"):
-        if key not in section:
-            raise ConfigurationError(f"ablation section needs '{key}'")
-    modes = section.get("modes", ["dynamic"])
-    if not isinstance(modes, list) or not modes or any(m not in SUBSPACE_MODES for m in modes):
-        raise ConfigurationError(
-            f"ablation 'modes' must be a non-empty list of {SUBSPACE_MODES}, got {modes!r}"
-        )
-    seeds = section["seeds"]
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigurationError(f"ablation 'seeds' must be a non-empty list, got {seeds!r}")
-    return {
-        "sigma_grid": _number_grid(
-            section, "ablation", "sigma_grid", "finite and > 0", lambda s: s > 0
-        ),
-        "rho_grid": _number_grid(section, "ablation", "rho_grid", "in [0, 1)", lambda r: 0 <= r < 1),
-        "modes": modes,
-        "seeds": [_int_value(seed, "ablation", "seeds", 0) for seed in seeds],
-        "pop_size": _int_key(section, "ablation", "pop_size", 16, 1),
-        "top_k": _int_key(section, "ablation", "top_k", 4, 1),
-    }
+    return section(cfg, "ablation", required=True)
 
 
 def resolve_out_dir(cfg: dict, cli_out: str | None) -> Path:
     """Output directory priority: SMD_OUT env, then --out, then config."""
-    output = _section(cfg, "output", _OUTPUT_KEYS, required=False)
-    env = os.environ.get("SMD_OUT")
-    chosen = env or cli_out or output.get("dir", "out")
-    path = Path(chosen)
+    output = section(cfg, "output")
+    path = Path(os.environ.get("SMD_OUT") or cli_out or output["dir"])
     path.mkdir(parents=True, exist_ok=True)
     return path

@@ -21,6 +21,11 @@ ACTIVATIONS = ("relu", "tanh")
 EPS_PROB = 1e-12
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture description: layer sizes, hidden activation, init seed."""
@@ -30,17 +35,17 @@ class NetworkSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(is_integer(s) and s >= 1 for s in self.layer_sizes):
+            raise ConfigurationError(f"layer sizes must be integers >= 1, got {self.layer_sizes}")
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
         if len(self.layer_sizes) < 2:
             raise ConfigurationError("layer_sizes needs at least input and output dims")
-        if any(s < 1 for s in self.layer_sizes):
-            raise ConfigurationError(f"layer sizes must be >= 1, got {self.layer_sizes}")
         if self.hidden_activation not in ACTIVATIONS:
             raise ConfigurationError(
                 f"unknown hidden_activation {self.hidden_activation!r}, expected one of {ACTIVATIONS}"
             )
-        if self.seed < 0:
-            raise ConfigurationError("seed must be a nonnegative integer")
+        if not is_integer(self.seed) or self.seed < 0:
+            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
         # (fan_in, fan_out, weight start, bias start, end) per layer, computed
         # once: unflatten runs on every forward call and training step. Not a
         # field, so equality and hashing ignore it.

@@ -19,6 +19,7 @@ from .network import (
     ParamVector,
     _activate_inplace,
     forward,
+    is_integer,
     softmax,
     unflatten,
 )
@@ -44,8 +45,7 @@ class TrainConfig:
             raise ConfigurationError("learning_rate must be positive")
         for key, minimum in (("epochs", 1), ("batch_size", 1), ("shuffle_seed", 0)):
             value = getattr(self, key)
-            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not integer or value < minimum:
+            if not is_integer(value) or value < minimum:
                 raise ConfigurationError(f"{key} must be an integer >= {minimum}, got {value!r}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ConfigurationError("adam betas must lie in (0, 1)")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shutil
 import tempfile
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from smd.checkpoint import save_checkpoint
 from smd.cli import main
-from smd.config import ablation_section, load_config
+from smd.config import REQUIRED, SCHEMA, ablation_section, load_config, section
 from smd.network import NetworkSpec, init_network
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -555,6 +557,7 @@ class TestConfigKeyContract:
             ("output", "formats", ["csv"]),
             ("evolution", "popsize", 8),
             ("mutation", "sigam", 0.05),
+            ("ouptut", "dir", "elsewhere"),
         ],
     )
     def test_inert_or_unknown_key_exits_2(self, contract_base, section, key, value, capsys):
@@ -604,6 +607,212 @@ class TestStrictMutationAndEvolution:
         assert main(["evolve", "--config", path, "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "body",
+        [[1, 2], {"sigma": 0.05, "rho": None}, {"sigma": "0.05", "rho": 0.5},
+         {"sigma": True, "rho": 0.5}],
+        ids=json.dumps,
+    )
+    def test_bad_search_result_artifact_exits_2(self, contract_base, tmp_path, body, capsys):
+        cfg = json.loads(json.dumps(contract_base[0]))
+        (tmp_path / "found.json").write_text(json.dumps(body))
+        cfg["mutation"] = {"search_result": str(tmp_path / "found.json")}
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "evolve.json", cfg)
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and ("'sigma'" in err or "'rho'" in err)
+        assert not any(out.iterdir())
+
+    def test_bad_evolution_value_fails_before_the_search(
+        self, contract_base, tmp_path, monkeypatch, capsys
+    ):
+        def no_search(*args):
+            raise AssertionError("the KL grid search ran before the config was checked")
+
+        monkeypatch.setattr("smd.cli.grid_search", no_search)
+        cfg = json.loads(json.dumps(contract_base[0]))
+        cfg["mutation"] = {"search": {"sigma_grid": [0.05], "rho_grid": [0.5]}}
+        cfg["evolution"]["pop_size"] = 4.9
+        path = write_config(tmp_path / "evolve.json", cfg)
+        assert main(["evolve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "error: evolution 'pop_size'" in capsys.readouterr().err
+
+
+# Bad values for the train and search commands, as (base config, dotted key
+# path, value); the "csv" base trains from csv files.
+STRICT_CONFIG_CASES = [
+    ("search", "mutation.search.seed", -1),
+    ("search", "mutation.search.seed", 1.5),
+    ("search", "mutation.search.samples_per_cell", 2.5),
+    ("search", "mutation.search.probe_size", "50"),
+    ("search", "mutation.search.kl_target", "0.05"),
+    ("search", "mutation.search.sigma_grid", ["0.05"]),
+    ("search", "mutation.search.sigma_grid", [True]),
+    ("train", "task.n_train", "200"),
+    ("train", "task.n_train", 200.7),
+    ("train", "task.train_seed", True),
+    ("train", "task.split_seed", -1),
+    ("train", "task.eval_fractions", [0.5, "0.5"]),
+    ("train", "task.noise_std", "0.05"),
+    ("train", "task.dataset", 5),
+    ("csv", "task.eval_fractions", [0.4, 0.3, 0.3]),
+    ("train", "model.layer_sizes", [2, 8.7, 2]),
+    ("train", "model.seed", True),
+    ("train", "model.train.learning_rate", "0.01"),
+    ("train", "model.train.adam_eps", True),
+    ("train", "output.dir", 5),
+]
+
+
+@pytest.fixture(scope="module")
+def strict_bases(tmp_path_factory):
+    """Valid configs on a tiny [2, 8, 2] task: (command, config) by base name."""
+    from smd.datasets import make_spirals, save_csv
+
+    base = tmp_path_factory.mktemp("strict")
+    save_checkpoint(init_network(NetworkSpec([2, 8, 2], seed=1)), base / "tiny.ckpt")
+    save_csv(make_spirals(100, seed=1), base / "train.csv")
+    save_csv(make_spirals(100, seed=2), base / "eval.csv")
+    task = {"dataset": "spirals", "n_train": 200, "n_eval": 100}
+    train = {"task": task, "model": {"layer_sizes": [2, 8, 2], "train": {"epochs": 1}}}
+    csv_task = {"dataset": "csv", "train_csv": str(base / "train.csv"),
+                "eval_csv": str(base / "eval.csv"), "eval_fractions": [0.5, 0.5]}
+    search = {
+        "task": task,
+        "model": {"checkpoint": str(base / "tiny.ckpt")},
+        "mutation": {"search": {"sigma_grid": [0.05], "rho_grid": [0.5], "probe_size": 50}},
+    }
+    return {
+        "train": ("train", train),
+        "search": ("search", search),
+        "csv": ("train", dict(train, task=csv_task)),
+    }
+
+
+class TestStrictConfigValues:
+    @pytest.mark.parametrize(
+        "base, where, value",
+        STRICT_CONFIG_CASES,
+        ids=[f"{b}:{w}={json.dumps(v)}" for b, w, v in STRICT_CONFIG_CASES],
+    )
+    def test_bad_value_exits_2(self, strict_bases, tmp_path, base, where, value, capsys):
+        command, cfg = strict_bases[base]
+        cfg = json.loads(json.dumps(cfg))
+        *parts, key = where.split(".")
+        node = cfg
+        for part in parts:
+            node = node.setdefault(part, {})
+        node[key] = value
+        out = tmp_path / "out"
+        out.mkdir()
+        path = write_config(tmp_path / "config.json", cfg)
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert f"error: {'.'.join(parts)} '{key}'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("base", ["train", "search", "csv"])
+    def test_base_configs_run(self, strict_bases, tmp_path, base):
+        command, cfg = strict_bases[base]
+        path = write_config(tmp_path / "config.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) in (0, 4)
+
+
+# A config that sets every SCHEMA key to a valid value. Files need not
+# exist: each value is checked before a command reads anything.
+FULL_CONFIG = {
+    "task": {
+        "dataset": "spirals", "n_train": 200, "n_eval": 100, "noise_std": 0.05, "turns": 1.75,
+        "train_seed": 1, "eval_seed": 2, "split_seed": 3, "eval_fractions": [0.5, 0.5],
+        "train_csv": "train.csv", "eval_csv": "eval.csv", "val_csv": "val.csv",
+        "test_csv": "test.csv",
+    },
+    "model": {
+        "layer_sizes": [2, 8, 2], "hidden_activation": "tanh", "seed": 0,
+        "train": {
+            "optimizer": "sgd", "learning_rate": 0.01, "epochs": 1, "batch_size": 8,
+            "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8, "shuffle_seed": 0,
+        },
+        "checkpoint": "model.ckpt",
+    },
+    "mutation": {
+        "sigma": 0.05, "rho": 0.5, "mu": 0.0, "subspace_mode": "static", "mirrored": False,
+        "anti_random": True, "search_result": "search_result.json",
+        "search": {
+            "sigma_grid": [0.05], "rho_grid": [0.5], "kl_target": 0.05, "kl_tolerance": 0.5,
+            "samples_per_cell": 2, "probe_size": 50, "seed": 0,
+        },
+    },
+    "evolution": {"pop_size": 4, "top_k": 2, "generations": 1, "master_seed": 0},
+    "boundary": {"sigma_grid": [0.05], "rho_grid": [0.5], "resolution": 8, "seed": 0},
+    "ablation": {
+        "sigma_grid": [0.05], "rho_grid": [0.5], "modes": ["dynamic"], "seeds": [0],
+        "pop_size": 4, "top_k": 2,
+    },
+    "output": {"dir": "out"},
+}
+SCHEMA_KEYS = [(name, key) for name, keys in SCHEMA.items() for key in keys]
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 300),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+)
+
+
+def _checked(cfg, name):
+    """Section `name` of cfg, or the nested object a dotted name names, checked."""
+    parent = name.rpartition(".")[0]
+    return section(_checked(cfg, parent) if parent else cfg, name)
+
+
+class TestSchema:
+    def test_full_config_sets_every_key(self):
+        for name, keys in SCHEMA.items():
+            assert _checked(FULL_CONFIG, name).keys() == keys.keys(), name
+
+    @pytest.mark.parametrize("name, key", SCHEMA_KEYS, ids=[f"{n}.{k}" for n, k in SCHEMA_KEYS])
+    @settings(max_examples=8, deadline=None, database=None)
+    @given(data=st.data())
+    def test_wrong_json_type_exits_2(self, name, key, data):
+        kind = SCHEMA[name][key][0]
+        value = data.draw(JSON_VALUES.filter(lambda v: type(v) not in kind.types))
+        cfg = json.loads(json.dumps(FULL_CONFIG))
+        node = cfg
+        for part in name.split("."):
+            node = node[part]
+        node[key] = value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            out = Path(tmp) / "out"
+            out.mkdir()
+            path = write_config(Path(tmp) / "config.json", cfg)
+            assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+            assert not any(out.iterdir())
+        assert f"error: {name} '{key}' must be" in err.getvalue()
+
+    def test_readme_tables_match_the_schema(self):
+        readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+        body = readme.split("\n## Config sections\n")[1].split("\n## ")[0]
+        tables = {}
+        for block in body.split("\n### ")[1:]:
+            title, _, rows = block.partition("\n")
+            cells = [row.split(" | ") for row in rows.splitlines() if row.startswith("| `")]
+            tables[title.strip("`")] = {c[0].strip("| `"): (c[1], c[2].rstrip(" |")) for c in cells}
+        assert tables.keys() == SCHEMA.keys()
+        for name, keys in SCHEMA.items():
+            assert tables[name].keys() == keys.keys(), name
+            for key, (kind, default) in keys.items():
+                rule, shown = tables[name][key]
+                assert rule == kind.rule, f"{name}.{key}"
+                if default is REQUIRED:
+                    assert shown == "required", f"{name}.{key}"
+                elif default is not None:
+                    assert shown == f"`{json.dumps(default)}`", f"{name}.{key}"
 
 
 class TestOutputResolution:

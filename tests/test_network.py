@@ -40,6 +40,21 @@ class TestNetworkSpec:
         with pytest.raises(ConfigurationError):
             NetworkSpec([2, 0, 2])
 
+    @pytest.mark.parametrize(
+        "sizes, seed",
+        [([2, 8.7, 2], 0), ([2, 8.0, 2], 0), ([2, True, 2], 0), ([2, "8", 2], 0),
+         ([2, 8, 2], True), ([2, 8, 2], 1.5), ([2, 8, 2], -1), ([2, 8, 2], "1")],
+    )
+    def test_rejects_non_integer_sizes_and_seeds(self, sizes, seed):
+        with pytest.raises(ConfigurationError):
+            NetworkSpec(sizes, seed=seed)
+
+    def test_accepts_numpy_integers(self):
+        spec = NetworkSpec([np.int64(2), np.int32(8), 2], seed=np.uint8(3))
+        assert spec.layer_sizes == (2, 8, 2)
+        assert all(type(s) is int for s in spec.layer_sizes)
+        assert init_network(spec).params.values.shape == (spec.param_count(),)
+
     def test_rejects_unknown_activation(self):
         with pytest.raises(ConfigurationError):
             NetworkSpec([2, 2], hidden_activation="gelu")
