@@ -9,14 +9,8 @@ mutation hyperparameters.
 """
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .datasets import Dataset, SplitSpec, load_csv, make_spirals, save_csv, split
-from .divergence import (
-    DivergenceReport,
-    GridSearchConfig,
-    grid_search,
-    output_kl,
-    output_mse,
-)
+from .datasets import Dataset, SplitSpec, load_csv, make_spirals, split
+from .divergence import GridSearchConfig, grid_search
 from .evolution import (
     EvalReport,
     GenerationConfig,
@@ -34,9 +28,7 @@ from .mutation import (
     Child,
     MutationParams,
     build_genomes,
-    child_genome,
     complement,
-    partition_masks,
     sample_mask,
     sample_noise,
     spawn_mutations,

@@ -21,6 +21,7 @@ from .network import Network, forward, softmax
 _BOUNDARY_NS = 4
 
 DEFAULT_RESOLUTION = 200
+_PAD = 0.1  # lattice padding, as a fraction of each side of the data's box
 
 
 @dataclass(frozen=True)
@@ -31,16 +32,16 @@ class BoundaryGrid:
     confidence: np.ndarray  # (res, res) max softmax probability
 
 
-def lattice_bounds(data: Dataset, pad: float = 0.1) -> tuple[float, float, float, float]:
-    """Bounding box of the samples padded by `pad` of each side length."""
+def lattice_bounds(data: Dataset) -> tuple[float, float, float, float]:
+    """Bounding box of the samples padded by `_PAD` of each side length."""
     lo = data.inputs.min(axis=0)
     hi = data.inputs.max(axis=0)
     span = hi - lo
     return (
-        float(lo[0] - pad * span[0]),
-        float(hi[0] + pad * span[0]),
-        float(lo[1] - pad * span[1]),
-        float(hi[1] + pad * span[1]),
+        float(lo[0] - _PAD * span[0]),
+        float(hi[0] + _PAD * span[0]),
+        float(lo[1] - _PAD * span[1]),
+        float(hi[1] + _PAD * span[1]),
     )
 
 

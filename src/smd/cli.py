@@ -26,6 +26,7 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .evolution import (
+    GenerationConfig,
     datasets_disjoint,
     run_ablation,
     run_generation,
@@ -103,15 +104,16 @@ def cmd_search(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     search_cfg, seed = cfgmod.build_search_config(cfg)
 
     outcome = grid_search(parent, val, search_cfg, seed)
+    best = outcome.best
     _write_json(
         out_dir / "search_result.json",
         {
-            "sigma": outcome.sigma,
-            "rho": outcome.rho,
-            "mean_kl": outcome.report.kl,
-            "mean_mse": outcome.report.mse,
-            "child_accuracy": outcome.report.child_accuracy,
-            "probe_size": outcome.report.probe_size,
+            "sigma": best.sigma,
+            "rho": best.rho,
+            "mean_kl": best.mean_kl,
+            "mean_mse": best.mean_mse,
+            "child_accuracy": best.mean_child_acc,
+            "probe_size": outcome.probe_size,
             "in_band": outcome.in_band,
             "kl_target": search_cfg.kl_target,
             "kl_tolerance": search_cfg.kl_tolerance,
@@ -120,7 +122,7 @@ def cmd_search(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     )
     write_sweep_csv(outcome.cells, out_dir / "sweep.csv")
     print(
-        f"sigma {outcome.sigma:g} | rho {outcome.rho:g} | mean KL {outcome.report.kl:.4f}"
+        f"sigma {best.sigma:g} | rho {best.rho:g} | mean KL {best.mean_kl:.4f}"
         f" | in_band {outcome.in_band}"
     )
     return EXIT_OK if outcome.in_band else EXIT_OUT_OF_BAND
@@ -140,8 +142,8 @@ def _resolve_mutation(cfg: dict, parent, val) -> MutationParams:
             raise ConfigurationError(f"{path}: not a search result artifact ({exc})") from exc
         return cfgmod.build_mutation_params(cfg, found, f"search result {path}")
     search_cfg, seed = cfgmod.build_search_config(cfg)
-    outcome = grid_search(parent, val, search_cfg, seed)
-    return cfgmod.build_mutation_params(cfg, {"sigma": outcome.sigma, "rho": outcome.rho})
+    best = grid_search(parent, val, search_cfg, seed).best
+    return cfgmod.build_mutation_params(cfg, {"sigma": best.sigma, "rho": best.rho})
 
 
 def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
@@ -149,8 +151,9 @@ def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     if not datasets_disjoint(val, test):
         raise DataHygieneError("validation and test sets share samples")
     parent = _load_parent(cfg)
+    sizes, master_seed = cfgmod.generation_sizes(cfg)
     mutation = _resolve_mutation(cfg, parent, val)
-    gen_cfg, master_seed = cfgmod.build_generation_config(cfg, mutation)
+    gen_cfg = GenerationConfig(mutation, **sizes)
 
     repeats = args.repeats
     reports = []
@@ -262,6 +265,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = cfgmod.load_config(args.config)
         out_dir = cfgmod.resolve_out_dir(cfg, args.out)
         for name in sorted(cfg.keys() - {"_comment"}):
+            if "." in name:  # a dotted SCHEMA name is an object nested in its section
+                raise ConfigurationError(f"config has an unknown section {name!r}")
             cfgmod.section(cfg, name)
         return _COMMANDS[args.command](cfg, out_dir, args)
     except (ConfigurationError, ParseError, CheckpointError) as exc:

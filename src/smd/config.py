@@ -282,10 +282,14 @@ def build_search_config(cfg: dict) -> tuple[GridSearchConfig, int]:
     return GridSearchConfig(**search), seed
 
 
-def build_generation_config(cfg: dict, mutation: MutationParams) -> tuple[GenerationConfig, int]:
+def generation_sizes(cfg: dict) -> tuple[dict, int]:
+    """The evolution section's sizes, as `GenerationConfig` keywords, and its
+    master seed. The sizes pass `GenerationConfig`'s rules here, before the
+    mutation is resolved, so a bad top_k fails before a KL grid search."""
     evolution = dict(section(cfg, "evolution", required=True))
     master_seed = evolution.pop("master_seed")
-    return GenerationConfig(mutation=mutation, **evolution), master_seed
+    GenerationConfig(None, **evolution)  # the mutation is not known yet
+    return evolution, master_seed
 
 
 def boundary_section(cfg: dict) -> dict:

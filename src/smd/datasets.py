@@ -106,16 +106,6 @@ def split(data: Dataset, spec: SplitSpec) -> list[Dataset]:
     return out
 
 
-def save_csv(data: Dataset, path: str | Path) -> None:
-    """Write features then the integer label, one row per sample, with header."""
-    path = Path(path)
-    d = data.inputs.shape[1]
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join([f"f{i}" for i in range(d)] + ["label"]) + "\n")
-        for row, label in zip(data.inputs, data.labels):
-            fh.write(",".join(f"{x:.17g}" for x in row) + f",{label}\n")
-
-
 def _is_numeric_row(fields: list[str]) -> bool:
     try:
         for f in fields:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import Dataset
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError
 from .metrics import accuracy
 from .mutation import MutationParams, build_genomes, derive_seed, spawn_mutations
 from .network import EPS_PROB, Network, forward, softmax, workspace
@@ -25,14 +25,6 @@ from .network import EPS_PROB, Network, forward, softmax, workspace
 _CELL_NS = 2
 
 SWEEP_COLUMNS = ("sigma", "rho", "mean_kl", "mean_mse", "mean_child_acc", "n_children")
-
-
-@dataclass(frozen=True)
-class DivergenceReport:
-    mse: float
-    kl: float
-    probe_size: int
-    child_accuracy: float
 
 
 @dataclass
@@ -75,18 +67,10 @@ class CellResult:
 
 @dataclass(frozen=True)
 class GridSearchOutcome:
-    sigma: float
-    rho: float
-    report: DivergenceReport
+    best: CellResult  # the cell the selection rule chose
+    probe_size: int  # probe rows every cell was scored on
     in_band: bool
     cells: tuple[CellResult, ...]
-
-
-def _check_same_spec(parent: Network, child: Network) -> None:
-    if parent.spec.layer_sizes != child.spec.layer_sizes or (
-        parent.spec.hidden_activation != child.spec.hidden_activation
-    ):
-        raise ShapeError("parent and child architectures differ")
 
 
 def mse_from_logits(parent_logits: np.ndarray, child_logits: np.ndarray) -> float:
@@ -109,23 +93,6 @@ def kl_from_probs(parent_probs: np.ndarray, child_logits: np.ndarray) -> float:
     q = clamped_softmax(child_logits)
     kl = (parent_probs * np.log(parent_probs / q)).sum(axis=1).mean()
     return max(float(kl), 0.0)
-
-
-def kl_from_logits(parent_logits: np.ndarray, child_logits: np.ndarray) -> float:
-    """Mean KL(parent || child) between clamped, renormalized softmaxes."""
-    return kl_from_probs(clamped_softmax(parent_logits), child_logits)
-
-
-def output_mse(parent: Network, child: Network, probe: Dataset) -> float:
-    """Mean squared difference of raw logits over the probe set."""
-    _check_same_spec(parent, child)
-    return mse_from_logits(forward(parent, probe.inputs), forward(child, probe.inputs))
-
-
-def output_kl(parent: Network, child: Network, probe: Dataset) -> float:
-    """Mean relative entropy between parent and child output distributions."""
-    _check_same_spec(parent, child)
-    return kl_from_logits(forward(parent, probe.inputs), forward(child, probe.inputs))
 
 
 def _search_spawn_params(sigma: float, rho: float, samples_per_cell: int) -> MutationParams:
@@ -209,14 +176,8 @@ def grid_search(
     cells = sweep_cells(
         parent, probe, cfg.sigma_grid, cfg.rho_grid, cfg.samples_per_cell, master_seed
     )
-    best, flag = select_cell(cells, cfg.kl_target, cfg.kl_tolerance)
-    report = DivergenceReport(
-        mse=best.mean_mse,
-        kl=best.mean_kl,
-        probe_size=probe.n,
-        child_accuracy=best.mean_child_acc,
-    )
-    return GridSearchOutcome(best.sigma, best.rho, report, flag, tuple(cells))
+    best, in_band = select_cell(cells, cfg.kl_target, cfg.kl_tolerance)
+    return GridSearchOutcome(best, probe.n, in_band, tuple(cells))
 
 
 def _cap_probe(probe: Dataset, probe_size: int) -> Dataset:

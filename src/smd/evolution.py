@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import ConfigurationError, ShapeError, StateError
-from .metrics import MetricTriple, metric_triple
+from .metrics import MetricTriple, accuracy, metric_triple
 from .mutation import Child, MutationParams, build_genomes, derive_seed, spawn_mutations
 from .network import Network, ParamVector, forward, nll_loss, softmax, workspace
 from .divergence import clamped_softmax, kl_from_probs
@@ -157,7 +157,7 @@ def evaluate_fitness(pop: Population, val: Dataset) -> np.ndarray:
         del genome  # release it before the next genome is built
         probs = softmax(logits)
         val_logits.append(logits)
-        fitness.append(float((probs.argmax(axis=1) == val.labels).mean()))
+        fitness.append(accuracy(probs, val.labels))
         nll.append(nll_loss(probs, val.labels))
     pop.val_logits = val_logits
     pop.fitness = np.array(fitness)
@@ -176,8 +176,7 @@ def select_top_k(pop: Population, k: int) -> list[int]:
     n = len(pop.children)
     if not 1 <= k <= n:
         raise ConfigurationError(f"k must lie in [1, {n}], got {k}")
-    nll = pop.val_nll if pop.val_nll is not None else np.zeros(n)
-    order = sorted(range(n), key=lambda i: (-pop.fitness[i], nll[i], i))
+    order = sorted(range(n), key=lambda i: (-pop.fitness[i], pop.val_nll[i], i))
     return order[:k]
 
 
@@ -294,8 +293,7 @@ def _report(
         }
         for i, child in enumerate(pop.children)
     ]
-    ensemble_val_probs = _mean_softmax(pop.val_logits[i] for i in selected)
-    ensemble_val_acc = float((ensemble_val_probs.argmax(axis=1) == val.labels).mean())
+    ensemble_val_acc = accuracy(_mean_softmax(pop.val_logits[i] for i in selected), val.labels)
 
     chosen = [pop.children[i] for i in selected]
     # `map` keeps no reference to the previous genome while it builds the next.

@@ -1,8 +1,7 @@
 """Classification report metrics: accuracy, NLL, expected calibration error.
 
-ECE uses 15 equal-width max-confidence bins over (0, 1] unless told
-otherwise; the bin scheme is echoed into report headers so numbers stay
-comparable across runs.
+ECE always uses `ECE_BINS` (15) equal-width max-confidence bins over
+(0, 1], so its numbers are comparable across runs.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .network import nll_loss
 
-DEFAULT_ECE_BINS = 15
+ECE_BINS = 15
 
 
 @dataclass(frozen=True)
@@ -39,27 +38,25 @@ def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float((probs.argmax(axis=1) == labels).mean())
 
 
-def ece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_ECE_BINS) -> float:
+def ece(probs: np.ndarray, labels: np.ndarray) -> float:
     """Expected calibration error under equal-width confidence binning.
 
-    Bin b covers (b/bins, (b+1)/bins]; softmax confidences are strictly
-    positive so the open left edge of bin 0 is unreachable. Empty bins
-    contribute nothing.
+    Bin b covers (b/ECE_BINS, (b+1)/ECE_BINS]; softmax confidences are
+    strictly positive so the open left edge of bin 0 is unreachable. Empty
+    bins contribute nothing.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if probs.size == 0 or labels.size == 0:
         raise ConfigurationError("cannot score an empty batch")
-    if bins < 1:
-        raise ConfigurationError("bins must be positive")
 
     conf = probs.max(axis=1)
     correct = probs.argmax(axis=1) == labels
-    idx = np.clip(np.ceil(conf * bins).astype(np.int64) - 1, 0, bins - 1)
+    idx = np.clip(np.ceil(conf * ECE_BINS).astype(np.int64) - 1, 0, ECE_BINS - 1)
 
     total = 0.0
     n = len(labels)
-    for b in range(bins):
+    for b in range(ECE_BINS):
         sel = idx == b
         count = int(sel.sum())
         if count == 0:
@@ -68,10 +65,6 @@ def ece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_ECE_BINS) -> 
     return float(total)
 
 
-def metric_triple(
-    probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_ECE_BINS
-) -> MetricTriple:
+def metric_triple(probs: np.ndarray, labels: np.ndarray) -> MetricTriple:
     """Accuracy, NLL, and ECE of one probability matrix."""
-    return MetricTriple(
-        accuracy(probs, labels), nll_loss(probs, labels), ece(probs, labels, bins)
-    )
+    return MetricTriple(accuracy(probs, labels), nll_loss(probs, labels), ece(probs, labels))

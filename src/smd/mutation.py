@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError
 from .network import ParamVector
 
 SUBSPACE_MODES = ("static", "dynamic")
@@ -97,19 +97,6 @@ def complement(mask: np.ndarray) -> np.ndarray:
     """Anti-random mask: every bit flipped."""
     mask = np.asarray(mask, dtype=np.uint8)
     return (1 - mask).astype(np.uint8)
-
-
-def partition_masks(w: int, n_parts: int, seed: int) -> list[np.ndarray]:
-    """n_parts pairwise-disjoint masks whose union covers every index.
-
-    Each index is assigned uniformly at random to one part.
-    """
-    if n_parts < 1:
-        raise ConfigurationError("n_parts must be positive")
-    if n_parts > w:
-        raise ConfigurationError(f"cannot split {w} parameters into {n_parts} parts")
-    assign = np.random.default_rng(seed).integers(0, n_parts, size=w)
-    return [(assign == p).astype(np.uint8) for p in range(n_parts)]
 
 
 def sample_noise(n: int, mu: float, sigma: float, seed: int) -> np.ndarray:
@@ -220,34 +207,10 @@ def build_genomes(
         yield _scatter(theta, *supports[on_complement], sign)
 
 
-def child_genome(
-    theta: ParamVector, values: np.ndarray, mask: np.ndarray, role: str
-) -> ParamVector:
-    """theta plus sign * values on `role`'s support; frozen coordinates are
-    never written.
-
-    `values` holds one value per support coordinate, in ascending index
-    order. For float32-valued theta and values the sum is exact in float64,
-    so a mirrored group averages back to theta exactly.
-    """
-    sign, _ = _role(role)
-    if mask.shape != theta.values.shape:
-        raise ShapeError(f"mask {mask.shape} vs genome {theta.w}")
-    index = _support_index(mask, role)
-    if values.shape != index.shape:
-        raise ShapeError(f"{values.shape} values for a support of {index.size}")
-    return _scatter(theta, index, values, sign)
-
-
 def _role(role: str) -> tuple[int, bool]:
     if role not in ROLES:
         raise ConfigurationError(f"unknown role {role!r}, expected one of {tuple(ROLES)}")
     return ROLES[role]
-
-
-def _support_index(mask: np.ndarray, role: str) -> np.ndarray:
-    """Ascending indices of `role`'s support."""
-    return np.flatnonzero(role_support(mask, role) == 1)
 
 
 def _draw_support(
@@ -255,7 +218,7 @@ def _draw_support(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The support indices of `child`'s role and one noise value for each:
     M draws from the group's noise seed, M' from a seed derived from it."""
-    index = _support_index(mask, child.role)
+    index = np.flatnonzero(role_support(mask, child.role) == 1)
     seed = child.seed
     if ROLES[child.role][1]:
         seed = derive_seed(child.seed, _COMPLEMENT_NS)
@@ -282,10 +245,3 @@ def mask_to_rle(mask: np.ndarray) -> str:
     ends = np.concatenate([edges, [mask.size]])
     return " ".join(f"{int(mask[s])}x{e - s}" for s, e in zip(starts, ends))
 
-
-def rle_to_mask(text: str) -> np.ndarray:
-    parts = []
-    for token in text.split():
-        bit, count = token.split("x")
-        parts.append(np.full(int(count), int(bit), dtype=np.uint8))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)

@@ -87,12 +87,6 @@ class ParamVector:
     def w(self) -> int:
         return self.values.shape[0]
 
-    def __len__(self) -> int:
-        return self.w
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy())
-
 
 @dataclass
 class Network:
@@ -135,14 +129,6 @@ def unflatten(spec: NetworkSpec, values: np.ndarray) -> list[tuple[np.ndarray, n
         (values[w0:b0].reshape(fan_in, fan_out), values[b0:end])
         for fan_in, fan_out, w0, b0, end in spec._layout
     ]
-
-
-def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    chunks = []
-    for w, b in layers:
-        chunks.append(np.asarray(w, dtype=np.float64).ravel())
-        chunks.append(np.asarray(b, dtype=np.float64).ravel())
-    return np.concatenate(chunks)
 
 
 def _activate_inplace(z: np.ndarray, kind: str) -> None:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import ConfigurationError, TrainingDivergenceError
+from .metrics import accuracy
 from .network import (
     Network,
     NetworkSpec,
@@ -70,11 +71,6 @@ def _loss_and_delta(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.n
     e[rows, labels] -= 1.0
     e /= n
     return loss, e
-
-
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy from raw logits via a stable log-softmax."""
-    return _loss_and_delta(logits, labels)[0]
 
 
 def loss_and_grad(
@@ -187,8 +183,7 @@ def train_model(
 
         if history is not None:
             trained = Network(net.spec, ParamVector(theta))
-            probs = softmax(forward(trained, data.inputs))
-            acc = float((probs.argmax(axis=1) == data.labels).mean())
+            acc = accuracy(softmax(forward(trained, data.inputs)), data.labels)
             history.append({"epoch": epoch, "loss": epoch_loss / n, "accuracy": acc})
 
     return Network(net.spec, ParamVector(theta))

@@ -1,0 +1,111 @@
+"""Reference implementations the tests compare the package against.
+
+None of these run in a command. `child_genome` builds a genome by its own
+scatter, so a test that compares it with `mutation.build_genomes` compares
+two separate implementations.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from smd.datasets import Dataset
+from smd.divergence import clamped_softmax, kl_from_probs, mse_from_logits
+from smd.errors import ConfigurationError, ShapeError
+from smd.mutation import ROLES, role_support
+from smd.network import Network, ParamVector, forward
+
+
+def child_genome(
+    theta: ParamVector, values: np.ndarray, mask: np.ndarray, role: str
+) -> ParamVector:
+    """theta plus sign * values on `role`'s support; frozen coordinates are
+    never written.
+
+    `values` holds one value per support coordinate, in ascending index
+    order. For float32-valued theta and values the sum is exact in float64,
+    so a mirrored group averages back to theta exactly.
+    """
+    if role not in ROLES:
+        raise ConfigurationError(f"unknown role {role!r}, expected one of {tuple(ROLES)}")
+    if mask.shape != theta.values.shape:
+        raise ShapeError(f"mask {mask.shape} vs genome {theta.w}")
+    index = np.flatnonzero(role_support(mask, role) == 1)
+    if values.shape != index.shape:
+        raise ShapeError(f"{values.shape} values for a support of {index.size}")
+    genome = theta.values.copy()
+    genome[index] = theta.values[index] + ROLES[role][0] * values
+    return ParamVector(genome)
+
+
+def partition_masks(w: int, n_parts: int, seed: int) -> list[np.ndarray]:
+    """n_parts pairwise-disjoint masks whose union covers every index.
+
+    Each index is assigned uniformly at random to one part.
+    """
+    if n_parts < 1:
+        raise ConfigurationError("n_parts must be positive")
+    if n_parts > w:
+        raise ConfigurationError(f"cannot split {w} parameters into {n_parts} parts")
+    assign = np.random.default_rng(seed).integers(0, n_parts, size=w)
+    return [(assign == p).astype(np.uint8) for p in range(n_parts)]
+
+
+def rle_to_mask(text: str) -> np.ndarray:
+    """Inverse of `mutation.mask_to_rle`."""
+    parts = []
+    for token in text.split():
+        bit, count = token.split("x")
+        parts.append(np.full(int(count), int(bit), dtype=np.uint8))
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
+
+
+def _check_same_spec(parent: Network, child: Network) -> None:
+    if parent.spec.layer_sizes != child.spec.layer_sizes or (
+        parent.spec.hidden_activation != child.spec.hidden_activation
+    ):
+        raise ShapeError("parent and child architectures differ")
+
+
+def kl_from_logits(parent_logits: np.ndarray, child_logits: np.ndarray) -> float:
+    """Mean KL(parent || child) between clamped, renormalized softmaxes."""
+    return kl_from_probs(clamped_softmax(parent_logits), child_logits)
+
+
+def output_mse(parent: Network, child: Network, probe: Dataset) -> float:
+    """Mean squared difference of raw logits over the probe set."""
+    _check_same_spec(parent, child)
+    return mse_from_logits(forward(parent, probe.inputs), forward(child, probe.inputs))
+
+
+def output_kl(parent: Network, child: Network, probe: Dataset) -> float:
+    """Mean relative entropy between parent and child output distributions."""
+    _check_same_spec(parent, child)
+    return kl_from_logits(forward(parent, probe.inputs), forward(child, probe.inputs))
+
+
+def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Inverse of `network.unflatten`: each layer's W row-major, then its b."""
+    chunks = []
+    for w, b in layers:
+        chunks.append(np.asarray(w, dtype=np.float64).ravel())
+        chunks.append(np.asarray(b, dtype=np.float64).ravel())
+    return np.concatenate(chunks)
+
+
+def save_csv(data: Dataset, path: str | Path) -> None:
+    """Write features then the integer label, one row per sample, with header."""
+    d = data.inputs.shape[1]
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join([f"f{i}" for i in range(d)] + ["label"]) + "\n")
+        for row, label in zip(data.inputs, data.labels):
+            fh.write(",".join(f"{x:.17g}" for x in row) + f",{label}\n")
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy from raw logits via a stable log-softmax."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=1))
+    return float((log_norm - z[np.arange(len(labels)), labels]).mean())

@@ -14,21 +14,14 @@ import pytest
 
 from smd.cli import main
 from smd.datasets import make_spirals
-from smd.divergence import (
-    output_kl,
-    output_mse,
-    sweep_cells,
-    write_sweep_csv,
-)
+from smd.divergence import sweep_cells, write_sweep_csv
 from smd.evolution import GenerationConfig, run_generation, select_top_k
 from smd.metrics import accuracy, ece, metric_triple
 from smd.mutation import (
     Child,
     MutationParams,
     build_genomes,
-    child_genome,
     complement,
-    partition_masks,
     sample_mask,
     sample_noise,
 )
@@ -41,7 +34,9 @@ from smd.network import (
     nll_loss,
     softmax,
 )
-from smd.training import TrainConfig, cross_entropy, loss_and_grad
+from smd.training import TrainConfig, loss_and_grad
+
+from oracles import child_genome, cross_entropy, output_kl, output_mse, partition_masks
 
 
 def report(criterion: str, passed: bool, detail: str = ""):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from smd.checkpoint import save_checkpoint
 from smd.cli import main
 from smd.config import REQUIRED, SCHEMA, ablation_section, load_config, section
+from smd.divergence import SWEEP_COLUMNS
+from smd.evolution import ABLATION_CSV_COLUMNS, EVAL_CSV_COLUMNS
 from smd.network import NetworkSpec, init_network
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -227,7 +230,8 @@ class TestEvolveCommand:
 
     def test_val_test_overlap_exits_5(self, trained, tmp_path):
         base, out, cfg = trained
-        from smd.datasets import make_spirals, save_csv
+        from oracles import save_csv
+        from smd.datasets import make_spirals
 
         data = make_spirals(100, seed=50)
         csv_path = tmp_path / "same.csv"
@@ -264,9 +268,10 @@ class TestEvolveCommand:
             MutationParams,
             build_genomes,
             derive_seed,
-            rle_to_mask,
             spawn_mutations,
         )
+
+        from oracles import rle_to_mask
 
         mutation = {"sigma": 0.05, "rho": 0.5, "mirrored": mirrored, "anti_random": True}
         path, out = self.evolve_config(trained, mutation)
@@ -558,6 +563,8 @@ class TestConfigKeyContract:
             ("evolution", "popsize", 8),
             ("mutation", "sigam", 0.05),
             ("ouptut", "dir", "elsewhere"),
+            ("model.train", "epochs", 5),
+            ("mutation.search", "seed", 3),
         ],
     )
     def test_inert_or_unknown_key_exits_2(self, contract_base, section, key, value, capsys):
@@ -639,6 +646,23 @@ class TestStrictMutationAndEvolution:
         assert main(["evolve", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "error: evolution 'pop_size'" in capsys.readouterr().err
 
+    def test_top_k_above_pop_size_fails_before_the_search(
+        self, contract_base, tmp_path, monkeypatch, capsys
+    ):
+        def no_search(*args):
+            raise AssertionError("the KL grid search ran before top_k was checked")
+
+        monkeypatch.setattr("smd.cli.grid_search", no_search)
+        cfg = json.loads(json.dumps(contract_base[0]))
+        cfg["mutation"] = {"search": {"sigma_grid": [0.05], "rho_grid": [0.5]}}
+        cfg["evolution"]["top_k"] = cfg["evolution"]["pop_size"] + 1
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "evolve.json", cfg)
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "top_k" in err
+        assert not any(out.iterdir())
+
 
 # Bad values for the train and search commands, as (base config, dotted key
 # path, value); the "csv" base trains from csv files.
@@ -669,7 +693,8 @@ STRICT_CONFIG_CASES = [
 @pytest.fixture(scope="module")
 def strict_bases(tmp_path_factory):
     """Valid configs on a tiny [2, 8, 2] task: (command, config) by base name."""
-    from smd.datasets import make_spirals, save_csv
+    from oracles import save_csv
+    from smd.datasets import make_spirals
 
     base = tmp_path_factory.mktemp("strict")
     save_checkpoint(init_network(NetworkSpec([2, 8, 2], seed=1)), base / "tiny.ckpt")
@@ -813,6 +838,20 @@ class TestSchema:
                     assert shown == "required", f"{name}.{key}"
                 elif default is not None:
                     assert shown == f"`{json.dumps(default)}`", f"{name}.{key}"
+
+
+class TestFileFormats:
+    @pytest.mark.parametrize(
+        "label, columns",
+        [("Sweep CSV", SWEEP_COLUMNS), ("Ablation CSV", ABLATION_CSV_COLUMNS),
+         ("Evaluation CSV", EVAL_CSV_COLUMNS)],
+    )
+    def test_readme_csv_columns_match_the_writers(self, label, columns):
+        readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+        body = readme.split("\n## File formats\n")[1].split("\n## ")[0]
+        entry = body.split(f"\n- **{label}**")[1].split("\n- ")[0]
+        header = re.search(r"`([a-z_]+(?:,[a-z_]+)+)`", entry).group(1)
+        assert tuple(header.split(",")) == columns
 
 
 class TestOutputResolution:

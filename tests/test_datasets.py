@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from smd.datasets import Dataset, SplitSpec, load_csv, make_spirals, save_csv, split
+from smd.datasets import Dataset, SplitSpec, load_csv, make_spirals, split
 from smd.errors import ConfigurationError, ParseError
+
+from oracles import save_csv
 
 
 class TestMakeSpirals:

@@ -8,8 +8,6 @@ from smd.divergence import (
     CellResult,
     GridSearchConfig,
     grid_search,
-    output_kl,
-    output_mse,
     select_cell,
     sweep_cells,
     write_sweep_csv,
@@ -17,6 +15,8 @@ from smd.divergence import (
 from smd.errors import ConfigurationError, ShapeError
 from smd.mutation import MutationParams, spawn_mutations
 from smd.network import Network, NetworkSpec, ParamVector, forward, init_network, softmax
+
+from oracles import output_kl, output_mse
 
 
 def random_probe(rng, n, d, classes):
@@ -218,14 +218,14 @@ class TestSweep:
         parent, data = small_parent
         cfg = GridSearchConfig(sigma_grid=(0.05,), rho_grid=(0.5,), kl_target=0.05)
         out = grid_search(parent, data, cfg, 13)
-        assert (out.sigma, out.rho) == (0.05, 0.5)
+        assert (out.best.sigma, out.best.rho) == (0.05, 0.5)
 
     def test_grid_search_deterministic(self, small_parent):
         parent, data = small_parent
         cfg = GridSearchConfig(sigma_grid=(0.02, 0.05), rho_grid=(0.0, 0.5), kl_target=0.05)
         a = grid_search(parent, data, cfg, 21)
         b = grid_search(parent, data, cfg, 21)
-        assert (a.sigma, a.rho, a.report) == (b.sigma, b.rho, b.report)
+        assert (a.best, a.probe_size) == (b.best, b.probe_size)
 
     def test_spiral_search_prefers_sparse_cells(self, bench_task):
         """At the 0.05 KL budget, the winning cell mutates a sparse subspace."""
@@ -239,7 +239,7 @@ class TestSweep:
         )
         out = grid_search(bench_task.parent, bench_task.val, cfg, 11)
         assert out.in_band
-        assert out.rho >= 0.5
+        assert out.best.rho >= 0.5
 
 
 class TestGridSearchConfig:

@@ -23,12 +23,13 @@ from smd.mutation import (
     Child,
     MutationParams,
     build_genomes,
-    child_genome,
     sample_mask,
     sample_noise,
     spawn_mutations,
 )
 from smd.network import Network, NetworkSpec, ParamVector, forward, init_network, softmax
+
+from oracles import child_genome
 
 
 def make_population(fitness, nll=None):

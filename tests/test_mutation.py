@@ -11,17 +11,16 @@ from smd.mutation import (
     SUBSPACE_MODES,
     MutationParams,
     build_genomes,
-    child_genome,
     complement,
     derive_seed,
     mask_to_rle,
-    partition_masks,
-    rle_to_mask,
     sample_mask,
     sample_noise,
     spawn_mutations,
 )
 from smd.network import ParamVector
+
+from oracles import child_genome, partition_masks, rle_to_mask
 
 
 def f32_genome(rng, w):

@@ -11,7 +11,6 @@ from smd.network import (
     Network,
     NetworkSpec,
     ParamVector,
-    flatten,
     forward,
     init_network,
     nll_loss,
@@ -19,6 +18,8 @@ from smd.network import (
     unflatten,
     workspace,
 )
+
+from oracles import flatten
 
 
 class TestNetworkSpec:

@@ -15,7 +15,6 @@ import pytest
 
 import smd.evolution as evolution
 from smd.cli import main
-from smd.divergence import kl_from_logits
 from smd.evolution import (
     GenerationConfig,
     ensemble_predict,
@@ -26,6 +25,8 @@ from smd.evolution import (
 )
 from smd.mutation import MutationParams, build_genomes, derive_seed
 from smd.network import Network, ParamVector, forward
+
+from oracles import kl_from_logits
 
 POP, TOP_K = 8, 4
 

@@ -9,7 +9,9 @@ from smd.datasets import Dataset, make_spirals
 from smd.errors import ConfigurationError, TrainingDivergenceError
 from smd.metrics import accuracy
 from smd.network import NetworkSpec, forward, init_network, softmax
-from smd.training import TrainConfig, cross_entropy, loss_and_grad, train_model
+from smd.training import TrainConfig, loss_and_grad, train_model
+
+from oracles import cross_entropy
 
 
 def tiny_batch(rng, n=12, d=2, classes=2):
