@@ -34,7 +34,7 @@ from .evolution import (
     write_eval_csv,
 )
 from .metrics import accuracy
-from .mutation import MutationParams, derive_seed, mask_to_rle, role_support, sample_mask
+from .mutation import MutationParams, mask_to_rle, role_support, sample_mask
 from .network import Network, forward, init_network, softmax
 from .training import train_model
 
@@ -44,9 +44,6 @@ EXIT_DIVERGENCE = 3
 EXIT_OUT_OF_BAND = 4
 EXIT_HYGIENE = 5
 EXIT_TASK_MISMATCH = 6
-
-# Spawn-key namespace for --repeats reruns.
-_REPEAT_NS = 5
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -143,7 +140,8 @@ def _resolve_mutation(cfg: dict, parent, val) -> MutationParams:
         return cfgmod.build_mutation_params(cfg, found, f"search result {path}")
     search_cfg, seed = cfgmod.build_search_config(cfg)
     best = grid_search(parent, val, search_cfg, seed).best
-    return cfgmod.build_mutation_params(cfg, {"sigma": best.sigma, "rho": best.rho})
+    found = {"sigma": best.sigma, "rho": best.rho}
+    return cfgmod.build_mutation_params(cfg, found, "the KL grid search")
 
 
 def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
@@ -155,23 +153,9 @@ def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     mutation = _resolve_mutation(cfg, parent, val)
     gen_cfg = GenerationConfig(mutation, **sizes)
 
-    repeats = args.repeats
-    reports = []
-    for r in range(repeats):
-        seed_r = master_seed if repeats == 1 else derive_seed(master_seed, _REPEAT_NS, r)
-        reports.append(run_generation(parent, gen_cfg, val, test, seed_r))
     # Best-of-R selection peeks only at validation-side accuracy.
-    best_idx = max(range(repeats), key=lambda r: (reports[r].ensemble_val_accuracy, -r))
-    best = reports[best_idx]
-
-    payload = best.to_json_dict()
-    if repeats > 1:
-        payload["repeats"] = [
-            {"seed": rep.seed, "ensemble_val_accuracy": rep.ensemble_val_accuracy}
-            for rep in reports
-        ]
-        payload["best_repeat"] = best_idx
-    _write_json(out_dir / "eval_report.json", payload)
+    best = run_generation(parent, gen_cfg, val, test, master_seed, args.repeats)
+    _write_json(out_dir / "eval_report.json", best.to_json_dict())
     write_eval_csv([best], out_dir / "eval_report.csv")
 
     if args.dump_masks:

@@ -23,7 +23,7 @@ from .datasets import Dataset, SplitSpec, load_csv, make_spirals, split
 from .divergence import GridSearchConfig
 from .errors import ConfigurationError
 from .evolution import GenerationConfig
-from .mutation import SUBSPACE_MODES, MutationParams
+from .mutation import SUBSPACE_MODES, MutationParams, group_roles
 from .network import ACTIVATIONS, NetworkSpec
 from .training import OPTIMIZERS, TrainConfig
 
@@ -273,7 +273,13 @@ def build_mutation_params(
         raise ConfigurationError(f"{source} needs both 'sigma' and 'rho', got {found!r}")
     sigma, rho = (_value(source, k, SCHEMA["mutation"][k][0], found[k]) for k in ("sigma", "rho"))
     strategy = ("mu", "subspace_mode", "mirrored", "anti_random")
-    return MutationParams(sigma, rho, **{k: mutation[k] for k in strategy if k in mutation})
+    params = MutationParams(sigma, rho, **{k: mutation[k] for k in strategy if k in mutation})
+    if params.anti_random and rho == 0:
+        raise ConfigurationError(
+            f"mutation 'anti_random' needs rho > 0, got rho 0 from {source}: the complement "
+            "subspace is empty, so its children would copy the parent"
+        )
+    return params
 
 
 def build_search_config(cfg: dict) -> tuple[GridSearchConfig, int]:
@@ -284,11 +290,18 @@ def build_search_config(cfg: dict) -> tuple[GridSearchConfig, int]:
 
 def generation_sizes(cfg: dict) -> tuple[dict, int]:
     """The evolution section's sizes, as `GenerationConfig` keywords, and its
-    master seed. The sizes pass `GenerationConfig`'s rules here, before the
-    mutation is resolved, so a bad top_k fails before a KL grid search."""
+    master seed. The sizes pass `GenerationConfig`'s rules, and pop_size the
+    spawning-group rule of the mutation section's strategy, here, before the
+    mutation is resolved, so a bad size fails before a KL grid search."""
     evolution = dict(section(cfg, "evolution", required=True))
     master_seed = evolution.pop("master_seed")
-    GenerationConfig(None, **evolution)  # the mutation is not known yet
+    sizes = GenerationConfig(None, **evolution)  # the mutation is not known yet
+    mutation = section(cfg, "mutation", required=True)
+    group_roles(
+        mutation.get("mirrored", MutationParams.mirrored),
+        mutation.get("anti_random", MutationParams.anti_random),
+        sizes.pop_size,
+    )
     return evolution, master_seed
 
 

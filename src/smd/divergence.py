@@ -79,18 +79,20 @@ def mse_from_logits(parent_logits: np.ndarray, child_logits: np.ndarray) -> floa
     return float((diff**2).sum(axis=1).mean())
 
 
-def clamped_softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax clamped at EPS_PROB and renormalized: one side of the KL probe."""
-    p = np.clip(softmax(logits), EPS_PROB, None)
+def clamp_probs(probs: np.ndarray) -> np.ndarray:
+    """Probabilities clamped at EPS_PROB and renormalized: how each side of
+    the KL probe enters the log."""
+    p = np.clip(probs, EPS_PROB, None)
     return p / p.sum(axis=1, keepdims=True)
 
 
-def kl_from_probs(parent_probs: np.ndarray, child_logits: np.ndarray) -> float:
-    """Mean KL(parent || child), the parent given as its `clamped_softmax`.
+def kl_from_probs(parent_probs: np.ndarray, child_probs: np.ndarray) -> float:
+    """Mean KL(parent || child) from softmax outputs, the parent given
+    already clamped (`clamp_probs`) and the child not.
 
-    Scoring many children against one parent computes that once.
+    Scoring many children against one parent clamps the parent once.
     """
-    q = clamped_softmax(child_logits)
+    q = clamp_probs(child_probs)
     kl = (parent_probs * np.log(parent_probs / q)).sum(axis=1).mean()
     return max(float(kl), 0.0)
 
@@ -118,11 +120,12 @@ def sweep_cells(
     randomness derives from (master_seed, cell index, child index), with
     the cell index counted sigma-major, so the visiting order does not
     change any cell's values. The parent and every child run through one
-    activation workspace.
+    activation workspace, and each child's logits are softmaxed once, for
+    both its KL and its accuracy.
     """
     scratch = workspace(parent.spec, probe.n)
     parent_logits = forward(parent, probe.inputs, scratch)
-    parent_probs = clamped_softmax(parent_logits)
+    parent_probs = clamp_probs(softmax(parent_logits))
     cells = []
     for cj, rho in enumerate(rho_grid):
         for ci, sigma in enumerate(sigma_grid):
@@ -134,9 +137,10 @@ def sweep_cells(
             for genome in build_genomes(parent.params, params, children):
                 child_logits = forward(Network(parent.spec, genome), probe.inputs, scratch)
                 del genome  # release it before the next genome is built
-                kls.append(kl_from_probs(parent_probs, child_logits))
+                child_probs = softmax(child_logits)
+                kls.append(kl_from_probs(parent_probs, child_probs))
                 mses.append(mse_from_logits(parent_logits, child_logits))
-                accs.append(accuracy(softmax(child_logits), probe.labels))
+                accs.append(accuracy(child_probs, probe.labels))
             cells.append(
                 CellResult(
                     sigma=sigma,

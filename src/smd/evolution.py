@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +20,11 @@ from .errors import ConfigurationError, ShapeError, StateError
 from .metrics import MetricTriple, accuracy, metric_triple
 from .mutation import Child, MutationParams, build_genomes, derive_seed, spawn_mutations
 from .network import Network, ParamVector, forward, nll_loss, softmax, workspace
-from .divergence import clamped_softmax, kl_from_probs
+from .divergence import clamp_probs, kl_from_probs
 
-# Spawn-key namespace separating per-generation randomness.
+# Spawn-key namespaces separating per-generation and per-repeat randomness.
 _GENERATION_NS = 3
+_REPEAT_NS = 5
 
 EVAL_CSV_COLUMNS = (
     "sigma", "rho", "subspace_mode", "mirrored", "anti_random",
@@ -58,15 +59,20 @@ class GenerationConfig:
 @dataclass
 class Population:
     """A generation's children as seed records; genomes are rebuilt from
-    `mutation` and the parent only while a child is scored or combined."""
+    `mutation` and the parent only while a child is scored or combined.
+
+    `evaluate_fitness` fills the scores: each child's validation accuracy,
+    its validation NLL and its validation softmax probabilities, (n, C)
+    each. The probabilities are the child's one softmax; fitness, NLL, the
+    KL probe and the ensemble's validation accuracy all read them.
+    """
 
     parent: Network
     mutation: MutationParams
     children: list[Child]
     fitness: np.ndarray | None = None
     val_nll: np.ndarray | None = None
-    # Per-child validation logits, (n, C) each, filled by evaluate_fitness.
-    val_logits: list[np.ndarray] | None = None
+    val_probs: list[np.ndarray] | None = None
 
 
 @dataclass
@@ -81,13 +87,17 @@ class EvalReport:
     ensemble_val_accuracy: float
     config: dict
     seed: int
+    # With --repeats R > 1: each repeat's seed and ensemble validation
+    # accuracy, and the index of the reported one.
+    repeats: list[dict] = field(default_factory=list)
+    best_repeat: int = 0
 
     @property
     def delta_acc(self) -> float:
         return self.ensemble_metrics.accuracy - self.parent_metrics.accuracy
 
     def to_json_dict(self) -> dict:
-        return {
+        payload = {
             "parent": self.parent_metrics.as_dict(),
             "averaged": self.averaged_metrics.as_dict(),
             "ensemble": self.ensemble_metrics.as_dict(),
@@ -100,6 +110,10 @@ class EvalReport:
             "config": self.config,
             "seed": self.seed,
         }
+        if len(self.repeats) > 1:
+            payload["repeats"] = self.repeats
+            payload["best_repeat"] = self.best_repeat
+        return payload
 
     def to_csv_row(self) -> list:
         mut = self.config["mutation"]
@@ -140,26 +154,26 @@ def spawn_population(
 def evaluate_fitness(pop: Population, val: Dataset) -> np.ndarray:
     """Validation accuracy per child (the parent is never scored).
 
-    This is the one validation pass per child: its logits are kept in
-    `pop.val_logits` and reused by `run_generation` for the KL probe and
-    the ensemble's validation accuracy. Also records per-child validation
-    NLL for selection tie-breaks. `build_genomes` draws each group's mask
-    and noise once and yields its genomes one at a time, so each genome is
-    dropped once scored. Every child runs through one activation workspace.
+    This is the one validation pass per child: one forward and one softmax.
+    The probabilities are kept in `pop.val_probs` and reused by
+    `run_generation` for the KL probe and the ensemble's validation
+    accuracy. Also records per-child validation NLL for selection
+    tie-breaks. `build_genomes` draws each group's mask and noise once and
+    yields its genomes one at a time, so each genome is dropped once
+    scored. Every child runs through one activation workspace.
     """
     if val.n < 1:
         raise ConfigurationError("validation set is empty")
     spec = pop.parent.spec
     scratch = workspace(spec, val.n)
-    val_logits, fitness, nll = [], [], []
+    val_probs, fitness, nll = [], [], []
     for genome in build_genomes(pop.parent.params, pop.mutation, pop.children):
-        logits = forward(Network(spec, genome), val.inputs, scratch)
+        probs = softmax(forward(Network(spec, genome), val.inputs, scratch))
         del genome  # release it before the next genome is built
-        probs = softmax(logits)
-        val_logits.append(logits)
+        val_probs.append(probs)
         fitness.append(accuracy(probs, val.labels))
         nll.append(nll_loss(probs, val.labels))
-    pop.val_logits = val_logits
+    pop.val_probs = val_probs
     pop.fitness = np.array(fitness)
     pop.val_nll = np.array(nll)
     return pop.fitness
@@ -208,7 +222,7 @@ def ensemble_predict(candidates: Iterable[Network], inputs: np.ndarray) -> np.nd
     """Unweighted mean of member softmax outputs. Members are run one at a
     time through one activation workspace, so a generator of networks is
     never held whole."""
-    member_logits, spec = [], None
+    member_probs, spec = [], None
     for net in candidates:
         if spec is None:
             spec = net.spec
@@ -217,15 +231,21 @@ def ensemble_predict(candidates: Iterable[Network], inputs: np.ndarray) -> np.nd
             net.spec.hidden_activation != spec.hidden_activation
         ):
             raise ShapeError("ensemble members must share one architecture")
-        member_logits.append(forward(net, inputs, scratch))
+        member_probs.append(softmax(forward(net, inputs, scratch)))
         del net  # release it before the next member is built
-    if not member_logits:
+    if not member_probs:
         raise ConfigurationError("cannot ensemble an empty member list")
-    return _mean_softmax(member_logits)
+    return _mean_probs(member_probs)
 
 
-def _mean_softmax(member_logits: Iterable[np.ndarray]) -> np.ndarray:
-    return np.mean(np.stack([softmax(z) for z in member_logits]), axis=0)
+def _mean_probs(member_probs: Iterable[np.ndarray]) -> np.ndarray:
+    return np.mean(np.stack(list(member_probs)), axis=0)
+
+
+def _ensemble_val_accuracy(pop: Population, selected: list[int], val: Dataset) -> float:
+    """Validation accuracy of the selected children's ensemble, from their
+    cached probabilities."""
+    return accuracy(_mean_probs(pop.val_probs[i] for i in selected), val.labels)
 
 
 def _evolve(
@@ -256,7 +276,7 @@ def _evolve(
 def _score_parent(parent: Network, val: Dataset, test: Dataset) -> tuple[np.ndarray, MetricTriple]:
     """The parent's clamped validation distribution (the fixed side of the
     KL probe) and its test metrics."""
-    val_probs = clamped_softmax(forward(parent, val.inputs))
+    val_probs = clamp_probs(softmax(forward(parent, val.inputs)))
     return val_probs, metric_triple(softmax(forward(parent, test.inputs)), test.labels)
 
 
@@ -270,8 +290,8 @@ def _report(
     master_seed: int,
     parent_scores: tuple[np.ndarray, MetricTriple],
 ) -> EvalReport:
-    """Report one scored generation from its cached validation logits and
-    its parent's `_score_parent` result.
+    """Report one scored generation from its cached validation
+    probabilities and its parent's `_score_parent` result.
 
     Only the averaged model and the ensemble members are run forward, on
     the test set. The members are rebuilt from their seed records one at a
@@ -279,7 +299,7 @@ def _report(
     """
     parent_val_probs, parent_metrics = parent_scores
     spec = pop.parent.spec
-    child_kls = [kl_from_probs(parent_val_probs, z) for z in pop.val_logits]
+    child_kls = [kl_from_probs(parent_val_probs, p) for p in pop.val_probs]
     per_child = [
         {
             "index": i,
@@ -293,8 +313,6 @@ def _report(
         }
         for i, child in enumerate(pop.children)
     ]
-    ensemble_val_acc = accuracy(_mean_softmax(pop.val_logits[i] for i in selected), val.labels)
-
     chosen = [pop.children[i] for i in selected]
     # `map` keeps no reference to the previous genome while it builds the next.
     member_nets = map(
@@ -319,7 +337,7 @@ def _report(
         selected_indices=list(selected),
         mean_kl_children=float(np.mean(child_kls)),
         mean_kl_selected=float(np.mean([child_kls[i] for i in selected])),
-        ensemble_val_accuracy=ensemble_val_acc,
+        ensemble_val_accuracy=_ensemble_val_accuracy(pop, selected, val),
         config=config_echo,
         seed=master_seed,
     )
@@ -331,24 +349,50 @@ def run_generation(
     val: Dataset,
     test: Dataset,
     master_seed: int,
+    repeats: int = 1,
 ) -> EvalReport:
     """Spawn, score, select, combine; report metrics on the test set.
 
     With generations > 1 the averaged model becomes the next parent; the
     report describes the final generation (its parent is the chained
-    model). Each child's validation logits are computed once, by
-    `evaluate_fitness`, and reused for fitness, NLL, the per-child KL to
-    the parent and the ensemble's validation accuracy, so one generation
-    runs P + k + 3 forward passes: P on validation, then the parent on
-    validation and test, and the averaged model and k members on test.
-    Children are kept as seed records: a genome exists only while its
-    group is scored, and the k selected genomes are rebuilt one at a time,
-    once for the average and once for the ensemble.
+    model). Each child's validation logits are computed and softmaxed
+    once, by `evaluate_fitness`, and the probabilities are reused for
+    fitness, NLL, the per-child KL to the parent and the ensemble's
+    validation accuracy, so one generation runs P + k + 3 forward passes:
+    P on validation, then the parent on validation and test, and the
+    averaged model and k members on test. Children are kept as seed
+    records: a genome exists only while its group is scored, and the k
+    selected genomes are rebuilt one at a time, once for the average and
+    once for the ensemble.
+
+    With repeats R > 1, R runs evolve on validation data only, run r from
+    a seed derived from (master_seed, r). Only the run whose ensemble has
+    the best validation accuracy (the earliest on a tie) is scored on the
+    test set, so the test set is still read once, by k + 2 forward passes
+    (the parent, the average and the k members). The report lists each
+    run's seed and ensemble validation accuracy.
     """
-    pop, selected, averaged = _evolve(parent, cfg, val, master_seed)
+    if repeats < 1:
+        raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
+    seeds = [master_seed]
+    if repeats > 1:
+        seeds = [derive_seed(master_seed, _REPEAT_NS, r) for r in range(repeats)]
+    tried, best, best_repeat = [], None, 0
+    for r, seed in enumerate(seeds):
+        run = _evolve(parent, cfg, val, seed)
+        val_acc = _ensemble_val_accuracy(run[0], run[1], val)
+        tried.append({"seed": seed, "ensemble_val_accuracy": val_acc})
+        if best is None or val_acc > tried[best_repeat]["ensemble_val_accuracy"]:
+            best, best_repeat = run, r
+        del run  # at most the best run and the next one are held
+    pop, selected, averaged = best
     # Selection is done: test data is read from here on only.
     parent_scores = _score_parent(pop.parent, val, test)
-    return _report(pop, selected, averaged, cfg, val, test, master_seed, parent_scores)
+    report = _report(
+        pop, selected, averaged, cfg, val, test, seeds[best_repeat], parent_scores
+    )
+    report.repeats, report.best_repeat = tried, best_repeat
+    return report
 
 
 def run_ablation(
@@ -364,39 +408,42 @@ def run_ablation(
 ) -> list[dict]:
     """Full factorial sweep over (sigma, rho, subspace mode, seed).
 
-    Each sweep point runs one generation; rows carry both the averaged
-    model's and the ensemble's test accuracy plus the mean child KL. The
-    fixed parent's validation logits and test metrics are computed once
-    for the whole sweep; no selection reads them.
+    Each distinct sweep point runs one generation; rows carry both the
+    averaged model's and the ensemble's test accuracy plus the mean child
+    KL, in grid order. At rho 0 every mask is all ones whatever its seed,
+    and no noise seed depends on the mode, so a rho-0 point builds the
+    same children in every mode: it is computed once, keyed without its
+    mode, and each mode's row repeats its values. The fixed parent's
+    validation probabilities and test metrics are computed once for the
+    whole sweep; no selection reads them.
     """
     if not sigma_grid or not rho_grid or not modes or not seeds:
         raise ConfigurationError("ablation grids, modes, and seeds must be nonempty")
     parent_scores = _score_parent(parent, val, test)
-    rows = []
+    rows, computed = [], {}
     for sigma in sigma_grid:
         for rho in rho_grid:
             for mode in modes:
                 for seed in seeds:
-                    cfg = GenerationConfig(
-                        mutation=MutationParams(sigma=sigma, rho=rho, subspace_mode=mode),
-                        pop_size=pop_size,
-                        top_k=top_k,
-                        generations=1,
-                    )
-                    report = _report(
-                        *_evolve(parent, cfg, val, seed),
-                        cfg, val, test, seed, parent_scores,
-                    )
-                    rows.append(
-                        {
-                            "sigma": sigma,
-                            "rho": rho,
-                            "mode": mode,
-                            "seed": seed,
+                    key = (sigma, rho, mode if rho > 0 else None, seed)
+                    if key not in computed:
+                        cfg = GenerationConfig(
+                            mutation=MutationParams(sigma=sigma, rho=rho, subspace_mode=mode),
+                            pop_size=pop_size,
+                            top_k=top_k,
+                            generations=1,
+                        )
+                        report = _report(
+                            *_evolve(parent, cfg, val, seed),
+                            cfg, val, test, seed, parent_scores,
+                        )
+                        computed[key] = {
                             "mean_kl": report.mean_kl_children,
                             "avg_acc": report.averaged_metrics.accuracy,
                             "ens_acc": report.ensemble_metrics.accuracy,
                         }
+                    rows.append(
+                        {"sigma": sigma, "rho": rho, "mode": mode, "seed": seed, **computed[key]}
                     )
     return rows
 

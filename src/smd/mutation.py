@@ -127,6 +127,27 @@ ROLES = {
 }
 
 
+# The roles of one spawning group, keyed on (mirrored, anti_random).
+_GROUP_ROLES = {
+    (True, True): ("+M", "+M'", "-M", "-M'"),
+    (True, False): ("+", "-"),
+    (False, True): ("+M", "+M'"),
+    (False, False): ("solo",),
+}
+
+
+def group_roles(mirrored: bool, anti_random: bool, pop_size: int) -> tuple[str, ...]:
+    """The roles of one spawning group of this strategy; a population of
+    pop_size must split into whole groups."""
+    roles = _GROUP_ROLES[mirrored, anti_random]
+    if pop_size % len(roles) != 0:
+        raise ConfigurationError(
+            f"spawning in groups {roles} needs pop_size divisible by {len(roles)}, "
+            f"got {pop_size}"
+        )
+    return roles
+
+
 def role_support(mask: np.ndarray, role: str) -> np.ndarray:
     """The coordinates a child of `role` perturbs: its group's mask, or the
     complement for the anti-random roles."""
@@ -159,19 +180,7 @@ def spawn_mutations(
     """
     if pop_size < 1:
         raise ConfigurationError("pop_size must be positive")
-    if params.mirrored and params.anti_random:
-        roles = ("+M", "+M'", "-M", "-M'")
-    elif params.mirrored:
-        roles = ("+", "-")
-    elif params.anti_random:
-        roles = ("+M", "+M'")
-    else:
-        roles = ("solo",)
-    if pop_size % len(roles) != 0:
-        raise ConfigurationError(
-            f"spawning in groups {roles} needs pop_size divisible by {len(roles)}, "
-            f"got {pop_size}"
-        )
+    roles = group_roles(params.mirrored, params.anti_random, pop_size)
     static_mask_seed = derive_seed(master_seed, _MASK_NS)
     children: list[Child] = []
     for group in range(pop_size // len(roles)):

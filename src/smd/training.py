@@ -58,8 +58,8 @@ def _loss_and_delta(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.n
     """Mean cross-entropy and its gradient w.r.t. the logits, from one `exp`.
 
     The gradient is (softmax(logits) - onehot(labels)) / n; the shifted
-    logits are the ones `network.softmax` computes, so its probabilities
-    are the same bit for bit.
+    logits are the ones `network.softmax` computes, so for fewer than 8
+    classes its probabilities are the same bit for bit.
     """
     n = len(labels)
     rows = np.arange(n)

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from smd.datasets import Dataset
-from smd.divergence import clamped_softmax, kl_from_probs, mse_from_logits
+from smd.divergence import clamp_probs, kl_from_probs, mse_from_logits
 from smd.errors import ConfigurationError, ShapeError
 from smd.mutation import ROLES, role_support
-from smd.network import Network, ParamVector, forward
+from smd.network import Network, ParamVector, forward, softmax
 
 
 def child_genome(
@@ -71,7 +71,7 @@ def _check_same_spec(parent: Network, child: Network) -> None:
 
 def kl_from_logits(parent_logits: np.ndarray, child_logits: np.ndarray) -> float:
     """Mean KL(parent || child) between clamped, renormalized softmaxes."""
-    return kl_from_probs(clamped_softmax(parent_logits), child_logits)
+    return kl_from_probs(clamp_probs(softmax(parent_logits)), softmax(child_logits))
 
 
 def output_mse(parent: Network, child: Network, probe: Dataset) -> float:
@@ -102,6 +102,14 @@ def save_csv(data: Dataset, path: str | Path) -> None:
         fh.write(",".join([f"f{i}" for i in range(d)] + ["label"]) + "\n")
         for row, label in zip(data.inputs, data.labels):
             fh.write(",".join(f"{x:.17g}" for x in row) + f",{label}\n")
+
+
+def rowwise_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax reduced along each row of (n, C) logits, the textbook layout
+    that `network.softmax` computes class-major."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from smd.checkpoint import save_checkpoint
 from smd.cli import main
 from smd.config import REQUIRED, SCHEMA, ablation_section, load_config, section
-from smd.divergence import SWEEP_COLUMNS
+from smd.divergence import SWEEP_COLUMNS, grid_search
 from smd.evolution import ABLATION_CSV_COLUMNS, EVAL_CSV_COLUMNS
 from smd.network import NetworkSpec, init_network
 
@@ -661,6 +661,58 @@ class TestStrictMutationAndEvolution:
         assert main(["evolve", "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "top_k" in err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "strategy, pop_size",
+        [({}, 7), ({"anti_random": True}, 6), ({"mirrored": False, "anti_random": True}, 5)],
+        ids=["pairs", "quads", "anti-random pairs"],
+    )
+    def test_pop_size_in_part_groups_fails_before_the_search(
+        self, contract_base, tmp_path, monkeypatch, capsys, strategy, pop_size
+    ):
+        def no_search(*args):
+            raise AssertionError("the KL grid search ran before the spawning groups were checked")
+
+        monkeypatch.setattr("smd.cli.grid_search", no_search)
+        cfg = json.loads(json.dumps(contract_base[0]))
+        cfg["mutation"] = {"search": {"sigma_grid": [0.05], "rho_grid": [0.5]}, **strategy}
+        cfg["evolution"]["pop_size"] = pop_size
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "evolve.json", cfg)
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "pop_size divisible by" in err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("form", ["explicit", "search_result", "search"])
+    def test_anti_random_at_rho_0_exits_2(
+        self, contract_base, tmp_path, monkeypatch, capsys, form
+    ):
+        # At rho 0 the complement M' is empty, so the +M' and -M' children
+        # would be copies of the parent.
+        searches = []
+
+        def counting_search(*args):
+            searches.append(args)
+            return grid_search(*args)
+
+        monkeypatch.setattr("smd.cli.grid_search", counting_search)
+        cfg = json.loads(json.dumps(contract_base[0]))
+        if form == "explicit":
+            cfg["mutation"] = {"sigma": 0.05, "rho": 0.0}
+        elif form == "search_result":
+            (tmp_path / "found.json").write_text(json.dumps({"sigma": 0.05, "rho": 0.0}))
+            cfg["mutation"] = {"search_result": str(tmp_path / "found.json")}
+        else:
+            cfg["mutation"] = {"search": {"sigma_grid": [0.05], "rho_grid": [0.0]}}
+        cfg["mutation"]["anti_random"] = True
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "evolve.json", cfg)
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: mutation 'anti_random' needs rho > 0" in err
+        assert len(searches) == (form == "search")
         assert not any(out.iterdir())
 
 

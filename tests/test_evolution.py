@@ -1,9 +1,13 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import smd.config as cfgmod
 import smd.evolution as evolution
+from smd.checkpoint import save_checkpoint
+from smd.cli import main
 from smd.datasets import Dataset, make_spirals
 from smd.errors import ConfigurationError, ShapeError, StateError
 from smd.evolution import (
@@ -23,6 +27,7 @@ from smd.mutation import (
     Child,
     MutationParams,
     build_genomes,
+    derive_seed,
     sample_mask,
     sample_noise,
     spawn_mutations,
@@ -245,6 +250,50 @@ class TestRunGeneration:
         # parent, averaged, ensemble each forward the test inputs once
         assert test.reads == 3
         assert val.reads > test.reads
+
+    def test_test_set_read_once_with_repeats(self, spiral_task, tmp_path, monkeypatch):
+        read = {}
+        build_task_data = cfgmod.build_task_data
+
+        def counting(cfg):
+            train, val, test = build_task_data(cfg)
+            read["val"], read["test"] = CountingDataset(val), CountingDataset(test)
+            return train, read["val"], read["test"]
+
+        monkeypatch.setattr(cfgmod, "build_task_data", counting)
+        save_checkpoint(spiral_task.parent, tmp_path / "parent.ckpt")
+        cfg = {
+            "task": {"dataset": "spirals", "n_train": 100, "n_eval": 600, "turns": 1.75},
+            "model": {"checkpoint": str(tmp_path / "parent.ckpt")},
+            "mutation": {"sigma": 0.05, "rho": 0.5},
+            "evolution": {"pop_size": 8, "top_k": 4},
+        }
+        path = tmp_path / "evolve.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out), "--repeats", "3"]) == 0
+        assert len(json.loads((out / "eval_report.json").read_text())["repeats"]) == 3
+        # the validation/test overlap check, then the chosen repeat's parent,
+        # averaged model and ensemble
+        assert read["test"].reads == 1 + 3
+        assert read["val"].reads > read["test"].reads
+
+    def test_repeats_report_the_chosen_run(self, spiral_task):
+        t = spiral_task
+        cfg = self.gen_cfg()
+        report = run_generation(t.parent, cfg, t.val, t.test, 10, repeats=3)
+        seeds = [derive_seed(10, evolution._REPEAT_NS, r) for r in range(3)]
+        singles = [run_generation(t.parent, cfg, t.val, t.test, seed) for seed in seeds]
+        assert report.repeats == [
+            {"seed": seed, "ensemble_val_accuracy": single.ensemble_val_accuracy}
+            for seed, single in zip(seeds, singles)
+        ]
+        best = max(range(3), key=lambda r: (singles[r].ensemble_val_accuracy, -r))
+        assert report.best_repeat == best
+        payload = report.to_json_dict()
+        assert payload.pop("repeats") == report.repeats
+        assert payload.pop("best_repeat") == best
+        assert payload == singles[best].to_json_dict()
 
     def test_per_child_kl_nonnegative(self, spiral_task):
         report = run_generation(

@@ -19,7 +19,7 @@ from smd.network import (
     workspace,
 )
 
-from oracles import flatten
+from oracles import flatten, rowwise_softmax
 
 
 class TestNetworkSpec:
@@ -216,6 +216,31 @@ class TestSoftmax:
         logits = rng.uniform(-1e4, 1e4, size=(200, 5))
         sums = softmax(logits).sum(axis=1)
         assert np.all(np.abs(sums - 1.0) <= 1e-6)
+
+    @pytest.mark.parametrize("classes", range(2, 8))
+    def test_class_major_equals_rowwise_bytes_below_8_classes(self, rng, classes):
+        # Below 8 terms numpy sums a row left to right, as the class-major
+        # passes do, so every value is the same double.
+        logits = rng.normal(0.0, 5.0, size=(2500, classes))
+        out = softmax(logits)
+        assert out.shape == logits.shape
+        assert out.tobytes() == rowwise_softmax(logits).tobytes()
+
+    @pytest.mark.parametrize("classes", [8, 10, 16])
+    def test_class_major_within_one_ulp_band_from_8_classes(self, rng, classes):
+        # From 8 terms numpy's row sum is pairwise: only the last bits move.
+        logits = rng.normal(0.0, 5.0, size=(2500, classes))
+        diff = np.abs(softmax(logits) - rowwise_softmax(logits))
+        assert diff.max() <= 1e-15
+
+    def test_input_is_never_written(self, rng):
+        # A transposed (Fortran-ordered) input is the layout the class-major
+        # copy would otherwise alias.
+        logits = np.asfortranarray(rng.normal(size=(50, 3)))
+        before = logits.copy()
+        out = softmax(logits)
+        assert logits.tobytes() == before.tobytes()
+        assert out.tobytes() == rowwise_softmax(before).tobytes()
 
 
 class TestNllLoss:

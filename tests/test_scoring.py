@@ -1,10 +1,11 @@
 """One scoring pass per dataset.
 
-Each child's validation logits are computed once, in `evaluate_fitness`,
-and reused for fitness, NLL, KL to the parent and the ensemble's
-validation accuracy. These tests pin the resulting `forward` call counts,
-check the cached values against a direct recompute bit for bit, and pin
-the bytes of the evolve and ablate artifacts on a tiny config.
+Each child's validation logits are computed and softmaxed once, in
+`evaluate_fitness`, and the probabilities are reused for fitness, NLL, KL
+to the parent and the ensemble's validation accuracy. These tests pin the
+resulting `forward` call counts, check the cached values against a direct
+recompute bit for bit, and pin the bytes of the evolve and ablate
+artifacts on a tiny config.
 """
 
 import hashlib
@@ -24,7 +25,7 @@ from smd.evolution import (
     spawn_population,
 )
 from smd.mutation import MutationParams, build_genomes, derive_seed
-from smd.network import Network, ParamVector, forward
+from smd.network import Network, ParamVector, forward, softmax
 
 from oracles import kl_from_logits
 
@@ -77,7 +78,7 @@ class TestForwardCallCount:
         pop = spawn_population(t.parent, gen_cfg().mutation, POP, 4)
         evaluate_fitness(pop, t.val)
         assert forward_calls == [t.val.n] * POP
-        assert len(pop.val_logits) == POP
+        assert len(pop.val_probs) == POP
 
 
 class TestCachedScores:
@@ -86,8 +87,8 @@ class TestCachedScores:
         pop = spawn_population(t.parent, gen_cfg().mutation, POP, 5)
         evaluate_fitness(pop, t.val)
         built = build_genomes(t.parent.params, pop.mutation, pop.children)
-        for genome, cached in zip(built, pop.val_logits, strict=True):
-            direct = forward(Network(t.parent.spec, genome), t.val.inputs)
+        for genome, cached in zip(built, pop.val_probs, strict=True):
+            direct = softmax(forward(Network(t.parent.spec, genome), t.val.inputs))
             assert cached.tobytes() == direct.tobytes()
 
     @pytest.mark.parametrize("generations", [1, 2])
@@ -126,6 +127,66 @@ class TestCachedScores:
         probs = ensemble_predict(members, t.val.inputs)
         ens_val = float((probs.argmax(axis=1) == t.val.labels).mean())
         assert report.ensemble_val_accuracy == ens_val
+
+
+class TestAblationPoints:
+    """A rho-0 point builds the same children in every mode, so the sweep
+    computes it once; rows keep grid order and their own mode."""
+
+    GRID = ([0.05, 0.1], [0.0, 0.5], ["static", "dynamic"], [0, 1])
+
+    def ablate(self, t):
+        sigmas, rhos, modes, seeds = self.GRID
+        return run_ablation(t.parent, sigmas, rhos, modes, t.val, t.test, seeds, pop_size=4, top_k=2)
+
+    def test_evolve_runs_once_per_distinct_point(self, spiral_task, monkeypatch):
+        points = []
+        real = evolution._evolve
+
+        def counting(parent, cfg, val, seed):
+            points.append((cfg.mutation.sigma, cfg.mutation.rho, cfg.mutation.subspace_mode, seed))
+            return real(parent, cfg, val, seed)
+
+        monkeypatch.setattr(evolution, "_evolve", counting)
+        rows = self.ablate(spiral_task)
+        assert len(rows) == 16
+        # 2 sigmas x 2 seeds x (one rho-0 point + two rho-0.5 modes)
+        assert len(points) == len(set(points)) == 12
+        assert {p[2] for p in points if p[1] == 0.0} == {"static"}
+
+    def test_rows_equal_an_undeduplicated_loop(self, spiral_task):
+        t = spiral_task
+        rows = self.ablate(t)
+        parent_scores = evolution._score_parent(t.parent, t.val, t.test)
+        expected = []
+        sigmas, rhos, modes, seeds = self.GRID
+        for sigma in sigmas:
+            for rho in rhos:
+                for mode in modes:
+                    for seed in seeds:
+                        cfg = GenerationConfig(
+                            MutationParams(sigma=sigma, rho=rho, subspace_mode=mode),
+                            pop_size=4, top_k=2,
+                        )
+                        report = evolution._report(
+                            *evolution._evolve(t.parent, cfg, t.val, seed),
+                            cfg, t.val, t.test, seed, parent_scores,
+                        )
+                        expected.append({
+                            "sigma": sigma, "rho": rho, "mode": mode, "seed": seed,
+                            "mean_kl": report.mean_kl_children,
+                            "avg_acc": report.averaged_metrics.accuracy,
+                            "ens_acc": report.ensemble_metrics.accuracy,
+                        })
+        assert rows == expected
+
+        def values(mode):
+            return [
+                {k: v for k, v in row.items() if k != "mode"}
+                for row in rows if row["rho"] == 0.0 and row["mode"] == mode
+            ]
+
+        assert values("static") == values("dynamic")
 
 
 # SHA-256s of the artifacts the tiny config below writes, recorded when
