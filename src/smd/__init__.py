@@ -16,18 +16,17 @@ from .evolution import (
     GenerationConfig,
     Population,
     average_weights,
-    ensemble_predict,
     evaluate_fitness,
     run_ablation,
     run_generation,
     select_top_k,
-    spawn_population,
 )
 from .metrics import MetricTriple, accuracy, ece, metric_triple
 from .mutation import (
     Child,
     MutationParams,
     build_genomes,
+    child_logits,
     complement,
     sample_mask,
     sample_noise,

@@ -3,7 +3,8 @@
 Every command is a pure function of its JSON config (all seeds included),
 so reruns produce byte-identical artifacts. Exit codes: 0 success,
 2 configuration error, 3 training divergence, 4 search found no in-band
-cell, 5 validation/test overlap, 6 task/command mismatch.
+cell, 5 validation/test overlap, 6 task/model or task/command mismatch.
+`EXIT_CODES` maps each error of `smd.errors` to its code.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from pathlib import Path
 from . import config as cfgmod
 from .boundary import export_boundary_cells
 from .checkpoint import load_checkpoint, save_checkpoint
+from .datasets import Dataset, write_csv
 from .divergence import grid_search, write_sweep_csv
 from .errors import (
     CheckpointError,
     ConfigurationError,
     DataHygieneError,
     ParseError,
+    ShapeError,
     TaskMismatchError,
     TrainingDivergenceError,
 )
@@ -35,19 +38,36 @@ from .evolution import (
 )
 from .metrics import accuracy
 from .mutation import MutationParams, mask_to_rle, role_support, sample_mask
-from .network import Network, forward, init_network, softmax
+from .network import Network, NetworkSpec, forward, init_network, softmax
 from .training import train_model
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DIVERGENCE = 3
 EXIT_OUT_OF_BAND = 4
-EXIT_HYGIENE = 5
-EXIT_TASK_MISMATCH = 6
+
+# The exit code of each error a command can raise.
+EXIT_CODES = {
+    ConfigurationError: 2,
+    ParseError: 2,
+    CheckpointError: 2,
+    TrainingDivergenceError: 3,
+    DataHygieneError: 5,
+    TaskMismatchError: 6,
+    ShapeError: 6,
+}
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def _check_task(spec: NetworkSpec, data: Dataset) -> None:
+    """The model must take the task's features and score its classes."""
+    features = data.inputs.shape[1]
+    if (spec.input_dim, spec.output_dim) != (features, data.class_count):
+        raise TaskMismatchError(
+            f"model maps {spec.input_dim} inputs to {spec.output_dim} classes, but the task "
+            f"has {features} features and {data.class_count} classes"
+        )
 
 
 def cmd_train(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
@@ -56,6 +76,7 @@ def cmd_train(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     if "checkpoint" in model:
         raise ConfigurationError("train command needs a 'train' model section, not a checkpoint")
     spec = cfgmod.build_network_spec(model)
+    _check_task(spec, train)
     train_cfg = cfgmod.build_train_config(model)
 
     net = init_network(spec)
@@ -65,10 +86,11 @@ def cmd_train(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
 
     ckpt_path = out_dir / "model.ckpt"
     save_checkpoint(trained, ckpt_path)
-    with (out_dir / "training_log.csv").open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,train_loss,train_acc\n")
-        for row in history:
-            fh.write(f"{row['epoch']},{row['loss']!r},{row['accuracy']!r}\n")
+    write_csv(
+        out_dir / "training_log.csv",
+        ("epoch", "train_loss", "train_acc"),
+        ((row["epoch"], row["loss"], row["accuracy"]) for row in history),
+    )
     _write_json(
         out_dir / "train_summary.json",
         {
@@ -83,19 +105,22 @@ def cmd_train(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_parent(cfg: dict) -> Network:
+def _load_parent(cfg: dict, data: Dataset) -> Network:
+    """The checkpoint the config names, checked against the task's `data`."""
     model = cfgmod.build_model_section(cfg)
     if "checkpoint" not in model:
         raise ConfigurationError("this command needs model.checkpoint pointing at a trained model")
     path = Path(model["checkpoint"])
     if not path.is_file():
         raise ConfigurationError(f"checkpoint not found: {path}")
-    return load_checkpoint(path)
+    parent = load_checkpoint(path)
+    _check_task(parent.spec, data)
+    return parent
 
 
 def cmd_search(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     _, val, _ = cfgmod.build_task_data(cfg)
-    parent = _load_parent(cfg)
+    parent = _load_parent(cfg, val)
     if cfgmod.mutation_mode(cfg) != "search":
         raise ConfigurationError("search command needs a mutation 'search' directive")
     search_cfg, seed = cfgmod.build_search_config(cfg)
@@ -148,7 +173,7 @@ def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     _, val, test = cfgmod.build_task_data(cfg)
     if not datasets_disjoint(val, test):
         raise DataHygieneError("validation and test sets share samples")
-    parent = _load_parent(cfg)
+    parent = _load_parent(cfg, val)
     sizes, master_seed = cfgmod.generation_sizes(cfg)
     mutation = _resolve_mutation(cfg, parent, val)
     gen_cfg = GenerationConfig(mutation, **sizes)
@@ -156,7 +181,7 @@ def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     # Best-of-R selection peeks only at validation-side accuracy.
     best = run_generation(parent, gen_cfg, val, test, master_seed, args.repeats)
     _write_json(out_dir / "eval_report.json", best.to_json_dict())
-    write_eval_csv([best], out_dir / "eval_report.csv")
+    write_eval_csv(best, out_dir / "eval_report.csv")
 
     if args.dump_masks:
         lines = [
@@ -175,11 +200,7 @@ def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
 def cmd_boundary(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     section = cfgmod.boundary_section(cfg)
     train, _, _ = cfgmod.build_task_data(cfg)
-    parent = _load_parent(cfg)
-    if parent.spec.input_dim != 2:
-        raise TaskMismatchError(
-            f"boundary command needs a 2-D input task, model takes {parent.spec.input_dim}"
-        )
+    parent = _load_parent(cfg, train)
     written = export_boundary_cells(
         parent,
         train,
@@ -198,7 +219,7 @@ def cmd_ablate(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     _, val, test = cfgmod.build_task_data(cfg)
     if not datasets_disjoint(val, test):
         raise DataHygieneError("validation and test sets share samples")
-    parent = _load_parent(cfg)
+    parent = _load_parent(cfg, val)
     rows = run_ablation(
         parent,
         section["sigma_grid"],
@@ -253,18 +274,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigurationError(f"config has an unknown section {name!r}")
             cfgmod.section(cfg, name)
         return _COMMANDS[args.command](cfg, out_dir, args)
-    except (ConfigurationError, ParseError, CheckpointError) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TrainingDivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except DataHygieneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYGIENE
-    except TaskMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TASK_MISMATCH
+        return EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

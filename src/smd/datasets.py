@@ -1,7 +1,10 @@
-"""Synthetic spiral data, deterministic splits, and CSV ingestion."""
+"""Synthetic spiral data, deterministic splits, CSV ingestion, and the one
+CSV writer of the artifacts."""
 
 from __future__ import annotations
 
+import csv
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,3 +165,12 @@ def load_csv(path: str | Path, class_count: int | None = None) -> Dataset:
             f"{path}: label {max(labels)} exceeds declared class count {class_count}"
         )
     return Dataset(np.array(features), np.array(labels), class_count)
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header row, then one line per row; floats are written as their
+    shortest round-trip `repr`, other values with `str`, lines end in LF."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else str(v) for v in row] for row in rows)

@@ -9,16 +9,15 @@ KL(parent || child).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, write_csv
 from .errors import ConfigurationError
 from .metrics import accuracy
-from .mutation import MutationParams, build_genomes, derive_seed, spawn_mutations
+from .mutation import MutationParams, child_logits, derive_seed, spawn_mutations
 from .network import EPS_PROB, Network, forward, softmax, workspace
 
 # Spawn-key namespace for per-cell search randomness.
@@ -134,13 +133,11 @@ def sweep_cells(
             params = _search_spawn_params(sigma, rho, samples_per_cell)
             children = spawn_mutations(parent.params, params, samples_per_cell, cell_seed)
             kls, mses, accs = [], [], []
-            for genome in build_genomes(parent.params, params, children):
-                child_logits = forward(Network(parent.spec, genome), probe.inputs, scratch)
-                del genome  # release it before the next genome is built
-                child_probs = softmax(child_logits)
-                kls.append(kl_from_probs(parent_probs, child_probs))
-                mses.append(mse_from_logits(parent_logits, child_logits))
-                accs.append(accuracy(child_probs, probe.labels))
+            for logits in child_logits(parent, params, children, probe.inputs, scratch):
+                probs = softmax(logits)
+                kls.append(kl_from_probs(parent_probs, probs))
+                mses.append(mse_from_logits(parent_logits, logits))
+                accs.append(accuracy(probs, probe.labels))
             cells.append(
                 CellResult(
                     sigma=sigma,
@@ -191,11 +188,4 @@ def _cap_probe(probe: Dataset, probe_size: int) -> Dataset:
 
 
 def write_sweep_csv(cells: list[CellResult], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for c in cells:
-            writer.writerow(
-                [repr(c.sigma), repr(c.rho), repr(c.mean_kl), repr(c.mean_mse),
-                 repr(c.mean_child_acc), c.n_children]
-            )
+    write_csv(path, SWEEP_COLUMNS, ([getattr(c, name) for name in SWEEP_COLUMNS] for c in cells))

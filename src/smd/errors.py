@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes; library code raises them
-directly.
+`cli.EXIT_CODES` maps each of these onto a process exit code; library
+code raises them directly.
 """
 
 
@@ -11,10 +11,6 @@ class ConfigurationError(ValueError):
 
 class ShapeError(ValueError):
     """Array or network shape mismatch between operands."""
-
-
-class StateError(RuntimeError):
-    """Operation invoked before a required prior step (e.g. fitness missing)."""
 
 
 class ParseError(ValueError):
@@ -39,4 +35,6 @@ class DataHygieneError(RuntimeError):
 
 
 class TaskMismatchError(RuntimeError):
-    """Command applied to a task it cannot handle (e.g. boundary on non-2D)."""
+    """Model or command does not fit the task: the model's input or output
+    width differs from the task's features or classes, or a 2-D-only command
+    runs on another task."""

@@ -8,17 +8,18 @@ exactly once, when the final report metrics are computed.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import Dataset
-from .errors import ConfigurationError, ShapeError, StateError
+from .datasets import Dataset, write_csv
+from .errors import ConfigurationError, ShapeError
 from .metrics import MetricTriple, accuracy, metric_triple
-from .mutation import Child, MutationParams, build_genomes, derive_seed, spawn_mutations
+from .mutation import (
+    Child, MutationParams, build_genomes, child_logits, derive_seed, spawn_mutations
+)
 from .network import Network, ParamVector, forward, nll_loss, softmax, workspace
 from .divergence import clamp_probs, kl_from_probs
 
@@ -58,21 +59,22 @@ class GenerationConfig:
 
 @dataclass
 class Population:
-    """A generation's children as seed records; genomes are rebuilt from
-    `mutation` and the parent only while a child is scored or combined.
+    """A scored generation, as `evaluate_fitness` builds it.
 
-    `evaluate_fitness` fills the scores: each child's validation accuracy,
-    its validation NLL and its validation softmax probabilities, (n, C)
-    each. The probabilities are the child's one softmax; fitness, NLL, the
-    KL probe and the ensemble's validation accuracy all read them.
+    The children are seed records; genomes are rebuilt from `mutation` and
+    the parent only while a child is run. Per child, in order: its
+    validation accuracy, its validation NLL and its validation softmax
+    probabilities, (n, C). The probabilities are the child's one softmax;
+    fitness, NLL, the KL probe and the ensemble's validation accuracy all
+    read them.
     """
 
     parent: Network
     mutation: MutationParams
     children: list[Child]
-    fitness: np.ndarray | None = None
-    val_nll: np.ndarray | None = None
-    val_probs: list[np.ndarray] | None = None
+    fitness: np.ndarray
+    val_nll: np.ndarray
+    val_probs: list[np.ndarray]
 
 
 @dataclass
@@ -143,40 +145,24 @@ class EvalReport:
         )
 
 
-def spawn_population(
-    parent: Network, params: MutationParams, pop_size: int, master_seed: int
+def evaluate_fitness(
+    parent: Network, params: MutationParams, children: list[Child], val: Dataset
 ) -> Population:
-    return Population(
-        parent, params, spawn_mutations(parent.params, params, pop_size, master_seed)
-    )
+    """The scored population of `children` (the parent is never scored).
 
-
-def evaluate_fitness(pop: Population, val: Dataset) -> np.ndarray:
-    """Validation accuracy per child (the parent is never scored).
-
-    This is the one validation pass per child: one forward and one softmax.
-    The probabilities are kept in `pop.val_probs` and reused by
-    `run_generation` for the KL probe and the ensemble's validation
-    accuracy. Also records per-child validation NLL for selection
-    tie-breaks. `build_genomes` draws each group's mask and noise once and
-    yields its genomes one at a time, so each genome is dropped once
-    scored. Every child runs through one activation workspace.
+    This is the one validation pass per child: `child_logits` runs each
+    child once through one activation workspace, and its logits are
+    softmaxed once. The probabilities give the child's fitness (validation
+    accuracy) and its validation NLL, the selection tie-break, and are kept
+    for the KL probe and the ensemble's validation accuracy.
     """
-    if val.n < 1:
-        raise ConfigurationError("validation set is empty")
-    spec = pop.parent.spec
-    scratch = workspace(spec, val.n)
-    val_probs, fitness, nll = [], [], []
-    for genome in build_genomes(pop.parent.params, pop.mutation, pop.children):
-        probs = softmax(forward(Network(spec, genome), val.inputs, scratch))
-        del genome  # release it before the next genome is built
-        val_probs.append(probs)
-        fitness.append(accuracy(probs, val.labels))
-        nll.append(nll_loss(probs, val.labels))
-    pop.val_probs = val_probs
-    pop.fitness = np.array(fitness)
-    pop.val_nll = np.array(nll)
-    return pop.fitness
+    scratch = workspace(parent.spec, val.n)
+    val_probs = [
+        softmax(logits) for logits in child_logits(parent, params, children, val.inputs, scratch)
+    ]
+    fitness = np.array([accuracy(probs, val.labels) for probs in val_probs])
+    val_nll = np.array([nll_loss(probs, val.labels) for probs in val_probs])
+    return Population(parent, params, children, fitness, val_nll, val_probs)
 
 
 def select_top_k(pop: Population, k: int) -> list[int]:
@@ -185,8 +171,6 @@ def select_top_k(pop: Population, k: int) -> list[int]:
     Ties break by lower validation NLL, then by lower child index, so the
     selection is deterministic.
     """
-    if pop.fitness is None:
-        raise StateError("fitness has not been evaluated")
     n = len(pop.children)
     if not 1 <= k <= n:
         raise ConfigurationError(f"k must lie in [1, {n}], got {k}")
@@ -218,28 +202,20 @@ def average_weights(candidates: Iterable[ParamVector]) -> ParamVector:
     return ParamVector(total)
 
 
-def ensemble_predict(candidates: Iterable[Network], inputs: np.ndarray) -> np.ndarray:
-    """Unweighted mean of member softmax outputs. Members are run one at a
-    time through one activation workspace, so a generator of networks is
-    never held whole."""
-    member_probs, spec = [], None
-    for net in candidates:
-        if spec is None:
-            spec = net.spec
-            scratch = workspace(spec, len(inputs))
-        elif net.spec.layer_sizes != spec.layer_sizes or (
-            net.spec.hidden_activation != spec.hidden_activation
-        ):
-            raise ShapeError("ensemble members must share one architecture")
-        member_probs.append(softmax(forward(net, inputs, scratch)))
-        del net  # release it before the next member is built
-    if not member_probs:
-        raise ConfigurationError("cannot ensemble an empty member list")
-    return _mean_probs(member_probs)
-
-
 def _mean_probs(member_probs: Iterable[np.ndarray]) -> np.ndarray:
     return np.mean(np.stack(list(member_probs)), axis=0)
+
+
+def _ensemble_probs(
+    parent: Network, params: MutationParams, members: list[Child], inputs: np.ndarray
+) -> np.ndarray:
+    """The ensemble's prediction: the unweighted mean of the members'
+    softmax outputs, each member run by `child_logits` through one
+    workspace."""
+    scratch = workspace(parent.spec, len(inputs))
+    return _mean_probs(
+        softmax(logits) for logits in child_logits(parent, params, members, inputs, scratch)
+    )
 
 
 def _ensemble_val_accuracy(pop: Population, selected: list[int], val: Dataset) -> float:
@@ -262,8 +238,8 @@ def _evolve(
     current = parent
     for gen in range(cfg.generations):
         gen_seed = derive_seed(master_seed, _GENERATION_NS, gen)
-        pop = spawn_population(current, cfg.mutation, cfg.pop_size, gen_seed)
-        evaluate_fitness(pop, val)
+        children = spawn_mutations(current.params, cfg.mutation, cfg.pop_size, gen_seed)
+        pop = evaluate_fitness(current, cfg.mutation, children, val)
         selected = select_top_k(pop, cfg.top_k)
         chosen = [pop.children[i] for i in selected]
         averaged = average_weights(build_genomes(current.params, cfg.mutation, chosen))
@@ -313,15 +289,12 @@ def _report(
         }
         for i, child in enumerate(pop.children)
     ]
-    chosen = [pop.children[i] for i in selected]
-    # `map` keeps no reference to the previous genome while it builds the next.
-    member_nets = map(
-        lambda genome: Network(spec, genome), build_genomes(pop.parent.params, cfg.mutation, chosen)
-    )
     averaged_metrics = metric_triple(
         softmax(forward(Network(spec, averaged), test.inputs)), test.labels
     )
-    ensemble_metrics = metric_triple(ensemble_predict(member_nets, test.inputs), test.labels)
+    chosen = [pop.children[i] for i in selected]
+    ensemble_probs = _ensemble_probs(pop.parent, pop.mutation, chosen, test.inputs)
+    ensemble_metrics = metric_triple(ensemble_probs, test.labels)
 
     config_echo = {
         "pop_size": cfg.pop_size,
@@ -355,15 +328,16 @@ def run_generation(
 
     With generations > 1 the averaged model becomes the next parent; the
     report describes the final generation (its parent is the chained
-    model). Each child's validation logits are computed and softmaxed
-    once, by `evaluate_fitness`, and the probabilities are reused for
-    fitness, NLL, the per-child KL to the parent and the ensemble's
-    validation accuracy, so one generation runs P + k + 3 forward passes:
-    P on validation, then the parent on validation and test, and the
-    averaged model and k members on test. Children are kept as seed
-    records: a genome exists only while its group is scored, and the k
-    selected genomes are rebuilt one at a time, once for the average and
-    once for the ensemble.
+    model). `evaluate_fitness` builds each generation already scored:
+    each child's validation logits are computed and softmaxed once, and
+    the probabilities are reused for fitness, NLL, the per-child KL to the
+    parent and the ensemble's validation accuracy, so one generation runs
+    P + k + 3 forward passes: P on validation, then the parent on
+    validation and test, and the averaged model and k members on test.
+    Children are kept as seed records, and every child pass, validation or
+    test, reads `child_logits`: a genome exists only while its child runs.
+    The k selected genomes are rebuilt one at a time, once for the average
+    and once for the ensemble.
 
     With repeats R > 1, R runs evolve on validation data only, run r from
     a seed derived from (master_seed, r). Only the run whose ensemble has
@@ -454,23 +428,9 @@ def datasets_disjoint(a: Dataset, b: Dataset) -> bool:
     return all(row.tobytes() not in rows_a for row in b.inputs)
 
 
-def write_eval_csv(reports: list[EvalReport], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EVAL_CSV_COLUMNS)
-        for report in reports:
-            writer.writerow([_csv_cell(v) for v in report.to_csv_row()])
+def write_eval_csv(report: EvalReport, path: str | Path) -> None:
+    write_csv(path, EVAL_CSV_COLUMNS, [report.to_csv_row()])
 
 
 def write_ablation_csv(rows: list[dict], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ABLATION_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_csv_cell(row[c]) for c in ABLATION_CSV_COLUMNS])
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    write_csv(path, ABLATION_CSV_COLUMNS, ([row[c] for c in ABLATION_CSV_COLUMNS] for row in rows))

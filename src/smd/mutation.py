@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .network import ParamVector
+from .network import Network, ParamVector, forward
 
 SUBSPACE_MODES = ("static", "dynamic")
 
@@ -214,6 +214,25 @@ def build_genomes(
         if on_complement not in supports:
             supports[on_complement] = _draw_support(mask, child, params)
         yield _scatter(theta, *supports[on_complement], sign)
+
+
+def child_logits(
+    parent: Network,
+    params: MutationParams,
+    children: Iterable[Child],
+    inputs: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray],
+) -> Iterator[np.ndarray]:
+    """Yield each child's logits on `inputs`, in order.
+
+    The one place a child is run: its genome comes from `build_genomes`,
+    runs forward through the caller's activation workspace `scratch`, and
+    is dropped before the next genome is built.
+    """
+    for genome in build_genomes(parent.params, params, children):
+        logits = forward(Network(parent.spec, genome), inputs, scratch)
+        del genome  # release it before the next genome is built
+        yield logits
 
 
 def _role(role: str) -> tuple[int, bool]:

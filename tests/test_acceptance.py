@@ -264,7 +264,7 @@ class TestCriterion06TableShapedImprovement:
         )
 
 
-class TestCriterion07WorkerDeterminism:
+class TestCriterion07RerunDeterminism:
     """Criterion 7, rerun determinism: two fresh evolve runs of one config
     write byte-identical reports."""
 
@@ -369,9 +369,8 @@ class TestCriterion10SelectionContract:
             fitness = rng.choice([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], size=n)
             nll = rng.random(n).round(3)
             children = [Child(i, i, i, "solo") for i in range(n)]
-            pop = Population(parent, MutationParams(sigma=0.1, rho=0.5), children)
-            pop.fitness = fitness
-            pop.val_nll = nll
+            params = MutationParams(sigma=0.1, rho=0.5)
+            pop = Population(parent, params, children, fitness, nll, val_probs=[])
             sel = select_top_k(pop, k)
             assert len(sel) == len(set(sel)) == k
             rest = [i for i in range(n) if i not in set(sel)]

@@ -892,6 +892,115 @@ class TestSchema:
                     assert shown == f"`{json.dumps(default)}`", f"{name}.{key}"
 
 
+class TestTaskContract:
+    """A model whose input or output width differs from the task's features
+    or classes exits 6 with an `error:` line before any work, whether it is
+    a fresh spec (`train`) or a loaded checkpoint (every other command)."""
+
+    SECTIONS = {
+        "search": {"mutation": {"search": {"sigma_grid": [0.05], "rho_grid": [0.5]}}},
+        "evolve": {
+            "mutation": {"sigma": 0.05, "rho": 0.5},
+            "evolution": {"pop_size": 4, "top_k": 2},
+        },
+        "boundary": {"boundary": {"sigma_grid": [0.1], "rho_grid": [0.5], "resolution": 8}},
+        "ablate": {"ablation": {"sigma_grid": [0.05], "rho_grid": [0.5], "seeds": [0]}},
+    }
+
+    @staticmethod
+    def assert_mismatch(argv, out, capsys):
+        assert main(argv) == 6
+        assert capsys.readouterr().err.startswith("error: model maps ")
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("layer_sizes", [[2, 8, 3], [3, 8, 2]])
+    def test_fresh_spec_in_train(self, tmp_path, capsys, layer_sizes):
+        out = tmp_path / "out"
+        cfg = {
+            "task": small_task(out),
+            "model": {"layer_sizes": layer_sizes, "train": {"epochs": 1}},
+            "output": {"dir": str(out)},
+        }
+        path = write_config(tmp_path / "train.json", cfg)
+        self.assert_mismatch(["train", "--config", path], out, capsys)
+
+    @pytest.mark.parametrize("command", sorted(SECTIONS))
+    def test_checkpoint_with_other_class_count(self, tmp_path, capsys, command):
+        ckpt = tmp_path / "three_way.ckpt"
+        save_checkpoint(init_network(NetworkSpec([2, 8, 3], seed=1)), ckpt)
+        out = tmp_path / "out"
+        cfg = {
+            "task": small_task(out),
+            "model": {"checkpoint": str(ckpt)},
+            **self.SECTIONS[command],
+            "output": {"dir": str(out)},
+        }
+        path = write_config(tmp_path / f"{command}.json", cfg)
+        self.assert_mismatch([command, "--config", path], out, capsys)
+
+    def test_checkpoint_with_other_feature_count(self, tmp_path, capsys):
+        from oracles import save_csv
+        from smd.datasets import Dataset
+
+        rng = np.random.default_rng(0)
+        for name, n in (("train", 40), ("eval", 80)):
+            data = Dataset(rng.normal(size=(n, 3)), np.arange(n) % 2, 2)
+            save_csv(data, tmp_path / f"{name}.csv")
+        ckpt = tmp_path / "two_input.ckpt"
+        save_checkpoint(init_network(NetworkSpec([2, 8, 2], seed=1)), ckpt)
+        out = tmp_path / "out"
+        cfg = {
+            "task": {
+                "dataset": "csv",
+                "train_csv": str(tmp_path / "train.csv"),
+                "eval_csv": str(tmp_path / "eval.csv"),
+            },
+            "model": {"checkpoint": str(ckpt)},
+            **self.SECTIONS["evolve"],
+            "output": {"dir": str(out)},
+        }
+        path = write_config(tmp_path / "evolve.json", cfg)
+        self.assert_mismatch(["evolve", "--config", path], out, capsys)
+
+
+class TestExitCodes:
+    @staticmethod
+    def documented(text):
+        """The codes of the paragraph that starts with "Exit codes:"."""
+        paragraph = text[text.index("Exit codes:"):].split("\n\n")[0]
+        return {int(code) for code in re.findall(r"\b(\d) [a-z]", paragraph)}
+
+    def test_every_error_has_a_documented_code(self):
+        import inspect
+
+        import smd.cli
+        import smd.errors
+
+        errors = [
+            cls for _, cls in inspect.getmembers(smd.errors, inspect.isclass)
+            if cls.__module__ == "smd.errors"
+        ]
+        readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+        for cls in errors:
+            assert cls in smd.cli.EXIT_CODES, cls.__name__
+            code = smd.cli.EXIT_CODES[cls]
+            assert code in self.documented(smd.cli.__doc__), cls.__name__
+            assert code in self.documented(readme), cls.__name__
+        assert set(smd.cli.EXIT_CODES) == set(errors)
+
+    def test_shape_error_exits_6(self, tmp_path, monkeypatch, capsys):
+        import smd.cli
+        from smd.errors import ShapeError
+
+        def fail(cfg):
+            raise ShapeError("inputs must be (n, 2), got (4, 3)")
+
+        monkeypatch.setattr(smd.cli.cfgmod, "build_task_data", fail)
+        path = write_config(tmp_path / "train.json", {"task": {}, "model": {}})
+        assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 6
+        assert capsys.readouterr().err == "error: inputs must be (n, 2), got (4, 3)\n"
+
+
 class TestFileFormats:
     @pytest.mark.parametrize(
         "label, columns",

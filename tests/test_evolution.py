@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -9,18 +10,16 @@ import smd.evolution as evolution
 from smd.checkpoint import save_checkpoint
 from smd.cli import main
 from smd.datasets import Dataset, make_spirals
-from smd.errors import ConfigurationError, ShapeError, StateError
+from smd.errors import ConfigurationError, ShapeError
 from smd.evolution import (
     GenerationConfig,
     Population,
     average_weights,
     datasets_disjoint,
-    ensemble_predict,
     evaluate_fitness,
     run_ablation,
     run_generation,
     select_top_k,
-    spawn_population,
     write_ablation_csv,
 )
 from smd.mutation import (
@@ -42,25 +41,33 @@ def make_population(fitness, nll=None):
     spec = NetworkSpec([1, 2])
     parent = init_network(spec)
     children = [Child(seed=i, mask_seed=i, group=i, role="solo") for i in range(len(fitness))]
-    pop = Population(parent, MutationParams(sigma=0.1, rho=0.5), children)
-    pop.fitness = np.asarray(fitness, dtype=float)
-    pop.val_nll = np.asarray(nll if nll is not None else np.zeros(len(fitness)), dtype=float)
-    return pop
+    return Population(
+        parent,
+        MutationParams(sigma=0.1, rho=0.5),
+        children,
+        fitness=np.asarray(fitness, dtype=float),
+        val_nll=np.asarray(nll if nll is not None else np.zeros(len(fitness)), dtype=float),
+        val_probs=[],
+    )
+
+
+def scored(parent, params, pop_size, master_seed, val):
+    """The scored population of pop_size children of parent."""
+    children = spawn_mutations(parent.params, params, pop_size, master_seed)
+    return evaluate_fitness(parent, params, children, val)
 
 
 class TestEvaluateFitness:
     def test_zero_strength_children_match_parent(self, spiral_task):
         params = MutationParams(sigma=1e-12, rho=0.5)
-        pop = spawn_population(spiral_task.parent, params, 4, master_seed=1)
-        fitness = evaluate_fitness(pop, spiral_task.val)
+        fitness = scored(spiral_task.parent, params, 4, 1, spiral_task.val).fitness
         parent_probs = softmax(forward(spiral_task.parent, spiral_task.val.inputs))
         parent_acc = float((parent_probs.argmax(axis=1) == spiral_task.val.labels).mean())
         assert np.all(fitness == parent_acc)
 
     def test_fitness_in_unit_interval(self, spiral_task):
         params = MutationParams(sigma=0.1, rho=0.5)
-        pop = spawn_population(spiral_task.parent, params, 8, master_seed=2)
-        fitness = evaluate_fitness(pop, spiral_task.val)
+        fitness = scored(spiral_task.parent, params, 8, 2, spiral_task.val).fitness
         assert np.all((fitness >= 0.0) & (fitness <= 1.0))
 
     def test_label_perfect_child_scores_one(self):
@@ -68,18 +75,17 @@ class TestEvaluateFitness:
         spec = NetworkSpec([1, 2])
         parent = Network(spec, ParamVector(np.array([1.0, -1.0, 0.0, 0.0])))
         params = MutationParams(sigma=1e-12, rho=0.0, mirrored=False)
-        pop = Population(parent, params, spawn_mutations(parent.params, params, 1, 0))
         val = Dataset(np.array([[1.0], [2.0], [-3.0]]), np.array([0, 0, 1]), 2)
-        fitness = evaluate_fitness(pop, val)
+        fitness = scored(parent, params, 1, 0, val).fitness
         assert fitness[0] == 1.0
 
 
 class TestSelectTopK:
     def test_requires_fitness(self):
+        # A population is built scored: one without fitness cannot exist.
         pop = make_population([0.5])
-        pop.fitness = None
-        with pytest.raises(StateError):
-            select_top_k(pop, 1)
+        with pytest.raises(TypeError):
+            Population(pop.parent, pop.mutation, pop.children)
 
     def test_all_equal_takes_lowest_indices(self):
         pop = make_population([0.7] * 6)
@@ -145,61 +151,67 @@ class TestAverageWeights:
 
 
 class TestEnsemblePredict:
+    """The ensemble `_report` scores: the mean of the members' softmax outputs."""
+
     def test_single_member_is_its_softmax(self, rng):
-        net = init_network(NetworkSpec([2, 4, 3], seed=1))
+        parent = init_network(NetworkSpec([2, 4, 3], seed=1))
+        params = MutationParams(sigma=0.1, rho=0.5, mirrored=False)
+        (child,) = spawn_mutations(parent.params, params, 1, 0)
+        (genome,) = build_genomes(parent.params, params, [child])
         x = rng.normal(size=(6, 2))
-        np.testing.assert_array_equal(ensemble_predict([net], x), softmax(forward(net, x)))
+        np.testing.assert_array_equal(
+            evolution._ensemble_probs(parent, params, [child], x),
+            softmax(forward(Network(parent.spec, genome), x)),
+        )
 
     def test_two_member_arithmetic(self):
-        # members produce softmax [0.6, 0.4] and [0.2, 0.8] on one sample
+        # a [1, 2] network on the input 1 has logits (w0 + b0, w1 + b1)
         spec = NetworkSpec([1, 2])
-        a_gap = np.log(0.6 / 0.4)
-        b_gap = np.log(0.2 / 0.8)
-        a = Network(spec, ParamVector(np.array([0.0, 0.0, a_gap, 0.0])))
-        b = Network(spec, ParamVector(np.array([0.0, 0.0, b_gap, 0.0])))
-        probs = ensemble_predict([a, b], np.array([[1.0]]))
-        np.testing.assert_allclose(probs, [[0.4, 0.6]], atol=1e-12)
-        assert probs.argmax(axis=1)[0] == 1
+        parent = Network(spec, ParamVector(np.array([0.0, 0.0, np.log(0.6 / 0.4), 0.0])))
+        params = MutationParams(sigma=0.5, rho=0.0)
+        pair = spawn_mutations(parent.params, params, 2, 3)
+        p0 = [
+            1.0 / (1.0 + np.exp((w1 + b1) - (w0 + b0)))
+            for w0, w1, b0, b1 in (g.values for g in build_genomes(parent.params, params, pair))
+        ]
+        probs = evolution._ensemble_probs(parent, params, pair, np.array([[1.0]]))
+        np.testing.assert_allclose(probs, [[np.mean(p0), 1.0 - np.mean(p0)]], atol=1e-12)
 
     def test_identical_members_match_single(self, rng):
-        net = init_network(NetworkSpec([2, 4, 2], seed=2))
+        parent = init_network(NetworkSpec([2, 4, 2], seed=2))
+        params = MutationParams(sigma=0.1, rho=0.5, mirrored=False)
+        (child,) = spawn_mutations(parent.params, params, 1, 0)
         x = rng.normal(size=(10, 2))
         np.testing.assert_allclose(
-            ensemble_predict([net, net, net], x), softmax(forward(net, x)), atol=1e-12
+            evolution._ensemble_probs(parent, params, [child] * 3, x),
+            evolution._ensemble_probs(parent, params, [child], x),
+            atol=1e-12,
         )
 
     def test_rows_normalized(self, spiral_task):
         params = MutationParams(sigma=0.1, rho=0.5)
-        pop = spawn_population(spiral_task.parent, params, 4, master_seed=5)
-        members = [
-            Network(spiral_task.parent.spec, g)
-            for g in build_genomes(spiral_task.parent.params, params, pop.children)
-        ]
-        probs = ensemble_predict(members, spiral_task.val.inputs)
+        children = spawn_mutations(spiral_task.parent.params, params, 4, 5)
+        probs = evolution._ensemble_probs(
+            spiral_task.parent, params, children, spiral_task.val.inputs
+        )
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-6)
-
-    def test_spec_mismatch(self):
-        a = init_network(NetworkSpec([2, 4, 2], seed=1))
-        b = init_network(NetworkSpec([2, 5, 2], seed=1))
-        with pytest.raises(ShapeError):
-            ensemble_predict([a, b], np.zeros((1, 2)))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ensemble_predict([], np.zeros((1, 2)))
 
 
 class CountingDataset(Dataset):
-    """Dataset whose input reads are counted, for data-hygiene checks."""
+    """Dataset whose input reads are counted and stamped in one sequence
+    shared by all instances, for data-hygiene checks."""
+
+    _sequence = itertools.count()
 
     def __init__(self, base: Dataset):
-        self.reads = 0
+        self.reads, self.read_at = 0, []
         super().__init__(base.inputs, base.labels, base.class_count)
-        self.reads = 0  # ignore reads made by construction-time validation
+        self.reads, self.read_at = 0, []  # ignore reads made by construction-time validation
 
     @property
     def inputs(self):
         self.reads += 1
+        self.read_at.append(next(self._sequence))
         return self._inputs
 
     @inputs.setter
@@ -237,7 +249,7 @@ class TestRunGeneration:
             assert abs(getattr(p, field) - getattr(e, field)) <= 1e-6
         assert report.delta_acc == 0.0
 
-    def test_deterministic_across_worker_counts(self, spiral_task):
+    def test_rerun_is_identical(self, spiral_task):
         cfg = self.gen_cfg()
         a = run_generation(spiral_task.parent, cfg, spiral_task.val, spiral_task.test, 9)
         b = run_generation(spiral_task.parent, cfg, spiral_task.val, spiral_task.test, 9)
@@ -247,9 +259,10 @@ class TestRunGeneration:
         val = CountingDataset(spiral_task.val)
         test = CountingDataset(spiral_task.test)
         run_generation(spiral_task.parent, self.gen_cfg(), val, test, 10)
-        # parent, averaged, ensemble each forward the test inputs once
+        # parent, averaged, ensemble each forward the test inputs once,
+        # after the last validation read
         assert test.reads == 3
-        assert val.reads > test.reads
+        assert max(val.read_at) < min(test.read_at)
 
     def test_test_set_read_once_with_repeats(self, spiral_task, tmp_path, monkeypatch):
         read = {}
@@ -405,9 +418,9 @@ class TestGenomeLifetime:
 
     def test_evaluate_fitness_holds_one_genome(self):
         parent, params = self.setup()
-        pop = spawn_population(parent, params, 8, 0)
+        children = spawn_mutations(parent.params, params, 8, 0)
         val = make_spirals(100, seed=2)
-        peak = self.traced_peak(lambda: evaluate_fitness(pop, val))
+        peak = self.traced_peak(lambda: evaluate_fitness(parent, params, children, val))
         genome_bytes = parent.params.w * 8
         assert peak < 2.25 * genome_bytes, peak / genome_bytes
 
@@ -417,18 +430,18 @@ class TestChainedParent:
     def test_mirrored_pairs_cancel_in_generation_2(self, spiral_task, monkeypatch, anti_random):
         """The averaged genome chained into generation 2 is float32-valued,
         so each +/- pair of that generation averages back to it bit for bit."""
-        scored = []
+        populations = []
 
-        def recording(pop, val):
-            scored.append(pop)
-            return evaluate_fitness(pop, val)
+        def recording(parent, params, children, val):
+            populations.append(evaluate_fitness(parent, params, children, val))
+            return populations[-1]
 
         monkeypatch.setattr(evolution, "evaluate_fitness", recording)
         params = MutationParams(sigma=0.05, rho=0.5, anti_random=anti_random)
         cfg = GenerationConfig(params, pop_size=8, top_k=3, generations=2)
         run_generation(spiral_task.parent, cfg, spiral_task.val, spiral_task.test, 4)
-        assert len(scored) == 2
-        final = scored[-1]
+        assert len(populations) == 2
+        final = populations[-1]
         theta = final.parent.params
         assert theta.values.tobytes() != spiral_task.parent.params.values.tobytes()
         genomes = dict(zip(final.children, build_genomes(theta, params, final.children)))
@@ -521,3 +534,8 @@ class TestGenerationConfig:
     def test_top_k_bounded(self):
         with pytest.raises(ConfigurationError):
             GenerationConfig(MutationParams(sigma=0.1, rho=0.5), pop_size=4, top_k=5)
+
+    def test_top_k_at_least_one(self):
+        # the ensemble and the average always have a member
+        with pytest.raises(ConfigurationError):
+            GenerationConfig(MutationParams(sigma=0.1, rho=0.5), pop_size=4, top_k=0)

@@ -15,16 +15,10 @@ import numpy as np
 import pytest
 
 import smd.evolution as evolution
+import smd.mutation as mutation
 from smd.cli import main
-from smd.evolution import (
-    GenerationConfig,
-    ensemble_predict,
-    evaluate_fitness,
-    run_ablation,
-    run_generation,
-    spawn_population,
-)
-from smd.mutation import MutationParams, build_genomes, derive_seed
+from smd.evolution import GenerationConfig, evaluate_fitness, run_ablation, run_generation
+from smd.mutation import MutationParams, build_genomes, derive_seed, spawn_mutations
 from smd.network import Network, ParamVector, forward, softmax
 
 from oracles import kl_from_logits
@@ -34,7 +28,8 @@ POP, TOP_K = 8, 4
 
 @pytest.fixture()
 def forward_calls(monkeypatch):
-    """Counts every `forward` call made from `smd.evolution`."""
+    """Counts every `forward` call made from `smd.evolution`, and from
+    `smd.mutation.child_logits`, which runs every child."""
     calls = []
 
     def counting(net, inputs, *scratch):
@@ -42,6 +37,7 @@ def forward_calls(monkeypatch):
         return forward(net, inputs, *scratch)
 
     monkeypatch.setattr(evolution, "forward", counting)
+    monkeypatch.setattr(mutation, "forward", counting)
     return calls
 
 
@@ -75,8 +71,8 @@ class TestForwardCallCount:
 
     def test_evaluate_fitness_one_pass_per_child(self, spiral_task, forward_calls):
         t = spiral_task
-        pop = spawn_population(t.parent, gen_cfg().mutation, POP, 4)
-        evaluate_fitness(pop, t.val)
+        params = gen_cfg().mutation
+        pop = evaluate_fitness(t.parent, params, spawn_mutations(t.parent.params, params, POP, 4), t.val)
         assert forward_calls == [t.val.n] * POP
         assert len(pop.val_probs) == POP
 
@@ -84,8 +80,8 @@ class TestForwardCallCount:
 class TestCachedScores:
     def test_val_logits_match_direct_forward(self, spiral_task):
         t = spiral_task
-        pop = spawn_population(t.parent, gen_cfg().mutation, POP, 5)
-        evaluate_fitness(pop, t.val)
+        params = gen_cfg().mutation
+        pop = evaluate_fitness(t.parent, params, spawn_mutations(t.parent.params, params, POP, 5), t.val)
         built = build_genomes(t.parent.params, pop.mutation, pop.children)
         for genome, cached in zip(built, pop.val_probs, strict=True):
             direct = softmax(forward(Network(t.parent.spec, genome), t.val.inputs))
@@ -100,10 +96,9 @@ class TestCachedScores:
 
         current = t.parent
         for gen in range(generations):
-            pop = spawn_population(
-                current, cfg.mutation, POP, derive_seed(seed, evolution._GENERATION_NS, gen)
-            )
-            evaluate_fitness(pop, t.val)
+            gen_seed = derive_seed(seed, evolution._GENERATION_NS, gen)
+            children = spawn_mutations(current.params, cfg.mutation, POP, gen_seed)
+            pop = evaluate_fitness(current, cfg.mutation, children, t.val)
             selected = evolution.select_top_k(pop, TOP_K)
             chosen = [pop.children[i] for i in selected]
             averaged = evolution.average_weights(
@@ -123,8 +118,7 @@ class TestCachedScores:
         for record, net in zip(report.per_child, nets):
             kl = kl_from_logits(parent_logits, forward(net, t.val.inputs))
             assert record["kl_to_parent"] == kl
-        members = [nets[i] for i in selected]
-        probs = ensemble_predict(members, t.val.inputs)
+        probs = np.mean([softmax(forward(nets[i], t.val.inputs)) for i in selected], axis=0)
         ens_val = float((probs.argmax(axis=1) == t.val.labels).mean())
         assert report.ensemble_val_accuracy == ens_val
 
@@ -189,13 +183,21 @@ class TestAblationPoints:
         assert values("static") == values("dynamic")
 
 
-# SHA-256s of the artifacts the tiny config below writes, recorded when
-# noise became one draw per support coordinate (every rho > 0 value moved;
-# the rho-0 ablation rows kept their bytes). Float64 numpy on OpenBLAS;
-# another BLAS build may round a matmul differently and legitimately
-# change them.
+# SHA-256s of the artifacts the tiny configs below write, keyed by path
+# under the output directory. `eval_report.json` and `ablation.csv` were
+# recorded when noise became one draw per support coordinate (every rho > 0
+# value moved; the rho-0 ablation rows kept their bytes); the others when
+# the train, search and best-of-3 evolve artifacts were added to this test.
+# Float64 numpy on OpenBLAS; another BLAS build may round a matmul
+# differently and legitimately change them.
 GOLDEN = {
+    "training_log.csv": "205b4de12b4eba464196f4d3d6107bf07bd62866043c9dfba428a0b0e49c72f5",
+    "search_result.json": "f99a15c430ff004bac28053ab96cf39ceba756694ee1a6479adbf7554a20532b",
+    "sweep.csv": "ff444a334380c694b0ffdbe55f38b4535dec07a9c54926c307dc3586b6ff07d1",
     "eval_report.json": "8b0b5cf3f5f188d9f63d3a600fa1fc9546cd4ff1a99b46fd777ff2434234b4b0",
+    "eval_report.csv": "b83ef391ee4ea2acf80bc57dc6f65e05a44c6978859c1cbfd9d59eca038b0851",
+    "repeats/eval_report.json": "fc03f49c9c86d261470a2f622dc52aed1e9c77e119b154bac39329254da7ce7e",
+    "repeats/eval_report.csv": "b34bda434b19d3d086bd9ff16f1d29490a41f5c4e54294216dc538056bff95d7",
     "ablation.csv": "4233414fa6d36f7f6e09491c323054ed160b7391d11e740fbd98a453946dd449",
 }
 
@@ -229,6 +231,16 @@ def test_artifact_bytes_pinned(tmp_path):
         "output": {"dir": str(out)},
     })
     checkpoint = {"checkpoint": str(out / "model.ckpt")}
+    _run(tmp_path, "search", {
+        "task": task,
+        "model": checkpoint,
+        "mutation": {"search": {
+            "sigma_grid": [0.02, 0.05, 0.1], "rho_grid": [0.25, 0.5, 0.9],
+            "kl_target": 0.01, "kl_tolerance": 0.9, "samples_per_cell": 4, "probe_size": 200,
+            "seed": 11,
+        }},
+        "output": {"dir": str(out)},
+    })
     _run(tmp_path, "evolve", {
         "task": task,
         "model": checkpoint,
@@ -236,6 +248,13 @@ def test_artifact_bytes_pinned(tmp_path):
         "evolution": {"pop_size": 8, "top_k": 4, "generations": 2, "master_seed": 0},
         "output": {"dir": str(out)},
     })
+    _run(tmp_path, "evolve", {
+        "task": task,
+        "model": checkpoint,
+        "mutation": {"search_result": str(out / "search_result.json")},
+        "evolution": {"pop_size": 8, "top_k": 4, "generations": 1, "master_seed": 4},
+        "output": {"dir": str(out / "repeats")},
+    }, "--repeats", "3")
     _run(tmp_path, "ablate", {
         "task": task,
         "model": checkpoint,
