@@ -72,7 +72,8 @@ class TestForwardCallCount:
     def test_evaluate_fitness_one_pass_per_child(self, spiral_task, forward_calls):
         t = spiral_task
         params = gen_cfg().mutation
-        pop = evaluate_fitness(t.parent, params, spawn_mutations(t.parent.params, params, POP, 4), t.val)
+        children = spawn_mutations(t.parent.params, params, POP, 4)
+        pop = evaluate_fitness(t.parent, params, children, t.val)
         assert forward_calls == [t.val.n] * POP
         assert len(pop.val_probs) == POP
 
@@ -81,7 +82,8 @@ class TestCachedScores:
     def test_val_logits_match_direct_forward(self, spiral_task):
         t = spiral_task
         params = gen_cfg().mutation
-        pop = evaluate_fitness(t.parent, params, spawn_mutations(t.parent.params, params, POP, 5), t.val)
+        children = spawn_mutations(t.parent.params, params, POP, 5)
+        pop = evaluate_fitness(t.parent, params, children, t.val)
         built = build_genomes(t.parent.params, pop.mutation, pop.children)
         for genome, cached in zip(built, pop.val_probs, strict=True):
             direct = softmax(forward(Network(t.parent.spec, genome), t.val.inputs))
