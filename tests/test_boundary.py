@@ -25,7 +25,7 @@ from smd.cli import main
 from smd.config import boundary_section, load_config
 from smd.datasets import make_spirals
 from smd.errors import TaskMismatchError
-from smd.network import NetworkSpec, init_network
+from smd.network import NetworkSpec, forward, init_network, softmax, workspace
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -162,13 +162,29 @@ def grids(draw):
     )
 
 
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def deep_net():
+    return init_network(NetworkSpec([2, 64, 64, 64, 2], seed=18))
+
+
 class TestCsvBytes:
     def test_golden_sha256(self, net, data, tmp_path):
         grid = evaluate_grid(net, lattice_bounds(data), resolution=50)
         path = tmp_path / "grid.csv"
         write_grid_csv(grid, path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "e84cdc15a6b36c237e342c0d3a019aab7c7c464bd64ae46c441feed27eb40e06"
+        assert sha256(path) == "e84cdc15a6b36c237e342c0d3a019aab7c7c464bd64ae46c441feed27eb40e06"
+
+    def test_golden_sha256_multi_block(self, data, tmp_path):
+        # 40,000 points: the lattice is forwarded in five blocks.
+        grid = evaluate_grid(deep_net(), lattice_bounds(data), resolution=200)
+        csv_path, pgm_path = tmp_path / "grid.csv", tmp_path / "grid.pgm"
+        write_grid_csv(grid, csv_path)
+        write_grid_pgm(grid, pgm_path)
+        assert sha256(csv_path) == "d018b13cbbbdb0d62eb0d696c71a76bcf17ad190a934b2e7f9bc5e731c5a5e74"
+        assert sha256(pgm_path) == "7d349f0d92c9c0aa4e7ede80a8baa50aaf2862f8da5a4f20822d9c9d17ff84cd"
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(grids())
@@ -205,6 +221,55 @@ class TestCsvBytes:
             tracemalloc.stop()
         # res^2 Python floats alone would take 24 * res^2 = 3.84 MB
         assert peak < 2_000 * res
+
+    def test_evaluate_grid_peak_memory_is_bounded_by_the_block(self):
+        net = deep_net()
+        tracemalloc.start()
+        try:
+            evaluate_grid(net, (-1.0, 1.0, -1.0, 1.0), resolution=200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One call on all 40,000 points takes 2 x 40,000 x 64 floats (41 MB)
+        # of activations; 8,000-point blocks take a fifth of that.
+        assert peak < 16 * 2**20
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("resolution", [89, 90, 200], ids=["one-block", "tail", "five-blocks"])
+    def test_matches_one_call_on_the_whole_lattice(self, data, monkeypatch, resolution):
+        net = deep_net()
+        bounds = lattice_bounds(data)
+        xs = np.linspace(bounds[0], bounds[1], resolution)
+        ys = np.linspace(bounds[2], bounds[3], resolution)
+        gx, gy = np.meshgrid(xs, ys)
+        probs = softmax(forward(net, np.column_stack([gx.ravel(), gy.ravel()])))
+
+        # Every buffer starts as a sentinel, so a cell left unwritten fails.
+        empty = np.empty
+
+        def sentinel(shape, dtype=float):
+            buf = empty(shape, dtype)
+            buf.fill(-1 if np.issubdtype(buf.dtype, np.integer) else np.nan)
+            return buf
+
+        monkeypatch.setattr(np, "empty", sentinel)
+        grid = evaluate_grid(net, bounds, resolution)
+        monkeypatch.undo()
+
+        assert np.array_equal(grid.classes.ravel(), probs.argmax(axis=1))
+        np.testing.assert_allclose(grid.confidence.ravel(), probs.max(axis=1), rtol=0, atol=1e-15)
+
+    def test_one_workspace_per_grid(self, net, monkeypatch):
+        made = []
+
+        def counting_workspace(spec, rows):
+            made.append(rows)
+            return workspace(spec, rows)
+
+        monkeypatch.setattr("smd.boundary.workspace", counting_workspace)
+        evaluate_grid(net, (-1.0, 1.0, -1.0, 1.0), resolution=200)
+        assert made == [8000]
 
 
 @pytest.fixture()

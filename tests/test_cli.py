@@ -542,7 +542,34 @@ def _evolve_outcome(cfg):
     return code, {k: v for k, v in report.items() if k not in ("config", "seed")}
 
 
+# sigma > 0, so the seed draws the one perturbation of the cell.
+BOUNDARY_CONTRACT_BASE = {"sigma_grid": [0.05], "rho_grid": [0.5], "resolution": 8, "seed": 13}
+
+
+def _boundary_outcome(cfg):
+    """Exit code and the name and bytes of each file `boundary` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp) / "boundary.json", cfg)
+        out = Path(tmp) / "out"
+        code = main(["boundary", "--config", path, "--out", str(out)])
+        return code, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
 class TestConfigKeyContract:
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sigma_grid", [0.1]), ("rho_grid", [0.9]), ("resolution", 9), ("seed", 14)],
+    )
+    def test_every_boundary_key_changes_the_files(self, contract_base, key, value):
+        cfg = {k: contract_base[0][k] for k in ("task", "model")}
+        cfg["boundary"] = BOUNDARY_CONTRACT_BASE
+        base_code, base_files = _boundary_outcome(cfg)
+        cfg["boundary"] = dict(BOUNDARY_CONTRACT_BASE, **{key: value})
+        code, files = _boundary_outcome(cfg)
+        assert (base_code, code) == (0, 0)
+        assert len(files) == len(base_files) == 2
+        assert files != base_files, f"boundary.{key} = {value!r} changed nothing"
+
     @settings(max_examples=24, deadline=None, database=None)
     @given(change=CONTRACT_ALTERNATIVES)
     def test_every_key_changes_the_run(self, contract_base, change):

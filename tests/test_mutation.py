@@ -154,7 +154,7 @@ class TestSampleNoise:
             sample_noise(-1, 0.0, 0.1, 0)
 
 
-class TestComposeApply:
+class TestChildGenomeOracle:
     """The genome builder: theta + sign * (noise * support)."""
 
     def test_compose_definitional(self):
@@ -249,7 +249,7 @@ class TestBruteForceOracle:
         assert np.all(np.stack(parts).sum(axis=0) == 1)
 
 
-class TestMirroredQuad:
+class TestMirroredPairs:
     def test_pair_sums_to_twice_parent(self, rng):
         theta = f32_genome(rng, 256)
         noise = sample_noise(256, 0.0, 0.2, 11)
