@@ -37,7 +37,7 @@ from .evolution import (
     write_eval_csv,
 )
 from .metrics import accuracy
-from .mutation import MutationParams, mask_to_rle, role_support, sample_mask
+from .mutation import mask_to_rle, role_support, sample_mask
 from .network import Network, NetworkSpec, forward, init_network, softmax
 from .training import train_model
 
@@ -70,32 +70,27 @@ def _check_task(spec: NetworkSpec, data: Dataset) -> None:
         )
 
 
-def cmd_train(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
-    train, val, _ = cfgmod.build_task_data(cfg)
-    model = cfgmod.build_model_section(cfg)
-    if "checkpoint" in model:
-        raise ConfigurationError("train command needs a 'train' model section, not a checkpoint")
-    spec = cfgmod.build_network_spec(model)
-    _check_task(spec, train)
-    train_cfg = cfgmod.build_train_config(model)
+def cmd_train(run: dict, args: argparse.Namespace) -> int:
+    train, val, _ = cfgmod.build_task_data(run["task"])
+    _check_task(run["spec"], train)
 
-    net = init_network(spec)
+    net = init_network(run["spec"])
     history: list[dict] = []
-    trained = train_model(net, train, train_cfg, history)
+    trained = train_model(net, train, run["train_cfg"], history)
     val_acc = accuracy(softmax(forward(trained, val.inputs)), val.labels)
 
-    ckpt_path = out_dir / "model.ckpt"
+    ckpt_path = run["out_dir"] / "model.ckpt"
     save_checkpoint(trained, ckpt_path)
     write_csv(
-        out_dir / "training_log.csv",
+        run["out_dir"] / "training_log.csv",
         ("epoch", "train_loss", "train_acc"),
         ((row["epoch"], row["loss"], row["accuracy"]) for row in history),
     )
     _write_json(
-        out_dir / "train_summary.json",
+        run["out_dir"] / "train_summary.json",
         {
             "checkpoint": ckpt_path.name,
-            "epochs": train_cfg.epochs,
+            "epochs": run["train_cfg"].epochs,
             "final_train_loss": history[-1]["loss"] if history else None,
             "final_train_accuracy": history[-1]["accuracy"] if history else None,
             "val_accuracy": val_acc,
@@ -105,12 +100,8 @@ def cmd_train(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_parent(cfg: dict, data: Dataset) -> Network:
-    """The checkpoint the config names, checked against the task's `data`."""
-    model = cfgmod.build_model_section(cfg)
-    if "checkpoint" not in model:
-        raise ConfigurationError("this command needs model.checkpoint pointing at a trained model")
-    path = Path(model["checkpoint"])
+def _load_parent(path: Path, data: Dataset) -> Network:
+    """The checkpoint at path, checked against the task's `data`."""
     if not path.is_file():
         raise ConfigurationError(f"checkpoint not found: {path}")
     parent = load_checkpoint(path)
@@ -118,17 +109,15 @@ def _load_parent(cfg: dict, data: Dataset) -> Network:
     return parent
 
 
-def cmd_search(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
-    _, val, _ = cfgmod.build_task_data(cfg)
-    parent = _load_parent(cfg, val)
-    if cfgmod.mutation_mode(cfg) != "search":
-        raise ConfigurationError("search command needs a mutation 'search' directive")
-    search_cfg, seed = cfgmod.build_search_config(cfg)
+def cmd_search(run: dict, args: argparse.Namespace) -> int:
+    _, val, _ = cfgmod.build_task_data(run["task"])
+    parent = _load_parent(run["checkpoint"], val)
+    search = run["search"]
 
-    outcome = grid_search(parent, val, search_cfg, seed)
+    outcome = grid_search(parent, val, search.config, search.seed)
     best = outcome.best
     _write_json(
-        out_dir / "search_result.json",
+        run["out_dir"] / "search_result.json",
         {
             "sigma": best.sigma,
             "rho": best.rho,
@@ -137,12 +126,12 @@ def cmd_search(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
             "child_accuracy": best.mean_child_acc,
             "probe_size": outcome.probe_size,
             "in_band": outcome.in_band,
-            "kl_target": search_cfg.kl_target,
-            "kl_tolerance": search_cfg.kl_tolerance,
-            "seed": seed,
+            "kl_target": search.config.kl_target,
+            "kl_tolerance": search.config.kl_tolerance,
+            "seed": search.seed,
         },
     )
-    write_sweep_csv(outcome.cells, out_dir / "sweep.csv")
+    write_sweep_csv(outcome.cells, run["out_dir"] / "sweep.csv")
     print(
         f"sigma {best.sigma:g} | rho {best.rho:g} | mean KL {best.mean_kl:.4f}"
         f" | in_band {outcome.in_band}"
@@ -150,38 +139,22 @@ def cmd_search(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
     return EXIT_OK if outcome.in_band else EXIT_OUT_OF_BAND
 
 
-def _resolve_mutation(cfg: dict, parent, val) -> MutationParams:
-    mode = cfgmod.mutation_mode(cfg)
-    if mode == "explicit":
-        return cfgmod.build_mutation_params(cfg)
-    if mode == "search_result":
-        path = Path(cfg["mutation"]["search_result"])
-        if not path.is_file():
-            raise ConfigurationError(f"search result not found: {path}")
-        try:
-            found = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: not a search result artifact ({exc})") from exc
-        return cfgmod.build_mutation_params(cfg, found, f"search result {path}")
-    search_cfg, seed = cfgmod.build_search_config(cfg)
-    best = grid_search(parent, val, search_cfg, seed).best
-    found = {"sigma": best.sigma, "rho": best.rho}
-    return cfgmod.build_mutation_params(cfg, found, "the KL grid search")
-
-
-def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
-    _, val, test = cfgmod.build_task_data(cfg)
+def cmd_evolve(run: dict, args: argparse.Namespace) -> int:
+    _, val, test = cfgmod.build_task_data(run["task"])
     if not datasets_disjoint(val, test):
         raise DataHygieneError("validation and test sets share samples")
-    parent = _load_parent(cfg, val)
-    sizes, master_seed = cfgmod.generation_sizes(cfg)
-    mutation = _resolve_mutation(cfg, parent, val)
-    gen_cfg = GenerationConfig(mutation, **sizes)
+    parent = _load_parent(run["checkpoint"], val)
+    mutation = run["mutation"]
+    if isinstance(mutation, cfgmod.Search):
+        best = grid_search(parent, val, mutation.config, mutation.seed).best
+        found = {"sigma": best.sigma, "rho": best.rho}
+        mutation = cfgmod.mutation_params(found, mutation.strategy, "the KL grid search")
+    gen_cfg = GenerationConfig(mutation, **run["sizes"])
 
     # Best-of-R selection peeks only at validation-side accuracy.
-    best = run_generation(parent, gen_cfg, val, test, master_seed, args.repeats)
-    _write_json(out_dir / "eval_report.json", best.to_json_dict())
-    write_eval_csv(best, out_dir / "eval_report.csv")
+    best = run_generation(parent, gen_cfg, val, test, run["master_seed"], args.repeats)
+    _write_json(run["out_dir"] / "eval_report.json", best.to_json_dict())
+    write_eval_csv(best, run["out_dir"] / "eval_report.csv")
 
     if args.dump_masks:
         lines = [
@@ -191,48 +164,37 @@ def cmd_evolve(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
             )
             for c in best.per_child
         ]
-        (out_dir / "masks.rle.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (run["out_dir"] / "masks.rle.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     print(best.summary_line())
     return EXIT_OK
 
 
-def cmd_boundary(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
-    section = cfgmod.boundary_section(cfg)
-    train, _, _ = cfgmod.build_task_data(cfg)
-    parent = _load_parent(cfg, train)
+def cmd_boundary(run: dict, args: argparse.Namespace) -> int:
+    train, _, _ = cfgmod.build_task_data(run["task"])
+    parent = _load_parent(run["checkpoint"], train)
+    boundary = run["boundary"]
     written = export_boundary_cells(
         parent,
         train,
-        section["sigma_grid"],
-        section["rho_grid"],
-        out_dir,
-        master_seed=section["seed"],
-        resolution=section["resolution"],
+        boundary["sigma_grid"],
+        boundary["rho_grid"],
+        run["out_dir"],
+        master_seed=boundary["seed"],
+        resolution=boundary["resolution"],
     )
-    print(f"wrote {len(written)} boundary files to {out_dir}")
+    print(f"wrote {len(written)} boundary files to {run['out_dir']}")
     return EXIT_OK
 
 
-def cmd_ablate(cfg: dict, out_dir: Path, args: argparse.Namespace) -> int:
-    section = cfgmod.ablation_section(cfg)
-    _, val, test = cfgmod.build_task_data(cfg)
+def cmd_ablate(run: dict, args: argparse.Namespace) -> int:
+    _, val, test = cfgmod.build_task_data(run["task"])
     if not datasets_disjoint(val, test):
         raise DataHygieneError("validation and test sets share samples")
-    parent = _load_parent(cfg, val)
-    rows = run_ablation(
-        parent,
-        section["sigma_grid"],
-        section["rho_grid"],
-        section["modes"],
-        val,
-        test,
-        section["seeds"],
-        pop_size=section["pop_size"],
-        top_k=section["top_k"],
-    )
-    write_ablation_csv(rows, out_dir / "ablation.csv")
-    print(f"wrote {len(rows)} ablation rows to {out_dir / 'ablation.csv'}")
+    parent = _load_parent(run["checkpoint"], val)
+    rows = run_ablation(parent, val=val, test=test, **run["ablation"])
+    write_ablation_csv(rows, run["out_dir"] / "ablation.csv")
+    print(f"wrote {len(rows)} ablation rows to {run['out_dir'] / 'ablation.csv'}")
     return EXIT_OK
 
 
@@ -267,13 +229,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "repeats", 1) < 1:
             raise ConfigurationError(f"--repeats must be >= 1, got {args.repeats}")
-        cfg = cfgmod.load_config(args.config)
-        out_dir = cfgmod.resolve_out_dir(cfg, args.out)
-        for name in sorted(cfg.keys() - {"_comment"}):
-            if "." in name:  # a dotted SCHEMA name is an object nested in its section
-                raise ConfigurationError(f"config has an unknown section {name!r}")
-            cfgmod.section(cfg, name)
-        return _COMMANDS[args.command](cfg, out_dir, args)
+        run = cfgmod.check(cfgmod.load_config(args.config), args.command, args.out)
+        return _COMMANDS[args.command](run, args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES[type(exc)]

@@ -1,13 +1,16 @@
-"""JSON run-configuration parsing for the command-line harness.
+"""JSON run-configuration checking for the command-line harness.
 
 `SCHEMA` declares every config key once: section -> key -> (kind, default).
 `section` checks a section, or a nested object such as `model.train`,
 against it. Unknown keys, values of the wrong kind and missing required keys
 are configuration errors that name the section and the key, so typos fail
 loudly instead of silently using defaults. A default of None leaves an absent
-key out, so the dataclass the key builds supplies its own default. Rules that
-tie keys together stay in the `build_*` functions. All randomness is seeded
-from config fields; nothing reads system entropy.
+key out, so the dataclass the key builds supplies its own default.
+
+`check` is the one check of a command's config, run before any data or
+checkpoint is read: it runs `section` once per section, applies every rule
+that ties keys together, and hands the command only checked values. All
+randomness is seeded from config fields; nothing reads system entropy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .boundary import DEFAULT_RESOLUTION, cell_tag
 from .datasets import Dataset, SplitSpec, load_csv, make_spirals, split
 from .divergence import GridSearchConfig
 from .errors import ConfigurationError
-from .evolution import GenerationConfig
+from .evolution import GenerationConfig, check_sizes
 from .mutation import SUBSPACE_MODES, MutationParams, group_roles
 from .network import ACTIVATIONS, NetworkSpec
 from .training import OPTIMIZERS, TrainConfig
@@ -151,14 +154,48 @@ SCHEMA: dict[str, dict[str, tuple[Kind, object]]] = {
 }
 
 
-def load_config(path: str | Path) -> dict:
-    path = Path(path)
+class Search(NamedTuple):
+    """A KL grid search to run, and the strategy keys of the mutation it finds."""
+
+    config: GridSearchConfig
+    seed: int
+    strategy: dict
+
+
+# The sections each command reads: a config without one of them is an error.
+# Every command also reads `output`, whose keys all have defaults.
+_SECTIONS = {
+    "train": ("task", "model"),
+    "search": ("task", "model", "mutation"),
+    "evolve": ("task", "model", "mutation", "evolution"),
+    "boundary": ("task", "model", "boundary"),
+    "ablate": ("task", "model", "ablation"),
+}
+_STRATEGY = ("mu", "subspace_mode", "mirrored", "anti_random")
+
+
+def _unique(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; a key it repeats is an error, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _read_json(path: Path, what: str) -> object:
+    """The JSON value in the file at path; `what` names the file in errors."""
     if not path.is_file():
-        raise ConfigurationError(f"config file not found: {path}")
+        raise ConfigurationError(f"{what} not found: {path}")
     try:
-        cfg = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique)
+    except ValueError as exc:  # a JSONDecodeError, a duplicate key or bad UTF-8
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def load_config(path: str | Path) -> dict:
+    cfg = _read_json(Path(path), "config file")
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"{path}: top level must be an object")
     return cfg
@@ -170,7 +207,7 @@ def _value(name: str, key: str, kind: Kind, value):
     return kind.cast(value)
 
 
-def section(cfg: dict, name: str, required: bool = False) -> dict:
+def section(cfg: dict, name: str) -> dict:
     """The checked `name` section of cfg, with defaults filled in.
 
     A dotted name such as `mutation.search` names the object under its last
@@ -179,8 +216,6 @@ def section(cfg: dict, name: str, required: bool = False) -> dict:
     if name not in SCHEMA:
         raise ConfigurationError(f"config has an unknown section {name!r}")
     parent, _, last = name.rpartition(".")
-    if last not in cfg and required:
-        raise ConfigurationError(f"config is missing the '{name}' section")
     raw = _value(parent or "config", last, OBJECT, cfg.get(last, {}))
     unknown = raw.keys() - SCHEMA[name].keys() - {"_comment"}
     if unknown:
@@ -198,82 +233,116 @@ def section(cfg: dict, name: str, required: bool = False) -> dict:
     return checked
 
 
-def build_task_data(cfg: dict) -> tuple[Dataset, Dataset, Dataset]:
-    """Materialize (train, validation, test) datasets from the task section."""
-    task = section(cfg, "task", required=True)
-    if task["dataset"] == "spirals":
-        shape = {k: task[k] for k in ("noise_std", "turns") if k in task}
-        train = make_spirals(task["n_train"], seed=task["train_seed"], **shape)
-        eval_pool = make_spirals(task["n_eval"], seed=task["eval_seed"], **shape)
-    else:
+def check(cfg: dict, command: str, cli_out: str | None) -> dict:
+    """What `command` runs on: its config's checked sections and the objects
+    built from them. `section` checks each section the config has or the
+    command reads once, then every rule that ties keys together is applied.
+    The output directory is made first (SMD_OUT, then --out, then
+    `output.dir`), so a failed check leaves it empty."""
+    output = section(cfg, "output")
+    out_dir = Path(os.environ.get("SMD_OUT") or cli_out or output["dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    reads = _SECTIONS[command]
+    checked = {}
+    for name in sorted((cfg.keys() | set(reads)) - {"_comment", "output"}):
+        if "." in name:  # a dotted SCHEMA name is an object nested in its section
+            raise ConfigurationError(f"config has an unknown section {name!r}")
+        if name not in cfg:
+            raise ConfigurationError(f"config is missing the '{name}' section")
+        checked[name] = section(cfg, name)
+    _task_rules(checked["task"])
+    run = {"out_dir": out_dir, "task": checked["task"], **_model(checked["model"], command)}
+    if command == "search":
+        if "search" not in checked["mutation"]:
+            raise ConfigurationError("search command needs a mutation 'search' directive")
+        run["search"] = _mutation(checked["mutation"])
+    elif command == "evolve":
+        sizes = dict(checked["evolution"])
+        run["master_seed"] = sizes.pop("master_seed")
+        pop_size = sizes.get("pop_size", GenerationConfig.pop_size)
+        _population(pop_size, sizes.get("top_k", GenerationConfig.top_k), checked["mutation"])
+        run.update(sizes=sizes, mutation=_mutation(checked["mutation"]))
+    elif command == "boundary":
+        sigmas, rhos = checked["boundary"]["sigma_grid"], checked["boundary"]["rho_grid"]
+        if len({cell_tag(s, r) for s in sigmas for r in rhos}) != len(sigmas) * len(rhos):
+            raise ConfigurationError(
+                f"boundary grids name the same cell twice: sigma_grid {sigmas}, rho_grid {rhos}"
+            )
+        run["boundary"] = checked["boundary"]
+    elif command == "ablate":
+        ablation = checked["ablation"]
+        _population(ablation["pop_size"], ablation["top_k"], {})  # the default strategy
+        run["ablation"] = ablation
+    return run
+
+
+def _task_rules(task: dict) -> None:
+    """A csv task names its files one of two ways; an eval pool is split by
+    fractions that sum to 1."""
+    if task["dataset"] == "csv":
         if "train_csv" not in task:
             raise ConfigurationError("csv task needs 'train_csv'")
-        train = load_csv(task["train_csv"])
-        if "val_csv" in task or "test_csv" in task:
-            if not ("val_csv" in task and "test_csv" in task):
-                raise ConfigurationError("csv task needs both 'val_csv' and 'test_csv'")
-            val = load_csv(task["val_csv"], class_count=train.class_count)
-            test = load_csv(task["test_csv"], class_count=train.class_count)
-            return train, val, test
-        if "eval_csv" not in task:
+        if ("val_csv" in task) != ("test_csv" in task):
+            raise ConfigurationError("csv task needs both 'val_csv' and 'test_csv'")
+        if "val_csv" not in task and "eval_csv" not in task:
             raise ConfigurationError("csv task needs 'eval_csv' or val_csv/test_csv")
-        eval_pool = load_csv(task["eval_csv"], class_count=train.class_count)
-    val, test = split(eval_pool, SplitSpec(task["eval_fractions"], task["split_seed"]))
-    return train, val, test
+    if task["dataset"] == "spirals" or "val_csv" not in task:
+        SplitSpec(task["eval_fractions"], task["split_seed"])
 
 
-def build_model_section(cfg: dict) -> dict:
-    model = section(cfg, "model", required=True)
+def _model(model: dict, command: str) -> dict:
+    """The checkpoint path, or for `train` the network spec and training settings."""
     if ("train" in model) == ("checkpoint" in model):
         raise ConfigurationError("model section needs exactly one of 'train' or 'checkpoint'")
-    return model
-
-
-def build_network_spec(model: dict) -> NetworkSpec:
+    wanted = "train" if command == "train" else "checkpoint"
+    if wanted not in model:
+        raise ConfigurationError(f"the {command} command needs model.{wanted}")
+    if command != "train":
+        return {"checkpoint": Path(model["checkpoint"])}
     if "layer_sizes" not in model:
         raise ConfigurationError("model section needs 'layer_sizes' to train from scratch")
     keys = ("layer_sizes", "hidden_activation", "seed")
-    return NetworkSpec(**{k: model[k] for k in keys if k in model})
+    spec = NetworkSpec(**{k: model[k] for k in keys if k in model})
+    return {"spec": spec, "train_cfg": TrainConfig(**model["train"])}
 
 
-def build_train_config(model: dict) -> TrainConfig:
-    return TrainConfig(**model["train"])
+def _population(pop_size: int, top_k: int, strategy: dict) -> None:
+    """A population keeps top_k of pop_size children, in whole spawning groups."""
+    check_sizes(pop_size, top_k)
+    group_roles(
+        strategy.get("mirrored", MutationParams.mirrored),
+        strategy.get("anti_random", MutationParams.anti_random),
+        pop_size,
+    )
 
 
-def mutation_mode(cfg: dict) -> str:
-    """Which of the three mutation forms the config uses."""
-    mutation = section(cfg, "mutation", required=True)
-    forms = [
-        "explicit" if "sigma" in mutation or "rho" in mutation else None,
-        "search" if "search" in mutation else None,
-        "search_result" if "search_result" in mutation else None,
-    ]
-    present = [f for f in forms if f]
-    if len(present) != 1:
+def _mutation(mutation: dict) -> MutationParams | Search:
+    """The mutation of the section's one form: explicit sigma and rho, a
+    search result artifact, or a search still to run."""
+    explicit = "sigma" in mutation or "rho" in mutation
+    if explicit + ("search" in mutation) + ("search_result" in mutation) != 1:
         raise ConfigurationError(
             "mutation section needs exactly one of explicit (sigma, rho), "
             "'search', or 'search_result'"
         )
-    return present[0]
+    strategy = {k: mutation[k] for k in _STRATEGY if k in mutation}
+    if "search" in mutation:
+        search = dict(mutation["search"])
+        seed = search.pop("seed")
+        return Search(GridSearchConfig(**search), seed, strategy)
+    if explicit:
+        return mutation_params(mutation, strategy, "mutation")
+    path = Path(mutation["search_result"])
+    return mutation_params(_read_json(path, "search result"), strategy, f"search result {path}")
 
 
-def build_mutation_params(
-    cfg: dict, found: object = None, source: str = "mutation"
-) -> MutationParams:
-    """The mutation distribution and spawning strategy.
-
-    sigma and rho come from `found` (what a search found, or a search result
-    artifact named `source`), else from the explicit form of the section;
-    either way they must pass the section's kinds. The strategy keys (mu,
-    subspace_mode, mirrored, anti_random) apply to all three forms.
-    """
-    mutation = section(cfg, "mutation", required=True)
-    found = mutation if found is None else found
+def mutation_params(found: object, strategy: dict, source: str) -> MutationParams:
+    """The mutation with sigma and rho from `found` (named `source` in errors),
+    which must pass the section's kinds, and the section's strategy keys."""
     if not isinstance(found, dict) or not {"sigma", "rho"} <= found.keys():
         raise ConfigurationError(f"{source} needs both 'sigma' and 'rho', got {found!r}")
     sigma, rho = (_value(source, k, SCHEMA["mutation"][k][0], found[k]) for k in ("sigma", "rho"))
-    strategy = ("mu", "subspace_mode", "mirrored", "anti_random")
-    params = MutationParams(sigma, rho, **{k: mutation[k] for k in strategy if k in mutation})
+    params = MutationParams(sigma, rho, **strategy)
     if params.anti_random and rho == 0:
         raise ConfigurationError(
             f"mutation 'anti_random' needs rho > 0, got rho 0 from {source}: the complement "
@@ -282,48 +351,18 @@ def build_mutation_params(
     return params
 
 
-def build_search_config(cfg: dict) -> tuple[GridSearchConfig, int]:
-    search = dict(section(cfg, "mutation", required=True)["search"])
-    seed = search.pop("seed")
-    return GridSearchConfig(**search), seed
-
-
-def generation_sizes(cfg: dict) -> tuple[dict, int]:
-    """The evolution section's sizes, as `GenerationConfig` keywords, and its
-    master seed. The sizes pass `GenerationConfig`'s rules, and pop_size the
-    spawning-group rule of the mutation section's strategy, here, before the
-    mutation is resolved, so a bad size fails before a KL grid search."""
-    evolution = dict(section(cfg, "evolution", required=True))
-    master_seed = evolution.pop("master_seed")
-    sizes = GenerationConfig(None, **evolution)  # the mutation is not known yet
-    mutation = section(cfg, "mutation", required=True)
-    group_roles(
-        mutation.get("mirrored", MutationParams.mirrored),
-        mutation.get("anti_random", MutationParams.anti_random),
-        sizes.pop_size,
-    )
-    return evolution, master_seed
-
-
-def boundary_section(cfg: dict) -> dict:
-    """The checked boundary section; grids whose cells would share an output
-    file name are rejected."""
-    checked = section(cfg, "boundary", required=True)
-    sigmas, rhos = checked["sigma_grid"], checked["rho_grid"]
-    if len({cell_tag(s, r) for s in sigmas for r in rhos}) != len(sigmas) * len(rhos):
-        raise ConfigurationError(
-            f"boundary grids name the same cell twice: sigma_grid {sigmas}, rho_grid {rhos}"
-        )
-    return checked
-
-
-def ablation_section(cfg: dict) -> dict:
-    return section(cfg, "ablation", required=True)
-
-
-def resolve_out_dir(cfg: dict, cli_out: str | None) -> Path:
-    """Output directory priority: SMD_OUT env, then --out, then config."""
-    output = section(cfg, "output")
-    path = Path(os.environ.get("SMD_OUT") or cli_out or output["dir"])
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def build_task_data(task: dict) -> tuple[Dataset, Dataset, Dataset]:
+    """(train, validation, test) datasets from the checked task section."""
+    if task["dataset"] == "spirals":
+        shape = {k: task[k] for k in ("noise_std", "turns") if k in task}
+        train = make_spirals(task["n_train"], seed=task["train_seed"], **shape)
+        eval_pool = make_spirals(task["n_eval"], seed=task["eval_seed"], **shape)
+    else:
+        train = load_csv(task["train_csv"])
+        if "val_csv" in task:
+            val = load_csv(task["val_csv"], class_count=train.class_count)
+            test = load_csv(task["test_csv"], class_count=train.class_count)
+            return train, val, test
+        eval_pool = load_csv(task["eval_csv"], class_count=train.class_count)
+    val, test = split(eval_pool, SplitSpec(task["eval_fractions"], task["split_seed"]))
+    return train, val, test

@@ -39,6 +39,16 @@ EVAL_CSV_COLUMNS = (
 ABLATION_CSV_COLUMNS = ("sigma", "rho", "mode", "seed", "mean_kl", "avg_acc", "ens_acc")
 
 
+def check_sizes(pop_size: int, top_k: int) -> None:
+    """A generation of pop_size children keeps its top_k."""
+    if pop_size < 1:
+        raise ConfigurationError("pop_size must be positive")
+    if not 1 <= top_k <= pop_size:
+        raise ConfigurationError(
+            f"top_k must lie in [1, pop_size], got {top_k} with pop {pop_size}"
+        )
+
+
 @dataclass
 class GenerationConfig:
     mutation: MutationParams
@@ -47,12 +57,7 @@ class GenerationConfig:
     generations: int = 1
 
     def __post_init__(self):
-        if self.pop_size < 1:
-            raise ConfigurationError("pop_size must be positive")
-        if not 1 <= self.top_k <= self.pop_size:
-            raise ConfigurationError(
-                f"top_k must lie in [1, pop_size], got {self.top_k} with pop {self.pop_size}"
-            )
+        check_sizes(self.pop_size, self.top_k)
         if self.generations < 1:
             raise ConfigurationError("generations must be >= 1")
 

@@ -104,14 +104,21 @@ def sample_noise(n: int, mu: float, sigma: float, seed: int) -> np.ndarray:
     an empty draw (an empty support).
 
     The quantization (relative error ~6e-8) keeps theta +- noise exact in
-    float64 for float32-valued parents; see module docstring.
+    float64 for float32-valued parents; see module docstring. A value
+    beyond the float32 range is an error that names mu and sigma.
     """
     if sigma <= 0:
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
     if n < 0:
         raise ConfigurationError(f"n must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
-    return rng.normal(mu, sigma, size=n).astype(np.float32).astype(np.float64)
+    with np.errstate(over="ignore"):
+        noise = rng.normal(mu, sigma, size=n).astype(np.float32)
+    if not np.isfinite(noise).all():
+        raise ConfigurationError(
+            f"mutation 'mu' {mu!r} and 'sigma' {sigma!r} draw noise beyond the float32 range"
+        )
+    return noise.astype(np.float64)
 
 
 # Role table: each role's sign, and whether it perturbs its group's mask M

@@ -22,7 +22,7 @@ from smd.boundary import (
 )
 from smd.checkpoint import save_checkpoint
 from smd.cli import main
-from smd.config import boundary_section, load_config
+from smd.config import check, load_config
 from smd.datasets import make_spirals
 from smd.errors import TaskMismatchError
 from smd.network import NetworkSpec, forward, init_network, softmax, workspace
@@ -330,8 +330,9 @@ class TestStrictBoundarySection:
         assert "error:" in capsys.readouterr().err
         assert not any(out.glob("boundary_*"))
 
-    def test_shipped_config_passes(self):
-        section = boundary_section(load_config(CONFIG_DIR / "spiral_boundary.json"))
+    def test_shipped_config_passes(self, tmp_path):
+        cfg = load_config(CONFIG_DIR / "spiral_boundary.json")
+        section = check(cfg, "boundary", str(tmp_path))["boundary"]
         assert section == {
             "sigma_grid": [0.05, 0.25],
             "rho_grid": [0.0, 0.9],
@@ -339,7 +340,12 @@ class TestStrictBoundarySection:
             "seed": 13,
         }
 
-    def test_defaults(self):
-        section = boundary_section({"boundary": {"sigma_grid": [0], "rho_grid": [0.5]}})
+    def test_defaults(self, tmp_path):
+        cfg = {
+            "task": {},
+            "model": {"checkpoint": "unread.ckpt"},
+            "boundary": {"sigma_grid": [0], "rho_grid": [0.5]},
+        }
+        section = check(cfg, "boundary", str(tmp_path))["boundary"]
         assert section["resolution"] == 200 and section["seed"] == 0
         assert section["sigma_grid"] == [0.0]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from smd.checkpoint import save_checkpoint
 from smd.cli import main
-from smd.config import REQUIRED, SCHEMA, ablation_section, load_config, section
+from smd.config import REQUIRED, SCHEMA, check, load_config, section
 from smd.divergence import SWEEP_COLUMNS, grid_search
 from smd.evolution import ABLATION_CSV_COLUMNS, EVAL_CSV_COLUMNS
 from smd.network import NetworkSpec, init_network
@@ -38,6 +38,24 @@ def small_task(out_dir, n_eval=600):
 def write_config(path, payload):
     path.write_text(json.dumps(payload, indent=2))
     return str(path)
+
+
+def count_forward(monkeypatch):
+    """Counts every `network.forward` call, through each module's alias of it."""
+    import sys
+
+    import smd.network
+
+    calls, original = [], smd.network.forward
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "smd" and getattr(module, "forward", None) is original:
+            monkeypatch.setattr(module, "forward", counting)
+    return calls
 
 
 @pytest.fixture()
@@ -448,13 +466,30 @@ class TestStrictAblationSection:
         assert "error:" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "override, error",
+        [({"pop_size": 4, "top_k": 5}, "top_k must lie in [1, pop_size]"),
+         ({"pop_size": 3}, "pop_size divisible by 2")],
+        ids=["top_k above pop_size", "pop_size in part pairs"],
+    )
+    def test_sizes_fail_before_any_forward_pass(
+        self, ablate_run, monkeypatch, capsys, override, error
+    ):
+        calls = count_forward(monkeypatch)
+        code, out = ablate_run(dict(ABLATION_BASE, **override))
+        assert code == 2
+        assert error in capsys.readouterr().err
+        assert calls == []
+        assert not any(out.iterdir())
+
     def test_base_section_runs(self, ablate_run):
         code, out = ablate_run(ABLATION_BASE)
         assert code == 0
         assert len((out / "ablation.csv").read_text().splitlines()) == 2
 
-    def test_shipped_config_passes(self):
-        section = ablation_section(load_config(CONFIG_DIR / "spiral_ablate.json"))
+    def test_shipped_config_passes(self, tmp_path):
+        cfg = load_config(CONFIG_DIR / "spiral_ablate.json")
+        section = check(cfg, "ablate", str(tmp_path))["ablation"]
         assert section == {
             "sigma_grid": [0.05, 0.1, 0.15, 0.2, 0.25],
             "rho_grid": [0.0, 0.3, 0.6, 0.9],
@@ -464,8 +499,13 @@ class TestStrictAblationSection:
             "top_k": 4,
         }
 
-    def test_defaults(self):
-        section = ablation_section({"ablation": {"sigma_grid": [1], "rho_grid": [0], "seeds": [2]}})
+    def test_defaults(self, tmp_path):
+        cfg = {
+            "task": {},
+            "model": {"checkpoint": "unread.ckpt"},
+            "ablation": {"sigma_grid": [1], "rho_grid": [0], "seeds": [2]},
+        }
+        section = check(cfg, "ablate", str(tmp_path))["ablation"]
         assert section == {
             "sigma_grid": [1.0],
             "rho_grid": [0.0],
@@ -555,6 +595,159 @@ def _boundary_outcome(cfg):
         return code, {p.name: p.read_bytes() for p in out.iterdir()}
 
 
+@pytest.fixture(scope="module")
+def key_bases(tmp_path_factory):
+    """The input directory, and one small valid config per command, with
+    variants for the csv task forms and the other mutation forms, as
+    (command, config) by base name. Paths are relative to the input
+    directory, the working directory of each run, so a changed value names
+    another file there."""
+    from oracles import save_csv
+    from smd.datasets import make_spirals
+
+    inputs = tmp_path_factory.mktemp("key_inputs")
+    for seed in (5, 6):
+        save_checkpoint(init_network(NetworkSpec([2, 8, 2], seed=seed)), inputs / f"net{seed}.ckpt")
+    # Seeds apart from the spirals task's, which would draw the same samples.
+    for name, n, seed in [("train", 100, 11), ("train2", 100, 12), ("eval", 200, 13),
+                          ("eval2", 200, 14), ("val", 100, 15), ("val2", 100, 16),
+                          ("test", 100, 17), ("test2", 100, 18)]:
+        save_csv(make_spirals(n, seed=seed), inputs / f"{name}.csv")
+    for name, sigma in (("found", 0.05), ("found2", 0.1)):
+        (inputs / f"{name}.json").write_text(json.dumps({"sigma": sigma, "rho": 0.5}))
+
+    spirals = {"dataset": "spirals", "n_train": 100, "n_eval": 200, "noise_std": 0.05,
+               "turns": 1.75, "train_seed": 1, "eval_seed": 2, "split_seed": 3,
+               "eval_fractions": [0.5, 0.5]}
+    csv = {"dataset": "csv", "n_train": 100, "n_eval": 200, "train_csv": "train.csv",
+           "eval_csv": "eval.csv"}
+    split_csv = {"dataset": "csv", "train_csv": "train.csv", "val_csv": "val.csv",
+                 "test_csv": "test.csv"}
+    fresh = {
+        "layer_sizes": [2, 8, 2], "hidden_activation": "relu", "seed": 0,
+        "train": {
+            "optimizer": "adam", "learning_rate": 0.01, "epochs": 2, "batch_size": 16,
+            "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8, "shuffle_seed": 0,
+        },
+    }
+    parent = {"checkpoint": "net5.ckpt"}
+    explicit = {"sigma": 0.05, "rho": 0.5, "mu": 0.0, "subspace_mode": "dynamic",
+                "mirrored": True, "anti_random": False}
+    search = {"sigma_grid": [0.2, 0.5, 1.0], "rho_grid": [0.0, 0.5], "kl_target": 0.05,
+              "kl_tolerance": 0.5, "samples_per_cell": 2, "probe_size": 80, "seed": 0}
+    evolution = {"pop_size": 8, "top_k": 2, "generations": 1, "master_seed": 0}
+    evolve = {"task": spirals, "model": parent, "mutation": explicit, "evolution": evolution}
+    bases = {
+        "train": ("train", {"task": spirals, "model": fresh, "output": {"dir": "out"}}),
+        "train_csv": ("train", {"task": csv, "model": fresh}),
+        "search": ("search", {"task": spirals, "model": parent, "mutation": {"search": search}}),
+        "evolve": ("evolve", evolve),
+        "evolve_csv": ("evolve", dict(evolve, task=csv)),
+        "evolve_split_csv": ("evolve", dict(evolve, task=split_csv)),
+        "evolve_found": ("evolve", dict(evolve, mutation={"search_result": "found.json"})),
+        "evolve_search": ("evolve", dict(evolve, mutation={"search": search})),
+        "boundary": ("boundary", {"task": spirals, "model": parent,
+                                  "boundary": BOUNDARY_CONTRACT_BASE}),
+        "ablate": ("ablate", {"task": spirals, "model": parent, "ablation": {
+            "sigma_grid": [0.05], "rho_grid": [0.5], "modes": ["dynamic"], "seeds": [0],
+            "pop_size": 4, "top_k": 2}}),
+    }
+    return inputs, bases
+
+
+SCHEMA_KEYS = [(name, key) for name, keys in SCHEMA.items() for key in keys]
+
+# For every SCHEMA key, the base config whose run it must change, and a
+# valid value other than the base's.
+KEY_CHANGES = {
+    "task.dataset": ("train_csv", "spirals"),
+    "task.n_train": ("train", 120),
+    "task.n_eval": ("evolve", 240),
+    "task.noise_std": ("train", 0.1),
+    "task.turns": ("train", 1.5),
+    "task.train_seed": ("train", 9),
+    "task.eval_seed": ("evolve", 7),
+    "task.split_seed": ("evolve", 8),
+    "task.eval_fractions": ("evolve", [0.6, 0.4]),
+    "task.train_csv": ("train_csv", "train2.csv"),
+    "task.eval_csv": ("evolve_csv", "eval2.csv"),
+    "task.val_csv": ("evolve_split_csv", "val2.csv"),
+    "task.test_csv": ("evolve_split_csv", "test2.csv"),
+    "model.layer_sizes": ("train", [2, 6, 2]),
+    "model.hidden_activation": ("train", "tanh"),
+    "model.seed": ("train", 3),
+    "model.train": ("train", {"epochs": 1}),
+    "model.checkpoint": ("evolve", "net6.ckpt"),
+    "model.train.optimizer": ("train", "sgd"),
+    "model.train.learning_rate": ("train", 0.05),
+    "model.train.epochs": ("train", 3),
+    "model.train.batch_size": ("train", 8),
+    "model.train.adam_beta1": ("train", 0.5),
+    "model.train.adam_beta2": ("train", 0.9),
+    "model.train.adam_eps": ("train", 1e-3),
+    "model.train.shuffle_seed": ("train", 1),
+    "mutation.sigma": ("evolve", 0.1),
+    "mutation.rho": ("evolve", 0.7),
+    "mutation.mu": ("evolve", 0.01),
+    "mutation.subspace_mode": ("evolve", "static"),
+    "mutation.mirrored": ("evolve", False),
+    "mutation.anti_random": ("evolve", True),
+    "mutation.search": ("search", {"sigma_grid": [0.1], "rho_grid": [0.5]}),
+    "mutation.search_result": ("evolve_found", "found2.json"),
+    "mutation.search.sigma_grid": ("search", [0.2, 0.5, 2.0]),
+    "mutation.search.rho_grid": ("search", [0.0, 0.9]),
+    "mutation.search.kl_target": ("search", 0.5),
+    "mutation.search.kl_tolerance": ("search", 0.1),
+    "mutation.search.samples_per_cell": ("search", 3),
+    "mutation.search.probe_size": ("search", 60),
+    "mutation.search.seed": ("search", 1),
+    "evolution.pop_size": ("evolve", 12),
+    "evolution.top_k": ("evolve", 4),
+    "evolution.generations": ("evolve", 2),
+    "evolution.master_seed": ("evolve", 5),
+    "boundary.sigma_grid": ("boundary", [0.1]),
+    "boundary.rho_grid": ("boundary", [0.9]),
+    "boundary.resolution": ("boundary", 9),
+    "boundary.seed": ("boundary", 14),
+    "ablation.sigma_grid": ("ablate", [0.1]),
+    "ablation.rho_grid": ("ablate", [0.8]),
+    "ablation.modes": ("ablate", ["static"]),
+    "ablation.seeds": ("ablate", [1]),
+    "ablation.pop_size": ("ablate", 6),
+    "ablation.top_k": ("ablate", 1),
+    "output.dir": ("train", "elsewhere"),
+}
+
+# What artifacts echo from their config: top-level JSON keys, and the first
+# columns of ablation.csv. eval_report.csv repeats eval_report.json.
+ECHO_KEYS = ("config", "seed", "epochs", "kl_target", "kl_tolerance")
+ABLATION_ECHO_COLUMNS = 4
+
+
+def _without_echoes(path):
+    """The bytes of a written file, less what it echoes from the config."""
+    if path.suffix == ".json":
+        data = json.loads(path.read_text())
+        return json.dumps({k: v for k, v in data.items() if k not in ECHO_KEYS}).encode()
+    if path.name == "ablation.csv":
+        rows = path.read_bytes().splitlines()
+        return b"\n".join(b",".join(row.split(b",")[ABLATION_ECHO_COLUMNS:]) for row in rows)
+    return path.read_bytes()
+
+
+def _run_outcome(command, cfg):
+    """The exit code, the directories written to, and what the written
+    files hold beyond their config echoes, of one run. A relative
+    `output.dir` lands in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = dict(cfg, output={"dir": str(Path(tmp) / cfg.get("output", {}).get("dir", "out"))})
+        code = main([command, "--config", write_config(Path(tmp) / "config.json", cfg)])
+        written = [p for p in Path(tmp).rglob("*") if p.is_file() and p.name != "config.json"]
+        dirs = sorted({str(p.parent.relative_to(tmp)) for p in written})
+        held = sorted(_without_echoes(p) for p in written if p.name != "eval_report.csv")
+    return code, dirs, held
+
+
 class TestConfigKeyContract:
     @pytest.mark.parametrize(
         "key, value",
@@ -569,6 +762,25 @@ class TestConfigKeyContract:
         assert (base_code, code) == (0, 0)
         assert len(files) == len(base_files) == 2
         assert files != base_files, f"boundary.{key} = {value!r} changed nothing"
+
+    @pytest.mark.parametrize("name, key", SCHEMA_KEYS, ids=[f"{n}.{k}" for n, k in SCHEMA_KEYS])
+    def test_every_schema_key_changes_the_artifacts(self, key_bases, monkeypatch, name, key):
+        assert f"{name}.{key}" in KEY_CHANGES, f"no base run shows what {name}.{key} does"
+        base, value = KEY_CHANGES[f"{name}.{key}"]
+        inputs, bases = key_bases
+        monkeypatch.chdir(inputs)
+        monkeypatch.delenv("SMD_OUT", raising=False)
+        command, cfg = bases[base]
+        changed = json.loads(json.dumps(cfg))
+        node = changed
+        for part in name.split("."):
+            node = node.setdefault(part, {})
+        assert node.get(key) != value
+        node[key] = value
+        before = _run_outcome(command, cfg)
+        after = _run_outcome(command, changed)
+        assert before[0] in (0, 4) and after[0] in (0, 4)
+        assert before[1:] != after[1:], f"{name}.{key} = {value!r} changed nothing"
 
     @settings(max_examples=24, deadline=None, database=None)
     @given(change=CONTRACT_ALTERNATIVES)
@@ -599,6 +811,36 @@ class TestConfigKeyContract:
         cfg.setdefault(section, {})[key] = value
         assert _evolve_outcome(cfg) == (2, None)
         assert "error:" in capsys.readouterr().err
+
+
+class TestOneCheckPerSection:
+    @pytest.mark.parametrize(
+        "base",
+        ["train", "search", "evolve", "evolve_search", "evolve_found", "boundary", "ablate"],
+    )
+    def test_each_section_is_checked_once(self, key_bases, monkeypatch, base):
+        """`config.section` checks each section, and each nested object, of
+        every command and mutation form once per run."""
+        import smd.config
+
+        inputs, bases = key_bases
+        monkeypatch.chdir(inputs)
+        monkeypatch.delenv("SMD_OUT", raising=False)
+        checks, section = [], smd.config.section
+
+        def counting(cfg, name, *rest, **kwargs):
+            checks.append(name)
+            return section(cfg, name, *rest, **kwargs)
+
+        monkeypatch.setattr(smd.config, "section", counting)
+        command, cfg = bases[base]
+        assert _run_outcome(command, cfg)[0] in (0, 4)
+        present = {"output", *cfg}
+        if "train" in cfg["model"]:
+            present.add("model.train")
+        if "search" in cfg.get("mutation", {}):
+            present.add("mutation.search")
+        assert sorted(checks) == sorted(present)
 
 
 STRICT_EVOLVE_CASES = [
@@ -640,6 +882,55 @@ class TestStrictMutationAndEvolution:
         path = write_config(tmp_path / "evolve.json", cfg)
         assert main(["evolve", "--config", path, "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "mutation, key",
+        [
+            ('"mutation": {"sigma": 0.05, "rho": 0.5, "sigma": 0.5}', "sigma"),
+            ('"mutation": {"search": {"sigma_grid": [0.05], "rho_grid": [0.5], "seed": 1, '
+             '"seed": 2}}', "seed"),
+            ('"mutation": {"sigma": 0.05, "rho": 0.5}, "mutation": {"sigma": 0.5, "rho": 0.5}',
+             "mutation"),
+        ],
+        ids=["in a section", "in a nested object", "a section"],
+    )
+    def test_duplicate_key_exits_2(
+        self, contract_base, tmp_path, monkeypatch, capsys, mutation, key
+    ):
+        # JSON parsers keep the last of two equal keys; a config may not rely on that.
+        calls = count_forward(monkeypatch)
+        cfg = {k: v for k, v in contract_base[0].items() if k != "mutation"}
+        path = tmp_path / "evolve.json"
+        path.write_text(json.dumps(cfg)[:-1] + f", {mutation}}}")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: invalid JSON (duplicate key '{key}')\n"
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [(b'{"task": {"n_train": 1' + b"0" * 5000 + b"}}", "Exceeds the limit"),
+         (b'{"task": "\xff"}', "can't decode byte 0xff")],
+        ids=["a 5001-digit integer", "not UTF-8"],
+    )
+    def test_undecodable_config_exits_2(self, tmp_path, capsys, body, reason):
+        path = tmp_path / "train.json"
+        path.write_bytes(body)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON (") and reason in err
+
+    @pytest.mark.parametrize("key", ["sigma", "mu"])
+    def test_noise_beyond_float32_names_mu_and_sigma(self, contract_base, tmp_path, key, capsys):
+        cfg = json.loads(json.dumps(contract_base[0]))
+        cfg["mutation"][key] = 1e39
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "evolve.json", cfg)
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mutation 'mu' ") and "'sigma' " in err
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize(
@@ -856,7 +1147,6 @@ FULL_CONFIG = {
     },
     "output": {"dir": "out"},
 }
-SCHEMA_KEYS = [(name, key) for name, keys in SCHEMA.items() for key in keys]
 JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -1023,7 +1313,8 @@ class TestExitCodes:
             raise ShapeError("inputs must be (n, 2), got (4, 3)")
 
         monkeypatch.setattr(smd.cli.cfgmod, "build_task_data", fail)
-        path = write_config(tmp_path / "train.json", {"task": {}, "model": {}})
+        model = {"layer_sizes": [2, 8, 2], "train": {}}
+        path = write_config(tmp_path / "train.json", {"task": {}, "model": model})
         assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 6
         assert capsys.readouterr().err == "error: inputs must be (n, 2), got (4, 3)\n"
 

@@ -153,6 +153,16 @@ class TestSampleNoise:
         with pytest.raises(ConfigurationError):
             sample_noise(-1, 0.0, 0.1, 0)
 
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1e39), (1e39, 0.1), (-1e39, 0.1)])
+    def test_draw_beyond_float32_names_mu_and_sigma(self, mu, sigma):
+        # float32 tops out near 3.4e38: the quantized draw would be infinite.
+        with pytest.raises(ConfigurationError, match="'mu' .* and 'sigma' .*float32 range"):
+            sample_noise(10, mu, sigma, 0)
+
+    def test_largest_finite_draws_pass(self):
+        noise = sample_noise(1000, 0.0, 1e37, 0)
+        assert np.isfinite(noise).all() and np.abs(noise).max() > 1e37
+
 
 class TestChildGenomeOracle:
     """The genome builder: theta + sign * (noise * support)."""
