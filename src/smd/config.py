@@ -162,6 +162,14 @@ class Search(NamedTuple):
     strategy: dict
 
 
+class TaskSets(NamedTuple):
+    """A checked task section, and which of its datasets a command reads."""
+
+    section: dict
+    train: bool  # the training set
+    evaluation: bool  # the validation and test sets
+
+
 # The sections each command reads: a config without one of them is an error.
 # Every command also reads `output`, whose keys all have defaults.
 _SECTIONS = {
@@ -170,6 +178,14 @@ _SECTIONS = {
     "evolve": ("task", "model", "mutation", "evolution"),
     "boundary": ("task", "model", "boundary"),
     "ablate": ("task", "model", "ablation"),
+}
+# The datasets each command reads: (training set, validation and test sets).
+_DATASETS = {
+    "train": (True, True),
+    "search": (False, True),
+    "evolve": (False, True),
+    "boundary": (True, False),
+    "ablate": (False, True),
 }
 _STRATEGY = ("mu", "subspace_mode", "mirrored", "anti_random")
 
@@ -251,7 +267,11 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
             raise ConfigurationError(f"config is missing the '{name}' section")
         checked[name] = section(cfg, name)
     _task_rules(checked["task"])
-    run = {"out_dir": out_dir, "task": checked["task"], **_model(checked["model"], command)}
+    run = {
+        "out_dir": out_dir,
+        "task": TaskSets(checked["task"], *_DATASETS[command]),
+        **_model(checked["model"], command),
+    }
     if command == "search":
         if "search" not in checked["mutation"]:
             raise ConfigurationError("search command needs a mutation 'search' directive")
@@ -277,8 +297,15 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
 
 
 def _task_rules(task: dict) -> None:
-    """A csv task names its files one of two ways; an eval pool is split by
+    """A csv task names its files one of two ways; a spirals task's sample
+    counts split evenly between its two spirals; an eval pool is split by
     fractions that sum to 1."""
+    if task["dataset"] == "spirals":
+        for key in ("n_train", "n_eval"):
+            if task[key] % 2:
+                raise ConfigurationError(
+                    f"task '{key}' must be even, half for each spiral, got {task[key]}"
+                )
     if task["dataset"] == "csv":
         if "train_csv" not in task:
             raise ConfigurationError("csv task needs 'train_csv'")
@@ -351,18 +378,29 @@ def mutation_params(found: object, strategy: dict, source: str) -> MutationParam
     return params
 
 
-def build_task_data(task: dict) -> tuple[Dataset, Dataset, Dataset]:
-    """(train, validation, test) datasets from the checked task section."""
-    if task["dataset"] == "spirals":
-        shape = {k: task[k] for k in ("noise_std", "turns") if k in task}
-        train = make_spirals(task["n_train"], seed=task["train_seed"], **shape)
-        eval_pool = make_spirals(task["n_eval"], seed=task["eval_seed"], **shape)
+def build_task_data(task: TaskSets) -> tuple[Dataset | None, Dataset | None, Dataset | None]:
+    """(train, validation, test) datasets of the checked task section.
+
+    Only the sets the command reads are built; a set it does not read is
+    None. A csv task reads `train_csv` either way, because it sets the
+    class count of the other files.
+    """
+    section, train = task.section, None
+    if section["dataset"] == "spirals":
+        shape = {k: section[k] for k in ("noise_std", "turns") if k in section}
+        if task.train:
+            train = make_spirals(section["n_train"], seed=section["train_seed"], **shape)
+        if not task.evaluation:
+            return train, None, None
+        eval_pool = make_spirals(section["n_eval"], seed=section["eval_seed"], **shape)
     else:
-        train = load_csv(task["train_csv"])
-        if "val_csv" in task:
-            val = load_csv(task["val_csv"], class_count=train.class_count)
-            test = load_csv(task["test_csv"], class_count=train.class_count)
+        train = load_csv(section["train_csv"])
+        if not task.evaluation:
+            return train, None, None
+        if "val_csv" in section:
+            val = load_csv(section["val_csv"], class_count=train.class_count)
+            test = load_csv(section["test_csv"], class_count=train.class_count)
             return train, val, test
-        eval_pool = load_csv(task["eval_csv"], class_count=train.class_count)
-    val, test = split(eval_pool, SplitSpec(task["eval_fractions"], task["split_seed"]))
+        eval_pool = load_csv(section["eval_csv"], class_count=train.class_count)
+    val, test = split(eval_pool, SplitSpec(section["eval_fractions"], section["split_seed"]))
     return train, val, test

@@ -18,7 +18,7 @@ from .datasets import Dataset, write_csv
 from .errors import ConfigurationError, ShapeError
 from .metrics import MetricTriple, accuracy, metric_triple
 from .mutation import (
-    Child, MutationParams, build_genomes, child_logits, derive_seed, spawn_mutations
+    Child, MutationParams, child_logits, derive_seed, spawn_mutations, working_genomes
 )
 from .network import Network, ParamVector, forward, nll_loss, softmax, workspace
 from .divergence import clamp_probs, kl_from_probs
@@ -189,7 +189,7 @@ def average_weights(candidates: Iterable[ParamVector]) -> ParamVector:
     A running sum in candidate order, then one division: the same
     operations as `np.mean(np.stack(...), axis=0)` without the stack.
     Candidates are read one at a time, so a generator of genomes is never
-    held whole.
+    held whole, and a candidate may be rewritten once it is summed.
     """
     total, n = None, 0
     for c in candidates:
@@ -212,15 +212,32 @@ def _mean_probs(member_probs: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def _ensemble_probs(
-    parent: Network, params: MutationParams, members: list[Child], inputs: np.ndarray
+    parent: Network,
+    params: MutationParams,
+    members: list[Child],
+    inputs: np.ndarray,
+    averaged: list[ParamVector] | None = None,
 ) -> np.ndarray:
     """The ensemble's prediction: the unweighted mean of the members'
-    softmax outputs, each member run by `child_logits` through one
-    workspace."""
+    softmax outputs.
+
+    One pass, in member order: each member is written into one working
+    genome and run forward through one workspace. Given a list `averaged`,
+    the same pass sums the genomes into the members' weight average, which
+    is appended to it, so each member is built once for both.
+    """
     scratch = workspace(parent.spec, len(inputs))
-    return _mean_probs(
-        softmax(logits) for logits in child_logits(parent, params, members, inputs, scratch)
-    )
+    member_probs = []
+
+    def run_each(genomes: Iterable[ParamVector]) -> Iterable[ParamVector]:
+        for genome in genomes:
+            member_probs.append(softmax(forward(Network(parent.spec, genome), inputs, scratch)))
+            yield genome
+
+    average = average_weights(run_each(working_genomes(parent.params, params, members)))
+    if averaged is not None:
+        averaged.append(average)
+    return _mean_probs(member_probs)
 
 
 def _ensemble_val_accuracy(pop: Population, selected: list[int], val: Dataset) -> float:
@@ -231,12 +248,13 @@ def _ensemble_val_accuracy(pop: Population, selected: list[int], val: Dataset) -
 
 def _evolve(
     parent: Network, cfg: GenerationConfig, val: Dataset, master_seed: int
-) -> tuple[Population, list[int], ParamVector]:
+) -> tuple[Population, list[int]]:
     """Run cfg.generations generations on validation data only.
 
     Returns the final generation's scored population (its parent is the
-    chained model), the selected indices and the weight average of their
-    genomes, rebuilt one at a time in selection order. A chained parent is
+    chained model) and the selected indices. Every generation but the last
+    averages its selected genomes, in selection order, into the next
+    parent; `_report` builds the final average. A chained parent is
     quantized to float32 values, as a checkpoint round-trip would, so its
     mirrored children still average back to it exactly.
     """
@@ -246,12 +264,12 @@ def _evolve(
         children = spawn_mutations(current.params, cfg.mutation, cfg.pop_size, gen_seed)
         pop = evaluate_fitness(current, cfg.mutation, children, val)
         selected = select_top_k(pop, cfg.top_k)
-        chosen = [pop.children[i] for i in selected]
-        averaged = average_weights(build_genomes(current.params, cfg.mutation, chosen))
         if gen < cfg.generations - 1:
+            chosen = [pop.children[i] for i in selected]
+            averaged = average_weights(working_genomes(current.params, cfg.mutation, chosen))
             quantized = averaged.values.astype(np.float32).astype(np.float64)
             current = Network(current.spec, ParamVector(quantized))
-    return pop, selected, averaged
+    return pop, selected
 
 
 def _score_parent(parent: Network, val: Dataset, test: Dataset) -> tuple[np.ndarray, MetricTriple]:
@@ -264,7 +282,6 @@ def _score_parent(parent: Network, val: Dataset, test: Dataset) -> tuple[np.ndar
 def _report(
     pop: Population,
     selected: list[int],
-    averaged: ParamVector,
     cfg: GenerationConfig,
     val: Dataset,
     test: Dataset,
@@ -275,8 +292,8 @@ def _report(
     probabilities and its parent's `_score_parent` result.
 
     Only the averaged model and the ensemble members are run forward, on
-    the test set. The members are rebuilt from their seed records one at a
-    time, as the ensemble runs them.
+    the test set. One `_ensemble_probs` pass builds each member from its seed
+    record once, for both the average and the ensemble.
     """
     parent_val_probs, parent_metrics = parent_scores
     spec = pop.parent.spec
@@ -294,12 +311,13 @@ def _report(
         }
         for i, child in enumerate(pop.children)
     ]
-    averaged_metrics = metric_triple(
-        softmax(forward(Network(spec, averaged), test.inputs)), test.labels
-    )
     chosen = [pop.children[i] for i in selected]
-    ensemble_probs = _ensemble_probs(pop.parent, pop.mutation, chosen, test.inputs)
+    averaged = []
+    ensemble_probs = _ensemble_probs(pop.parent, pop.mutation, chosen, test.inputs, averaged)
     ensemble_metrics = metric_triple(ensemble_probs, test.labels)
+    averaged_metrics = metric_triple(
+        softmax(forward(Network(spec, averaged[0]), test.inputs)), test.labels
+    )
 
     config_echo = {
         "pop_size": cfg.pop_size,
@@ -339,10 +357,10 @@ def run_generation(
     parent and the ensemble's validation accuracy, so one generation runs
     P + k + 3 forward passes: P on validation, then the parent on
     validation and test, and the averaged model and k members on test.
-    Children are kept as seed records, and every child pass, validation or
-    test, reads `child_logits`: a genome exists only while its child runs.
-    The k selected genomes are rebuilt one at a time, once for the average
-    and once for the ensemble.
+    Children are kept as seed records, and every child pass writes each
+    child into one working genome: a genome exists only while its child
+    runs. The k selected genomes are built once, one at a time, for both
+    the average and the ensemble.
 
     With repeats R > 1, R runs evolve on validation data only, run r from
     a seed derived from (master_seed, r). Only the run whose ensemble has
@@ -364,12 +382,10 @@ def run_generation(
         if best is None or val_acc > tried[best_repeat]["ensemble_val_accuracy"]:
             best, best_repeat = run, r
         del run  # at most the best run and the next one are held
-    pop, selected, averaged = best
+    pop, selected = best
     # Selection is done: test data is read from here on only.
     parent_scores = _score_parent(pop.parent, val, test)
-    report = _report(
-        pop, selected, averaged, cfg, val, test, seeds[best_repeat], parent_scores
-    )
+    report = _report(pop, selected, cfg, val, test, seeds[best_repeat], parent_scores)
     report.repeats, report.best_repeat = tried, best_repeat
     return report
 

@@ -16,6 +16,15 @@ loaded from checkpoints are float32-valued too, so sums theta +- gamma of
 two 24-bit significands are exact in float64 arithmetic: mirrored pairs
 cancel exactly. Frozen coordinates are never written, so they stay
 bit-identical (-0.0 included).
+
+A child's genome lives only while its child is used. A scoring pass
+(`working_genomes`, read by `child_logits`) copies the parent once and
+rewrites that one working genome for each child in turn: it restores the
+previous child's support from the parent, then writes theta[support] +-
+noise, so a child costs O(support), not O(w). A mirrored partner shares
+its support and skips the restore. The yielded genome is valid until the
+next child is written. `build_genomes` copies the parent per child over
+the same writer, for callers that keep a genome.
 """
 
 from __future__ import annotations
@@ -85,11 +94,12 @@ def sample_mask(w: int, rho: float, seed: int) -> np.ndarray:
         raise ConfigurationError("w must be positive")
     rng = np.random.default_rng(seed)
     mask = np.empty(w, dtype=np.uint8)
+    bits = mask.view(bool)  # the compare writes 0/1 bytes straight into the mask
     buf = np.empty(min(w, _MASK_BLOCK))
     for start in range(0, w, _MASK_BLOCK):
         u = buf[: min(_MASK_BLOCK, w - start)]
         rng.random(out=u)
-        np.greater_equal(u, rho, out=mask[start : start + u.size], casting="unsafe")
+        np.greater_equal(u, rho, out=bits[start : start + u.size])
     return mask
 
 
@@ -203,24 +213,34 @@ def spawn_mutations(
 def build_genomes(
     theta: ParamVector, params: MutationParams, children: Iterable[Child]
 ) -> Iterator[ParamVector]:
-    """Yield each child's genome: theta plus sign * noise on its support, in order.
+    """Yield each child's genome, theta plus sign * noise on its support, as
+    a copy the caller may keep, in order."""
+    for support in _child_supports(theta.w, params, children):
+        genome = theta.values.copy()
+        _write_support(genome, theta.values, *support)
+        yield ParamVector(genome)
+        del genome  # release it before the next copy is made
 
-    A group's mask is sampled once per run of consecutive children that
-    share it. Each support it uses (M, or M' for the anti-random roles) is
-    located and drawn once, then reused by every child of the group.
-    Besides those draws, only the genome being yielded is held here.
+
+def working_genomes(
+    theta: ParamVector, params: MutationParams, children: Iterable[Child]
+) -> Iterator[ParamVector]:
+    """Yield each child's genome, in order, as one working copy of theta
+    rewritten in place: a yielded genome is valid until the next is written.
+
+    Before a child is written, the previous child's support is restored
+    from theta, unless the child perturbs the same support (a mirrored
+    partner), which it overwrites. Every coordinate besides the written
+    support equals theta's, and theta is never written.
     """
-    drawn = None
-    for child in children:
-        if drawn != (child.seed, child.mask_seed):
-            mask = supports = None  # release the previous draw before sampling
-            mask = sample_mask(theta.w, params.rho, child.mask_seed)
-            supports = {}
-            drawn = (child.seed, child.mask_seed)
-        sign, on_complement = _role(child.role)
-        if on_complement not in supports:
-            supports[on_complement] = _draw_support(mask, child, params)
-        yield _scatter(theta, *supports[on_complement], sign)
+    genome = ParamVector(theta.values.copy())
+    written = None
+    for sign, index, values in _child_supports(theta.w, params, children):
+        if written is not None and written is not index:
+            genome.values[written] = theta.values[written]
+        _write_support(genome.values, theta.values, sign, index, values)
+        written, values = index, None  # keep only what the restore needs
+        yield genome
 
 
 def child_logits(
@@ -232,14 +252,12 @@ def child_logits(
 ) -> Iterator[np.ndarray]:
     """Yield each child's logits on `inputs`, in order.
 
-    The one place a child is run: its genome comes from `build_genomes`,
-    runs forward through the caller's activation workspace `scratch`, and
-    is dropped before the next genome is built.
+    Each child is written into the pass's one working genome by
+    `working_genomes` and runs forward through the caller's activation
+    workspace `scratch`.
     """
-    for genome in build_genomes(parent.params, params, children):
-        logits = forward(Network(parent.spec, genome), inputs, scratch)
-        del genome  # release it before the next genome is built
-        yield logits
+    for genome in working_genomes(parent.params, params, children):
+        yield forward(Network(parent.spec, genome), inputs, scratch)
 
 
 def _role(role: str) -> tuple[int, bool]:
@@ -248,26 +266,63 @@ def _role(role: str) -> tuple[int, bool]:
     return ROLES[role]
 
 
-def _draw_support(
-    mask: np.ndarray, child: Child, params: MutationParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """The support indices of `child`'s role and one noise value for each:
-    M draws from the group's noise seed, M' from a seed derived from it."""
-    index = np.flatnonzero(role_support(mask, child.role) == 1)
-    seed = child.seed
-    if ROLES[child.role][1]:
-        seed = derive_seed(child.seed, _COMPLEMENT_NS)
-    return index, sample_noise(index.size, params.mu, params.sigma, seed)
+def _child_supports(
+    w: int, params: MutationParams, children: Iterable[Child]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Each child's sign, support indices and noise values, in order.
+
+    A mask is drawn once per run of consecutive children that share its
+    seed: once per group in dynamic mode, once per pass in static mode.
+    Each support of a mask (M, or M' for the anti-random roles) is located
+    once, and the mask is released once every support the strategy uses is
+    located. Noise is drawn once per support and group. Children on one
+    support share one index array, so `written is index` tells
+    `working_genomes` that a child overwrites the support before it.
+    """
+    supports_used = 2 if params.anti_random else 1
+    mask_seed = drawn = None
+    for child in children:
+        sign, on_complement = _role(child.role)
+        if child.mask_seed != mask_seed:
+            mask = index = noise = None  # release the previous draws before sampling
+            mask_seed, index = child.mask_seed, {}
+        if on_complement not in index:
+            if mask is None:
+                mask = sample_mask(w, params.rho, mask_seed)
+            bits = mask.view(bool)
+            index[on_complement] = np.flatnonzero(~bits if on_complement else bits)
+            if len(index) >= supports_used:
+                mask = bits = None  # the view holds the mask too
+        if drawn != (child.seed, mask_seed):
+            drawn, noise = (child.seed, mask_seed), {}
+        if on_complement not in noise:
+            seed = derive_seed(child.seed, _COMPLEMENT_NS) if on_complement else child.seed
+            noise[on_complement] = sample_noise(
+                index[on_complement].size, params.mu, params.sigma, seed
+            )
+        yield sign, index[on_complement], noise[on_complement]
 
 
-def _scatter(theta: ParamVector, index: np.ndarray, values: np.ndarray, sign: int) -> ParamVector:
-    """A copy of theta with theta[index] + sign * values written at index."""
-    genome = theta.values.copy()
-    if sign > 0:
-        genome[index] = theta.values[index] + values
-    else:
-        genome[index] = theta.values[index] - values
-    return ParamVector(genome)
+def _write_support(
+    genome: np.ndarray, theta: np.ndarray, sign: int, index: np.ndarray, values: np.ndarray
+) -> None:
+    """Write theta[index] + sign * values at index of genome.
+
+    Only the written values are checked finite: every other coordinate is
+    theta's, which was checked when theta was built. A value that is not
+    finite (a float64 overflow) is an error, and nothing is written.
+    """
+    patch = theta[index]
+    with np.errstate(over="ignore"):
+        if sign > 0:
+            patch += values
+        else:
+            patch -= values
+    if not np.isfinite(patch).all():
+        raise ConfigurationError(
+            "mutation noise added to the parent gives non-finite parameters"
+        )
+    genome[index] = patch
 
 
 def mask_to_rle(mask: np.ndarray) -> str:

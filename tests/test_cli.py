@@ -843,6 +843,59 @@ class TestOneCheckPerSection:
         assert sorted(checks) == sorted(present)
 
 
+SPIRAL_BASES = ["train", "search", "evolve", "boundary", "ablate"]
+
+
+class TestTaskSets:
+    """Each command builds only the datasets it reads, and a spirals task's
+    sample counts are checked before any of them is built."""
+
+    @pytest.mark.parametrize("key", ["n_train", "n_eval"])
+    @pytest.mark.parametrize("base", SPIRAL_BASES)
+    def test_odd_sample_count_exits_2_before_any_read(
+        self, key_bases, monkeypatch, capsys, base, key
+    ):
+        import smd.cli
+        import smd.config
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("data or a checkpoint was read before the check")
+
+        for module, name in [(smd.config, "make_spirals"), (smd.config, "load_csv"),
+                             (smd.cli, "load_checkpoint")]:
+            monkeypatch.setattr(module, name, no_read)
+        inputs, bases = key_bases
+        monkeypatch.chdir(inputs)
+        monkeypatch.delenv("SMD_OUT", raising=False)
+        command, cfg = bases[base]
+        cfg = dict(cfg, task=dict(cfg["task"], **{key: 101}))
+        assert _run_outcome(command, cfg)[1:] == ([], [])
+        err = capsys.readouterr().err
+        assert err == f"error: task '{key}' must be even, half for each spiral, got 101\n"
+
+    @pytest.mark.parametrize(
+        "base, built",
+        [("train", ["n_train", "n_eval"]), ("search", ["n_eval"]), ("evolve", ["n_eval"]),
+         ("boundary", ["n_train"]), ("ablate", ["n_eval"])],
+    )
+    def test_each_command_builds_the_sets_it_reads(self, key_bases, monkeypatch, base, built):
+        import smd.config
+
+        sizes, make_spirals = [], smd.config.make_spirals
+
+        def counting(n, **kwargs):
+            sizes.append(n)
+            return make_spirals(n, **kwargs)
+
+        monkeypatch.setattr(smd.config, "make_spirals", counting)
+        inputs, bases = key_bases
+        monkeypatch.chdir(inputs)
+        monkeypatch.delenv("SMD_OUT", raising=False)
+        command, cfg = bases[base]
+        assert _run_outcome(command, cfg)[0] in (0, 4)
+        assert sizes == [cfg["task"][key] for key in built]
+
+
 STRICT_EVOLVE_CASES = [
     ("mutation", "mirrored", "false"),
     ("mutation", "mirrored", 0),

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -5,20 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smd.mutation as mutation
 from smd.errors import ConfigurationError, ShapeError
 from smd.mutation import (
     _COMPLEMENT_NS,
     SUBSPACE_MODES,
     MutationParams,
     build_genomes,
+    child_logits,
     complement,
     derive_seed,
     mask_to_rle,
     sample_mask,
     sample_noise,
     spawn_mutations,
+    working_genomes,
 )
-from smd.network import ParamVector
+from smd.network import Network, NetworkSpec, ParamVector, forward, workspace
 
 from oracles import child_genome, partition_masks, rle_to_mask
 
@@ -457,6 +461,106 @@ class TestRoleTable:
         if mirrored:
             for members in by_group.values():
                 assert np.array_equal(np.mean(members, axis=0), theta.values)
+
+
+# (mirrored, anti_random): every role, solo, +/-, +M/+M' and +M/+M'/-M/-M'.
+STRATEGIES = [(False, False), (True, False), (False, True), (True, True)]
+
+
+class TestWorkingGenome:
+    """A scoring pass rewrites one working genome in place for each child;
+    every child must equal the owned genome `build_genomes` copies for it,
+    and the parent must never be written."""
+
+    SPEC = NetworkSpec([3, 32, 32, 2], seed=1)
+
+    def pass_setup(self, mirrored, anti_random, mode, rho):
+        theta = f32_genome(np.random.default_rng(5), self.SPEC.param_count())
+        theta.values[::7] = -0.0  # a written frozen coordinate would show in its bits
+        params = MutationParams(
+            sigma=0.1, rho=rho, subspace_mode=mode, mirrored=mirrored, anti_random=anti_random
+        )
+        group = (2 if mirrored else 1) * (2 if anti_random else 1)
+        return theta, params, spawn_mutations(theta, params, 3 * group, master_seed=8)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.9])
+    @pytest.mark.parametrize("mode", SUBSPACE_MODES)
+    @pytest.mark.parametrize("mirrored, anti_random", STRATEGIES)
+    def test_matches_owned_genomes(self, mirrored, anti_random, mode, rho):
+        theta, params, children = self.pass_setup(mirrored, anti_random, mode, rho)
+        before = theta.values.tobytes()
+        owned = [g.values.tobytes() for g in build_genomes(theta, params, children)]
+        working = [g.values.tobytes() for g in working_genomes(theta, params, children)]
+        assert working == owned
+        assert len(set(owned)) > 1
+        x = np.random.default_rng(6).normal(size=(20, 3))
+        parent = Network(self.SPEC, theta)
+        logits = child_logits(parent, params, children, x, workspace(self.SPEC, 20))
+        for genome, got in zip(build_genomes(theta, params, children), logits, strict=True):
+            assert got.tobytes() == forward(Network(self.SPEC, genome), x).tobytes()
+        assert theta.values.tobytes() == before
+
+    @pytest.mark.parametrize("mirrored, anti_random", STRATEGIES)
+    def test_pass_closed_midway_leaves_the_parent(self, mirrored, anti_random):
+        theta, params, children = self.pass_setup(mirrored, anti_random, "dynamic", 0.5)
+        before = theta.values.tobytes()
+        genomes = working_genomes(theta, params, children)
+        for genome in itertools.islice(genomes, len(children) // 2 + 1):
+            assert genome.values.tobytes() != before
+        genomes.close()
+        assert theta.values.tobytes() == before
+
+    def test_huge_noise_on_a_huge_parent_is_an_error(self):
+        theta = ParamVector(np.full(self.SPEC.param_count(), 1.7e308))
+        parent = Network(self.SPEC, theta)
+        x = np.zeros((4, 3))
+        params = MutationParams(sigma=1e39, rho=0.5)
+        children = spawn_mutations(theta, params, 2, master_seed=1)
+        with pytest.raises(ConfigurationError):
+            next(child_logits(parent, params, children, x, workspace(self.SPEC, 4)))
+
+    def test_overflowing_write_is_an_error(self, monkeypatch):
+        """Float32-range noise cannot overflow a finite float64 parent; the
+        write checks what it writes all the same, and writes nothing bad."""
+        theta = ParamVector(np.full(self.SPEC.param_count(), 1.7e308))
+        params = MutationParams(sigma=0.1, rho=0.5)
+        children = spawn_mutations(theta, params, 2, master_seed=1)
+        monkeypatch.setattr(mutation, "sample_noise", lambda n, *args: np.full(n, 1e308))
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            next(working_genomes(theta, params, children))
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            next(build_genomes(theta, params, children))
+        assert np.all(theta.values == 1.7e308)
+
+
+class TestMaskDraws:
+    """A pass draws a mask once per run of children that share it: once per
+    group in dynamic mode, once per pass in static mode."""
+
+    @pytest.mark.parametrize("builder", [build_genomes, working_genomes])
+    @pytest.mark.parametrize("mode, draws", [("static", 1), ("dynamic", 4)])
+    @pytest.mark.parametrize("mirrored, anti_random", STRATEGIES)
+    def test_mask_draws_per_pass(
+        self, monkeypatch, builder, mode, draws, mirrored, anti_random
+    ):
+        rng = np.random.default_rng(9)
+        theta = f32_genome(rng, 500)
+        params = MutationParams(
+            sigma=0.1, rho=0.5, subspace_mode=mode, mirrored=mirrored, anti_random=anti_random
+        )
+        group = (2 if mirrored else 1) * (2 if anti_random else 1)
+        children = spawn_mutations(theta, params, 4 * group, master_seed=3)
+        seeds = []
+
+        def counting(w, rho, seed):
+            seeds.append(seed)
+            return sample_mask(w, rho, seed)
+
+        monkeypatch.setattr(mutation, "sample_mask", counting)
+        for _ in builder(theta, params, children):
+            pass
+        assert len(seeds) == draws
+        assert len(set(seeds)) == draws
 
 
 class TestSeedDerivation:

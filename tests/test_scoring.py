@@ -78,6 +78,62 @@ class TestForwardCallCount:
         assert len(pop.val_probs) == POP
 
 
+class TestWorkCounts:
+    """A pass writes every child into one working genome, and the report
+    builds each selected member once, for the average and the ensemble."""
+
+    def test_scoring_builds_one_param_vector(self, spiral_task, monkeypatch):
+        t = spiral_task
+        params = gen_cfg().mutation
+        children = spawn_mutations(t.parent.params, params, POP, 4)
+        built, post_init = [], ParamVector.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ParamVector, "__post_init__", counting)
+        evaluate_fitness(t.parent, params, children, t.val)
+        assert len(built) == 1
+
+    def test_report_draws_each_member_once(self, spiral_task, monkeypatch):
+        t = spiral_task
+        # Independent children: each selected member is a group of its own.
+        cfg = gen_cfg(mirrored=False)
+        pop, selected = evolution._evolve(t.parent, cfg, t.val, 5)
+        parent_scores = evolution._score_parent(pop.parent, t.val, t.test)
+        draws = {"mask": 0, "noise": 0}
+        real = {"mask": mutation.sample_mask, "noise": mutation.sample_noise}
+
+        def counting(kind):
+            def draw(*args):
+                draws[kind] += 1
+                return real[kind](*args)
+            return draw
+
+        monkeypatch.setattr(mutation, "sample_mask", counting("mask"))
+        monkeypatch.setattr(mutation, "sample_noise", counting("noise"))
+        evolution._report(pop, selected, cfg, t.val, t.test, 5, parent_scores)
+        assert draws == {"mask": TOP_K, "noise": TOP_K}
+
+    @pytest.mark.parametrize("generations, averages", [(1, 1), (2, 3 + 1)])
+    def test_only_chained_and_reported_runs_average(
+        self, spiral_task, monkeypatch, generations, averages
+    ):
+        """With --repeats 3, each run averages only to chain a generation,
+        and the reported run once more for its report."""
+        t = spiral_task
+        calls, real = [], evolution.average_weights
+
+        def counting(candidates):
+            calls.append(1)
+            return real(candidates)
+
+        monkeypatch.setattr(evolution, "average_weights", counting)
+        run_generation(t.parent, gen_cfg(generations), t.val, t.test, 7, repeats=3)
+        assert len(calls) == averages
+
+
 class TestCachedScores:
     def test_val_logits_match_direct_forward(self, spiral_task):
         t = spiral_task
