@@ -53,12 +53,15 @@ def evaluate_grid(
     net: Network,
     bounds: tuple[float, float, float, float],
     resolution: int = DEFAULT_RESOLUTION,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> BoundaryGrid:
     """Class and confidence at each lattice point, y-major.
 
     The lattice points are never built whole: they are forwarded in
     `_BLOCK`-point blocks through one workspace and one points buffer, so
-    memory is O(_BLOCK x widest layer + resolution^2).
+    memory is O(_BLOCK x widest layer + resolution^2). A caller that
+    evaluates several grids passes one `workspace(net.spec, min(_BLOCK,
+    resolution**2))` as `scratch` for all of them.
     """
     if net.spec.input_dim != 2:
         raise TaskMismatchError(
@@ -69,7 +72,8 @@ def evaluate_grid(
     ys = np.linspace(y0, y1, resolution)
     n = resolution * resolution
     block = min(_BLOCK, n)
-    scratch = workspace(net.spec, block)
+    if scratch is None:
+        scratch = workspace(net.spec, block)
     pts = np.empty((block, 2))
     classes = np.empty(n, dtype=np.intp)
     confidence = np.empty(n)
@@ -155,12 +159,15 @@ def export_boundary_cells(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bounds = lattice_bounds(data)
+    # One workspace for every cell: a workspace freed per cell stays in
+    # glibc's heap and raises the command's peak RSS.
+    scratch = workspace(parent.spec, min(_BLOCK, resolution**2))
     written = []
     for ci, sigma in enumerate(sigma_grid):
         for cj, rho in enumerate(rho_grid):
             cell_seed = derive_seed(master_seed, ci * len(rho_grid) + cj)
             net = perturbed_network(parent, sigma, rho, cell_seed)
-            grid = evaluate_grid(net, bounds, resolution)
+            grid = evaluate_grid(net, bounds, resolution, scratch)
             csv_path = out_dir / f"boundary_{cell_tag(sigma, rho)}.csv"
             pgm_path = out_dir / f"boundary_{cell_tag(sigma, rho)}.pgm"
             write_grid_csv(grid, csv_path)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -192,7 +193,7 @@ def cmd_ablate(run: dict, args: argparse.Namespace) -> int:
     if not datasets_disjoint(val, test):
         raise DataHygieneError("validation and test sets share samples")
     parent = _load_parent(run["checkpoint"], val)
-    rows = run_ablation(parent, val=val, test=test, **run["ablation"])
+    rows = run_ablation(parent, val=val, test=test, jobs=args.jobs, **run["ablation"])
     write_ablation_csv(rows, run["out_dir"] / "ablation.csv")
     print(f"wrote {len(rows)} ablation rows to {run['out_dir'] / 'ablation.csv'}")
     return EXIT_OK
@@ -221,14 +222,32 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--dump-masks", action="store_true", help="write per-child masks as RLE text"
             )
+        if name == "ablate":
+            p.add_argument(
+                "--jobs", type=int, default=_usable_cpus(),
+                help="worker processes for the sweep points (default: usable CPUs, %(default)s)",
+            )
     return parser
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _check_counts(args: argparse.Namespace) -> None:
+    """Each count flag the command takes must be at least 1."""
+    for flag in ("repeats", "jobs"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            raise ConfigurationError(f"--{flag} must be >= 1, got {value}")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "repeats", 1) < 1:
-            raise ConfigurationError(f"--repeats must be >= 1, got {args.repeats}")
+        _check_counts(args)
         run = cfgmod.check(cfgmod.load_config(args.config), args.command, args.out)
         return _COMMANDS[args.command](run, args)
     except tuple(EXIT_CODES) as exc:

@@ -212,19 +212,14 @@ def _mean_probs(member_probs: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def _ensemble_probs(
-    parent: Network,
-    params: MutationParams,
-    members: list[Child],
-    inputs: np.ndarray,
-    averaged: list[ParamVector] | None = None,
-) -> np.ndarray:
-    """The ensemble's prediction: the unweighted mean of the members'
-    softmax outputs.
+    parent: Network, params: MutationParams, members: list[Child], inputs: np.ndarray
+) -> tuple[np.ndarray, ParamVector]:
+    """The ensemble's prediction, the unweighted mean of the members'
+    softmax outputs, and the members' weight average.
 
     One pass, in member order: each member is written into one working
-    genome and run forward through one workspace. Given a list `averaged`,
-    the same pass sums the genomes into the members' weight average, which
-    is appended to it, so each member is built once for both.
+    genome, run forward through one workspace and added to the running sum
+    of the average, so each member is built once for both.
     """
     scratch = workspace(parent.spec, len(inputs))
     member_probs = []
@@ -235,9 +230,7 @@ def _ensemble_probs(
             yield genome
 
     average = average_weights(run_each(working_genomes(parent.params, params, members)))
-    if averaged is not None:
-        averaged.append(average)
-    return _mean_probs(member_probs)
+    return _mean_probs(member_probs), average
 
 
 def _ensemble_val_accuracy(pop: Population, selected: list[int], val: Dataset) -> float:
@@ -312,11 +305,10 @@ def _report(
         for i, child in enumerate(pop.children)
     ]
     chosen = [pop.children[i] for i in selected]
-    averaged = []
-    ensemble_probs = _ensemble_probs(pop.parent, pop.mutation, chosen, test.inputs, averaged)
+    ensemble_probs, average = _ensemble_probs(pop.parent, pop.mutation, chosen, test.inputs)
     ensemble_metrics = metric_triple(ensemble_probs, test.labels)
     averaged_metrics = metric_triple(
-        softmax(forward(Network(spec, averaged[0]), test.inputs)), test.labels
+        softmax(forward(Network(spec, average), test.inputs)), test.labels
     )
 
     config_echo = {
@@ -400,6 +392,7 @@ def run_ablation(
     seeds: list[int],
     pop_size: int = 16,
     top_k: int = 4,
+    jobs: int = 1,
 ) -> list[dict]:
     """Full factorial sweep over (sigma, rho, subspace mode, seed).
 
@@ -407,40 +400,134 @@ def run_ablation(
     averaged model's and the ensemble's test accuracy plus the mean child
     KL, in grid order. At rho 0 every mask is all ones whatever its seed,
     and no noise seed depends on the mode, so a rho-0 point builds the
-    same children in every mode: it is computed once, keyed without its
-    mode, and each mode's row repeats its values. The fixed parent's
-    validation probabilities and test metrics are computed once for the
-    whole sweep; no selection reads them.
+    same children in every mode: it is computed once, in the first mode,
+    keyed without its mode, and each mode's row repeats its values. The
+    fixed parent's validation probabilities and test metrics are computed
+    once for the whole sweep; no selection reads them.
+
+    With jobs > 1 the distinct points run on up to `jobs` worker processes
+    (`_map_points`). Rows are looked up by point, so they are the same
+    for every `jobs`, whichever point finishes first.
     """
     if not sigma_grid or not rho_grid or not modes or not seeds:
         raise ConfigurationError("ablation grids, modes, and seeds must be nonempty")
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     parent_scores = _score_parent(parent, val, test)
-    rows, computed = [], {}
-    for sigma in sigma_grid:
-        for rho in rho_grid:
-            for mode in modes:
-                for seed in seeds:
-                    key = (sigma, rho, mode if rho > 0 else None, seed)
-                    if key not in computed:
-                        cfg = GenerationConfig(
-                            mutation=MutationParams(sigma=sigma, rho=rho, subspace_mode=mode),
-                            pop_size=pop_size,
-                            top_k=top_k,
-                            generations=1,
-                        )
-                        report = _report(
-                            *_evolve(parent, cfg, val, seed),
-                            cfg, val, test, seed, parent_scores,
-                        )
-                        computed[key] = {
-                            "mean_kl": report.mean_kl_children,
-                            "avg_acc": report.averaged_metrics.accuracy,
-                            "ens_acc": report.ensemble_metrics.accuracy,
-                        }
-                    rows.append(
-                        {"sigma": sigma, "rho": rho, "mode": mode, "seed": seed, **computed[key]}
-                    )
-    return rows
+    grid = [
+        (sigma, rho, mode, seed)
+        for sigma in sigma_grid for rho in rho_grid for mode in modes for seed in seeds
+    ]
+    keys = [(sigma, rho, mode if rho > 0 else None, seed) for sigma, rho, mode, seed in grid]
+    points = {}  # each key -> the first grid point with that key, which computes it
+    for key, point in zip(keys, grid):
+        points.setdefault(key, point)
+
+    def run_point(point: tuple) -> tuple[float, float, float]:
+        sigma, rho, mode, seed = point
+        cfg = GenerationConfig(
+            mutation=MutationParams(sigma=sigma, rho=rho, subspace_mode=mode),
+            pop_size=pop_size,
+            top_k=top_k,
+            generations=1,
+        )
+        report = _report(*_evolve(parent, cfg, val, seed), cfg, val, test, seed, parent_scores)
+        return (
+            report.mean_kl_children,
+            report.averaged_metrics.accuracy,
+            report.ensemble_metrics.accuracy,
+        )
+
+    values = _map_points(run_point, list(points.values()), jobs)
+    return [
+        dict(zip(ABLATION_CSV_COLUMNS, (*point, *values[points[key]])))
+        for key, point in zip(keys, grid)
+    ]
+
+
+# OpenBLAS's thread-count functions, under the names its builds export: the
+# scipy-openblas wheels of numpy 2, the 64-bit-int builds of numpy 1
+# wheels, and a plain system build.
+_BLAS_THREAD_FUNCTIONS = (
+    "scipy_openblas_{}_num_threads64_",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+def _blas_threads():
+    """The loaded OpenBLAS's (get, set) thread-count functions, or None
+    when this process has no OpenBLAS mapped (another BLAS, or no
+    /proc/self/maps)."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return None
+    libraries = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()})
+    for path in libraries:
+        library = ctypes.CDLL(path)
+        for name in _BLAS_THREAD_FUNCTIONS:
+            get = getattr(library, name.format("get"), None)
+            set_ = getattr(library, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+# The task of a forked sweep worker. `_start_worker` sets it in the worker
+# process only; the parent never assigns it.
+_worker_task = None
+
+
+def _start_worker(task) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _run_in_worker(point: tuple) -> tuple:
+    return _worker_task(point)
+
+
+def _map_points(task, points: list[tuple], jobs: int) -> dict[tuple, tuple]:
+    """`task(point)` for each point, keyed by point.
+
+    With jobs > 1 and more than one point, up to `jobs` worker processes,
+    forked from this one, take the points in turn. A worker inherits
+    `task`, and with it the parent network, the datasets and the parent's
+    scores, copy-on-write; only points and their values cross the pipe.
+    The workers run OpenBLAS on one thread each, so 2 workers on 2 cores
+    do not run 4 BLAS threads (3x slower than the serial loop). This
+    process sets one thread just before the workers fork, so they inherit
+    it, and restores its own count after: a worker that set it itself
+    would start an OpenBLAS pool thread, which spins beside the worker
+    and made its forward calls 1.7-2.4x slower. Where the platform cannot
+    fork or no OpenBLAS thread functions are found, the points run here,
+    in order. A worker's error is raised here; a worker that dies raises
+    `BrokenProcessPool`. Every worker is reaped before this returns or
+    raises.
+    """
+    jobs = min(jobs, len(points))
+    if jobs > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        blas = _blas_threads()
+        if blas is not None and "fork" in multiprocessing.get_all_start_methods():
+            get_threads, set_threads = blas
+            threads = get_threads()
+            set_threads(1)
+            try:
+                context = multiprocessing.get_context("fork")
+                with ProcessPoolExecutor(jobs, context, _start_worker, (task,)) as pool:
+                    return dict(zip(points, pool.map(_run_in_worker, points)))
+            finally:
+                set_threads(threads)
+    return {point: task(point) for point in points}
 
 
 def datasets_disjoint(a: Dataset, b: Dataset) -> bool:

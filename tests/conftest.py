@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import pytest
@@ -55,3 +56,16 @@ def bench_task(tmp_path_factory) -> Task:
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_children():
+    """Fail a test that leaves a child process behind, running or exited
+    but not reaped, as a command that left a worker would."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    what = "still running" if pid == 0 else f"pid {pid}, exited but not reaped"
+    pytest.fail(f"the test left a child process behind ({what})")

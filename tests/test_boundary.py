@@ -271,6 +271,17 @@ class TestBlocks:
         evaluate_grid(net, (-1.0, 1.0, -1.0, 1.0), resolution=200)
         assert made == [8000]
 
+    def test_one_workspace_per_export(self, net, data, tmp_path, monkeypatch):
+        made = []
+
+        def counting_workspace(spec, rows):
+            made.append(rows)
+            return workspace(spec, rows)
+
+        monkeypatch.setattr("smd.boundary.workspace", counting_workspace)
+        export_boundary_cells(net, data, [0.05, 0.25], [0.0, 0.9], tmp_path, 3, resolution=90)
+        assert made == [8000]
+
 
 @pytest.fixture()
 def boundary_run(tmp_path):

@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import multiprocessing
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,6 +23,7 @@ from smd.evolution import ABLATION_CSV_COLUMNS, EVAL_CSV_COLUMNS
 from smd.network import NetworkSpec, init_network
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = CONFIG_DIR.parent / "src"
 
 
 def small_task(out_dir, n_eval=600):
@@ -42,8 +47,6 @@ def write_config(path, payload):
 
 def count_forward(monkeypatch):
     """Counts every `network.forward` call, through each module's alias of it."""
-    import sys
-
     import smd.network
 
     calls, original = [], smd.network.forward
@@ -407,7 +410,7 @@ def ablate_run(tmp_path):
     save_checkpoint(init_network(NetworkSpec([2, 8, 2], seed=1)), ckpt)
     out = tmp_path / "out"
 
-    def run(section):
+    def run(section, *flags):
         payload = {
             "task": {"dataset": "spirals", "n_train": 200, "n_eval": 100},
             "model": {"checkpoint": str(ckpt)},
@@ -415,7 +418,7 @@ def ablate_run(tmp_path):
             "output": {"dir": str(out)},
         }
         path = write_config(tmp_path / "ablate.json", payload)
-        return main(["ablate", "--config", path]), out
+        return main(["ablate", "--config", path, *flags]), out
 
     return run
 
@@ -514,6 +517,71 @@ class TestStrictAblationSection:
             "pop_size": 16,
             "top_k": 4,
         }
+
+
+class TestAblateJobs:
+    """`ablate --jobs N` runs the sweep points on N forked workers and
+    writes the same bytes for every N."""
+
+    # rho 0 and rho > 0 in both modes: 12 distinct points for 16 rows.
+    GRID = dict(ABLATION_BASE, sigma_grid=[0.05, 0.1], rho_grid=[0.0, 0.5],
+                modes=["static", "dynamic"], seeds=[0, 1])
+
+    def test_csv_identical_for_every_jobs(self, ablate_run):
+        written = set()
+        for flags in ([], ["--jobs", "1"], ["--jobs", "2"], ["--jobs", "3"]):
+            code, out = ablate_run(self.GRID, *flags)
+            assert code == 0
+            written.add((out / "ablation.csv").read_bytes())
+        assert len(written) == 1
+        assert len(written.pop().splitlines()) == 1 + 16
+
+    def test_worker_error_exits_2_with_no_csv(self, ablate_run, capsys):
+        code, out = ablate_run(dict(self.GRID, sigma_grid=[0.05, 1e39]), "--jobs", "2")
+        assert code == 2
+        assert "error: mutation 'mu' 0.0 and 'sigma' 1e+39" in capsys.readouterr().err
+        assert not any(out.iterdir())
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_exit_2_before_the_config_is_read(self, tmp_path, capsys, jobs):
+        assert main(["ablate", "--config", str(tmp_path / "unread.json"), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "search", "evolve", "boundary"])
+    def test_rejected_by_other_commands(self, tmp_path, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(tmp_path / "unread.json"), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "base, flags",
+        [("train", []), ("search", []), ("evolve", []), ("boundary", []),
+         ("ablate", ["--jobs", "1"])],
+    )
+    def test_serial_commands_import_no_multiprocessing(self, key_bases, tmp_path, base, flags):
+        inputs, bases = key_bases
+        command, cfg = bases[base]
+        path = write_config(tmp_path / "config.json", dict(cfg, output={"dir": str(tmp_path)}))
+        script = (
+            "import sys\n"
+            "from smd.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('multiprocessing' in sys.modules)\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p
+        ))
+        env.pop("SMD_OUT", None)  # it would override the output directory
+        done = subprocess.run(
+            [sys.executable, "-c", script, command, "--config", path, *flags],
+            cwd=inputs, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestEvolveOnlyFlags:

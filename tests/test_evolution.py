@@ -1,6 +1,9 @@
 import itertools
 import json
+import multiprocessing
+import os
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -160,7 +163,7 @@ class TestEnsemblePredict:
         (genome,) = build_genomes(parent.params, params, [child])
         x = rng.normal(size=(6, 2))
         np.testing.assert_array_equal(
-            evolution._ensemble_probs(parent, params, [child], x),
+            evolution._ensemble_probs(parent, params, [child], x)[0],
             softmax(forward(Network(parent.spec, genome), x)),
         )
 
@@ -174,7 +177,7 @@ class TestEnsemblePredict:
             1.0 / (1.0 + np.exp((w1 + b1) - (w0 + b0)))
             for w0, w1, b0, b1 in (g.values for g in build_genomes(parent.params, params, pair))
         ]
-        probs = evolution._ensemble_probs(parent, params, pair, np.array([[1.0]]))
+        probs, _ = evolution._ensemble_probs(parent, params, pair, np.array([[1.0]]))
         np.testing.assert_allclose(probs, [[np.mean(p0), 1.0 - np.mean(p0)]], atol=1e-12)
 
     def test_identical_members_match_single(self, rng):
@@ -183,15 +186,15 @@ class TestEnsemblePredict:
         (child,) = spawn_mutations(parent.params, params, 1, 0)
         x = rng.normal(size=(10, 2))
         np.testing.assert_allclose(
-            evolution._ensemble_probs(parent, params, [child] * 3, x),
-            evolution._ensemble_probs(parent, params, [child], x),
+            evolution._ensemble_probs(parent, params, [child] * 3, x)[0],
+            evolution._ensemble_probs(parent, params, [child], x)[0],
             atol=1e-12,
         )
 
     def test_rows_normalized(self, spiral_task):
         params = MutationParams(sigma=0.1, rho=0.5)
         children = spawn_mutations(spiral_task.parent.params, params, 4, 5)
-        probs = evolution._ensemble_probs(
+        probs, _ = evolution._ensemble_probs(
             spiral_task.parent, params, children, spiral_task.val.inputs
         )
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-6)
@@ -520,6 +523,101 @@ class TestRunAblation:
             for mode in ("static", "dynamic")
         }
         assert abs(by_mode["static"] - by_mode["dynamic"]) <= 0.05
+
+
+class TestAblationJobs:
+    """`run_ablation(..., jobs)` runs its distinct points on forked workers
+    and gives the serial loop's rows, bit for bit."""
+
+    # rho 0 and rho > 0 in both modes: 12 distinct points for 16 rows.
+    GRID = ([0.05, 0.1], [0.0, 0.5], ["static", "dynamic"], [0, 1])
+
+    def ablate(self, t, jobs, sigmas=None):
+        grid_sigmas, rhos, modes, seeds = self.GRID
+        return run_ablation(
+            t.parent, sigmas or grid_sigmas, rhos, modes, t.val, t.test, seeds,
+            pop_size=4, top_k=2, jobs=jobs,
+        )
+
+    @pytest.fixture(scope="class")
+    def serial_rows(self, spiral_task):
+        return self.ablate(spiral_task, 1)
+
+    @pytest.fixture()
+    def forks(self, monkeypatch):
+        """The os.fork calls made in this process."""
+        calls, real = [], os.fork
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(os, "fork", counting)
+        return calls
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_rows_equal_the_serial_loop(self, spiral_task, serial_rows, forks, jobs):
+        assert self.ablate(spiral_task, jobs) == serial_rows
+        assert len(forks) == jobs
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_do_not_depend_on_hand_out_order(
+        self, spiral_task, serial_rows, monkeypatch, jobs
+    ):
+        real = evolution._map_points
+        handed = []
+
+        def reversed_points(task, points, jobs):
+            handed.extend(points[::-1])
+            return real(task, points[::-1], jobs)
+
+        monkeypatch.setattr(evolution, "_map_points", reversed_points)
+        assert self.ablate(spiral_task, jobs) == serial_rows
+        assert len(handed) == 12 and handed[0] == (0.1, 0.5, "dynamic", 1)
+
+    def test_runs_here_without_blas_thread_functions(
+        self, spiral_task, serial_rows, monkeypatch, forks
+    ):
+        monkeypatch.setattr(evolution, "_blas_threads", lambda: None)
+        assert self.ablate(spiral_task, 2) == serial_rows
+        assert forks == []
+
+    def test_workers_run_one_thread_and_the_parent_keeps_its_count(self, spiral_task):
+        blas = evolution._blas_threads()
+        if blas is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        get_threads, set_threads = blas
+
+        def threads(point):
+            spiral_task.parent.params.values @ spiral_task.parent.params.values  # a BLAS call
+            return get_threads(), len(os.listdir("/proc/self/task"))
+
+        before = get_threads()
+        set_threads(2)
+        try:
+            # One BLAS thread and no OpenBLAS pool thread beside the worker's own.
+            assert set(evolution._map_points(threads, [0, 1, 2], 2).values()) == {(1, 1)}
+            assert get_threads() == 2
+            self.ablate(spiral_task, 2)
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+
+    def test_worker_error_is_raised_and_every_worker_reaped(self, spiral_task, forks):
+        with pytest.raises(ConfigurationError, match="'sigma' 1e\\+39"):
+            self.ablate(spiral_task, 2, sigmas=[0.05, 1e39])
+        assert len(forks) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_breaks_the_pool_and_every_worker_is_reaped(self):
+        with pytest.raises(BrokenProcessPool):
+            evolution._map_points(lambda point: os._exit(3), [0, 1, 2], 2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_nonpositive_jobs_rejected(self, spiral_task, jobs):
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            self.ablate(spiral_task, jobs)
 
 
 class TestDatasetsDisjoint:
