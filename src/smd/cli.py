@@ -3,7 +3,8 @@
 Every command is a pure function of its JSON config (all seeds included),
 so reruns produce byte-identical artifacts. Exit codes: 0 success,
 2 configuration error, 3 training divergence, 4 search found no in-band
-cell, 5 validation/test overlap, 6 task/model or task/command mismatch.
+cell, 5 validation/test overlap, 6 task/model or task/command mismatch,
+7 a worker process of `ablate`'s sweep died.
 `EXIT_CODES` maps each error of `smd.errors` to its code.
 """
 
@@ -28,6 +29,7 @@ from .errors import (
     ShapeError,
     TaskMismatchError,
     TrainingDivergenceError,
+    WorkerError,
 )
 from .evolution import (
     GenerationConfig,
@@ -54,6 +56,7 @@ EXIT_CODES = {
     DataHygieneError: 5,
     TaskMismatchError: 6,
     ShapeError: 6,
+    WorkerError: 7,
 }
 
 
@@ -193,7 +196,7 @@ def cmd_ablate(run: dict, args: argparse.Namespace) -> int:
     if not datasets_disjoint(val, test):
         raise DataHygieneError("validation and test sets share samples")
     parent = _load_parent(run["checkpoint"], val)
-    rows = run_ablation(parent, val=val, test=test, jobs=args.jobs, **run["ablation"])
+    rows = run_ablation(parent, val=val, test=test, jobs=_usable_cpus(), **run["ablation"])
     write_ablation_csv(rows, run["out_dir"] / "ablation.csv")
     print(f"wrote {len(rows)} ablation rows to {run['out_dir'] / 'ablation.csv'}")
     return EXIT_OK
@@ -222,32 +225,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--dump-masks", action="store_true", help="write per-child masks as RLE text"
             )
-        if name == "ablate":
-            p.add_argument(
-                "--jobs", type=int, default=_usable_cpus(),
-                help="worker processes for the sweep points (default: usable CPUs, %(default)s)",
-            )
     return parser
 
 
 def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, which honours
+    `taskset`), or the machine's count where there is no mask."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _check_counts(args: argparse.Namespace) -> None:
-    """Each count flag the command takes must be at least 1."""
-    for flag in ("repeats", "jobs"):
-        value = getattr(args, flag, 1)
-        if value < 1:
-            raise ConfigurationError(f"--{flag} must be >= 1, got {value}")
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_counts(args)
+        if getattr(args, "repeats", 1) < 1:
+            raise ConfigurationError(f"--repeats must be >= 1, got {args.repeats}")
         run = cfgmod.check(cfgmod.load_config(args.config), args.command, args.out)
         return _COMMANDS[args.command](run, args)
     except tuple(EXIT_CODES) as exc:

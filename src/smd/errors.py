@@ -38,3 +38,8 @@ class TaskMismatchError(RuntimeError):
     """Model or command does not fit the task: the model's input or output
     width differs from the task's features or classes, or a 2-D-only command
     runs on another task."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process of a parallel sweep died before it returned its
+    points: killed by a signal (out of memory, say) or exited early."""

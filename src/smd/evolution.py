@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import Dataset, write_csv
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, ShapeError, WorkerError
 from .metrics import MetricTriple, accuracy, metric_triple
 from .mutation import (
     Child, MutationParams, child_logits, derive_seed, spawn_mutations, working_genomes
@@ -508,13 +508,12 @@ def _map_points(task, points: list[tuple], jobs: int) -> dict[tuple, tuple]:
     and made its forward calls 1.7-2.4x slower. Where the platform cannot
     fork or no OpenBLAS thread functions are found, the points run here,
     in order. A worker's error is raised here; a worker that dies raises
-    `BrokenProcessPool`. Every worker is reaped before this returns or
-    raises.
+    `WorkerError`. Every worker is reaped before this returns or raises.
     """
     jobs = min(jobs, len(points))
     if jobs > 1:
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         blas = _blas_threads()
         if blas is not None and "fork" in multiprocessing.get_all_start_methods():
@@ -525,6 +524,10 @@ def _map_points(task, points: list[tuple], jobs: int) -> dict[tuple, tuple]:
                 context = multiprocessing.get_context("fork")
                 with ProcessPoolExecutor(jobs, context, _start_worker, (task,)) as pool:
                     return dict(zip(points, pool.map(_run_in_worker, points)))
+            except BrokenExecutor as exc:
+                raise WorkerError(
+                    "a sweep worker process died before it returned its points"
+                ) from exc
             finally:
                 set_threads(threads)
     return {point: task(point) for point in points}

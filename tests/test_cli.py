@@ -410,7 +410,7 @@ def ablate_run(tmp_path):
     save_checkpoint(init_network(NetworkSpec([2, 8, 2], seed=1)), ckpt)
     out = tmp_path / "out"
 
-    def run(section, *flags):
+    def run(section):
         payload = {
             "task": {"dataset": "spirals", "n_train": 200, "n_eval": 100},
             "model": {"checkpoint": str(ckpt)},
@@ -418,7 +418,7 @@ def ablate_run(tmp_path):
             "output": {"dir": str(out)},
         }
         path = write_config(tmp_path / "ablate.json", payload)
-        return main(["ablate", "--config", path, *flags]), out
+        return main(["ablate", "--config", path]), out
 
     return run
 
@@ -519,49 +519,61 @@ class TestStrictAblationSection:
         }
 
 
-class TestAblateJobs:
-    """`ablate --jobs N` runs the sweep points on N forked workers and
-    writes the same bytes for every N."""
+class TestAblateWorkers:
+    """`ablate` runs the sweep points on one forked worker per usable CPU
+    and writes the same bytes for any number of workers."""
 
     # rho 0 and rho > 0 in both modes: 12 distinct points for 16 rows.
     GRID = dict(ABLATION_BASE, sigma_grid=[0.05, 0.1], rho_grid=[0.0, 0.5],
                 modes=["static", "dynamic"], seeds=[0, 1])
 
-    def test_csv_identical_for_every_jobs(self, ablate_run):
+    @pytest.fixture()
+    def cpus(self, monkeypatch):
+        """Sets the usable CPU count `ablate` sees."""
+        import smd.cli
+
+        return lambda n: monkeypatch.setattr(smd.cli, "_usable_cpus", lambda: n)
+
+    def test_csv_identical_for_every_worker_count(self, ablate_run, cpus):
         written = set()
-        for flags in ([], ["--jobs", "1"], ["--jobs", "2"], ["--jobs", "3"]):
-            code, out = ablate_run(self.GRID, *flags)
+        for n in (1, 2, 3):
+            cpus(n)
+            code, out = ablate_run(self.GRID)
             assert code == 0
             written.add((out / "ablation.csv").read_bytes())
         assert len(written) == 1
         assert len(written.pop().splitlines()) == 1 + 16
 
-    def test_worker_error_exits_2_with_no_csv(self, ablate_run, capsys):
-        code, out = ablate_run(dict(self.GRID, sigma_grid=[0.05, 1e39]), "--jobs", "2")
+    def test_worker_error_exits_2_with_no_csv(self, ablate_run, cpus, capsys):
+        cpus(2)
+        code, out = ablate_run(dict(self.GRID, sigma_grid=[0.05, 1e39]))
         assert code == 2
         assert "error: mutation 'mu' 0.0 and 'sigma' 1e+39" in capsys.readouterr().err
         assert not any(out.iterdir())
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_nonpositive_jobs_exit_2_before_the_config_is_read(self, tmp_path, capsys, jobs):
-        assert main(["ablate", "--config", str(tmp_path / "unread.json"), "--jobs", jobs]) == 2
-        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
-        assert not any(tmp_path.iterdir())
+    def test_a_worker_that_dies_exits_7_with_no_csv(self, ablate_run, cpus, monkeypatch, capsys):
+        import smd.evolution
 
-    @pytest.mark.parametrize("command", ["train", "search", "evolve", "boundary"])
-    def test_rejected_by_other_commands(self, tmp_path, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(tmp_path / "unread.json"), "--jobs", "2"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        cpus(2)
+        command = os.getpid()
 
-    @pytest.mark.parametrize(
-        "base, flags",
-        [("train", []), ("search", []), ("evolve", []), ("boundary", []),
-         ("ablate", ["--jobs", "1"])],
-    )
-    def test_serial_commands_import_no_multiprocessing(self, key_bases, tmp_path, base, flags):
+        def die(*args):
+            # Only the workers may run `_evolve`; the command process scores the parent.
+            assert os.getpid() != command, "a sweep point ran in the command process"
+            os._exit(3)
+
+        monkeypatch.setattr(smd.evolution, "_evolve", die)
+        code, out = ablate_run(self.GRID)
+        assert code == 7
+        assert capsys.readouterr().err == (
+            "error: a sweep worker process died before it returned its points\n"
+        )
+        assert not any(out.iterdir())
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("base", ["train", "search", "evolve", "boundary"])
+    def test_other_commands_import_no_multiprocessing(self, key_bases, tmp_path, base):
         inputs, bases = key_bases
         command, cfg = bases[base]
         path = write_config(tmp_path / "config.json", dict(cfg, output={"dir": str(tmp_path)}))
@@ -577,7 +589,7 @@ class TestAblateJobs:
         ))
         env.pop("SMD_OUT", None)  # it would override the output directory
         done = subprocess.run(
-            [sys.executable, "-c", script, command, "--config", path, *flags],
+            [sys.executable, "-c", script, command, "--config", path],
             cwd=inputs, env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr

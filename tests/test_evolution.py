@@ -3,7 +3,6 @@ import json
 import multiprocessing
 import os
 import tracemalloc
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ import smd.evolution as evolution
 from smd.checkpoint import save_checkpoint
 from smd.cli import main
 from smd.datasets import Dataset, make_spirals
-from smd.errors import ConfigurationError, ShapeError
+from smd.errors import ConfigurationError, ShapeError, WorkerError
 from smd.evolution import (
     GenerationConfig,
     Population,
@@ -609,8 +608,8 @@ class TestAblationJobs:
         assert len(forks) == 2
         assert multiprocessing.active_children() == []
 
-    def test_a_worker_that_dies_breaks_the_pool_and_every_worker_is_reaped(self):
-        with pytest.raises(BrokenProcessPool):
+    def test_a_worker_that_dies_raises_worker_error_and_every_worker_is_reaped(self):
+        with pytest.raises(WorkerError, match="a sweep worker process died"):
             evolution._map_points(lambda point: os._exit(3), [0, 1, 2], 2)
         assert multiprocessing.active_children() == []
 
