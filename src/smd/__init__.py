@@ -25,9 +25,7 @@ from .metrics import MetricTriple, accuracy, ece, metric_triple
 from .mutation import (
     Child,
     MutationParams,
-    build_genomes,
     child_logits,
-    complement,
     sample_mask,
     sample_noise,
     spawn_mutations,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import TaskMismatchError
-from .mutation import Child, MutationParams, build_genomes, derive_seed
+from .mutation import Child, MutationParams, derive_seed, working_genomes
 from .network import Network, forward, softmax, workspace
 
 # Spawn-key namespace for boundary-cell perturbations.
@@ -52,16 +52,15 @@ def lattice_bounds(data: Dataset) -> tuple[float, float, float, float]:
 def evaluate_grid(
     net: Network,
     bounds: tuple[float, float, float, float],
-    resolution: int = DEFAULT_RESOLUTION,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+    resolution: int,
+    scratch: tuple[np.ndarray, np.ndarray],
 ) -> BoundaryGrid:
     """Class and confidence at each lattice point, y-major.
 
     The lattice points are never built whole: they are forwarded in
-    `_BLOCK`-point blocks through one workspace and one points buffer, so
-    memory is O(_BLOCK x widest layer + resolution^2). A caller that
-    evaluates several grids passes one `workspace(net.spec, min(_BLOCK,
-    resolution**2))` as `scratch` for all of them.
+    `_BLOCK`-point blocks through the caller's `workspace(net.spec,
+    min(_BLOCK, resolution**2))` and one points buffer, so memory is
+    O(_BLOCK x widest layer + resolution^2).
     """
     if net.spec.input_dim != 2:
         raise TaskMismatchError(
@@ -72,8 +71,6 @@ def evaluate_grid(
     ys = np.linspace(y0, y1, resolution)
     n = resolution * resolution
     block = min(_BLOCK, n)
-    if scratch is None:
-        scratch = workspace(net.spec, block)
     pts = np.empty((block, 2))
     classes = np.empty(n, dtype=np.intp)
     confidence = np.empty(n)
@@ -102,7 +99,8 @@ def perturbed_network(parent: Network, sigma: float, rho: float, seed: int) -> N
         role="solo",
     )
     params = MutationParams(sigma=sigma, rho=rho)
-    (genome,) = build_genomes(parent.params, params, [child])
+    # Unpacking runs the pass to its end, so its working copy is ours.
+    (genome,) = working_genomes(parent.params, params, [child])
     return Network(parent.spec, genome)
 
 

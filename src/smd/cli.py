@@ -16,6 +16,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import config as cfgmod
 from .boundary import export_boundary_cells
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -40,7 +42,7 @@ from .evolution import (
     write_eval_csv,
 )
 from .metrics import accuracy
-from .mutation import mask_to_rle, role_support, sample_mask
+from .mutation import Child, child_supports, mask_to_rle
 from .network import Network, NetworkSpec, forward, init_network, softmax
 from .training import train_model
 
@@ -161,13 +163,13 @@ def cmd_evolve(run: dict, args: argparse.Namespace) -> int:
     write_eval_csv(best, run["out_dir"] / "eval_report.csv")
 
     if args.dump_masks:
-        lines = [
-            f"{c['index']} group={c['group']} role={c['role']} "
-            + mask_to_rle(
-                role_support(sample_mask(parent.params.w, mutation.rho, c["mask_seed"]), c["role"])
-            )
-            for c in best.per_child
-        ]
+        w = parent.params.w
+        children = [Child(c["seed"], c["mask_seed"], c["group"], c["role"]) for c in best.per_child]
+        lines = []
+        for c, (_, index, _) in zip(best.per_child, child_supports(w, mutation, children)):
+            support = np.zeros(w, dtype=np.uint8)
+            support[index] = 1
+            lines.append(f"{c['index']} group={c['group']} role={c['role']} {mask_to_rle(support)}")
         (run["out_dir"] / "masks.rle.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     print(best.summary_line())

@@ -10,6 +10,8 @@ support coordinate, and the k-th value goes to the k-th support index in
 ascending order. M draws from the group's noise seed, M' from a seed
 derived from it, so a draw costs O(support), not O(w). At rho 0 the
 support is every coordinate and the draw is the full dense vector.
+`child_supports` is the one function that locates a child's support and
+draws its noise.
 
 Noise values are quantized to float32-representable values. Parents
 loaded from checkpoints are float32-valued too, so sums theta +- gamma of
@@ -23,8 +25,8 @@ rewrites that one working genome for each child in turn: it restores the
 previous child's support from the parent, then writes theta[support] +-
 noise, so a child costs O(support), not O(w). A mirrored partner shares
 its support and skips the restore. The yielded genome is valid until the
-next child is written. `build_genomes` copies the parent per child over
-the same writer, for callers that keep a genome.
+next child is written; a caller that runs a pass to its end owns the last
+one.
 """
 
 from __future__ import annotations
@@ -103,12 +105,6 @@ def sample_mask(w: int, rho: float, seed: int) -> np.ndarray:
     return mask
 
 
-def complement(mask: np.ndarray) -> np.ndarray:
-    """Anti-random mask: every bit flipped."""
-    mask = np.asarray(mask, dtype=np.uint8)
-    return (1 - mask).astype(np.uint8)
-
-
 def sample_noise(n: int, mu: float, sigma: float, seed: int) -> np.ndarray:
     """n i.i.d. Gaussian values, quantized to float32 values; n = 0 gives
     an empty draw (an empty support).
@@ -165,12 +161,6 @@ def group_roles(mirrored: bool, anti_random: bool, pop_size: int) -> tuple[str, 
     return roles
 
 
-def role_support(mask: np.ndarray, role: str) -> np.ndarray:
-    """The coordinates a child of `role` perturbs: its group's mask, or the
-    complement for the anti-random roles."""
-    return complement(mask) if ROLES[role][1] else mask
-
-
 @dataclass(frozen=True)
 class Child:
     """One child, stored as the seeds and role that rebuild its genome."""
@@ -193,7 +183,7 @@ def spawn_mutations(
     for every group with fresh noise per group; dynamic mode draws a fresh
     mask per group. All randomness derives from (master_seed, purpose,
     group), so the result is independent of evaluation order. No genome is
-    built here: `build_genomes` makes them while they are needed.
+    built here: `working_genomes` writes each while it is needed.
     """
     if pop_size < 1:
         raise ConfigurationError("pop_size must be positive")
@@ -210,18 +200,6 @@ def spawn_mutations(
     return children
 
 
-def build_genomes(
-    theta: ParamVector, params: MutationParams, children: Iterable[Child]
-) -> Iterator[ParamVector]:
-    """Yield each child's genome, theta plus sign * noise on its support, as
-    a copy the caller may keep, in order."""
-    for support in _child_supports(theta.w, params, children):
-        genome = theta.values.copy()
-        _write_support(genome, theta.values, *support)
-        yield ParamVector(genome)
-        del genome  # release it before the next copy is made
-
-
 def working_genomes(
     theta: ParamVector, params: MutationParams, children: Iterable[Child]
 ) -> Iterator[ParamVector]:
@@ -235,7 +213,7 @@ def working_genomes(
     """
     genome = ParamVector(theta.values.copy())
     written = None
-    for sign, index, values in _child_supports(theta.w, params, children):
+    for sign, index, values in child_supports(theta.w, params, children):
         if written is not None and written is not index:
             genome.values[written] = theta.values[written]
         _write_support(genome.values, theta.values, sign, index, values)
@@ -266,17 +244,19 @@ def _role(role: str) -> tuple[int, bool]:
     return ROLES[role]
 
 
-def _child_supports(
+def child_supports(
     w: int, params: MutationParams, children: Iterable[Child]
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Each child's sign, support indices and noise values, in order.
 
-    A mask is drawn once per run of consecutive children that share its
-    seed: once per group in dynamic mode, once per pass in static mode.
-    Each support of a mask (M, or M' for the anti-random roles) is located
-    once, and the mask is released once every support the strategy uses is
-    located. Noise is drawn once per support and group. Children on one
-    support share one index array, so `written is index` tells
+    This is the one place that maps a seed record to the coordinates its
+    child perturbs: `working_genomes` writes them, and `evolve --dump-masks`
+    reports them. A mask is drawn once per run of consecutive children that
+    share its seed: once per group in dynamic mode, once per pass in static
+    mode. Each support of a mask (M, or M' for the anti-random roles) is
+    located once, and the mask is released once every support the strategy
+    uses is located. Noise is drawn once per support and group. Children on
+    one support share one index array, so `written is index` tells
     `working_genomes` that a child overwrites the support before it.
     """
     supports_used = 2 if params.anti_random else 1

@@ -1,8 +1,10 @@
 """Reference implementations the tests compare the package against.
 
 None of these run in a command. `child_genome` builds a genome by its own
-scatter, so a test that compares it with `mutation.build_genomes` compares
-two separate implementations.
+scatter from a whole mask, and `seed_record_genome` rebuilds a child from
+its seed record through it, so a test that compares them with
+`mutation.working_genomes` or `mutation.child_supports` compares two
+separate implementations.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ import numpy as np
 from smd.datasets import Dataset
 from smd.divergence import clamp_probs, kl_from_probs, mse_from_logits
 from smd.errors import ConfigurationError, ShapeError
-from smd.mutation import ROLES, role_support
+from smd.mutation import (
+    _COMPLEMENT_NS,
+    ROLES,
+    Child,
+    MutationParams,
+    derive_seed,
+    sample_mask,
+    sample_noise,
+)
 from smd.network import Network, ParamVector, forward, softmax
 
 
@@ -32,12 +42,25 @@ def child_genome(
         raise ConfigurationError(f"unknown role {role!r}, expected one of {tuple(ROLES)}")
     if mask.shape != theta.values.shape:
         raise ShapeError(f"mask {mask.shape} vs genome {theta.w}")
-    index = np.flatnonzero(role_support(mask, role) == 1)
+    sign, on_complement = ROLES[role]
+    index = np.flatnonzero((1 - mask if on_complement else mask) == 1)
     if values.shape != index.shape:
         raise ShapeError(f"{values.shape} values for a support of {index.size}")
     genome = theta.values.copy()
-    genome[index] = theta.values[index] + ROLES[role][0] * values
+    genome[index] = theta.values[index] + sign * values
     return ParamVector(genome)
+
+
+def seed_record_genome(theta: ParamVector, params: MutationParams, child: Child) -> ParamVector:
+    """`child`'s genome rebuilt from its seed record: its group's whole mask,
+    the noise stream of its role's support, and `child_genome`'s scatter."""
+    mask = sample_mask(theta.w, params.rho, child.mask_seed)
+    if ROLES[child.role][1]:
+        size, stream = theta.w - int(mask.sum()), derive_seed(child.seed, _COMPLEMENT_NS)
+    else:
+        size, stream = int(mask.sum()), child.seed
+    values = sample_noise(size, params.mu, params.sigma, stream)
+    return child_genome(theta, values, mask, child.role)
 
 
 def partition_masks(w: int, n_parts: int, seed: int) -> list[np.ndarray]:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smd.boundary import (
+    _BLOCK,
     BoundaryGrid,
     cell_tag,
     evaluate_grid,
@@ -28,6 +29,11 @@ from smd.errors import TaskMismatchError
 from smd.network import NetworkSpec, forward, init_network, softmax, workspace
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def evaluate(net, bounds, resolution):
+    """`evaluate_grid` through a workspace of its own, as a one-grid caller makes."""
+    return evaluate_grid(net, bounds, resolution, workspace(net.spec, min(_BLOCK, resolution**2)))
 
 
 @pytest.fixture()
@@ -50,7 +56,7 @@ class TestLattice:
         assert y1 == pytest.approx(hi[1] + 0.1 * (hi[1] - lo[1]))
 
     def test_grid_shapes(self, net, data):
-        grid = evaluate_grid(net, lattice_bounds(data), resolution=50)
+        grid = evaluate(net, lattice_bounds(data), 50)
         assert grid.classes.shape == (50, 50)
         assert grid.confidence.shape == (50, 50)
         assert np.all((grid.confidence >= 0.5 - 1e-12) & (grid.confidence <= 1.0))
@@ -58,7 +64,7 @@ class TestLattice:
     def test_rejects_non_2d_network(self, data):
         wide = init_network(NetworkSpec([3, 4, 2]))
         with pytest.raises(TaskMismatchError):
-            evaluate_grid(wide, (0, 1, 0, 1))
+            evaluate(wide, (0, 1, 0, 1), 4)
 
 
 class TestPerturbedNetwork:
@@ -73,7 +79,7 @@ class TestPerturbedNetwork:
 
 class TestPgm:
     def test_header_and_size(self, net, data, tmp_path):
-        grid = evaluate_grid(net, lattice_bounds(data), resolution=200)
+        grid = evaluate(net, lattice_bounds(data), 200)
         path = tmp_path / "img.pgm"
         write_grid_pgm(grid, path)
         blob = path.read_bytes()
@@ -106,7 +112,7 @@ class TestExport:
 
     def test_sigma_zero_cell_reproduces_parent_boundary(self, net, data, tmp_path):
         export_boundary_cells(net, data, [0.0], [0.9], tmp_path, master_seed=4, resolution=30)
-        parent_grid = evaluate_grid(net, lattice_bounds(data), resolution=30)
+        parent_grid = evaluate(net, lattice_bounds(data), 30)
         ref = tmp_path / "ref.pgm"
         write_grid_pgm(parent_grid, ref)
         produced = tmp_path / f"boundary_{cell_tag(0.0, 0.9)}.pgm"
@@ -172,14 +178,14 @@ def deep_net():
 
 class TestCsvBytes:
     def test_golden_sha256(self, net, data, tmp_path):
-        grid = evaluate_grid(net, lattice_bounds(data), resolution=50)
+        grid = evaluate(net, lattice_bounds(data), 50)
         path = tmp_path / "grid.csv"
         write_grid_csv(grid, path)
         assert sha256(path) == "e84cdc15a6b36c237e342c0d3a019aab7c7c464bd64ae46c441feed27eb40e06"
 
     def test_golden_sha256_multi_block(self, data, tmp_path):
         # 40,000 points: the lattice is forwarded in five blocks.
-        grid = evaluate_grid(deep_net(), lattice_bounds(data), resolution=200)
+        grid = evaluate(deep_net(), lattice_bounds(data), 200)
         csv_path, pgm_path = tmp_path / "grid.csv", tmp_path / "grid.pgm"
         write_grid_csv(grid, csv_path)
         write_grid_pgm(grid, pgm_path)
@@ -226,7 +232,7 @@ class TestCsvBytes:
         net = deep_net()
         tracemalloc.start()
         try:
-            evaluate_grid(net, (-1.0, 1.0, -1.0, 1.0), resolution=200)
+            evaluate(net, (-1.0, 1.0, -1.0, 1.0), 200)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -254,22 +260,11 @@ class TestBlocks:
             return buf
 
         monkeypatch.setattr(np, "empty", sentinel)
-        grid = evaluate_grid(net, bounds, resolution)
+        grid = evaluate(net, bounds, resolution)
         monkeypatch.undo()
 
         assert np.array_equal(grid.classes.ravel(), probs.argmax(axis=1))
         np.testing.assert_allclose(grid.confidence.ravel(), probs.max(axis=1), rtol=0, atol=1e-15)
-
-    def test_one_workspace_per_grid(self, net, monkeypatch):
-        made = []
-
-        def counting_workspace(spec, rows):
-            made.append(rows)
-            return workspace(spec, rows)
-
-        monkeypatch.setattr("smd.boundary.workspace", counting_workspace)
-        evaluate_grid(net, (-1.0, 1.0, -1.0, 1.0), resolution=200)
-        assert made == [8000]
 
     def test_one_workspace_per_export(self, net, data, tmp_path, monkeypatch):
         made = []

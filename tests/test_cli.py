@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import multiprocessing
@@ -24,6 +25,22 @@ from smd.network import NetworkSpec, init_network
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src"
+
+
+# SHA-256 of `evolve --dump-masks`'s masks.rle.txt for each strategy at
+# rho 0.5, on `trained`'s checkpoint, keyed by (mirrored, anti_random,
+# subspace_mode). Recorded before the dump read its supports from
+# `mutation.child_supports`; that change kept every byte.
+MASK_DUMPS = {
+    (False, False, "dynamic"): "8fbcaf687b15d1a01f0e991d58d03d1ee069535ba4059620d0becc9670fdc718",
+    (False, False, "static"): "97fc12df63e645ec6b21588883a1cc5f7120ee28e1f569d13266d1ee443f87bd",
+    (False, True, "dynamic"): "85912ab759bdfe440aff0e20bbe2fab185aee0fb970963646b3b0af313992ecb",
+    (False, True, "static"): "2e6cbf20e80d448f395c5440b8cbea444bae4994deb01d065a1eb9027336a0f3",
+    (True, False, "dynamic"): "8100225b85a8b5e796167ed13a97ed532ecc869e8b11897a04a9f03b5cebdae9",
+    (True, False, "static"): "6a72a7d7d62ebb8323615fc81e632d3b0c82f76d11cd9a9d029e46468492d5d7",
+    (True, True, "dynamic"): "08857b5153b88ff5386709f97bcbc0df8c94035eb0c5a7a8c32781f2959dd240",
+    (True, True, "static"): "00302664d595d49f34966d8e4f81804e4f56f1b3544edc129e7b4f130cb98b57",
+}
 
 
 def small_task(out_dir, n_eval=600):
@@ -285,14 +302,9 @@ class TestEvolveCommand:
     def test_dump_masks_match_child_support(self, trained, mirrored):
         from smd.checkpoint import load_checkpoint
         from smd.evolution import _GENERATION_NS
-        from smd.mutation import (
-            MutationParams,
-            build_genomes,
-            derive_seed,
-            spawn_mutations,
-        )
+        from smd.mutation import MutationParams, derive_seed, spawn_mutations
 
-        from oracles import rle_to_mask
+        from oracles import rle_to_mask, seed_record_genome
 
         mutation = {"sigma": 0.05, "rho": 0.5, "mirrored": mirrored, "anti_random": True}
         path, out = self.evolve_config(trained, mutation)
@@ -301,16 +313,27 @@ class TestEvolveCommand:
         seed = derive_seed(0, _GENERATION_NS, 0)
         params = MutationParams(**mutation)
         children = spawn_mutations(parent.params, params, 8, seed)
-        built = build_genomes(parent.params, params, children)
         dump = (out / "masks.rle.txt").read_text().splitlines()
         roles = set()
-        for line, child, genome in zip(dump, children, built, strict=True):
+        for line, child in zip(dump, children, strict=True):
             _, _, role, rle = line.split(" ", 3)
             assert role == f"role={child.role}"
             roles.add(child.role)
+            genome = seed_record_genome(parent.params, params, child)
             support = (genome.values != parent.params.values).astype(np.uint8)
             np.testing.assert_array_equal(rle_to_mask(rle), support)
         assert {"+M'"} <= roles
+
+    @pytest.mark.parametrize("mirrored, anti_random, mode", sorted(MASK_DUMPS))
+    def test_dump_masks_bytes_pinned(self, trained, mirrored, anti_random, mode):
+        mutation = {
+            "sigma": 0.05, "rho": 0.5, "subspace_mode": mode,
+            "mirrored": mirrored, "anti_random": anti_random,
+        }
+        path, out = self.evolve_config(trained, mutation)
+        assert main(["evolve", "--config", path, "--dump-masks"]) == 0
+        digest = hashlib.sha256((out / "masks.rle.txt").read_bytes()).hexdigest()
+        assert digest == MASK_DUMPS[mirrored, anti_random, mode]
 
     @pytest.mark.parametrize("flag", [["--repeats", "0"], ["--repeats", "-3"]])
     def test_nonpositive_count_flags_exit_2(self, trained, flag, capsys):

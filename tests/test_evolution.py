@@ -27,7 +27,6 @@ from smd.evolution import (
 from smd.mutation import (
     Child,
     MutationParams,
-    build_genomes,
     derive_seed,
     sample_mask,
     sample_noise,
@@ -35,7 +34,7 @@ from smd.mutation import (
 )
 from smd.network import Network, NetworkSpec, ParamVector, forward, init_network, softmax
 
-from oracles import child_genome
+from oracles import child_genome, seed_record_genome
 
 
 def make_population(fitness, nll=None):
@@ -159,7 +158,7 @@ class TestEnsemblePredict:
         parent = init_network(NetworkSpec([2, 4, 3], seed=1))
         params = MutationParams(sigma=0.1, rho=0.5, mirrored=False)
         (child,) = spawn_mutations(parent.params, params, 1, 0)
-        (genome,) = build_genomes(parent.params, params, [child])
+        genome = seed_record_genome(parent.params, params, child)
         x = rng.normal(size=(6, 2))
         np.testing.assert_array_equal(
             evolution._ensemble_probs(parent, params, [child], x)[0],
@@ -172,10 +171,8 @@ class TestEnsemblePredict:
         parent = Network(spec, ParamVector(np.array([0.0, 0.0, np.log(0.6 / 0.4), 0.0])))
         params = MutationParams(sigma=0.5, rho=0.0)
         pair = spawn_mutations(parent.params, params, 2, 3)
-        p0 = [
-            1.0 / (1.0 + np.exp((w1 + b1) - (w0 + b0)))
-            for w0, w1, b0, b1 in (g.values for g in build_genomes(parent.params, params, pair))
-        ]
+        genomes = [seed_record_genome(parent.params, params, c).values for c in pair]
+        p0 = [1.0 / (1.0 + np.exp((w1 + b1) - (w0 + b0))) for w0, w1, b0, b1 in genomes]
         probs, _ = evolution._ensemble_probs(parent, params, pair, np.array([[1.0]]))
         np.testing.assert_allclose(probs, [[np.mean(p0), 1.0 - np.mean(p0)]], atol=1e-12)
 
@@ -388,7 +385,7 @@ class TestGenerationMemory:
 
 
 class TestGenomeLifetime:
-    """Each consumer of `build_genomes` drops a genome before the next one is
+    """Each consumer of a pass's genomes drops one before the next one is
     built, so at most one child genome is alive besides the parent."""
 
     @staticmethod
@@ -413,7 +410,7 @@ class TestGenomeLifetime:
         parent, params = self.setup()
         children = spawn_mutations(parent.params, params, 8, 0)
         peak = self.traced_peak(
-            lambda: average_weights(build_genomes(parent.params, params, children))
+            lambda: average_weights(seed_record_genome(parent.params, params, c) for c in children)
         )
         genome_bytes = parent.params.w * 8
         assert peak < 3 * genome_bytes, peak / genome_bytes
@@ -446,7 +443,7 @@ class TestChainedParent:
         final = populations[-1]
         theta = final.parent.params
         assert theta.values.tobytes() != spiral_task.parent.params.values.tobytes()
-        genomes = dict(zip(final.children, build_genomes(theta, params, final.children)))
+        genomes = {c: seed_record_genome(theta, params, c) for c in final.children}
         pairs = 0
         for plus in final.children:
             if not plus.role.startswith("+"):

@@ -12,9 +12,8 @@ from smd.mutation import (
     _COMPLEMENT_NS,
     SUBSPACE_MODES,
     MutationParams,
-    build_genomes,
     child_logits,
-    complement,
+    child_supports,
     derive_seed,
     mask_to_rle,
     sample_mask,
@@ -24,7 +23,7 @@ from smd.mutation import (
 )
 from smd.network import Network, NetworkSpec, ParamVector, forward, workspace
 
-from oracles import child_genome, partition_masks, rle_to_mask
+from oracles import child_genome, partition_masks, rle_to_mask, seed_record_genome
 
 
 def f32_genome(rng, w):
@@ -34,7 +33,7 @@ def f32_genome(rng, w):
 
 def on_support(noise, mask, role):
     """A dense noise vector restricted to `role`'s support, in index order."""
-    support = complement(mask) if role.endswith("'") else mask
+    support = 1 - mask if role.endswith("'") else mask
     return noise[support == 1]
 
 
@@ -46,7 +45,8 @@ def quad(theta, noise, mask):
 
 
 def genomes(theta, params, children):
-    return list(build_genomes(theta, params, children))
+    """A copy of each genome a pass writes, to keep."""
+    return [ParamVector(g.values.copy()) for g in working_genomes(theta, params, children)]
 
 
 class TestSampleMask:
@@ -95,19 +95,6 @@ class TestBlockedMaskDraw:
         assert peak < 2 * w, peak / w
 
 
-class TestComplement:
-    def test_elementwise(self):
-        assert np.array_equal(complement(np.array([1, 0, 1], dtype=np.uint8)), [0, 1, 0])
-
-    def test_involution(self, rng):
-        m = sample_mask(256, 0.3, 5)
-        assert np.array_equal(complement(complement(m)), m)
-
-    def test_popcounts_sum_to_w(self):
-        m = sample_mask(1000, 0.7, 2)
-        assert int(m.sum()) + int(complement(m).sum()) == 1000
-
-
 class TestPartitionMasks:
     def test_single_part_all_ones(self):
         (m,) = partition_masks(64, 1, seed=0)
@@ -115,7 +102,7 @@ class TestPartitionMasks:
 
     def test_two_parts_are_complements(self):
         a, b = partition_masks(100, 2, seed=1)
-        assert np.array_equal(b, complement(a))
+        assert np.array_equal(b, 1 - a)
 
     def test_disjoint_exhaustive(self):
         masks = partition_masks(100, 4, seed=2)
@@ -235,8 +222,7 @@ class TestBruteForceOracle:
         expect_gamma = np.array([noise[i] * mask[i] for i in range(w)])
         assert np.array_equal(gamma, expect_gamma)
 
-        comp = complement(mask)
-        assert np.array_equal(comp, np.array([1 - mask[i] for i in range(w)]))
+        comp = 1 - mask
 
         child = child_genome(theta, noise[mask == 1], mask, "-")
         expect_child = np.array([theta.values[i] - gamma[i] for i in range(w)])
@@ -395,13 +381,15 @@ class TestSupportDraw:
         children = spawn_mutations(theta, params, 2, master_seed=1)
         tracemalloc.start()
         try:
-            pair = genomes(theta, params, children)
+            for _ in working_genomes(theta, params, children):
+                pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the two genomes take 2*w*8 bytes; one dense float64 draw adds w*8 more
-        assert peak < 2.75 * w * 8
-        assert np.array_equal((pair[0].values + pair[1].values) / 2.0, theta.values)
+        # the working genome takes w*8 bytes; one dense float64 draw adds w*8 more
+        assert peak < 1.75 * w * 8
+        plus, minus = genomes(theta, params, children)
+        assert np.array_equal((plus.values + minus.values) / 2.0, theta.values)
 
     def test_rho_zero_keeps_the_dense_draw(self, rng):
         theta = f32_genome(rng, 1000)
@@ -469,8 +457,8 @@ STRATEGIES = [(False, False), (True, False), (False, True), (True, True)]
 
 class TestWorkingGenome:
     """A scoring pass rewrites one working genome in place for each child;
-    every child must equal the owned genome `build_genomes` copies for it,
-    and the parent must never be written."""
+    every child must equal the genome `oracles.seed_record_genome` rebuilds
+    from its seed record, and the parent must never be written."""
 
     SPEC = NetworkSpec([3, 32, 32, 2], seed=1)
 
@@ -489,14 +477,14 @@ class TestWorkingGenome:
     def test_matches_owned_genomes(self, mirrored, anti_random, mode, rho):
         theta, params, children = self.pass_setup(mirrored, anti_random, mode, rho)
         before = theta.values.tobytes()
-        owned = [g.values.tobytes() for g in build_genomes(theta, params, children)]
+        owned = [seed_record_genome(theta, params, child) for child in children]
         working = [g.values.tobytes() for g in working_genomes(theta, params, children)]
-        assert working == owned
-        assert len(set(owned)) > 1
+        assert working == [g.values.tobytes() for g in owned]
+        assert len(set(working)) > 1
         x = np.random.default_rng(6).normal(size=(20, 3))
         parent = Network(self.SPEC, theta)
         logits = child_logits(parent, params, children, x, workspace(self.SPEC, 20))
-        for genome, got in zip(build_genomes(theta, params, children), logits, strict=True):
+        for genome, got in zip(owned, logits, strict=True):
             assert got.tobytes() == forward(Network(self.SPEC, genome), x).tobytes()
         assert theta.values.tobytes() == before
 
@@ -528,8 +516,6 @@ class TestWorkingGenome:
         monkeypatch.setattr(mutation, "sample_noise", lambda n, *args: np.full(n, 1e308))
         with pytest.raises(ConfigurationError, match="non-finite"):
             next(working_genomes(theta, params, children))
-        with pytest.raises(ConfigurationError, match="non-finite"):
-            next(build_genomes(theta, params, children))
         assert np.all(theta.values == 1.7e308)
 
 
@@ -537,7 +523,13 @@ class TestMaskDraws:
     """A pass draws a mask once per run of children that share it: once per
     group in dynamic mode, once per pass in static mode."""
 
-    @pytest.mark.parametrize("builder", [build_genomes, working_genomes])
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            pytest.param(lambda theta, *args: child_supports(theta.w, *args), id="child_supports"),
+            working_genomes,
+        ],
+    )
     @pytest.mark.parametrize("mode, draws", [("static", 1), ("dynamic", 4)])
     @pytest.mark.parametrize("mirrored, anti_random", STRATEGIES)
     def test_mask_draws_per_pass(

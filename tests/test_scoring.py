@@ -18,10 +18,10 @@ import smd.evolution as evolution
 import smd.mutation as mutation
 from smd.cli import main
 from smd.evolution import GenerationConfig, evaluate_fitness, run_ablation, run_generation
-from smd.mutation import MutationParams, build_genomes, derive_seed, spawn_mutations
+from smd.mutation import MutationParams, derive_seed, spawn_mutations
 from smd.network import Network, ParamVector, forward, softmax
 
-from oracles import kl_from_logits
+from oracles import kl_from_logits, seed_record_genome
 
 POP, TOP_K = 8, 4
 
@@ -140,8 +140,8 @@ class TestCachedScores:
         params = gen_cfg().mutation
         children = spawn_mutations(t.parent.params, params, POP, 5)
         pop = evaluate_fitness(t.parent, params, children, t.val)
-        built = build_genomes(t.parent.params, pop.mutation, pop.children)
-        for genome, cached in zip(built, pop.val_probs, strict=True):
+        for child, cached in zip(pop.children, pop.val_probs, strict=True):
+            genome = seed_record_genome(t.parent.params, pop.mutation, child)
             direct = softmax(forward(Network(t.parent.spec, genome), t.val.inputs))
             assert cached.tobytes() == direct.tobytes()
 
@@ -160,7 +160,7 @@ class TestCachedScores:
             selected = evolution.select_top_k(pop, TOP_K)
             chosen = [pop.children[i] for i in selected]
             averaged = evolution.average_weights(
-                list(build_genomes(current.params, cfg.mutation, chosen))
+                [seed_record_genome(current.params, cfg.mutation, c) for c in chosen]
             )
             if gen < generations - 1:
                 # A chained parent is float32-valued, like a loaded checkpoint.
@@ -170,8 +170,8 @@ class TestCachedScores:
 
         parent_logits = forward(current, t.val.inputs)
         nets = [
-            Network(current.spec, g)
-            for g in build_genomes(current.params, cfg.mutation, pop.children)
+            Network(current.spec, seed_record_genome(current.params, cfg.mutation, c))
+            for c in pop.children
         ]
         for record, net in zip(report.per_child, nets):
             kl = kl_from_logits(parent_logits, forward(net, t.val.inputs))
