@@ -266,6 +266,26 @@ class TestBlocks:
         assert np.array_equal(grid.classes.ravel(), probs.argmax(axis=1))
         np.testing.assert_allclose(grid.confidence.ravel(), probs.max(axis=1), rtol=0, atol=1e-15)
 
+    def test_one_workspace_per_grid(self, net, monkeypatch):
+        made, used = [], []
+
+        def counting_workspace(spec, rows):
+            made.append(rows)
+            return workspace(spec, rows)
+
+        def recording_forward(net, inputs, scratch=None):
+            used.append(scratch)
+            return forward(net, inputs, scratch)
+
+        monkeypatch.setattr("smd.boundary.workspace", counting_workspace)
+        monkeypatch.setattr("smd.boundary.forward", recording_forward)
+        scratch = workspace(net.spec, _BLOCK)
+        evaluate_grid(net, (-1.0, 1.0, -1.0, 1.0), 200, scratch)
+        # The grid allocates no workspace: all five blocks go through the caller's.
+        assert made == []
+        assert len(used) == 5
+        assert all(s is scratch for s in used)
+
     def test_one_workspace_per_export(self, net, data, tmp_path, monkeypatch):
         made = []
 
