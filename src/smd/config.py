@@ -9,8 +9,10 @@ key out, so the dataclass the key builds supplies its own default.
 
 `check` is the one check of a command's config, run before any data or
 checkpoint is read: it runs `section` once per section, applies every rule
-that ties keys together, and hands the command only checked values. All
-randomness is seeded from config fields; nothing reads system entropy.
+that ties keys together, and hands the command only checked values. It is
+the one check of each value: the dataclasses and samplers built from them
+do not check them again. All randomness is seeded from config fields;
+nothing reads system entropy.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .boundary import DEFAULT_RESOLUTION, cell_tag
 from .datasets import Dataset, SplitSpec, load_csv, make_spirals, split
 from .divergence import GridSearchConfig
 from .errors import ConfigurationError
-from .evolution import GenerationConfig, check_sizes
+from .evolution import GenerationConfig
 from .mutation import SUBSPACE_MODES, MutationParams, group_roles
 from .network import ACTIVATIONS, NetworkSpec
 from .training import OPTIMIZERS, TrainConfig
@@ -163,11 +165,13 @@ class Search(NamedTuple):
 
 
 class TaskSets(NamedTuple):
-    """A checked task section, and which of its datasets a command reads."""
+    """A checked task section, which of its datasets a command reads, and
+    how its eval pool splits into validation and test sets."""
 
     section: dict
     train: bool  # the training set
     evaluation: bool  # the validation and test sets
+    split: SplitSpec | None  # None for a csv task that names both sets' files
 
 
 # The sections each command reads: a config without one of them is an error.
@@ -188,6 +192,8 @@ _DATASETS = {
     "ablate": (False, True),
 }
 _STRATEGY = ("mu", "subspace_mode", "mirrored", "anti_random")
+# The model keys that build a network; a checkpoint brings its own network.
+_ARCHITECTURE = ("layer_sizes", "hidden_activation", "seed")
 
 
 def _unique(pairs: list[tuple[str, object]]) -> dict:
@@ -266,10 +272,9 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
         if name not in cfg:
             raise ConfigurationError(f"config is missing the '{name}' section")
         checked[name] = section(cfg, name)
-    _task_rules(checked["task"])
     run = {
         "out_dir": out_dir,
-        "task": TaskSets(checked["task"], *_DATASETS[command]),
+        "task": TaskSets(checked["task"], *_DATASETS[command], _task_rules(checked["task"])),
         **_model(checked["model"], command),
     }
     if command == "search":
@@ -296,10 +301,11 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
     return run
 
 
-def _task_rules(task: dict) -> None:
+def _task_rules(task: dict) -> SplitSpec | None:
     """A csv task names its files one of two ways; a spirals task's sample
     counts split evenly between its two spirals; an eval pool is split by
-    fractions that sum to 1."""
+    fractions that sum to 1. Returns the eval pool's split, or None when a
+    csv task names its validation and test files."""
     if task["dataset"] == "spirals":
         for key in ("n_train", "n_eval"):
             if task[key] % 2:
@@ -314,7 +320,8 @@ def _task_rules(task: dict) -> None:
         if "val_csv" not in task and "eval_csv" not in task:
             raise ConfigurationError("csv task needs 'eval_csv' or val_csv/test_csv")
     if task["dataset"] == "spirals" or "val_csv" not in task:
-        SplitSpec(task["eval_fractions"], task["split_seed"])
+        return SplitSpec(task["eval_fractions"], task["split_seed"])
+    return None
 
 
 def _model(model: dict, command: str) -> dict:
@@ -325,17 +332,25 @@ def _model(model: dict, command: str) -> dict:
     if wanted not in model:
         raise ConfigurationError(f"the {command} command needs model.{wanted}")
     if command != "train":
+        overridden = sorted(model.keys() & _ARCHITECTURE)
+        if overridden:
+            raise ConfigurationError(
+                f"model keys {overridden} do not apply beside 'checkpoint', "
+                "whose network is used as it is"
+            )
         return {"checkpoint": Path(model["checkpoint"])}
     if "layer_sizes" not in model:
         raise ConfigurationError("model section needs 'layer_sizes' to train from scratch")
-    keys = ("layer_sizes", "hidden_activation", "seed")
-    spec = NetworkSpec(**{k: model[k] for k in keys if k in model})
+    spec = NetworkSpec(**{k: model[k] for k in _ARCHITECTURE if k in model})
     return {"spec": spec, "train_cfg": TrainConfig(**model["train"])}
 
 
 def _population(pop_size: int, top_k: int, strategy: dict) -> None:
     """A population keeps top_k of pop_size children, in whole spawning groups."""
-    check_sizes(pop_size, top_k)
+    if top_k > pop_size:
+        raise ConfigurationError(
+            f"top_k must lie in [1, pop_size], got {top_k} with pop {pop_size}"
+        )
     group_roles(
         strategy.get("mirrored", MutationParams.mirrored),
         strategy.get("anti_random", MutationParams.anti_random),
@@ -402,5 +417,5 @@ def build_task_data(task: TaskSets) -> tuple[Dataset | None, Dataset | None, Dat
             test = load_csv(section["test_csv"], class_count=train.class_count)
             return train, val, test
         eval_pool = load_csv(section["eval_csv"], class_count=train.class_count)
-    val, test = split(eval_pool, SplitSpec(section["eval_fractions"], section["split_seed"]))
+    val, test = split(eval_pool, task.split)
     return train, val, test

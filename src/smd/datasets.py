@@ -50,10 +50,6 @@ class SplitSpec:
 
     def __post_init__(self):
         self.fractions = tuple(float(f) for f in self.fractions)
-        if len(self.fractions) < 2:
-            raise ConfigurationError("need at least two split fractions")
-        if any(f < 0 for f in self.fractions):
-            raise ConfigurationError("fractions must be nonnegative")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ConfigurationError(f"fractions must sum to 1, got {sum(self.fractions)}")
 
@@ -64,15 +60,6 @@ def make_spirals(n: int, noise_std: float = 0.05, turns: float = 1.75, seed: int
     Each class traces r = t, angle = 2*pi*turns*t (+ pi for class 1) for
     t ~ Uniform[0, 1], with independent Gaussian coordinate noise.
     """
-    if n % 2 != 0:
-        raise ConfigurationError(f"sample count must be even, got {n}")
-    if n < 2:
-        raise ConfigurationError("need at least one point per class")
-    if noise_std < 0:
-        raise ConfigurationError("noise_std must be nonnegative")
-    if turns <= 0:
-        raise ConfigurationError("turns must be positive")
-
     rng = np.random.default_rng(seed)
     half = n // 2
     points = []

@@ -9,6 +9,7 @@ KL(parent || child).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,30 +29,18 @@ SWEEP_COLUMNS = ("sigma", "rho", "mean_kl", "mean_mse", "mean_child_acc", "n_chi
 
 @dataclass
 class GridSearchConfig:
-    sigma_grid: tuple[float, ...]
-    rho_grid: tuple[float, ...]
+    sigma_grid: Sequence[float]
+    rho_grid: Sequence[float]
     kl_target: float = 0.05
     kl_tolerance: float = 0.5  # relative band half-width around the target
     samples_per_cell: int = 4
     probe_size: int = 1000
 
     def __post_init__(self):
-        self.sigma_grid = tuple(float(s) for s in self.sigma_grid)
-        self.rho_grid = tuple(float(r) for r in self.rho_grid)
-        if not self.sigma_grid or not self.rho_grid:
-            raise ConfigurationError("sigma_grid and rho_grid must be nonempty")
-        if any(s <= 0 for s in self.sigma_grid):
-            raise ConfigurationError("sigma grid values must be positive")
-        if any(not 0.0 <= r < 1.0 for r in self.rho_grid):
-            raise ConfigurationError("rho grid values must lie in [0, 1)")
-        if list(self.sigma_grid) != sorted(set(self.sigma_grid)):
-            raise ConfigurationError("sigma_grid must be strictly ascending")
-        if list(self.rho_grid) != sorted(set(self.rho_grid)):
-            raise ConfigurationError("rho_grid must be strictly ascending")
-        if self.kl_target <= 0 or self.kl_tolerance <= 0:
-            raise ConfigurationError("kl_target and kl_tolerance must be positive")
-        if self.samples_per_cell < 1 or self.probe_size < 1:
-            raise ConfigurationError("samples_per_cell and probe_size must be positive")
+        for name in ("sigma_grid", "rho_grid"):
+            grid = getattr(self, name)
+            if list(grid) != sorted(set(grid)):
+                raise ConfigurationError(f"{name} must be strictly ascending")
 
 
 @dataclass(frozen=True)
@@ -108,8 +97,8 @@ def _search_spawn_params(sigma: float, rho: float, samples_per_cell: int) -> Mut
 def sweep_cells(
     parent: Network,
     probe: Dataset,
-    sigma_grid: tuple[float, ...],
-    rho_grid: tuple[float, ...],
+    sigma_grid: Sequence[float],
+    rho_grid: Sequence[float],
     samples_per_cell: int,
     master_seed: int,
 ) -> list[CellResult]:

@@ -39,27 +39,12 @@ EVAL_CSV_COLUMNS = (
 ABLATION_CSV_COLUMNS = ("sigma", "rho", "mode", "seed", "mean_kl", "avg_acc", "ens_acc")
 
 
-def check_sizes(pop_size: int, top_k: int) -> None:
-    """A generation of pop_size children keeps its top_k."""
-    if pop_size < 1:
-        raise ConfigurationError("pop_size must be positive")
-    if not 1 <= top_k <= pop_size:
-        raise ConfigurationError(
-            f"top_k must lie in [1, pop_size], got {top_k} with pop {pop_size}"
-        )
-
-
 @dataclass
 class GenerationConfig:
     mutation: MutationParams
     pop_size: int = 16
     top_k: int = 8
     generations: int = 1
-
-    def __post_init__(self):
-        check_sizes(self.pop_size, self.top_k)
-        if self.generations < 1:
-            raise ConfigurationError("generations must be >= 1")
 
 
 @dataclass
@@ -177,8 +162,6 @@ def select_top_k(pop: Population, k: int) -> list[int]:
     selection is deterministic.
     """
     n = len(pop.children)
-    if not 1 <= k <= n:
-        raise ConfigurationError(f"k must lie in [1, {n}], got {k}")
     order = sorted(range(n), key=lambda i: (-pop.fitness[i], pop.val_nll[i], i))
     return order[:k]
 
@@ -361,8 +344,6 @@ def run_generation(
     (the parent, the average and the k members). The report lists each
     run's seed and ensemble validation accuracy.
     """
-    if repeats < 1:
-        raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
     seeds = [master_seed]
     if repeats > 1:
         seeds = [derive_seed(master_seed, _REPEAT_NS, r) for r in range(repeats)]
@@ -409,10 +390,6 @@ def run_ablation(
     (`_map_points`). Rows are looked up by point, so they are the same
     for every `jobs`, whichever point finishes first.
     """
-    if not sigma_grid or not rho_grid or not modes or not seeds:
-        raise ConfigurationError("ablation grids, modes, and seeds must be nonempty")
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     parent_scores = _score_parent(parent, val, test)
     grid = [
         (sigma, rho, mode, seed)

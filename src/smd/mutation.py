@@ -72,16 +72,6 @@ class MutationParams:
     mirrored: bool = True
     anti_random: bool = False
 
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ConfigurationError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.subspace_mode not in SUBSPACE_MODES:
-            raise ConfigurationError(
-                f"subspace_mode must be one of {SUBSPACE_MODES}, got {self.subspace_mode!r}"
-            )
-
 
 def sample_mask(w: int, rho: float, seed: int) -> np.ndarray:
     """Bernoulli mask of length w; each bit is 1 with probability 1 - rho.
@@ -90,10 +80,6 @@ def sample_mask(w: int, rho: float, seed: int) -> np.ndarray:
     uniforms are drawn in blocks of `_MASK_BLOCK` into one reused buffer,
     which consumes the stream in the same order as one w-length draw.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ConfigurationError(f"rho must lie in [0, 1), got {rho}")
-    if w < 1:
-        raise ConfigurationError("w must be positive")
     rng = np.random.default_rng(seed)
     mask = np.empty(w, dtype=np.uint8)
     bits = mask.view(bool)  # the compare writes 0/1 bytes straight into the mask
@@ -113,10 +99,6 @@ def sample_noise(n: int, mu: float, sigma: float, seed: int) -> np.ndarray:
     float64 for float32-valued parents; see module docstring. A value
     beyond the float32 range is an error that names mu and sigma.
     """
-    if sigma <= 0:
-        raise ConfigurationError(f"sigma must be positive, got {sigma}")
-    if n < 0:
-        raise ConfigurationError(f"n must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):
         noise = rng.normal(mu, sigma, size=n).astype(np.float32)
@@ -185,8 +167,6 @@ def spawn_mutations(
     group), so the result is independent of evaluation order. No genome is
     built here: `working_genomes` writes each while it is needed.
     """
-    if pop_size < 1:
-        raise ConfigurationError("pop_size must be positive")
     roles = group_roles(params.mirrored, params.anti_random, pop_size)
     static_mask_seed = derive_seed(master_seed, _MASK_NS)
     children: list[Child] = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .errors import ConfigurationError, TrainingDivergenceError
+from .errors import TrainingDivergenceError
 from .metrics import accuracy
 from .network import (
     Network,
@@ -20,7 +20,6 @@ from .network import (
     ParamVector,
     _activate_inplace,
     forward,
-    is_integer,
     softmax,
     unflatten,
 )
@@ -38,20 +37,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     shuffle_seed: int = 0
-
-    def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        for key, minimum in (("epochs", 1), ("batch_size", 1), ("shuffle_seed", 0)):
-            value = getattr(self, key)
-            if not is_integer(value) or value < minimum:
-                raise ConfigurationError(f"{key} must be an integer >= {minimum}, got {value!r}")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ConfigurationError("adam betas must lie in (0, 1)")
-        if self.adam_eps <= 0:
-            raise ConfigurationError("adam_eps must be positive")
 
 
 def _loss_and_delta(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -132,12 +117,6 @@ def train_model(
     updated in place, in the same elementwise order as the textbook
     out-of-place update, so the result is the same bit for bit.
     """
-    if data.labels.max() >= net.spec.output_dim:
-        raise ConfigurationError(
-            f"labels reach {int(data.labels.max())} but network has "
-            f"{net.spec.output_dim} outputs"
-        )
-
     theta = net.params.values.copy()
     shuffle_rng = np.random.default_rng(cfg.shuffle_seed)
     n = data.inputs.shape[0]

@@ -19,6 +19,8 @@ from smd import (
     train_model,
 )
 from smd.checkpoint import load_checkpoint, save_checkpoint
+from smd.config import check
+from smd.errors import ConfigurationError
 
 
 @dataclass
@@ -51,6 +53,42 @@ def bench_task(tmp_path_factory) -> Task:
     """Harder task used by the acceptance experiments: 2-turn spirals,
     batch size 8, 5000-sample eval pool (2500 validation / 2500 test)."""
     return _build_task(tmp_path_factory.mktemp("bench"), turns=2.0, batch_size=8, n_eval=5000)
+
+
+# The smallest config of each command that `config.check` accepts. The
+# checkpoint it names is never read: the check reads no file.
+CHECK_BASES = {
+    "train": {"task": {}, "model": {"layer_sizes": [2, 8, 2], "train": {}}},
+    "search": {
+        "task": {},
+        "model": {"checkpoint": "unread.ckpt"},
+        "mutation": {"search": {"sigma_grid": [0.05], "rho_grid": [0.5]}},
+    },
+    "evolve": {
+        "task": {},
+        "model": {"checkpoint": "unread.ckpt"},
+        "mutation": {"sigma": 0.05, "rho": 0.5},
+        "evolution": {"pop_size": 4, "top_k": 2},
+    },
+    "ablate": {
+        "task": {},
+        "model": {"checkpoint": "unread.ckpt"},
+        "ablation": {"sigma_grid": [0.05], "rho_grid": [0.5], "seeds": [0]},
+    },
+}
+
+
+@pytest.fixture()
+def config_error(tmp_path):
+    """The message of the error `config.check` raises for a command's
+    `CHECK_BASES` config with the given sections in place of its own."""
+
+    def error(command: str, **sections) -> str:
+        with pytest.raises(ConfigurationError) as exc:
+            check(dict(CHECK_BASES[command], **sections), command, str(tmp_path))
+        return str(exc.value)
+
+    return error
 
 
 @pytest.fixture()

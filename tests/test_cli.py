@@ -595,6 +595,16 @@ class TestAblateWorkers:
         assert not any(out.iterdir())
         assert multiprocessing.active_children() == []
 
+    def test_usable_cpus_at_least_one(self, monkeypatch):
+        """`run_ablation` takes its worker count from `_usable_cpus` and
+        does not check it again."""
+        import smd.cli
+
+        assert smd.cli._usable_cpus() >= 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert smd.cli._usable_cpus() == 1
+
     @pytest.mark.parametrize("base", ["train", "search", "evolve", "boundary"])
     def test_other_commands_import_no_multiprocessing(self, key_bases, tmp_path, base):
         inputs, bases = key_bases
@@ -1190,8 +1200,9 @@ class TestStrictMutationAndEvolution:
         assert not any(out.iterdir())
 
 
-# Bad values for the train and search commands, as (base config, dotted key
-# path, value); the "csv" base trains from csv files.
+# Bad values for each command, as (base config, dotted key path, value); the
+# "csv" base trains from csv files. `config.check` is the one check of each
+# value: no dataclass or sampler built from it checks it again.
 STRICT_CONFIG_CASES = [
     ("search", "mutation.search.seed", -1),
     ("search", "mutation.search.seed", 1.5),
@@ -1200,17 +1211,39 @@ STRICT_CONFIG_CASES = [
     ("search", "mutation.search.kl_target", "0.05"),
     ("search", "mutation.search.sigma_grid", ["0.05"]),
     ("search", "mutation.search.sigma_grid", [True]),
+    ("search", "mutation.search.sigma_grid", [0.0]),
+    ("search", "mutation.search.sigma_grid", []),
+    ("search", "mutation.search.rho_grid", [1.0]),
+    ("search", "mutation.search.kl_target", 0),
+    ("search", "mutation.search.kl_tolerance", 0),
+    ("search", "mutation.search.samples_per_cell", 0),
+    ("search", "mutation.search.probe_size", 0),
+    ("evolve", "evolution.top_k", 0),
+    ("evolve", "mutation.sigma", 0),
+    ("evolve", "mutation.rho", 1.0),
+    ("evolve", "mutation.rho", -0.1),
+    ("evolve", "mutation.subspace_mode", "x"),
     ("train", "task.n_train", "200"),
     ("train", "task.n_train", 200.7),
     ("train", "task.train_seed", True),
     ("train", "task.split_seed", -1),
     ("train", "task.eval_fractions", [0.5, "0.5"]),
     ("train", "task.noise_std", "0.05"),
+    ("train", "task.noise_std", -1),
+    ("train", "task.turns", 0),
+    ("train", "task.eval_fractions", [-0.5, 1.5]),
     ("train", "task.dataset", 5),
     ("csv", "task.eval_fractions", [0.4, 0.3, 0.3]),
     ("train", "model.layer_sizes", [2, 8.7, 2]),
     ("train", "model.seed", True),
     ("train", "model.train.learning_rate", "0.01"),
+    ("train", "model.train.optimizer", "rmsprop"),
+    ("train", "model.train.learning_rate", 0),
+    ("train", "model.train.epochs", 0),
+    ("train", "model.train.batch_size", 0),
+    ("train", "model.train.adam_beta1", 1.0),
+    ("train", "model.train.adam_beta2", 0),
+    ("train", "model.train.adam_eps", 0),
     ("train", "model.train.adam_eps", True),
     ("train", "output.dir", 5),
 ]
@@ -1230,15 +1263,23 @@ def strict_bases(tmp_path_factory):
     train = {"task": task, "model": {"layer_sizes": [2, 8, 2], "train": {"epochs": 1}}}
     csv_task = {"dataset": "csv", "train_csv": str(base / "train.csv"),
                 "eval_csv": str(base / "eval.csv"), "eval_fractions": [0.5, 0.5]}
+    parent = {"checkpoint": str(base / "tiny.ckpt")}
     search = {
         "task": task,
-        "model": {"checkpoint": str(base / "tiny.ckpt")},
+        "model": parent,
         "mutation": {"search": {"sigma_grid": [0.05], "rho_grid": [0.5], "probe_size": 50}},
+    }
+    evolve = {
+        "task": task,
+        "model": parent,
+        "mutation": {"sigma": 0.05, "rho": 0.5},
+        "evolution": {"pop_size": 4, "top_k": 2},
     }
     return {
         "train": ("train", train),
         "search": ("search", search),
         "csv": ("train", dict(train, task=csv_task)),
+        "evolve": ("evolve", evolve),
     }
 
 
@@ -1263,7 +1304,7 @@ class TestStrictConfigValues:
         assert f"error: {'.'.join(parts)} '{key}'" in capsys.readouterr().err
         assert not any(out.iterdir())
 
-    @pytest.mark.parametrize("base", ["train", "search", "csv"])
+    @pytest.mark.parametrize("base", ["train", "search", "csv", "evolve"])
     def test_base_configs_run(self, strict_bases, tmp_path, base):
         command, cfg = strict_bases[base]
         path = write_config(tmp_path / "config.json", cfg)
@@ -1434,6 +1475,28 @@ class TestTaskContract:
         }
         path = write_config(tmp_path / "evolve.json", cfg)
         self.assert_mismatch(["evolve", "--config", path], out, capsys)
+
+
+class TestCheckpointArchitecture:
+    """A checkpoint brings its own network, so a model section that names
+    one may not also set the keys that would build a network."""
+
+    @pytest.mark.parametrize(
+        "keys",
+        [{"seed": 9}, {"layer_sizes": [2, 99, 2], "hidden_activation": "tanh", "seed": 9}],
+        ids=lambda keys: ",".join(keys),
+    )
+    @pytest.mark.parametrize("base", ["search", "evolve", "boundary", "ablate"])
+    def test_architecture_keys_exit_2(self, key_bases, monkeypatch, capsys, base, keys):
+        inputs, bases = key_bases
+        monkeypatch.chdir(inputs)
+        monkeypatch.delenv("SMD_OUT", raising=False)
+        command, cfg = bases[base]
+        assert _run_outcome(command, dict(cfg, model=dict(cfg["model"], **keys))) == (2, [], [])
+        assert capsys.readouterr().err == (
+            f"error: model keys {sorted(keys)} do not apply beside 'checkpoint', "
+            "whose network is used as it is\n"
+        )
 
 
 class TestExitCodes:

@@ -32,9 +32,10 @@ class TestMakeSpirals:
             radii = np.linalg.norm(data.inputs, axis=1)
             assert radii.max() <= 1.0 + 6 * 0.05
 
-    def test_odd_n_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_spirals(2501)
+    def test_odd_n_rejected(self, config_error):
+        # `config.check` owns the rule; `make_spirals` never sees an odd count.
+        message = config_error("train", task={"n_train": 2501})
+        assert message == "task 'n_train' must be even, half for each spiral, got 2501"
 
     def test_parametric_form_matches_at_zero_noise(self):
         # class-1 points are the class-0 curve rotated by pi
@@ -76,13 +77,14 @@ class TestSplit:
         a2, _ = split(data, SplitSpec((0.5, 0.5), seed=3))
         assert np.array_equal(a1.inputs, a2.inputs)
 
-    def test_fractions_validation(self):
+    def test_fractions_validation(self, config_error):
         with pytest.raises(ConfigurationError):
             SplitSpec((0.5,))
         with pytest.raises(ConfigurationError):
             SplitSpec((0.6, 0.6))
-        with pytest.raises(ConfigurationError):
-            SplitSpec((-0.1, 1.1))
+        # `config.check` owns the sign of each fraction.
+        message = config_error("train", task={"eval_fractions": [-0.1, 1.1]})
+        assert message.startswith("task 'eval_fractions' must be")
 
 
 class TestCsvRoundTrip:

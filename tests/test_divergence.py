@@ -243,21 +243,24 @@ class TestSweep:
 
 
 class TestGridSearchConfig:
+    """`config.check` checks each `mutation.search` value; the one rule
+    `GridSearchConfig` keeps is that each grid is strictly ascending."""
+
     @pytest.mark.parametrize(
         "kw",
         [
-            {"sigma_grid": ()},
-            {"sigma_grid": (0.0, 0.1)},
-            {"sigma_grid": (0.2, 0.1)},
-            {"rho_grid": (0.5, 0.5)},
-            {"rho_grid": (1.0,)},
+            {"sigma_grid": []},
+            {"sigma_grid": [0.0, 0.1]},
+            {"sigma_grid": [0.2, 0.1]},
+            {"rho_grid": [0.5, 0.5]},
+            {"rho_grid": [1.0]},
             {"kl_target": 0.0},
             {"kl_tolerance": 0.0},
             {"samples_per_cell": 0},
         ],
     )
-    def test_validation(self, kw):
-        base = dict(sigma_grid=(0.05, 0.1), rho_grid=(0.0, 0.5))
-        base.update(kw)
-        with pytest.raises(ConfigurationError):
-            GridSearchConfig(**base)
+    def test_validation(self, kw, config_error):
+        (key,) = kw
+        search = dict({"sigma_grid": [0.05, 0.1], "rho_grid": [0.0, 0.5]}, **kw)
+        message = config_error("search", mutation={"search": search})
+        assert message.startswith((f"mutation.search '{key}' must be", f"{key} must be strictly"))

@@ -477,12 +477,10 @@ class TestRunAblation:
         header = path.read_text().splitlines()[0]
         assert header == "sigma,rho,mode,seed,mean_kl,avg_acc,ens_acc"
 
-    def test_empty_grid_rejected(self, spiral_task):
-        with pytest.raises(ConfigurationError):
-            run_ablation(
-                spiral_task.parent, [], [0.5], ["dynamic"],
-                spiral_task.val, spiral_task.test, [0],
-            )
+    def test_empty_grid_rejected(self, config_error):
+        # `config.check` owns the rule; `run_ablation` never sees an empty grid.
+        ablation = {"sigma_grid": [], "rho_grid": [0.5], "seeds": [0]}
+        assert config_error("ablate", ablation=ablation).startswith("ablation 'sigma_grid' must be")
 
     def test_dense_collapses_where_sparse_survives(self, bench_task):
         """At sigma 0.25, the rho=0.9 rows keep far more test accuracy than
@@ -610,11 +608,6 @@ class TestAblationJobs:
             evolution._map_points(lambda point: os._exit(3), [0, 1, 2], 2)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("jobs", [0, -2])
-    def test_nonpositive_jobs_rejected(self, spiral_task, jobs):
-        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
-            self.ablate(spiral_task, jobs)
-
 
 class TestDatasetsDisjoint:
     def test_disjoint_splits(self, spiral_task):
@@ -625,11 +618,14 @@ class TestDatasetsDisjoint:
 
 
 class TestGenerationConfig:
-    def test_top_k_bounded(self):
-        with pytest.raises(ConfigurationError):
-            GenerationConfig(MutationParams(sigma=0.1, rho=0.5), pop_size=4, top_k=5)
+    """`GenerationConfig` is a plain record: `config.check` checks the
+    population sizes before one is built."""
 
-    def test_top_k_at_least_one(self):
+    def test_top_k_bounded(self, config_error):
+        message = config_error("evolve", evolution={"pop_size": 4, "top_k": 5})
+        assert message == "top_k must lie in [1, pop_size], got 5 with pop 4"
+
+    def test_top_k_at_least_one(self, config_error):
         # the ensemble and the average always have a member
-        with pytest.raises(ConfigurationError):
-            GenerationConfig(MutationParams(sigma=0.1, rho=0.5), pop_size=4, top_k=0)
+        message = config_error("evolve", evolution={"pop_size": 4, "top_k": 0})
+        assert message.startswith("evolution 'top_k' must be an integer >= 1")

@@ -66,9 +66,10 @@ class TestSampleMask:
     def test_deterministic(self):
         assert np.array_equal(sample_mask(500, 0.5, 7), sample_mask(500, 0.5, 7))
 
-    def test_rejects_rho_one(self):
-        with pytest.raises(ConfigurationError):
-            sample_mask(10, 1.0, 0)
+    def test_rejects_rho_one(self, config_error):
+        # `config.check` owns the rho range; a mask is never drawn at rho 1.
+        mutation = {"sigma": 0.1, "rho": 1.0}
+        assert config_error("evolve", mutation=mutation).startswith("mutation 'rho' must be")
 
 
 class TestBlockedMaskDraw:
@@ -135,14 +136,13 @@ class TestSampleNoise:
         noise = sample_noise(100_000, 3.0, 0.1, seed=8)
         assert noise.mean() == pytest.approx(3.0, abs=0.01)
 
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ConfigurationError):
-            sample_noise(10, 0.0, 0.0, 0)
+    def test_rejects_nonpositive_sigma(self, config_error):
+        # `config.check` owns the sigma range; noise is never drawn at sigma 0.
+        mutation = {"sigma": 0.0, "rho": 0.5}
+        assert config_error("evolve", mutation=mutation).startswith("mutation 'sigma' must be")
 
     def test_empty_support_draws_nothing(self):
         assert sample_noise(0, 0.0, 0.1, 0).shape == (0,)
-        with pytest.raises(ConfigurationError):
-            sample_noise(-1, 0.0, 0.1, 0)
 
     @pytest.mark.parametrize("mu, sigma", [(0.0, 1e39), (1e39, 0.1), (-1e39, 0.1)])
     def test_draw_beyond_float32_names_mu_and_sigma(self, mu, sigma):
@@ -573,13 +573,16 @@ class TestRle:
 
 
 class TestMutationParams:
-    @pytest.mark.parametrize("kw", [{"sigma": 0.0}, {"rho": 1.0}, {"rho": -0.1}])
-    def test_validation(self, kw):
-        base = dict(sigma=0.1, rho=0.5)
-        base.update(kw)
-        with pytest.raises(ConfigurationError):
-            MutationParams(**base)
+    """`MutationParams` is a plain record: `config.check` checks each
+    mutation value before one is built."""
 
-    def test_subspace_mode_validated(self):
-        with pytest.raises(ConfigurationError):
-            MutationParams(sigma=0.1, rho=0.5, subspace_mode="chaotic")
+    @pytest.mark.parametrize("kw", [{"sigma": 0.0}, {"rho": 1.0}, {"rho": -0.1}])
+    def test_validation(self, kw, config_error):
+        (key,) = kw
+        mutation = dict({"sigma": 0.1, "rho": 0.5}, **kw)
+        assert config_error("evolve", mutation=mutation).startswith(f"mutation '{key}' must be")
+
+    def test_subspace_mode_validated(self, config_error):
+        mutation = {"sigma": 0.1, "rho": 0.5, "subspace_mode": "chaotic"}
+        message = config_error("evolve", mutation=mutation)
+        assert message.startswith("mutation 'subspace_mode' must be")

@@ -6,7 +6,7 @@ import pytest
 
 from smd.cli import main
 from smd.datasets import Dataset, make_spirals
-from smd.errors import ConfigurationError, TrainingDivergenceError
+from smd.errors import TrainingDivergenceError
 from smd.metrics import accuracy
 from smd.network import NetworkSpec, forward, init_network, softmax
 from smd.training import TrainConfig, loss_and_grad, train_model
@@ -101,11 +101,23 @@ class TestTrainModel:
         trained = train_model(net, data, TrainConfig(optimizer="sgd", epochs=3, learning_rate=0.1))
         assert not np.array_equal(trained.params.values, net.params.values)
 
-    def test_label_out_of_range_rejected(self):
-        data = Dataset(np.zeros((4, 2)), np.array([0, 1, 2, 0]), class_count=3)
-        net = init_network(NetworkSpec([2, 4, 2]))
-        with pytest.raises(ConfigurationError):
-            train_model(net, data, TrainConfig(epochs=1))
+    def test_label_out_of_range_rejected(self, tmp_path, capsys):
+        """Labels beyond the network's outputs stop `train` before any
+        training: the task check exits 6, so `train_model` never sees them."""
+        from oracles import save_csv
+
+        inputs = np.arange(12.0).reshape(6, 2)
+        save_csv(Dataset(inputs, np.array([0, 1, 2, 0, 1, 2]), class_count=3), tmp_path / "3.csv")
+        task = {"dataset": "csv", "train_csv": str(tmp_path / "3.csv"),
+                "eval_csv": str(tmp_path / "3.csv")}
+        cfg = {"task": task, "model": {"layer_sizes": [2, 4, 2], "train": {"epochs": 1}},
+               "output": {"dir": str(tmp_path / "out")}}
+        (tmp_path / "train.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "train.json")]) == 6
+        assert capsys.readouterr().err == (
+            "error: model maps 2 inputs to 2 classes, but the task has 2 features and 3 classes\n"
+        )
+        assert not (tmp_path / "out" / "model.ckpt").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_reports_epoch_and_batch(self):
@@ -134,6 +146,9 @@ class TestTrainModel:
 
 
 class TestTrainConfig:
+    """`TrainConfig` is a plain record: `config.check` checks each
+    `model.train` value before one is built."""
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -145,9 +160,10 @@ class TestTrainConfig:
             {"adam_eps": 0.0},
         ],
     )
-    def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            TrainConfig(**kwargs)
+    def test_rejects_bad_fields(self, kwargs, config_error):
+        (key,) = kwargs
+        model = {"layer_sizes": [2, 8, 2], "train": kwargs}
+        assert config_error("train", model=model).startswith(f"model.train '{key}' must be")
 
 
 def _sha(blob: bytes) -> str:
@@ -243,8 +259,6 @@ class TestTrainConfigTypes:
     )
     def test_non_integer_or_negative_exits_2(self, override, tmp_path, capsys):
         train = dict({"epochs": 1, "batch_size": 8, "shuffle_seed": 0}, **override)
-        with pytest.raises(ConfigurationError):
-            TrainConfig(**train)
         assert main(["train", "--config", _train_config(tmp_path, "relu", train)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.ckpt").exists()
