@@ -62,10 +62,6 @@ def evaluate_grid(
     min(_BLOCK, resolution**2))` and one points buffer, so memory is
     O(_BLOCK x widest layer + resolution^2).
     """
-    if net.spec.input_dim != 2:
-        raise TaskMismatchError(
-            f"boundary grids need a 2-D input task, network takes {net.spec.input_dim}"
-        )
     x0, x1, y0, y1 = bounds
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)

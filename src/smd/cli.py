@@ -97,8 +97,8 @@ def cmd_train(run: dict, args: argparse.Namespace) -> int:
         {
             "checkpoint": ckpt_path.name,
             "epochs": run["train_cfg"].epochs,
-            "final_train_loss": history[-1]["loss"] if history else None,
-            "final_train_accuracy": history[-1]["accuracy"] if history else None,
+            "final_train_loss": history[-1]["loss"],
+            "final_train_accuracy": history[-1]["accuracy"],
             "val_accuracy": val_acc,
         },
     )
@@ -120,7 +120,7 @@ def cmd_search(run: dict, args: argparse.Namespace) -> int:
     parent = _load_parent(run["checkpoint"], val)
     search = run["search"]
 
-    outcome = grid_search(parent, val, search.config, search.seed)
+    outcome = grid_search(parent, val, search)
     best = outcome.best
     _write_json(
         run["out_dir"] / "search_result.json",
@@ -132,8 +132,8 @@ def cmd_search(run: dict, args: argparse.Namespace) -> int:
             "child_accuracy": best.mean_child_acc,
             "probe_size": outcome.probe_size,
             "in_band": outcome.in_band,
-            "kl_target": search.config.kl_target,
-            "kl_tolerance": search.config.kl_tolerance,
+            "kl_target": search.kl_target,
+            "kl_tolerance": search.kl_tolerance,
             "seed": search.seed,
         },
     )
@@ -151,10 +151,6 @@ def cmd_evolve(run: dict, args: argparse.Namespace) -> int:
         raise DataHygieneError("validation and test sets share samples")
     parent = _load_parent(run["checkpoint"], val)
     mutation = run["mutation"]
-    if isinstance(mutation, cfgmod.Search):
-        best = grid_search(parent, val, mutation.config, mutation.seed).best
-        found = {"sigma": best.sigma, "rho": best.rho}
-        mutation = cfgmod.mutation_params(found, mutation.strategy, "the KL grid search")
     gen_cfg = GenerationConfig(mutation, **run["sizes"])
 
     # Best-of-R selection peeks only at validation-side accuracy.

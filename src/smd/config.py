@@ -156,14 +156,6 @@ SCHEMA: dict[str, dict[str, tuple[Kind, object]]] = {
 }
 
 
-class Search(NamedTuple):
-    """A KL grid search to run, and the strategy keys of the mutation it finds."""
-
-    config: GridSearchConfig
-    seed: int
-    strategy: dict
-
-
 class TaskSets(NamedTuple):
     """A checked task section, which of its datasets a command reads, and
     how its eval pool splits into validation and test sets."""
@@ -174,8 +166,9 @@ class TaskSets(NamedTuple):
     split: SplitSpec | None  # None for a csv task that names both sets' files
 
 
-# The sections each command reads: a config without one of them is an error.
-# Every command also reads `output`, whose keys all have defaults.
+# The sections each command reads: a config without one of them is an error,
+# and so is any other section. Every command also reads `output`, whose keys
+# all have defaults.
 _SECTIONS = {
     "train": ("task", "model"),
     "search": ("task", "model", "mutation"),
@@ -235,8 +228,6 @@ def section(cfg: dict, name: str) -> dict:
     A dotted name such as `mutation.search` names the object under its last
     part; cfg is then the parent object.
     """
-    if name not in SCHEMA:
-        raise ConfigurationError(f"config has an unknown section {name!r}")
     parent, _, last = name.rpartition(".")
     raw = _value(parent or "config", last, OBJECT, cfg.get(last, {}))
     unknown = raw.keys() - SCHEMA[name].keys() - {"_comment"}
@@ -257,18 +248,22 @@ def section(cfg: dict, name: str) -> dict:
 
 def check(cfg: dict, command: str, cli_out: str | None) -> dict:
     """What `command` runs on: its config's checked sections and the objects
-    built from them. `section` checks each section the config has or the
-    command reads once, then every rule that ties keys together is applied.
-    The output directory is made first (SMD_OUT, then --out, then
-    `output.dir`), so a failed check leaves it empty."""
+    built from them. A section the command does not read is an error;
+    `section` checks each section the command reads once, then every rule
+    that ties keys together is applied. The output directory is made first
+    (SMD_OUT, then --out, then `output.dir`), so a failed check leaves it
+    empty."""
     output = section(cfg, "output")
     out_dir = Path(os.environ.get("SMD_OUT") or cli_out or output["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     reads = _SECTIONS[command]
+    unread = sorted(cfg.keys() - {*reads, "output", "_comment"})
+    if unread:
+        raise ConfigurationError(
+            f"config sections {unread} are not read by the {command} command"
+        )
     checked = {}
-    for name in sorted((cfg.keys() | set(reads)) - {"_comment", "output"}):
-        if "." in name:  # a dotted SCHEMA name is an object nested in its section
-            raise ConfigurationError(f"config has an unknown section {name!r}")
+    for name in sorted(reads):
         if name not in cfg:
             raise ConfigurationError(f"config is missing the '{name}' section")
         checked[name] = section(cfg, name)
@@ -278,9 +273,12 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
         **_model(checked["model"], command),
     }
     if command == "search":
-        if "search" not in checked["mutation"]:
-            raise ConfigurationError("search command needs a mutation 'search' directive")
-        run["search"] = _mutation(checked["mutation"])
+        if checked["mutation"].keys() != {"search"}:
+            raise ConfigurationError(
+                "the search command's mutation section holds a 'search' directive and "
+                f"nothing else, got keys {sorted(checked['mutation'])}"
+            )
+        run["search"] = GridSearchConfig(**checked["mutation"]["search"])
     elif command == "evolve":
         sizes = dict(checked["evolution"])
         run["master_seed"] = sizes.pop("master_seed")
@@ -358,33 +356,28 @@ def _population(pop_size: int, top_k: int, strategy: dict) -> None:
     )
 
 
-def _mutation(mutation: dict) -> MutationParams | Search:
-    """The mutation of the section's one form: explicit sigma and rho, a
-    search result artifact, or a search still to run."""
-    explicit = "sigma" in mutation or "rho" in mutation
-    if explicit + ("search" in mutation) + ("search_result" in mutation) != 1:
-        raise ConfigurationError(
-            "mutation section needs exactly one of explicit (sigma, rho), "
-            "'search', or 'search_result'"
-        )
-    strategy = {k: mutation[k] for k in _STRATEGY if k in mutation}
+def _mutation(mutation: dict) -> MutationParams:
+    """The mutation of the section's one form, explicit sigma and rho or a
+    search result artifact, with the section's strategy keys."""
     if "search" in mutation:
-        search = dict(mutation["search"])
-        seed = search.pop("seed")
-        return Search(GridSearchConfig(**search), seed, strategy)
+        raise ConfigurationError(
+            "the evolve command runs no KL search: run `smd search` with this 'search' "
+            "directive and set mutation 'search_result' to the search_result.json it writes"
+        )
+    explicit = "sigma" in mutation or "rho" in mutation
+    if explicit == ("search_result" in mutation):
+        raise ConfigurationError(
+            "mutation section needs exactly one of explicit (sigma, rho) or 'search_result'"
+        )
     if explicit:
-        return mutation_params(mutation, strategy, "mutation")
-    path = Path(mutation["search_result"])
-    return mutation_params(_read_json(path, "search result"), strategy, f"search result {path}")
-
-
-def mutation_params(found: object, strategy: dict, source: str) -> MutationParams:
-    """The mutation with sigma and rho from `found` (named `source` in errors),
-    which must pass the section's kinds, and the section's strategy keys."""
+        found, source = mutation, "mutation"
+    else:
+        path = Path(mutation["search_result"])
+        found, source = _read_json(path, "search result"), f"search result {path}"
     if not isinstance(found, dict) or not {"sigma", "rho"} <= found.keys():
         raise ConfigurationError(f"{source} needs both 'sigma' and 'rho', got {found!r}")
     sigma, rho = (_value(source, k, SCHEMA["mutation"][k][0], found[k]) for k in ("sigma", "rho"))
-    params = MutationParams(sigma, rho, **strategy)
+    params = MutationParams(sigma, rho, **{k: mutation[k] for k in _STRATEGY if k in mutation})
     if params.anti_random and rho == 0:
         raise ConfigurationError(
             f"mutation 'anti_random' needs rho > 0, got rho 0 from {source}: the complement "

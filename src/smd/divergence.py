@@ -35,6 +35,7 @@ class GridSearchConfig:
     kl_tolerance: float = 0.5  # relative band half-width around the target
     samples_per_cell: int = 4
     probe_size: int = 1000
+    seed: int = 0  # the master seed of every cell's children
 
     def __post_init__(self):
         for name in ("sigma_grid", "rho_grid"):
@@ -148,8 +149,6 @@ def select_cell(
     is empty, the cell with mean KL closest to the target, flagged False.
     Ties prefer larger sigma, then larger rho.
     """
-    if not cells:
-        raise ConfigurationError("no cells to select from")
     lo = kl_target * (1 - kl_tolerance)
     hi = kl_target * (1 + kl_tolerance)
     in_band = [c for c in cells if lo <= c.mean_kl <= hi]
@@ -158,13 +157,11 @@ def select_cell(
     return max(cells, key=lambda c: (-abs(c.mean_kl - kl_target), c.sigma, c.rho)), False
 
 
-def grid_search(
-    parent: Network, probe: Dataset, cfg: GridSearchConfig, master_seed: int
-) -> GridSearchOutcome:
+def grid_search(parent: Network, probe: Dataset, cfg: GridSearchConfig) -> GridSearchOutcome:
     """Sweep the grid and apply the selection rule; see select_cell."""
     probe = _cap_probe(probe, cfg.probe_size)
     cells = sweep_cells(
-        parent, probe, cfg.sigma_grid, cfg.rho_grid, cfg.samples_per_cell, master_seed
+        parent, probe, cfg.sigma_grid, cfg.rho_grid, cfg.samples_per_cell, cfg.seed
     )
     best, in_band = select_cell(cells, cfg.kl_target, cfg.kl_tolerance)
     return GridSearchOutcome(best, probe.n, in_band, tuple(cells))

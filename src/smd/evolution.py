@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import Dataset, write_csv
-from .errors import ConfigurationError, ShapeError, WorkerError
+from .errors import WorkerError
 from .metrics import MetricTriple, accuracy, metric_triple
 from .mutation import (
     Child, MutationParams, child_logits, derive_seed, spawn_mutations, working_genomes
@@ -178,14 +178,10 @@ def average_weights(candidates: Iterable[ParamVector]) -> ParamVector:
     for c in candidates:
         if total is None:
             total = c.values.copy()
-        elif c.w != total.size:
-            raise ShapeError(f"candidate genomes disagree in length: {total.size} vs {c.w}")
         else:
             total += c.values
         n += 1
         del c  # release it before the next candidate is built
-    if total is None:
-        raise ConfigurationError("cannot average an empty candidate list")
     total /= n
     return ParamVector(total)
 

@@ -218,12 +218,6 @@ def child_logits(
         yield forward(Network(parent.spec, genome), inputs, scratch)
 
 
-def _role(role: str) -> tuple[int, bool]:
-    if role not in ROLES:
-        raise ConfigurationError(f"unknown role {role!r}, expected one of {tuple(ROLES)}")
-    return ROLES[role]
-
-
 def child_supports(
     w: int, params: MutationParams, children: Iterable[Child]
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -242,7 +236,7 @@ def child_supports(
     supports_used = 2 if params.anti_random else 1
     mask_seed = drawn = None
     for child in children:
-        sign, on_complement = _role(child.role)
+        sign, on_complement = ROLES[child.role]
         if child.mask_seed != mask_seed:
             mask = index = noise = None  # release the previous draws before sampling
             mask_seed, index = child.mask_seed, {}

@@ -25,7 +25,6 @@ from smd.checkpoint import save_checkpoint
 from smd.cli import main
 from smd.config import check, load_config
 from smd.datasets import make_spirals
-from smd.errors import TaskMismatchError
 from smd.network import NetworkSpec, forward, init_network, softmax, workspace
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -60,11 +59,6 @@ class TestLattice:
         assert grid.classes.shape == (50, 50)
         assert grid.confidence.shape == (50, 50)
         assert np.all((grid.confidence >= 0.5 - 1e-12) & (grid.confidence <= 1.0))
-
-    def test_rejects_non_2d_network(self, data):
-        wide = init_network(NetworkSpec([3, 4, 2]))
-        with pytest.raises(TaskMismatchError):
-            evaluate(wide, (0, 1, 0, 1), 4)
 
 
 class TestPerturbedNetwork:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from smd.checkpoint import save_checkpoint
 from smd.cli import main
 from smd.config import REQUIRED, SCHEMA, check, load_config, section
-from smd.divergence import SWEEP_COLUMNS, grid_search
+from smd.divergence import SWEEP_COLUMNS
 from smd.evolution import ABLATION_CSV_COLUMNS, EVAL_CSV_COLUMNS
 from smd.network import NetworkSpec, init_network
 
@@ -235,20 +235,14 @@ class TestEvolveCommand:
         assert report["config"]["mutation"]["sigma"] == 0.05
         assert report["config"]["mutation"]["rho"] == 0.9
 
-    @pytest.mark.parametrize("form", ["search_result", "search"])
+    @pytest.mark.parametrize("form", ["search_result"])
     def test_strategy_keys_apply_to_search_forms(self, trained, form):
         base, out, cfg = trained
-        if form == "search_result":
-            (out / "found.json").write_text(json.dumps({"sigma": 0.05, "rho": 0.9}))
-            mutation = {"search_result": str(out / "found.json")}
-        else:
-            mutation = {
-                "search": {
-                    "sigma_grid": [0.05], "rho_grid": [0.9], "samples_per_cell": 4,
-                    "probe_size": 300, "seed": 11,
-                }
-            }
-        mutation.update(subspace_mode="static", anti_random=True, mu=0.001)
+        (out / "found.json").write_text(json.dumps({"sigma": 0.05, "rho": 0.9}))
+        mutation = {
+            "search_result": str(out / "found.json"),
+            "subspace_mode": "static", "anti_random": True, "mu": 0.001,
+        }
         path, _ = self.evolve_config(trained, mutation)
         assert main(["evolve", "--config", path]) == 0
         report = json.loads((out / "eval_report.json").read_text())
@@ -758,7 +752,6 @@ def key_bases(tmp_path_factory):
         "evolve_csv": ("evolve", dict(evolve, task=csv)),
         "evolve_split_csv": ("evolve", dict(evolve, task=split_csv)),
         "evolve_found": ("evolve", dict(evolve, mutation={"search_result": "found.json"})),
-        "evolve_search": ("evolve", dict(evolve, mutation={"search": search})),
         "boundary": ("boundary", {"task": spirals, "model": parent,
                                   "boundary": BOUNDARY_CONTRACT_BASE}),
         "ablate": ("ablate", {"task": spirals, "model": parent, "ablation": {
@@ -929,7 +922,7 @@ class TestConfigKeyContract:
 class TestOneCheckPerSection:
     @pytest.mark.parametrize(
         "base",
-        ["train", "search", "evolve", "evolve_search", "evolve_found", "boundary", "ablate"],
+        ["train", "search", "evolve", "evolve_found", "boundary", "ablate"],
     )
     def test_each_section_is_checked_once(self, key_bases, monkeypatch, base):
         """`config.section` checks each section, and each nested object, of
@@ -1116,35 +1109,39 @@ class TestStrictMutationAndEvolution:
         assert "error:" in err and ("'sigma'" in err or "'rho'" in err)
         assert not any(out.iterdir())
 
+    @staticmethod
+    def found_config(contract_base, tmp_path, **strategy):
+        """`contract_base`'s config evolving from a search result artifact."""
+        (tmp_path / "found.json").write_text(json.dumps({"sigma": 0.05, "rho": 0.5}))
+        cfg = json.loads(json.dumps(contract_base[0]))
+        cfg["mutation"] = {"search_result": str(tmp_path / "found.json"), **strategy}
+        return cfg
+
     def test_bad_evolution_value_fails_before_the_search(
         self, contract_base, tmp_path, monkeypatch, capsys
     ):
-        def no_search(*args):
-            raise AssertionError("the KL grid search ran before the config was checked")
-
-        monkeypatch.setattr("smd.cli.grid_search", no_search)
-        cfg = json.loads(json.dumps(contract_base[0]))
-        cfg["mutation"] = {"search": {"sigma_grid": [0.05], "rho_grid": [0.5]}}
+        calls = count_forward(monkeypatch)
+        cfg = self.found_config(contract_base, tmp_path)
         cfg["evolution"]["pop_size"] = 4.9
+        out = tmp_path / "out"
         path = write_config(tmp_path / "evolve.json", cfg)
-        assert main(["evolve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 2
         assert "error: evolution 'pop_size'" in capsys.readouterr().err
+        assert calls == []
+        assert not any(out.iterdir())
 
     def test_top_k_above_pop_size_fails_before_the_search(
         self, contract_base, tmp_path, monkeypatch, capsys
     ):
-        def no_search(*args):
-            raise AssertionError("the KL grid search ran before top_k was checked")
-
-        monkeypatch.setattr("smd.cli.grid_search", no_search)
-        cfg = json.loads(json.dumps(contract_base[0]))
-        cfg["mutation"] = {"search": {"sigma_grid": [0.05], "rho_grid": [0.5]}}
+        calls = count_forward(monkeypatch)
+        cfg = self.found_config(contract_base, tmp_path)
         cfg["evolution"]["top_k"] = cfg["evolution"]["pop_size"] + 1
         out = tmp_path / "out"
         path = write_config(tmp_path / "evolve.json", cfg)
         assert main(["evolve", "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "top_k" in err
+        assert calls == []
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize(
@@ -1155,49 +1152,94 @@ class TestStrictMutationAndEvolution:
     def test_pop_size_in_part_groups_fails_before_the_search(
         self, contract_base, tmp_path, monkeypatch, capsys, strategy, pop_size
     ):
-        def no_search(*args):
-            raise AssertionError("the KL grid search ran before the spawning groups were checked")
-
-        monkeypatch.setattr("smd.cli.grid_search", no_search)
-        cfg = json.loads(json.dumps(contract_base[0]))
-        cfg["mutation"] = {"search": {"sigma_grid": [0.05], "rho_grid": [0.5]}, **strategy}
+        calls = count_forward(monkeypatch)
+        cfg = self.found_config(contract_base, tmp_path, **strategy)
         cfg["evolution"]["pop_size"] = pop_size
         out = tmp_path / "out"
         path = write_config(tmp_path / "evolve.json", cfg)
         assert main(["evolve", "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "pop_size divisible by" in err
+        assert calls == []
         assert not any(out.iterdir())
 
-    @pytest.mark.parametrize("form", ["explicit", "search_result", "search"])
+    @pytest.mark.parametrize("form", ["explicit", "search_result"])
     def test_anti_random_at_rho_0_exits_2(
         self, contract_base, tmp_path, monkeypatch, capsys, form
     ):
         # At rho 0 the complement M' is empty, so the +M' and -M' children
         # would be copies of the parent.
-        searches = []
-
-        def counting_search(*args):
-            searches.append(args)
-            return grid_search(*args)
-
-        monkeypatch.setattr("smd.cli.grid_search", counting_search)
+        calls = count_forward(monkeypatch)
         cfg = json.loads(json.dumps(contract_base[0]))
         if form == "explicit":
             cfg["mutation"] = {"sigma": 0.05, "rho": 0.0}
-        elif form == "search_result":
+        else:
             (tmp_path / "found.json").write_text(json.dumps({"sigma": 0.05, "rho": 0.0}))
             cfg["mutation"] = {"search_result": str(tmp_path / "found.json")}
-        else:
-            cfg["mutation"] = {"search": {"sigma_grid": [0.05], "rho_grid": [0.0]}}
         cfg["mutation"]["anti_random"] = True
         out = tmp_path / "out"
         path = write_config(tmp_path / "evolve.json", cfg)
         assert main(["evolve", "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error: mutation 'anti_random' needs rho > 0" in err
-        assert len(searches) == (form == "search")
+        assert calls == []
         assert not any(out.iterdir())
+
+
+class TestUnreadConfig:
+    """What a command does not read exits 2 before any data or checkpoint
+    is read, with an `error:` line and no artifact: the KL search runs in
+    `search` alone, whose mutation section holds only the search directive,
+    and no command takes a section it does not read."""
+
+    @pytest.fixture()
+    def run_in(self, key_bases, monkeypatch):
+        inputs, bases = key_bases
+        monkeypatch.chdir(inputs)
+        monkeypatch.delenv("SMD_OUT", raising=False)
+        return bases
+
+    def test_search_directive_in_evolve_exits_2(self, run_in, monkeypatch, capsys):
+        calls = count_forward(monkeypatch)
+        command, cfg = run_in["evolve"]
+        search = run_in["search"][1]["mutation"]
+        assert _run_outcome(command, dict(cfg, mutation=search)) == (2, [], [])
+        assert capsys.readouterr().err == (
+            "error: the evolve command runs no KL search: run `smd search` with this "
+            "'search' directive and set mutation 'search_result' to the search_result.json "
+            "it writes\n"
+        )
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mu", 0.01), ("subspace_mode", "static"), ("mirrored", False), ("anti_random", True)],
+    )
+    def test_strategy_key_in_search_exits_2(self, run_in, monkeypatch, capsys, key, value):
+        calls = count_forward(monkeypatch)
+        command, cfg = run_in["search"]
+        mutation = dict(cfg["mutation"], **{key: value})
+        assert _run_outcome(command, dict(cfg, mutation=mutation)) == (2, [], [])
+        assert capsys.readouterr().err == (
+            "error: the search command's mutation section holds a 'search' directive and "
+            f"nothing else, got keys {sorted(mutation)}\n"
+        )
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "base, unread",
+        [("evolve", "boundary"), ("train", "mutation"), ("search", "evolution"),
+         ("boundary", "ablation"), ("ablate", "evolution")],
+    )
+    def test_unread_section_exits_2(self, run_in, monkeypatch, capsys, base, unread):
+        calls = count_forward(monkeypatch)
+        sections = {**run_in["evolve"][1], **run_in["boundary"][1], **run_in["ablate"][1]}
+        command, cfg = run_in[base]
+        assert _run_outcome(command, dict(cfg, **{unread: sections[unread]})) == (2, [], [])
+        assert capsys.readouterr().err == (
+            f"error: config sections ['{unread}'] are not read by the {command} command\n"
+        )
+        assert calls == []
 
 
 # Bad values for each command, as (base config, dotted key path, value); the
@@ -1344,6 +1386,20 @@ FULL_CONFIG = {
     },
     "output": {"dir": "out"},
 }
+# The sections each command reads, and a command that reads each SCHEMA
+# section or nested object.
+COMMAND_SECTIONS = {
+    "train": ("task", "model", "output"),
+    "search": ("task", "model", "mutation", "output"),
+    "evolve": ("task", "model", "mutation", "evolution", "output"),
+    "boundary": ("task", "model", "boundary", "output"),
+    "ablate": ("task", "model", "ablation", "output"),
+}
+READER = {
+    "task": "train", "model": "train", "model.train": "train", "mutation": "evolve",
+    "mutation.search": "search", "evolution": "evolve", "boundary": "boundary",
+    "ablation": "ablate", "output": "train",
+}
 JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -1372,7 +1428,8 @@ class TestSchema:
     def test_wrong_json_type_exits_2(self, name, key, data):
         kind = SCHEMA[name][key][0]
         value = data.draw(JSON_VALUES.filter(lambda v: type(v) not in kind.types))
-        cfg = json.loads(json.dumps(FULL_CONFIG))
+        command = READER[name]
+        cfg = json.loads(json.dumps({s: FULL_CONFIG[s] for s in COMMAND_SECTIONS[command]}))
         node = cfg
         for part in name.split("."):
             node = node[part]
@@ -1382,7 +1439,7 @@ class TestSchema:
             out = Path(tmp) / "out"
             out.mkdir()
             path = write_config(Path(tmp) / "config.json", cfg)
-            assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+            assert main([command, "--config", path, "--out", str(out)]) == 2
             assert not any(out.iterdir())
         assert f"error: {name} '{key}' must be" in err.getvalue()
 
@@ -1571,21 +1628,39 @@ class TestOutputResolution:
         assert (flag_dir / "model.ckpt").exists()
 
 
+# The command each file under configs/ is written for.
+SHIPPED_CONFIGS = {
+    "spiral_train.json": "train",
+    "spiral_search.json": "search",
+    "spiral_evolve.json": "evolve",
+    "spiral_boundary.json": "boundary",
+    "spiral_ablate.json": "ablate",
+    "cifar10_wideresnet_stub.json": "ablate",
+    "imagenet_search_stub.json": "search",
+    "imagenet_evolve_stub.json": "evolve",
+}
+
+
 class TestShippedConfigs:
     def test_spiral_configs_parse(self):
-        from smd.config import load_config
-
-        for name in (
-            "spiral_train.json",
-            "spiral_search.json",
-            "spiral_evolve.json",
-            "spiral_boundary.json",
-            "spiral_ablate.json",
-            "cifar10_wideresnet_stub.json",
-            "imagenet_ensemble_stub.json",
-        ):
+        for name in SHIPPED_CONFIGS:
             cfg = load_config(CONFIG_DIR / name)
             assert isinstance(cfg, dict)
+
+    def test_each_config_passes_its_command_check(self, tmp_path, monkeypatch):
+        """`config.check` reads no data or checkpoint, so the stubs pass it
+        too. An evolve config's search result is the search step's output;
+        a stand-in for it is written where the config points."""
+        assert sorted(p.name for p in CONFIG_DIR.iterdir()) == sorted(SHIPPED_CONFIGS)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SMD_OUT", raising=False)
+        for name, command in SHIPPED_CONFIGS.items():
+            cfg = load_config(CONFIG_DIR / name)
+            if "search_result" in cfg.get("mutation", {}):
+                found = Path(cfg["mutation"]["search_result"])
+                found.parent.mkdir(parents=True, exist_ok=True)
+                found.write_text(json.dumps({"sigma": 0.05, "rho": 0.9}))
+            check(cfg, command, str(tmp_path / "out"))
 
     def test_stub_configs_are_not_runnable(self, tmp_path):
         # the stubs reference external models that do not exist: exit 2

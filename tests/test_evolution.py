@@ -12,7 +12,7 @@ import smd.evolution as evolution
 from smd.checkpoint import save_checkpoint
 from smd.cli import main
 from smd.datasets import Dataset, make_spirals
-from smd.errors import ConfigurationError, ShapeError, WorkerError
+from smd.errors import ConfigurationError, WorkerError
 from smd.evolution import (
     GenerationConfig,
     Population,
@@ -141,14 +141,6 @@ class TestAverageWeights:
         a = average_weights(cands)
         b = average_weights(cands[::-1])
         np.testing.assert_allclose(a.values, b.values, atol=1e-7)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            average_weights([])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            average_weights([ParamVector(np.zeros(3)), ParamVector(np.zeros(4))])
 
 
 class TestEnsemblePredict:
