@@ -4,7 +4,7 @@ Every command is a pure function of its JSON config (all seeds included),
 so reruns produce byte-identical artifacts. Exit codes: 0 success,
 2 configuration error, 3 training divergence, 4 search found no in-band
 cell, 5 validation/test overlap, 6 task/model or task/command mismatch,
-7 a worker process of `ablate`'s sweep died.
+7 a forked worker process (of `ablate`'s sweep or `evolve`'s scoring) died.
 `EXIT_CODES` maps each error of `smd.errors` to its code.
 """
 
@@ -154,7 +154,9 @@ def cmd_evolve(run: dict, args: argparse.Namespace) -> int:
     gen_cfg = GenerationConfig(mutation, **run["sizes"])
 
     # Best-of-R selection peeks only at validation-side accuracy.
-    best = run_generation(parent, gen_cfg, val, test, run["master_seed"], args.repeats)
+    best = run_generation(
+        parent, gen_cfg, val, test, run["master_seed"], args.repeats, _usable_cpus()
+    )
     _write_json(run["out_dir"] / "eval_report.json", best.to_json_dict())
     write_eval_csv(best, run["out_dir"] / "eval_report.csv")
 

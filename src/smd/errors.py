@@ -41,5 +41,6 @@ class TaskMismatchError(RuntimeError):
 
 
 class WorkerError(RuntimeError):
-    """A worker process of a parallel sweep died before it returned its
-    points: killed by a signal (out of memory, say) or exited early."""
+    """A forked worker process (of `ablate`'s sweep or of a scoring pass)
+    died before it returned its results: killed by a signal (out of
+    memory, say) or exited early."""

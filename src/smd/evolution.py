@@ -8,6 +8,8 @@ exactly once, when the final report metrics are computed.
 
 from __future__ import annotations
 
+import os
+import pickle
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -135,8 +137,17 @@ class EvalReport:
         )
 
 
+# Forward multiply-adds (children x rows x sum of fan_in * fan_out) below
+# which a scoring pass runs serially, as forking costs more than it saves.
+# Serial at 2 OpenBLAS threads vs 2 forked workers at 1, 2-vCPU Xeon, median
+# of 15 alternating passes: 3.4e8 (the shipped spiral evolve) 44 vs 49 ms;
+# 5.3e8, 47 vs 54; 1.3e9, 106 vs 103; 2.1e9, 126 vs 119; 4.2e9, 243 vs 205;
+# 1.7e10 (pop 64 of a [2, 512, 512, 512, 2] net), 995 vs 737 ms.
+_FORK_MIN_MACS = 2e9
+
+
 def evaluate_fitness(
-    parent: Network, params: MutationParams, children: list[Child], val: Dataset
+    parent: Network, params: MutationParams, children: list[Child], val: Dataset, jobs: int = 1
 ) -> Population:
     """The scored population of `children` (the parent is never scored).
 
@@ -145,11 +156,26 @@ def evaluate_fitness(
     softmaxed once. The probabilities give the child's fitness (validation
     accuracy) and its validation NLL, the selection tie-break, and are kept
     for the KL probe and the ensemble's validation accuracy.
+
+    A pass of at least `_FORK_MIN_MACS` with jobs > 1 is split into at most
+    `jobs` contiguous runs of whole groups (partners share a mask draw),
+    each scored on a forked worker (`_map_points`) with its own genome and
+    workspace. Its probabilities are the serial pass's, bit for bit.
     """
-    scratch = workspace(parent.spec, val.n)
-    val_probs = [
-        softmax(logits) for logits in child_logits(parent, params, children, val.inputs, scratch)
-    ]
+    sizes = parent.spec.layer_sizes
+    macs = len(children) * val.n * sum(a * b for a, b in zip(sizes, sizes[1:]))
+    starts = [i for i, c in enumerate(children) if i == 0 or c.group != children[i - 1].group]
+    n = min(jobs, len(starts)) if macs >= _FORK_MIN_MACS else 1
+    bounds = [0] + [starts[j * len(starts) // n] for j in range(1, n)] + [len(children)]
+    runs = list(zip(bounds, bounds[1:]))
+
+    def score(run: tuple[int, int]) -> list[np.ndarray]:
+        scratch = workspace(parent.spec, val.n)
+        members = children[run[0] : run[1]]
+        return [softmax(z) for z in child_logits(parent, params, members, val.inputs, scratch)]
+
+    scored = _map_points(score, runs, n) if len(runs) > 1 else {runs[0]: score(runs[0])}
+    val_probs = [probs for run in runs for probs in scored[run]]
     fitness = np.array([accuracy(probs, val.labels) for probs in val_probs])
     val_nll = np.array([nll_loss(probs, val.labels) for probs in val_probs])
     return Population(parent, params, children, fitness, val_nll, val_probs)
@@ -219,7 +245,7 @@ def _ensemble_val_accuracy(pop: Population, selected: list[int], val: Dataset) -
 
 
 def _evolve(
-    parent: Network, cfg: GenerationConfig, val: Dataset, master_seed: int
+    parent: Network, cfg: GenerationConfig, val: Dataset, master_seed: int, jobs: int = 1
 ) -> tuple[Population, list[int]]:
     """Run cfg.generations generations on validation data only.
 
@@ -228,13 +254,14 @@ def _evolve(
     averages its selected genomes, in selection order, into the next
     parent; `_report` builds the final average. A chained parent is
     quantized to float32 values, as a checkpoint round-trip would, so its
-    mirrored children still average back to it exactly.
+    mirrored children still average back to it exactly. Each generation
+    is scored by `evaluate_fitness` on up to `jobs` workers.
     """
     current = parent
     for gen in range(cfg.generations):
         gen_seed = derive_seed(master_seed, _GENERATION_NS, gen)
         children = spawn_mutations(current.params, cfg.mutation, cfg.pop_size, gen_seed)
-        pop = evaluate_fitness(current, cfg.mutation, children, val)
+        pop = evaluate_fitness(current, cfg.mutation, children, val, jobs)
         selected = select_top_k(pop, cfg.top_k)
         if gen < cfg.generations - 1:
             chosen = [pop.children[i] for i in selected]
@@ -317,6 +344,7 @@ def run_generation(
     test: Dataset,
     master_seed: int,
     repeats: int = 1,
+    jobs: int = 1,
 ) -> EvalReport:
     """Spawn, score, select, combine; report metrics on the test set.
 
@@ -331,7 +359,8 @@ def run_generation(
     Children are kept as seed records, and every child pass writes each
     child into one working genome: a genome exists only while its child
     runs. The k selected genomes are built once, one at a time, for both
-    the average and the ensemble.
+    the average and the ensemble. A big enough validation pass is scored
+    on up to `jobs` forked workers (`evaluate_fitness`), with the same bytes.
 
     With repeats R > 1, R runs evolve on validation data only, run r from
     a seed derived from (master_seed, r). Only the run whose ensemble has
@@ -345,7 +374,7 @@ def run_generation(
         seeds = [derive_seed(master_seed, _REPEAT_NS, r) for r in range(repeats)]
     tried, best, best_repeat = [], None, 0
     for r, seed in enumerate(seeds):
-        run = _evolve(parent, cfg, val, seed)
+        run = _evolve(parent, cfg, val, seed, jobs)
         val_acc = _ensemble_val_accuracy(run[0], run[1], val)
         tried.append({"seed": seed, "ensemble_val_accuracy": val_acc})
         if best is None or val_acc > tried[best_repeat]["ensemble_val_accuracy"]:
@@ -383,8 +412,8 @@ def run_ablation(
     once for the whole sweep; no selection reads them.
 
     With jobs > 1 the distinct points run on up to `jobs` worker processes
-    (`_map_points`). Rows are looked up by point, so they are the same
-    for every `jobs`, whichever point finishes first.
+    (`_map_points`), each scored serially. Rows are looked up by point, so
+    they are the same for every `jobs`, whichever point finishes first.
     """
     parent_scores = _score_parent(parent, val, test)
     grid = [
@@ -452,58 +481,73 @@ def _blas_threads():
     return None
 
 
-# The task of a forked sweep worker. `_start_worker` sets it in the worker
-# process only; the parent never assigns it.
-_worker_task = None
-
-
-def _start_worker(task) -> None:
-    global _worker_task
-    _worker_task = task
-
-
-def _run_in_worker(point: tuple) -> tuple:
-    return _worker_task(point)
-
-
-def _map_points(task, points: list[tuple], jobs: int) -> dict[tuple, tuple]:
+def _map_points(task, points: list, jobs: int) -> dict:
     """`task(point)` for each point, keyed by point.
 
-    With jobs > 1 and more than one point, up to `jobs` worker processes,
-    forked from this one, take the points in turn. A worker inherits
-    `task`, and with it the parent network, the datasets and the parent's
-    scores, copy-on-write; only points and their values cross the pipe.
-    The workers run OpenBLAS on one thread each, so 2 workers on 2 cores
-    do not run 4 BLAS threads (3x slower than the serial loop). This
-    process sets one thread just before the workers fork, so they inherit
-    it, and restores its own count after: a worker that set it itself
-    would start an OpenBLAS pool thread, which spins beside the worker
-    and made its forward calls 1.7-2.4x slower. Where the platform cannot
-    fork or no OpenBLAS thread functions are found, the points run here,
-    in order. A worker's error is raised here; a worker that dies raises
-    `WorkerError`. Every worker is reaped before this returns or raises.
+    With jobs > 1, `min(jobs, len(points))` workers are forked from this
+    process, and worker j runs `points[j::jobs]`. A worker inherits `task`
+    and all it reads copy-on-write; only its pickled values, or its error,
+    cross its pipe back. This process sets OpenBLAS to one thread just
+    before the forks, so each worker inherits one (2 workers at 2 threads
+    each on 2 cores ran 3x slower than serially; a worker that set it
+    itself started a spinning pool thread), and restores its count after.
+    Without OpenBLAS thread functions (or /proc/self/maps, so no fork)
+    the points run here. A worker's error is raised here with its own
+    type; a worker that dies raises `WorkerError`. Every worker is reaped
+    before this returns or raises.
     """
     jobs = min(jobs, len(points))
-    if jobs > 1:
-        import multiprocessing
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    blas = _blas_threads() if jobs > 1 else None
+    if blas is None:
+        return {point: task(point) for point in points}
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    workers = []  # (pid, the read end of its pipe)
+    try:
+        for j in range(jobs):
+            workers.append(_fork_worker(task, points[j::jobs]))
+        replies = [pipe.read() for _, pipe in workers]
+    finally:
+        set_threads(threads)
+        for _, pipe in workers:
+            pipe.close()  # a worker still writing then fails instead of blocking
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
+    values = {}
+    for j, (status, reply) in enumerate(zip(statuses, replies)):
+        if status != 0:
+            raise WorkerError("a worker process died before it returned its results")
+        done, result = pickle.loads(reply)
+        if not done:
+            raise result
+        values.update(zip(points[j::jobs], result))
+    return values
 
-        blas = _blas_threads()
-        if blas is not None and "fork" in multiprocessing.get_all_start_methods():
-            get_threads, set_threads = blas
-            threads = get_threads()
-            set_threads(1)
+
+def _fork_worker(task, points: list):
+    """Fork a worker that pickles `(True, values)` or `(False, error)` into
+    a pipe and exits 0, or 1 if it cannot; return its pid and read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the worker: it never returns into the caller
+        status = 1
+        try:
             try:
-                context = multiprocessing.get_context("fork")
-                with ProcessPoolExecutor(jobs, context, _start_worker, (task,)) as pool:
-                    return dict(zip(points, pool.map(_run_in_worker, points)))
-            except BrokenExecutor as exc:
-                raise WorkerError(
-                    "a sweep worker process died before it returned its points"
-                ) from exc
-            finally:
-                set_threads(threads)
-    return {point: task(point) for point in points}
+                reply = (True, [task(point) for point in points])
+            except Exception as exc:
+                reply = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
 
 
 def datasets_disjoint(a: Dataset, b: Dataset) -> bool:

@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import re
 import shutil
@@ -567,7 +566,8 @@ class TestAblateWorkers:
         assert code == 2
         assert "error: mutation 'mu' 0.0 and 'sigma' 1e+39" in capsys.readouterr().err
         assert not any(out.iterdir())
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # every worker is reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_a_worker_that_dies_exits_7_with_no_csv(self, ablate_run, cpus, monkeypatch, capsys):
         import smd.evolution
@@ -584,10 +584,11 @@ class TestAblateWorkers:
         code, out = ablate_run(self.GRID)
         assert code == 7
         assert capsys.readouterr().err == (
-            "error: a sweep worker process died before it returned its points\n"
+            "error: a worker process died before it returned its results\n"
         )
         assert not any(out.iterdir())
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # every worker is reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_usable_cpus_at_least_one(self, monkeypatch):
         """`run_ablation` takes its worker count from `_usable_cpus` and
@@ -599,16 +600,27 @@ class TestAblateWorkers:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert smd.cli._usable_cpus() == 1
 
-    @pytest.mark.parametrize("base", ["train", "search", "evolve", "boundary"])
+    @pytest.mark.parametrize("base", ["train", "search", "evolve", "boundary", "ablate"])
     def test_other_commands_import_no_multiprocessing(self, key_bases, tmp_path, base):
+        """No command imports `multiprocessing` or `concurrent.futures`, not
+        even where `ablate`'s sweep and `evolve`'s scoring fork workers: the
+        script forces two workers and a forked scoring pass."""
+        import smd.evolution
+
         inputs, bases = key_bases
         command, cfg = bases[base]
+        if base == "ablate":  # two sweep points, so there is a second worker to fork
+            cfg = dict(cfg, ablation=dict(cfg["ablation"], seeds=[0, 1]))
         path = write_config(tmp_path / "config.json", dict(cfg, output={"dir": str(tmp_path)}))
         script = (
-            "import sys\n"
-            "from smd.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "print('multiprocessing' in sys.modules)\n"
+            "import os, sys\n"
+            "import smd.cli, smd.evolution\n"
+            "smd.cli._usable_cpus = lambda: 2\n"
+            "smd.evolution._FORK_MIN_MACS = 0\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "code = smd.cli.main(sys.argv[1:])\n"
+            "print(len(forks), 'multiprocessing' in sys.modules, 'concurrent' in sys.modules)\n"
             "sys.exit(code)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -620,7 +632,141 @@ class TestAblateWorkers:
             cwd=inputs, env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False"
+        forks = 2 if command in ("evolve", "ablate") and smd.evolution._blas_threads() else 0
+        assert done.stdout.splitlines()[-1] == f"{forks} False False"
+
+
+class TestEvolveWorkers:
+    """`evolve` scores each population on one forked worker per usable CPU
+    once the pass reaches the break-even size, which these tests set to 0,
+    and writes the same bytes for any number of workers."""
+
+    @pytest.fixture()
+    def forked(self, monkeypatch):
+        """Forces forked scoring; returns a setter of the usable CPU count
+        and the os.fork calls made in this process."""
+        import smd.cli
+        import smd.evolution
+
+        monkeypatch.setattr(smd.evolution, "_FORK_MIN_MACS", 0)
+        calls, real = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real())
+
+        def cpus(n):
+            monkeypatch.setattr(smd.cli, "_usable_cpus", lambda: n)
+
+        return cpus, calls
+
+    def evolve(self, trained, sigma=0.05, *flags):
+        """Exit code and output directory of a two-generation `evolve` on
+        `trained`'s checkpoint; the directory is new to the run."""
+        base, out, cfg = trained
+        evolved = base / "evolved"
+        payload = {
+            "task": cfg["task"],
+            "model": {"checkpoint": str(out / "model.ckpt")},
+            "mutation": {"sigma": sigma, "rho": 0.5},
+            "evolution": {"pop_size": 8, "top_k": 4, "generations": 2, "master_seed": 3},
+            "output": {"dir": str(evolved)},
+        }
+        path = write_config(base / "evolve.json", payload)
+        return main(["evolve", "--config", path, *flags]), evolved
+
+    def test_report_identical_for_one_and_two_workers(self, trained, forked):
+        cpus, calls = forked
+        written = []
+        for n in (1, 2):
+            cpus(n)
+            code, evolved = self.evolve(trained, 0.05, "--repeats", "2")
+            assert code == 0
+            written.append([(evolved / f).read_bytes() for f in ("eval_report.json", "eval_report.csv")])
+            # 2 repeats x 2 generations, each pass scored on n workers.
+            assert len(calls) == (0 if n == 1 else 2 * 2 * 2)
+        assert written[0] == written[1]
+        assert len(json.loads(written[0][0])["repeats"]) == 2
+
+    def test_worker_error_exits_2_with_no_artifacts(self, trained, forked, capsys):
+        cpus, calls = forked
+        cpus(2)
+        code, evolved = self.evolve(trained, 1e39)
+        assert code == 2
+        assert "error: mutation 'mu' 0.0 and 'sigma' 1e+39" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert not any(evolved.iterdir())
+        with pytest.raises(ChildProcessError):  # every worker is reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_worker_that_dies_exits_7_with_no_artifacts(
+        self, trained, forked, monkeypatch, capsys
+    ):
+        import smd.evolution
+
+        cpus, calls = forked
+        cpus(2)
+        command = os.getpid()
+
+        def die(*args):
+            # Only the workers may score children; the command process reports.
+            assert os.getpid() != command, "a child was scored in the command process"
+            os._exit(3)
+
+        monkeypatch.setattr(smd.evolution, "child_logits", die)
+        code, evolved = self.evolve(trained)
+        assert code == 7
+        assert capsys.readouterr().err == (
+            "error: a worker process died before it returned its results\n"
+        )
+        assert len(calls) == 2
+        assert not any(evolved.iterdir())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """`evolve` on a net whose 256 x 256 layer OpenBLAS splits between
+        threads writes the same bytes at one BLAS thread, at two, and on two
+        forked one-thread workers. Each run is a child process with its own
+        OPENBLAS_NUM_THREADS."""
+        import smd.evolution
+
+        if smd.evolution._blas_threads() is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        ckpt = tmp_path / "wide.ckpt"
+        save_checkpoint(init_network(NetworkSpec([2, 256, 256, 2], seed=3)), ckpt)
+        payload = {
+            "task": small_task(tmp_path, n_eval=1000),
+            "model": {"checkpoint": str(ckpt)},
+            "mutation": {"sigma": 0.01, "rho": 0.9},
+            "evolution": {"pop_size": 8, "top_k": 4, "generations": 1, "master_seed": 0},
+        }
+        path = write_config(tmp_path / "evolve.json", payload)
+        script = (
+            "import os, sys\n"
+            "import smd.cli, smd.evolution\n"
+            "forked = sys.argv[1] == 'forked'\n"
+            "smd.cli._usable_cpus = lambda: 2 if forked else 1\n"
+            "smd.evolution._FORK_MIN_MACS = 0 if forked else smd.evolution._FORK_MIN_MACS\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "code = smd.cli.main(sys.argv[2:])\n"
+            "print(smd.evolution._blas_threads()[0](), len(forks))\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p
+        ))
+        env.pop("SMD_OUT", None)  # it would override the output directory
+        written = []
+        for how, threads, forks in (("serial", "1", 0), ("serial", "2", 0), ("forked", "2", 2)):
+            out = tmp_path / f"{how}{threads}"
+            done = subprocess.run(
+                [sys.executable, "-c", script, how, "evolve", "--config", path, "--out", str(out)],
+                env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.splitlines()[-1] == f"{threads} {forks}"
+            written.append([(out / f).read_bytes() for f in ("eval_report.json", "eval_report.csv")])
+        assert written[0] == written[1] == written[2]
 
 
 class TestEvolveOnlyFlags:

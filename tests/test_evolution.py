@@ -1,6 +1,5 @@
 import itertools
 import json
-import multiprocessing
 import os
 import tracemalloc
 
@@ -25,6 +24,8 @@ from smd.evolution import (
     write_ablation_csv,
 )
 from smd.mutation import (
+    _GROUP_ROLES,
+    SUBSPACE_MODES,
     Child,
     MutationParams,
     derive_seed,
@@ -423,8 +424,8 @@ class TestChainedParent:
         so each +/- pair of that generation averages back to it bit for bit."""
         populations = []
 
-        def recording(parent, params, children, val):
-            populations.append(evaluate_fitness(parent, params, children, val))
+        def recording(parent, params, children, val, jobs):
+            populations.append(evaluate_fitness(parent, params, children, val, jobs))
             return populations[-1]
 
         monkeypatch.setattr(evolution, "evaluate_fitness", recording)
@@ -511,6 +512,19 @@ class TestRunAblation:
         assert abs(by_mode["static"] - by_mode["dynamic"]) <= 0.05
 
 
+@pytest.fixture()
+def forks(monkeypatch):
+    """The os.fork calls made in this process."""
+    calls, real = [], os.fork
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
 class TestAblationJobs:
     """`run_ablation(..., jobs)` runs its distinct points on forked workers
     and gives the serial loop's rows, bit for bit."""
@@ -528,18 +542,6 @@ class TestAblationJobs:
     @pytest.fixture(scope="class")
     def serial_rows(self, spiral_task):
         return self.ablate(spiral_task, 1)
-
-    @pytest.fixture()
-    def forks(self, monkeypatch):
-        """The os.fork calls made in this process."""
-        calls, real = [], os.fork
-
-        def counting():
-            calls.append(1)
-            return real()
-
-        monkeypatch.setattr(os, "fork", counting)
-        return calls
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_rows_equal_the_serial_loop(self, spiral_task, serial_rows, forks, jobs):
@@ -593,12 +595,88 @@ class TestAblationJobs:
         with pytest.raises(ConfigurationError, match="'sigma' 1e\\+39"):
             self.ablate(spiral_task, 2, sigmas=[0.05, 1e39])
         assert len(forks) == 2
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # every worker is reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_a_worker_that_dies_raises_worker_error_and_every_worker_is_reaped(self):
-        with pytest.raises(WorkerError, match="a sweep worker process died"):
+        with pytest.raises(WorkerError, match="a worker process died"):
             evolution._map_points(lambda point: os._exit(3), [0, 1, 2], 2)
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+    def test_points_score_with_one_job(self, spiral_task, serial_rows, monkeypatch):
+        """A sweep point scores its generation in its own process, so
+        workers never fork workers."""
+        jobs, real = [], evolution.evaluate_fitness
+
+        def recording(parent, params, children, val, n):
+            jobs.append(n)
+            return real(parent, params, children, val, n)
+
+        monkeypatch.setattr(evolution, "evaluate_fitness", recording)
+        monkeypatch.setattr(evolution, "_FORK_MIN_MACS", 0)
+        monkeypatch.setattr(evolution, "_blas_threads", lambda: None)  # the points run here
+        assert self.ablate(spiral_task, 2) == serial_rows
+        assert jobs == [1] * 12
+
+
+class TestForkedScoring:
+    """`evaluate_fitness(..., jobs)` scores contiguous runs of whole groups
+    on forked workers and gives the serial pass's bytes."""
+
+    def score(self, t, jobs, mirrored=True, anti_random=False, mode="dynamic"):
+        params = MutationParams(
+            sigma=0.05, rho=0.5, subspace_mode=mode, mirrored=mirrored, anti_random=anti_random
+        )
+        children = spawn_mutations(t.parent.params, params, 8, 3)
+        return evaluate_fitness(t.parent, params, children, t.val, jobs)
+
+    @staticmethod
+    def assert_same(a, b):
+        assert [p.tobytes() for p in a.val_probs] == [p.tobytes() for p in b.val_probs]
+        assert a.fitness.tobytes() == b.fitness.tobytes()
+        assert a.val_nll.tobytes() == b.val_nll.tobytes()
+
+    @pytest.mark.parametrize("mode", SUBSPACE_MODES)
+    @pytest.mark.parametrize("strategy", list(_GROUP_ROLES))
+    def test_matches_the_serial_pass_bit_for_bit(
+        self, spiral_task, monkeypatch, forks, strategy, mode
+    ):
+        serial = self.score(spiral_task, 1, *strategy, mode)
+        monkeypatch.setattr(evolution, "_FORK_MIN_MACS", 0)
+        self.assert_same(self.score(spiral_task, 2, *strategy, mode), serial)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize(
+        "strategy, runs",
+        [((True, True), [(0, 4), (4, 8)]), ((False, False), [(0, 2), (2, 5), (5, 8)])],
+    )
+    def test_runs_are_whole_groups(self, spiral_task, monkeypatch, forks, strategy, runs):
+        """Three jobs: two quads give two runs, eight solo children three."""
+        handed, real = [], evolution._map_points
+
+        def recording(task, points, jobs):
+            handed.extend(points)
+            return real(task, points, jobs)
+
+        monkeypatch.setattr(evolution, "_map_points", recording)
+        serial = self.score(spiral_task, 1, *strategy)
+        monkeypatch.setattr(evolution, "_FORK_MIN_MACS", 0)
+        self.assert_same(self.score(spiral_task, 3, *strategy), serial)
+        assert handed == runs
+        assert len(forks) == len(runs)
+
+    @pytest.mark.parametrize("case", ["one_cpu", "no_blas_thread_functions", "below_break_even"])
+    def test_serial_without_a_fork(self, spiral_task, monkeypatch, forks, case):
+        serial = self.score(spiral_task, 1)
+        jobs = 1 if case == "one_cpu" else 2
+        if case != "below_break_even":
+            monkeypatch.setattr(evolution, "_FORK_MIN_MACS", 0)
+        if case == "no_blas_thread_functions":
+            monkeypatch.setattr(evolution, "_blas_threads", lambda: None)
+        self.assert_same(self.score(spiral_task, jobs), serial)
+        assert forks == []
 
 
 class TestDatasetsDisjoint:

@@ -33,17 +33,24 @@ def test_every_public_definition_is_used_inside_the_package():
     assert unused == []
 
 
-# Modules that only `ablate`'s forked sweep needs: importing multiprocessing
-# and concurrent.futures costs about 21 ms, which no other command should pay.
+# Modules that no command should pay to import at start-up: importing
+# multiprocessing and concurrent.futures costs about 21 ms. `ctypes` is
+# imported only where workers are forked, to find OpenBLAS's thread
+# functions.
 DEFERRED_IMPORTS = ("multiprocessing", "concurrent.futures", "ctypes")
+# Modules no code of the package imports at all: its workers are plain
+# forks (`evolution._map_points`), which need no process pool.
+POOL_IMPORTS = ("multiprocessing", "concurrent.futures")
 
 
-def _module_level_imports(tree: ast.Module) -> list[str]:
-    """The modules a file imports outside any function or class body."""
+def _imports(tree: ast.Module, module_level: bool = True) -> list[str]:
+    """The modules a file imports: outside any function or class body, or
+    anywhere."""
     names, todo = [], list(tree.body)
     while todo:
         node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        if module_level and isinstance(node, scope):
             continue
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
@@ -53,11 +60,18 @@ def _module_level_imports(tree: ast.Module) -> list[str]:
     return names
 
 
-def test_no_module_imports_the_worker_pool_at_module_level():
-    found = [
+def _found(names: tuple[str, ...], module_level: bool) -> list[tuple[str, str]]:
+    return [
         (path.name, name)
         for path in sorted(PACKAGE.glob("*.py"))
-        for name in _module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
-        if any(name == d or name.startswith(d + ".") for d in DEFERRED_IMPORTS)
+        for name in _imports(ast.parse(path.read_text(encoding="utf-8")), module_level)
+        if any(name == d or name.startswith(d + ".") for d in names)
     ]
-    assert found == []
+
+
+def test_no_module_imports_the_worker_pool_at_module_level():
+    assert _found(DEFERRED_IMPORTS, module_level=True) == []
+
+
+def test_no_module_imports_a_process_pool():
+    assert _found(POOL_IMPORTS, module_level=False) == []
