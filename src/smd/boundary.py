@@ -20,7 +20,6 @@ from .network import Network, forward, softmax, workspace
 # Spawn-key namespace for boundary-cell perturbations.
 _BOUNDARY_NS = 4
 
-DEFAULT_RESOLUTION = 200
 _PAD = 0.1  # lattice padding, as a fraction of each side of the data's box
 # Lattice points per forward call. OpenBLAS takes another path for small
 # row counts: blocks of 2,000-7,000 change the last bits of the shipped
@@ -143,7 +142,7 @@ def export_boundary_cells(
     rho_grid: list[float],
     out_dir: str | Path,
     master_seed: int,
-    resolution: int = DEFAULT_RESOLUTION,
+    resolution: int,
 ) -> list[Path]:
     """Write one CSV and one PGM per (sigma, rho) cell; returns the paths."""
     if data.inputs.shape[1] != 2:

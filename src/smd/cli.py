@@ -16,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
 from .boundary import export_boundary_cells
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -42,7 +40,6 @@ from .evolution import (
     write_eval_csv,
 )
 from .metrics import accuracy
-from .mutation import Child, child_supports, mask_to_rle
 from .network import Network, NetworkSpec, forward, init_network, softmax
 from .training import train_model
 
@@ -150,8 +147,7 @@ def cmd_evolve(run: dict, args: argparse.Namespace) -> int:
     if not datasets_disjoint(val, test):
         raise DataHygieneError("validation and test sets share samples")
     parent = _load_parent(run["checkpoint"], val)
-    mutation = run["mutation"]
-    gen_cfg = GenerationConfig(mutation, **run["sizes"])
+    gen_cfg = GenerationConfig(run["mutation"], **run["sizes"])
 
     # Best-of-R selection peeks only at validation-side accuracy.
     best = run_generation(
@@ -159,17 +155,6 @@ def cmd_evolve(run: dict, args: argparse.Namespace) -> int:
     )
     _write_json(run["out_dir"] / "eval_report.json", best.to_json_dict())
     write_eval_csv(best, run["out_dir"] / "eval_report.csv")
-
-    if args.dump_masks:
-        w = parent.params.w
-        children = [Child(c["seed"], c["mask_seed"], c["group"], c["role"]) for c in best.per_child]
-        lines = []
-        for c, (_, index, _) in zip(best.per_child, child_supports(w, mutation, children)):
-            support = np.zeros(w, dtype=np.uint8)
-            support[index] = 1
-            lines.append(f"{c['index']} group={c['group']} role={c['role']} {mask_to_rle(support)}")
-        (run["out_dir"] / "masks.rle.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     print(best.summary_line())
     return EXIT_OK
 
@@ -219,12 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--out", default=None, help="output directory (SMD_OUT overrides)")
+        p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
         if name == "evolve":
             p.add_argument("--repeats", type=int, default=1, help="best-of-R evolve runs")
-            p.add_argument(
-                "--dump-masks", action="store_true", help="write per-child masks as RLE text"
-            )
     return parser
 
 

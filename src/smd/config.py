@@ -19,15 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .boundary import DEFAULT_RESOLUTION, cell_tag
+from .boundary import cell_tag
 from .datasets import Dataset, SplitSpec, load_csv, make_spirals, split
 from .divergence import GridSearchConfig
 from .errors import ConfigurationError
-from .evolution import GenerationConfig
 from .mutation import SUBSPACE_MODES, MutationParams, group_roles
 from .network import ACTIVATIONS, NetworkSpec
 from .training import OPTIMIZERS, TrainConfig
@@ -133,15 +131,15 @@ SCHEMA: dict[str, dict[str, tuple[Kind, object]]] = {
         "seed": (_SEED, 0),
     },
     "evolution": {
-        "pop_size": (_COUNT, None),
-        "top_k": (_COUNT, None),
-        "generations": (_COUNT, None),
+        "pop_size": (_COUNT, 16),
+        "top_k": (_COUNT, 8),
+        "generations": (_COUNT, 1),
         "master_seed": (_SEED, 0),
     },
     "boundary": {
         "sigma_grid": (_list_of(_NONNEGATIVE), REQUIRED),
         "rho_grid": (_list_of(_RHO), REQUIRED),
-        "resolution": (_COUNT, DEFAULT_RESOLUTION),
+        "resolution": (_COUNT, 200),
         "seed": (_SEED, 0),
     },
     "ablation": {
@@ -251,10 +249,9 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
     built from them. A section the command does not read is an error;
     `section` checks each section the command reads once, then every rule
     that ties keys together is applied. The output directory is made first
-    (SMD_OUT, then --out, then `output.dir`), so a failed check leaves it
-    empty."""
+    (--out, else `output.dir`), so a failed check leaves it empty."""
     output = section(cfg, "output")
-    out_dir = Path(os.environ.get("SMD_OUT") or cli_out or output["dir"])
+    out_dir = Path(cli_out or output["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     reads = _SECTIONS[command]
     unread = sorted(cfg.keys() - {*reads, "output", "_comment"})
@@ -267,9 +264,10 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
         if name not in cfg:
             raise ConfigurationError(f"config is missing the '{name}' section")
         checked[name] = section(cfg, name)
+    split = _task_rules(checked["task"], cfg["task"].keys())
     run = {
         "out_dir": out_dir,
-        "task": TaskSets(checked["task"], *_DATASETS[command], _task_rules(checked["task"])),
+        "task": TaskSets(checked["task"], *_DATASETS[command], split),
         **_model(checked["model"], command),
     }
     if command == "search":
@@ -282,8 +280,7 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
     elif command == "evolve":
         sizes = dict(checked["evolution"])
         run["master_seed"] = sizes.pop("master_seed")
-        pop_size = sizes.get("pop_size", GenerationConfig.pop_size)
-        _population(pop_size, sizes.get("top_k", GenerationConfig.top_k), checked["mutation"])
+        _population(sizes["pop_size"], sizes["top_k"], checked["mutation"])
         run.update(sizes=sizes, mutation=_mutation(checked["mutation"]))
     elif command == "boundary":
         sigmas, rhos = checked["boundary"]["sigma_grid"], checked["boundary"]["rho_grid"]
@@ -299,24 +296,35 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
     return run
 
 
-def _task_rules(task: dict) -> SplitSpec | None:
+def _task_rules(task: dict, written) -> SplitSpec | None:
     """A csv task names its files one of two ways; a spirals task's sample
     counts split evenly between its two spirals; an eval pool is split by
-    fractions that sum to 1. Returns the eval pool's split, or None when a
-    csv task names its validation and test files."""
+    fractions that sum to 1; the config writes no task key that the task's
+    form never reads (`written` are the keys as written, since `task` also
+    holds defaults). Returns the eval pool's split, or None when a csv task
+    names its validation and test files."""
     if task["dataset"] == "spirals":
         for key in ("n_train", "n_eval"):
             if task[key] % 2:
                 raise ConfigurationError(
                     f"task '{key}' must be even, half for each spiral, got {task[key]}"
                 )
-    if task["dataset"] == "csv":
+        form, unread = "a spirals task", {"train_csv", "eval_csv", "val_csv", "test_csv"}
+    else:
         if "train_csv" not in task:
             raise ConfigurationError("csv task needs 'train_csv'")
         if ("val_csv" in task) != ("test_csv" in task):
             raise ConfigurationError("csv task needs both 'val_csv' and 'test_csv'")
         if "val_csv" not in task and "eval_csv" not in task:
             raise ConfigurationError("csv task needs 'eval_csv' or val_csv/test_csv")
+        form = "a csv task"
+        unread = {"n_train", "n_eval", "noise_std", "turns", "train_seed", "eval_seed"}
+        if "val_csv" in task:
+            form += " that names val_csv and test_csv"
+            unread |= {"eval_csv", "eval_fractions", "split_seed"}
+    unread = sorted(unread & written)
+    if unread:
+        raise ConfigurationError(f"task '{unread[0]}' is not read by {form}")
     if task["dataset"] == "spirals" or "val_csv" not in task:
         return SplitSpec(task["eval_fractions"], task["split_seed"])
     return None

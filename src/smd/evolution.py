@@ -44,9 +44,9 @@ ABLATION_CSV_COLUMNS = ("sigma", "rho", "mode", "seed", "mean_kl", "avg_acc", "e
 @dataclass
 class GenerationConfig:
     mutation: MutationParams
-    pop_size: int = 16
-    top_k: int = 8
-    generations: int = 1
+    pop_size: int
+    top_k: int
+    generations: int
 
 
 @dataclass
@@ -174,7 +174,7 @@ def evaluate_fitness(
         members = children[run[0] : run[1]]
         return [softmax(z) for z in child_logits(parent, params, members, val.inputs, scratch)]
 
-    scored = _map_points(score, runs, n) if len(runs) > 1 else {runs[0]: score(runs[0])}
+    scored = _map_points(score, runs, n)
     val_probs = [probs for run in runs for probs in scored[run]]
     fitness = np.array([accuracy(probs, val.labels) for probs in val_probs])
     val_nll = np.array([nll_loss(probs, val.labels) for probs in val_probs])
@@ -396,8 +396,8 @@ def run_ablation(
     val: Dataset,
     test: Dataset,
     seeds: list[int],
-    pop_size: int = 16,
-    top_k: int = 4,
+    pop_size: int,
+    top_k: int,
     jobs: int = 1,
 ) -> list[dict]:
     """Full factorial sweep over (sigma, rho, subspace mode, seed).

@@ -224,13 +224,14 @@ def child_supports(
     """Each child's sign, support indices and noise values, in order.
 
     This is the one place that maps a seed record to the coordinates its
-    child perturbs: `working_genomes` writes them, and `evolve --dump-masks`
-    reports them. A mask is drawn once per run of consecutive children that
-    share its seed: once per group in dynamic mode, once per pass in static
-    mode. Each support of a mask (M, or M' for the anti-random roles) is
-    located once, and the mask is released once every support the strategy
-    uses is located. Noise is drawn once per support and group. Children on
-    one support share one index array, so `written is index` tells
+    child perturbs: `working_genomes` writes them, and an evolve report's
+    `per_child` records with its `config.mutation` echo rebuild them. A
+    mask is drawn once per run of consecutive children that share its
+    seed: once per group in dynamic mode, once per pass in static mode.
+    Each support of a mask (M, or M' for the anti-random roles) is located
+    once, and the mask is released once every support the strategy uses is
+    located. Noise is drawn once per support and group. Children on one
+    support share one index array, so `written is index` tells
     `working_genomes` that a child overwrites the support before it.
     """
     supports_used = 2 if params.anti_random else 1
@@ -277,15 +278,4 @@ def _write_support(
             "mutation noise added to the parent gives non-finite parameters"
         )
     genome[index] = patch
-
-
-def mask_to_rle(mask: np.ndarray) -> str:
-    """Run-length encoding "bitxcount ..." for debug dumps only."""
-    mask = np.asarray(mask, dtype=np.uint8)
-    if mask.size == 0:
-        return ""
-    edges = np.flatnonzero(np.diff(mask)) + 1
-    starts = np.concatenate([[0], edges])
-    ends = np.concatenate([edges, [mask.size]])
-    return " ".join(f"{int(mask[s])}x{e - s}" for s, e in zip(starts, ends))
 

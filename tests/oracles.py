@@ -76,8 +76,20 @@ def partition_masks(w: int, n_parts: int, seed: int) -> list[np.ndarray]:
     return [(assign == p).astype(np.uint8) for p in range(n_parts)]
 
 
+def mask_to_rle(mask: np.ndarray) -> str:
+    """Run-length encoding "bitxcount ..." of a 0/1 mask, as the pinned
+    support digests of the CLI tests are taken."""
+    mask = np.asarray(mask, dtype=np.uint8)
+    if mask.size == 0:
+        return ""
+    edges = np.flatnonzero(np.diff(mask)) + 1
+    starts = np.concatenate([[0], edges])
+    ends = np.concatenate([edges, [mask.size]])
+    return " ".join(f"{int(mask[s])}x{e - s}" for s, e in zip(starts, ends))
+
+
 def rle_to_mask(text: str) -> np.ndarray:
-    """Inverse of `mutation.mask_to_rle`."""
+    """Inverse of `mask_to_rle`."""
     parts = []
     for token in text.split():
         bit, count = token.split("x")

@@ -243,6 +243,7 @@ class TestCriterion06TableShapedImprovement:
             mutation=MutationParams(sigma=found["sigma"], rho=found["rho"]),
             pop_size=16,
             top_k=8,
+            generations=1,
         )
         deltas = np.array(
             [
@@ -313,7 +314,7 @@ class TestCriterion07RerunDeterminism:
 class TestCriterion08ZeroMutationFixedPoint:
     def test_sigma_1e12(self, bench_task):
         cfg = GenerationConfig(
-            mutation=MutationParams(sigma=1e-12, rho=0.5), pop_size=8, top_k=4
+            mutation=MutationParams(sigma=1e-12, rho=0.5), pop_size=8, top_k=4, generations=1
         )
         rep = run_generation(bench_task.parent, cfg, bench_task.val, bench_task.test, 5)
         p, a, e = rep.parent_metrics, rep.averaged_metrics, rep.ensemble_metrics

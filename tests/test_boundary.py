@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -28,6 +31,7 @@ from smd.datasets import make_spirals
 from smd.network import NetworkSpec, forward, init_network, softmax, workspace
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = CONFIG_DIR.parent / "src"
 
 
 def evaluate(net, bounds, resolution):
@@ -290,6 +294,49 @@ class TestBlocks:
         monkeypatch.setattr("smd.boundary.workspace", counting_workspace)
         export_boundary_cells(net, data, [0.05, 0.25], [0.0, 0.9], tmp_path, 3, resolution=90)
         assert made == [8000]
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """`boundary` on a net whose 256 x 256 layer OpenBLAS splits between
+        threads writes the same bytes at one BLAS thread and at two. At
+        resolution 100 each cell forwards one 8,000-point block and one
+        2,000-point block. Each run is a child process with its own
+        OPENBLAS_NUM_THREADS."""
+        import smd.evolution
+
+        if smd.evolution._blas_threads() is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        ckpt = tmp_path / "wide.ckpt"
+        save_checkpoint(init_network(NetworkSpec([2, 256, 256, 2], seed=3)), ckpt)
+        payload = {
+            "task": {"dataset": "spirals", "n_train": 200, "n_eval": 100},
+            "model": {"checkpoint": str(ckpt)},
+            "boundary": {"sigma_grid": [0.0, 0.05], "rho_grid": [0.9], "resolution": 100},
+        }
+        path = tmp_path / "boundary.json"
+        path.write_text(json.dumps(payload))
+        script = (
+            "import sys\n"
+            "import smd.cli, smd.evolution\n"
+            "code = smd.cli.main(sys.argv[1:])\n"
+            "print(smd.evolution._blas_threads()[0]())\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p
+        ))
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            done = subprocess.run(
+                [sys.executable, "-c", script, "boundary", "--config", str(path), "--out", str(out)],
+                env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.splitlines()[-1] == threads
+            written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert len(written[0]) == 4
+        assert written[0] == written[1]
 
 
 @pytest.fixture()

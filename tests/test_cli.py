@@ -26,10 +26,10 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src"
 
 
-# SHA-256 of `evolve --dump-masks`'s masks.rle.txt for each strategy at
-# rho 0.5, on `trained`'s checkpoint, keyed by (mirrored, anti_random,
-# subspace_mode). Recorded before the dump read its supports from
-# `mutation.child_supports`; that change kept every byte.
+# SHA-256 of the mask dump (`mask_dump`) of an evolve run for each strategy
+# at rho 0.5, on `trained`'s checkpoint, keyed by (mirrored, anti_random,
+# subspace_mode). Recorded when `evolve --dump-masks` wrote the same text;
+# the report alone now rebuilds it byte for byte.
 MASK_DUMPS = {
     (False, False, "dynamic"): "8fbcaf687b15d1a01f0e991d58d03d1ee069535ba4059620d0becc9670fdc718",
     (False, False, "static"): "97fc12df63e645ec6b21588883a1cc5f7120ee28e1f569d13266d1ee443f87bd",
@@ -54,6 +54,28 @@ def small_task(out_dir, n_eval=600):
         "split_seed": 3,
         "eval_fractions": [0.5, 0.5],
     }
+
+
+def mask_dump(out):
+    """One line per reported child, "<index> group=<g> role=<r> <RLE of its
+    support>", rebuilt from eval_report.json's `per_child` seed records and
+    `config.mutation` echo, and the width of the checkpoint in `out`."""
+    from smd.checkpoint import load_checkpoint
+    from smd.mutation import Child, MutationParams, child_supports
+
+    from oracles import mask_to_rle
+
+    report = json.loads((out / "eval_report.json").read_text())
+    w = load_checkpoint(out / "model.ckpt").params.w
+    params = MutationParams(**report["config"]["mutation"])
+    records = report["per_child"]
+    children = [Child(c["seed"], c["mask_seed"], c["group"], c["role"]) for c in records]
+    lines = []
+    for c, (_, index, _) in zip(records, child_supports(w, params, children), strict=True):
+        support = np.zeros(w, dtype=np.uint8)
+        support[index] = 1
+        lines.append(f"{c['index']} group={c['group']} role={c['role']} {mask_to_rle(support)}")
+    return "\n".join(lines) + "\n"
 
 
 def write_config(path, payload):
@@ -284,15 +306,11 @@ class TestEvolveCommand:
         path = write_config(base / "overlap.json", payload)
         assert main(["evolve", "--config", path]) == 5
 
-    def test_dump_masks_flag(self, trained):
-        path, out = self.evolve_config(trained)
-        assert main(["evolve", "--config", path, "--dump-masks"]) == 0
-        dump = (out / "masks.rle.txt").read_text().splitlines()
-        assert len(dump) == 8
-        assert "role=" in dump[0]
-
     @pytest.mark.parametrize("mirrored", [True, False])
     def test_dump_masks_match_child_support(self, trained, mirrored):
+        """The report's seed records rebuild the drawn population, and the
+        supports `mask_dump` rebuilds from them are the coordinates the
+        oracle's genomes perturb."""
         from smd.checkpoint import load_checkpoint
         from smd.evolution import _GENERATION_NS
         from smd.mutation import MutationParams, derive_seed, spawn_mutations
@@ -301,16 +319,16 @@ class TestEvolveCommand:
 
         mutation = {"sigma": 0.05, "rho": 0.5, "mirrored": mirrored, "anti_random": True}
         path, out = self.evolve_config(trained, mutation)
-        assert main(["evolve", "--config", path, "--dump-masks"]) == 0
+        assert main(["evolve", "--config", path]) == 0
         parent = load_checkpoint(out / "model.ckpt")
         seed = derive_seed(0, _GENERATION_NS, 0)
         params = MutationParams(**mutation)
         children = spawn_mutations(parent.params, params, 8, seed)
-        dump = (out / "masks.rle.txt").read_text().splitlines()
+        dump = mask_dump(out).splitlines()
         roles = set()
         for line, child in zip(dump, children, strict=True):
-            _, _, role, rle = line.split(" ", 3)
-            assert role == f"role={child.role}"
+            _, group, role, rle = line.split(" ", 3)
+            assert (group, role) == (f"group={child.group}", f"role={child.role}")
             roles.add(child.role)
             genome = seed_record_genome(parent.params, params, child)
             support = (genome.values != parent.params.values).astype(np.uint8)
@@ -319,13 +337,15 @@ class TestEvolveCommand:
 
     @pytest.mark.parametrize("mirrored, anti_random, mode", sorted(MASK_DUMPS))
     def test_dump_masks_bytes_pinned(self, trained, mirrored, anti_random, mode):
+        """The report alone rebuilds every child's support, and no support
+        moved since the digests were taken."""
         mutation = {
             "sigma": 0.05, "rho": 0.5, "subspace_mode": mode,
             "mirrored": mirrored, "anti_random": anti_random,
         }
         path, out = self.evolve_config(trained, mutation)
-        assert main(["evolve", "--config", path, "--dump-masks"]) == 0
-        digest = hashlib.sha256((out / "masks.rle.txt").read_bytes()).hexdigest()
+        assert main(["evolve", "--config", path]) == 0
+        digest = hashlib.sha256(mask_dump(out).encode()).hexdigest()
         assert digest == MASK_DUMPS[mirrored, anti_random, mode]
 
     @pytest.mark.parametrize("flag", [["--repeats", "0"], ["--repeats", "-3"]])
@@ -626,7 +646,6 @@ class TestAblateWorkers:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p
         ))
-        env.pop("SMD_OUT", None)  # it would override the output directory
         done = subprocess.run(
             [sys.executable, "-c", script, command, "--config", path],
             cwd=inputs, env=env, capture_output=True, text=True, timeout=120,
@@ -754,7 +773,6 @@ class TestEvolveWorkers:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p
         ))
-        env.pop("SMD_OUT", None)  # it would override the output directory
         written = []
         for how, threads, forks in (("serial", "1", 0), ("serial", "2", 0), ("forked", "2", 2)):
             out = tmp_path / f"{how}{threads}"
@@ -769,23 +787,31 @@ class TestEvolveWorkers:
         assert written[0] == written[1] == written[2]
 
 
+def assert_flag_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestEvolveOnlyFlags:
     @pytest.mark.parametrize("command", ["train", "search", "boundary", "ablate"])
-    @pytest.mark.parametrize("flag", [["--repeats", "2"], ["--dump-masks"]])
+    @pytest.mark.parametrize("flag", [["--repeats", "2"]])
     def test_rejected_by_other_commands(self, tmp_path, command, flag, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(tmp_path / "unread.json"), *flag])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert_flag_rejected([command, "--config", str(tmp_path / "unread.json"), *flag], capsys)
 
 
 class TestRemovedFlags:
     @pytest.mark.parametrize("command", ["train", "search", "evolve", "boundary", "ablate"])
     def test_workers_rejected(self, tmp_path, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(tmp_path / "unread.json"), "--workers", "2"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        argv = [command, "--config", str(tmp_path / "unread.json"), "--workers", "2"]
+        assert_flag_rejected(argv, capsys)
+
+    @pytest.mark.parametrize("command", ["train", "search", "evolve", "boundary", "ablate"])
+    def test_dump_masks_rejected(self, tmp_path, command, capsys):
+        """The report's seed records rebuild what the dump wrote (`mask_dump`)."""
+        argv = [command, "--config", str(tmp_path / "unread.json"), "--dump-masks"]
+        assert_flag_rejected(argv, capsys)
 
 
 # Valid alternative values for each evolution key and each mutation
@@ -872,8 +898,7 @@ def key_bases(tmp_path_factory):
     spirals = {"dataset": "spirals", "n_train": 100, "n_eval": 200, "noise_std": 0.05,
                "turns": 1.75, "train_seed": 1, "eval_seed": 2, "split_seed": 3,
                "eval_fractions": [0.5, 0.5]}
-    csv = {"dataset": "csv", "n_train": 100, "n_eval": 200, "train_csv": "train.csv",
-           "eval_csv": "eval.csv"}
+    csv = {"dataset": "csv", "train_csv": "train.csv", "eval_csv": "eval.csv"}
     split_csv = {"dataset": "csv", "train_csv": "train.csv", "val_csv": "val.csv",
                  "test_csv": "test.csv"}
     fresh = {
@@ -910,7 +935,8 @@ def key_bases(tmp_path_factory):
 SCHEMA_KEYS = [(name, key) for name, keys in SCHEMA.items() for key in keys]
 
 # For every SCHEMA key, the base config whose run it must change, and a
-# valid value other than the base's.
+# valid value other than the base's. `task.dataset` also drops the csv
+# paths, which a spirals task does not read.
 KEY_CHANGES = {
     "task.dataset": ("train_csv", "spirals"),
     "task.n_train": ("train", 120),
@@ -1021,7 +1047,6 @@ class TestConfigKeyContract:
         base, value = KEY_CHANGES[f"{name}.{key}"]
         inputs, bases = key_bases
         monkeypatch.chdir(inputs)
-        monkeypatch.delenv("SMD_OUT", raising=False)
         command, cfg = bases[base]
         changed = json.loads(json.dumps(cfg))
         node = changed
@@ -1029,6 +1054,8 @@ class TestConfigKeyContract:
             node = node.setdefault(part, {})
         assert node.get(key) != value
         node[key] = value
+        if f"{name}.{key}" == "task.dataset":
+            del node["train_csv"], node["eval_csv"]
         before = _run_outcome(command, cfg)
         after = _run_outcome(command, changed)
         assert before[0] in (0, 4) and after[0] in (0, 4)
@@ -1077,7 +1104,6 @@ class TestOneCheckPerSection:
 
         inputs, bases = key_bases
         monkeypatch.chdir(inputs)
-        monkeypatch.delenv("SMD_OUT", raising=False)
         checks, section = [], smd.config.section
 
         def counting(cfg, name, *rest, **kwargs):
@@ -1118,7 +1144,6 @@ class TestTaskSets:
             monkeypatch.setattr(module, name, no_read)
         inputs, bases = key_bases
         monkeypatch.chdir(inputs)
-        monkeypatch.delenv("SMD_OUT", raising=False)
         command, cfg = bases[base]
         cfg = dict(cfg, task=dict(cfg["task"], **{key: 101}))
         assert _run_outcome(command, cfg)[1:] == ([], [])
@@ -1142,7 +1167,6 @@ class TestTaskSets:
         monkeypatch.setattr(smd.config, "make_spirals", counting)
         inputs, bases = key_bases
         monkeypatch.chdir(inputs)
-        monkeypatch.delenv("SMD_OUT", raising=False)
         command, cfg = bases[base]
         assert _run_outcome(command, cfg)[0] in (0, 4)
         assert sizes == [cfg["task"][key] for key in built]
@@ -1342,7 +1366,6 @@ class TestUnreadConfig:
     def run_in(self, key_bases, monkeypatch):
         inputs, bases = key_bases
         monkeypatch.chdir(inputs)
-        monkeypatch.delenv("SMD_OUT", raising=False)
         return bases
 
     def test_search_directive_in_evolve_exits_2(self, run_in, monkeypatch, capsys):
@@ -1389,8 +1412,9 @@ class TestUnreadConfig:
 
 
 # Bad values for each command, as (base config, dotted key path, value); the
-# "csv" base trains from csv files. `config.check` is the one check of each
-# value: no dataclass or sampler built from it checks it again.
+# "csv" base trains from csv files with an eval pool, "split_csv" from csv
+# files that name the validation and test sets. `config.check` is the one
+# check of each value: no dataclass or sampler built from it checks it again.
 STRICT_CONFIG_CASES = [
     ("search", "mutation.search.seed", -1),
     ("search", "mutation.search.seed", 1.5),
@@ -1422,6 +1446,20 @@ STRICT_CONFIG_CASES = [
     ("train", "task.eval_fractions", [-0.5, 1.5]),
     ("train", "task.dataset", 5),
     ("csv", "task.eval_fractions", [0.4, 0.3, 0.3]),
+    # a key the task's form never reads
+    ("train", "task.train_csv", "train.csv"),
+    ("train", "task.eval_csv", "eval.csv"),
+    ("train", "task.val_csv", "val.csv"),
+    ("train", "task.test_csv", "test.csv"),
+    ("csv", "task.n_train", 200),
+    ("csv", "task.n_eval", 100),
+    ("csv", "task.noise_std", 0.05),
+    ("csv", "task.turns", 1.75),
+    ("csv", "task.train_seed", 1),
+    ("csv", "task.eval_seed", 2),
+    ("split_csv", "task.eval_fractions", [0.5, 0.5]),
+    ("split_csv", "task.split_seed", 3),
+    ("split_csv", "task.eval_csv", "eval.csv"),
     ("train", "model.layer_sizes", [2, 8.7, 2]),
     ("train", "model.seed", True),
     ("train", "model.train.learning_rate", "0.01"),
@@ -1445,12 +1483,14 @@ def strict_bases(tmp_path_factory):
 
     base = tmp_path_factory.mktemp("strict")
     save_checkpoint(init_network(NetworkSpec([2, 8, 2], seed=1)), base / "tiny.ckpt")
-    save_csv(make_spirals(100, seed=1), base / "train.csv")
-    save_csv(make_spirals(100, seed=2), base / "eval.csv")
+    for name, seed in (("train", 1), ("eval", 2), ("val", 3), ("test", 4)):
+        save_csv(make_spirals(100, seed=seed), base / f"{name}.csv")
     task = {"dataset": "spirals", "n_train": 200, "n_eval": 100}
     train = {"task": task, "model": {"layer_sizes": [2, 8, 2], "train": {"epochs": 1}}}
     csv_task = {"dataset": "csv", "train_csv": str(base / "train.csv"),
                 "eval_csv": str(base / "eval.csv"), "eval_fractions": [0.5, 0.5]}
+    split_csv_task = {"dataset": "csv", "train_csv": str(base / "train.csv"),
+                      "val_csv": str(base / "val.csv"), "test_csv": str(base / "test.csv")}
     parent = {"checkpoint": str(base / "tiny.ckpt")}
     search = {
         "task": task,
@@ -1467,6 +1507,7 @@ def strict_bases(tmp_path_factory):
         "train": ("train", train),
         "search": ("search", search),
         "csv": ("train", dict(train, task=csv_task)),
+        "split_csv": ("train", dict(train, task=split_csv_task)),
         "evolve": ("evolve", evolve),
     }
 
@@ -1492,7 +1533,7 @@ class TestStrictConfigValues:
         assert f"error: {'.'.join(parts)} '{key}'" in capsys.readouterr().err
         assert not any(out.iterdir())
 
-    @pytest.mark.parametrize("base", ["train", "search", "csv", "evolve"])
+    @pytest.mark.parametrize("base", ["train", "search", "csv", "split_csv", "evolve"])
     def test_base_configs_run(self, strict_bases, tmp_path, base):
         command, cfg = strict_bases[base]
         path = write_config(tmp_path / "config.json", cfg)
@@ -1693,7 +1734,6 @@ class TestCheckpointArchitecture:
     def test_architecture_keys_exit_2(self, key_bases, monkeypatch, capsys, base, keys):
         inputs, bases = key_bases
         monkeypatch.chdir(inputs)
-        monkeypatch.delenv("SMD_OUT", raising=False)
         command, cfg = bases[base]
         assert _run_outcome(command, dict(cfg, model=dict(cfg["model"], **keys))) == (2, [], [])
         assert capsys.readouterr().err == (
@@ -1756,15 +1796,16 @@ class TestFileFormats:
 
 
 class TestOutputResolution:
-    def test_env_overrides_flag(self, trained, tmp_path, monkeypatch):
+    def test_env_does_not_redirect_output(self, trained, tmp_path, monkeypatch):
+        """`--out` and `output.dir` are the only ways to set the output
+        directory: an SMD_OUT left in the environment sets nothing."""
         base, out, cfg = trained
-        env_dir = tmp_path / "env_out"
-        monkeypatch.setenv("SMD_OUT", str(env_dir))
-        cfg2 = dict(cfg, output={"dir": str(tmp_path / "ignored")})
+        monkeypatch.setenv("SMD_OUT", str(tmp_path / "env_out"))
+        cfg2 = dict(cfg, output={"dir": str(tmp_path / "config_out")})
         path = write_config(base / "envtrain.json", cfg2)
-        assert main(["train", "--config", path, "--out", str(tmp_path / "also_ignored")]) == 0
-        assert (env_dir / "model.ckpt").exists()
-        assert not (tmp_path / "ignored").exists()
+        assert main(["train", "--config", path]) == 0
+        assert (tmp_path / "config_out" / "model.ckpt").exists()
+        assert not (tmp_path / "env_out").exists()
 
     def test_flag_overrides_config(self, trained, tmp_path):
         base, out, cfg = trained
@@ -1799,7 +1840,6 @@ class TestShippedConfigs:
         a stand-in for it is written where the config points."""
         assert sorted(p.name for p in CONFIG_DIR.iterdir()) == sorted(SHIPPED_CONFIGS)
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("SMD_OUT", raising=False)
         for name, command in SHIPPED_CONFIGS.items():
             cfg = load_config(CONFIG_DIR / name)
             if "search_result" in cfg.get("mutation", {}):

@@ -214,7 +214,7 @@ class CountingDataset(Dataset):
 class TestRunGeneration:
     def gen_cfg(self, **kw):
         base = dict(
-            mutation=MutationParams(sigma=0.05, rho=0.5), pop_size=8, top_k=4
+            mutation=MutationParams(sigma=0.05, rho=0.5), pop_size=8, top_k=4, generations=1
         )
         base.update(kw)
         return GenerationConfig(**base)
@@ -346,7 +346,9 @@ class TestGenerationMemory:
         parent = Network(spec, ParamVector(values))
         val = make_spirals(250, seed=2)
         test = make_spirals(250, seed=3)
-        cfg = GenerationConfig(MutationParams(sigma=0.01, rho=0.5), pop_size=32, top_k=4)
+        cfg = GenerationConfig(
+            MutationParams(sigma=0.01, rho=0.5), pop_size=32, top_k=4, generations=1
+        )
         genome_bytes = parent.params.w * 8
         tracemalloc.start()
         try:
@@ -366,7 +368,7 @@ class TestGenerationMemory:
         val = make_spirals(250, seed=2)
         test = make_spirals(250, seed=3)
         params = MutationParams(sigma=0.01, rho=0.5, anti_random=anti_random)
-        cfg = GenerationConfig(params, pop_size=32, top_k=16)
+        cfg = GenerationConfig(params, pop_size=32, top_k=16, generations=1)
         genome_bytes = parent.params.w * 8
         tracemalloc.start()
         try:
@@ -486,6 +488,8 @@ class TestRunAblation:
             val=bench_task.val,
             test=bench_task.test,
             seeds=[0, 1, 2, 3, 4],
+            pop_size=16,
+            top_k=4,
         )
         by_rho = {rho: [r for r in rows if r["rho"] == rho] for rho in (0.0, 0.9)}
         dense_ens = np.mean([r["ens_acc"] for r in by_rho[0.0]])
@@ -504,6 +508,8 @@ class TestRunAblation:
             val=bench_task.val,
             test=bench_task.test,
             seeds=[0, 1, 2, 3, 4],
+            pop_size=16,
+            top_k=4,
         )
         by_mode = {
             mode: np.mean([r["ens_acc"] for r in rows if r["mode"] == mode])
@@ -553,15 +559,15 @@ class TestAblationJobs:
         self, spiral_task, serial_rows, monkeypatch, jobs
     ):
         real = evolution._map_points
-        handed = []
+        handed = []  # the points of each call: the sweep's, then its scoring passes' runs
 
         def reversed_points(task, points, jobs):
-            handed.extend(points[::-1])
+            handed.append(points[::-1])
             return real(task, points[::-1], jobs)
 
         monkeypatch.setattr(evolution, "_map_points", reversed_points)
         assert self.ablate(spiral_task, jobs) == serial_rows
-        assert len(handed) == 12 and handed[0] == (0.1, 0.5, "dynamic", 1)
+        assert len(handed[0]) == 12 and handed[0][0] == (0.1, 0.5, "dynamic", 1)
 
     def test_runs_here_without_blas_thread_functions(
         self, spiral_task, serial_rows, monkeypatch, forks
@@ -660,8 +666,8 @@ class TestForkedScoring:
             handed.extend(points)
             return real(task, points, jobs)
 
-        monkeypatch.setattr(evolution, "_map_points", recording)
         serial = self.score(spiral_task, 1, *strategy)
+        monkeypatch.setattr(evolution, "_map_points", recording)
         monkeypatch.setattr(evolution, "_FORK_MIN_MACS", 0)
         self.assert_same(self.score(spiral_task, 3, *strategy), serial)
         assert handed == runs

@@ -15,7 +15,6 @@ from smd.mutation import (
     child_logits,
     child_supports,
     derive_seed,
-    mask_to_rle,
     sample_mask,
     sample_noise,
     spawn_mutations,
@@ -23,7 +22,7 @@ from smd.mutation import (
 )
 from smd.network import Network, NetworkSpec, ParamVector, forward, workspace
 
-from oracles import child_genome, partition_masks, rle_to_mask, seed_record_genome
+from oracles import child_genome, mask_to_rle, partition_masks, rle_to_mask, seed_record_genome
 
 
 def f32_genome(rng, w):

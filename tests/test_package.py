@@ -2,6 +2,8 @@
 belongs in tests/oracles.py."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "smd"
@@ -75,3 +77,31 @@ def test_no_module_imports_the_worker_pool_at_module_level():
 
 def test_no_module_imports_a_process_pool():
     assert _found(POOL_IMPORTS, module_level=False) == []
+
+
+def test_a_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
+    """Under this repo's pytest settings, where every warning is an error, a
+    failing `@given` test is reported and the tests after it still run.
+    Hypothesis's failure report imports libcst, which raises a
+    DeprecationWarning; unfiltered, it ends the run with an INTERNALERROR
+    and no summary."""
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None, max_examples=5)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x != x\n\n\n"
+        "def test_passes():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    config = PACKAGE.parent.parent / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider", "-q",
+         str(tmp_path / "test_two.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    output = done.stdout + done.stderr
+    assert done.returncode == 1, output
+    assert "1 failed, 1 passed" in done.stdout, output
+    assert "INTERNALERROR" not in output

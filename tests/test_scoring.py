@@ -218,7 +218,7 @@ class TestAblationPoints:
                     for seed in seeds:
                         cfg = GenerationConfig(
                             MutationParams(sigma=sigma, rho=rho, subspace_mode=mode),
-                            pop_size=4, top_k=2,
+                            pop_size=4, top_k=2, generations=1,
                         )
                         report = evolution._report(
                             *evolution._evolve(t.parent, cfg, t.val, seed),
