@@ -73,7 +73,7 @@ def _check_task(spec: NetworkSpec, data: Dataset) -> None:
         )
 
 
-def cmd_train(run: dict, args: argparse.Namespace) -> int:
+def cmd_train(run: dict) -> int:
     train, val, _ = cfgmod.build_task_data(run["task"])
     _check_task(run["spec"], train)
 
@@ -112,7 +112,7 @@ def _load_parent(path: Path, data: Dataset) -> Network:
     return parent
 
 
-def cmd_search(run: dict, args: argparse.Namespace) -> int:
+def cmd_search(run: dict) -> int:
     _, val, _ = cfgmod.build_task_data(run["task"])
     parent = _load_parent(run["checkpoint"], val)
     search = run["search"]
@@ -142,7 +142,7 @@ def cmd_search(run: dict, args: argparse.Namespace) -> int:
     return EXIT_OK if outcome.in_band else EXIT_OUT_OF_BAND
 
 
-def cmd_evolve(run: dict, args: argparse.Namespace) -> int:
+def cmd_evolve(run: dict) -> int:
     _, val, test = cfgmod.build_task_data(run["task"])
     if not datasets_disjoint(val, test):
         raise DataHygieneError("validation and test sets share samples")
@@ -151,7 +151,7 @@ def cmd_evolve(run: dict, args: argparse.Namespace) -> int:
 
     # Best-of-R selection peeks only at validation-side accuracy.
     best = run_generation(
-        parent, gen_cfg, val, test, run["master_seed"], args.repeats, _usable_cpus()
+        parent, gen_cfg, val, test, run["master_seed"], run["repeats"], _usable_cpus()
     )
     _write_json(run["out_dir"] / "eval_report.json", best.to_json_dict())
     write_eval_csv(best, run["out_dir"] / "eval_report.csv")
@@ -159,7 +159,7 @@ def cmd_evolve(run: dict, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_boundary(run: dict, args: argparse.Namespace) -> int:
+def cmd_boundary(run: dict) -> int:
     train, _, _ = cfgmod.build_task_data(run["task"])
     parent = _load_parent(run["checkpoint"], train)
     boundary = run["boundary"]
@@ -176,7 +176,7 @@ def cmd_boundary(run: dict, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(run: dict, args: argparse.Namespace) -> int:
+def cmd_ablate(run: dict) -> int:
     _, val, test = cfgmod.build_task_data(run["task"])
     if not datasets_disjoint(val, test):
         raise DataHygieneError("validation and test sets share samples")
@@ -205,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
-        if name == "evolve":
-            p.add_argument("--repeats", type=int, default=1, help="best-of-R evolve runs")
     return parser
 
 
@@ -221,10 +219,8 @@ def _usable_cpus() -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "repeats", 1) < 1:
-            raise ConfigurationError(f"--repeats must be >= 1, got {args.repeats}")
         run = cfgmod.check(cfgmod.load_config(args.config), args.command, args.out)
-        return _COMMANDS[args.command](run, args)
+        return _COMMANDS[args.command](run)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES[type(exc)]

@@ -4,8 +4,9 @@
 `section` checks a section, or a nested object such as `model.train`,
 against it. Unknown keys, values of the wrong kind and missing required keys
 are configuration errors that name the section and the key, so typos fail
-loudly instead of silently using defaults. A default of None leaves an absent
-key out, so the dataclass the key builds supplies its own default.
+loudly instead of silently using defaults. A None default marks an optional
+key with no default; a default that the class or function the key builds
+declares is read from it (`TrainConfig.epochs`), never copied.
 
 `check` is the one check of a command's config, run before any data or
 checkpoint is read: it runs `section` once per section, applies every rule
@@ -83,8 +84,8 @@ SCHEMA: dict[str, dict[str, tuple[Kind, object]]] = {
         "dataset": (_one_of(("spirals", "csv")), "spirals"),
         "n_train": (_COUNT, 2500),
         "n_eval": (_COUNT, 1000),
-        "noise_std": (_NONNEGATIVE, None),
-        "turns": (_POSITIVE, None),
+        "noise_std": (_NONNEGATIVE, make_spirals.__kwdefaults__["noise_std"]),
+        "turns": (_POSITIVE, make_spirals.__kwdefaults__["turns"]),
         "train_seed": (_SEED, 1),
         "eval_seed": (_SEED, 2),
         "split_seed": (_SEED, 3),
@@ -96,45 +97,46 @@ SCHEMA: dict[str, dict[str, tuple[Kind, object]]] = {
     },
     "model": {
         "layer_sizes": (_list_of(_COUNT), None),
-        "hidden_activation": (_one_of(ACTIVATIONS), None),
-        "seed": (_SEED, None),
+        "hidden_activation": (_one_of(ACTIVATIONS), NetworkSpec.hidden_activation),
+        "seed": (_SEED, NetworkSpec.seed),
         "train": (OBJECT, None),
         "checkpoint": (STRING, None),
     },
     "model.train": {
-        "optimizer": (_one_of(OPTIMIZERS), None),
-        "learning_rate": (_POSITIVE, None),
-        "epochs": (_COUNT, None),
-        "batch_size": (_COUNT, None),
-        "adam_beta1": (_BETA, None),
-        "adam_beta2": (_BETA, None),
-        "adam_eps": (_POSITIVE, None),
-        "shuffle_seed": (_SEED, None),
+        "optimizer": (_one_of(OPTIMIZERS), TrainConfig.optimizer),
+        "learning_rate": (_POSITIVE, TrainConfig.learning_rate),
+        "epochs": (_COUNT, TrainConfig.epochs),
+        "batch_size": (_COUNT, TrainConfig.batch_size),
+        "adam_beta1": (_BETA, TrainConfig.adam_beta1),
+        "adam_beta2": (_BETA, TrainConfig.adam_beta2),
+        "adam_eps": (_POSITIVE, TrainConfig.adam_eps),
+        "shuffle_seed": (_SEED, TrainConfig.shuffle_seed),
     },
     "mutation": {
         "sigma": (_POSITIVE, None),
         "rho": (_RHO, None),
-        "mu": (_number(), None),
-        "subspace_mode": (_one_of(SUBSPACE_MODES), None),
-        "mirrored": (BOOL, None),
-        "anti_random": (BOOL, None),
+        "mu": (_number(), MutationParams.mu),
+        "subspace_mode": (_one_of(SUBSPACE_MODES), MutationParams.subspace_mode),
+        "mirrored": (BOOL, MutationParams.mirrored),
+        "anti_random": (BOOL, MutationParams.anti_random),
         "search": (OBJECT, None),
         "search_result": (STRING, None),
     },
     "mutation.search": {
         "sigma_grid": (_list_of(_POSITIVE), REQUIRED),
         "rho_grid": (_list_of(_RHO), REQUIRED),
-        "kl_target": (_POSITIVE, None),
-        "kl_tolerance": (_POSITIVE, None),
-        "samples_per_cell": (_COUNT, None),
-        "probe_size": (_COUNT, None),
-        "seed": (_SEED, 0),
+        "kl_target": (_POSITIVE, GridSearchConfig.kl_target),
+        "kl_tolerance": (_POSITIVE, GridSearchConfig.kl_tolerance),
+        "samples_per_cell": (_COUNT, GridSearchConfig.samples_per_cell),
+        "probe_size": (_COUNT, GridSearchConfig.probe_size),
+        "seed": (_SEED, GridSearchConfig.seed),
     },
     "evolution": {
         "pop_size": (_COUNT, 16),
         "top_k": (_COUNT, 8),
         "generations": (_COUNT, 1),
         "master_seed": (_SEED, 0),
+        "repeats": (_COUNT, 1),
     },
     "boundary": {
         "sigma_grid": (_list_of(_NONNEGATIVE), REQUIRED),
@@ -264,22 +266,23 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
         if name not in cfg:
             raise ConfigurationError(f"config is missing the '{name}' section")
         checked[name] = section(cfg, name)
-    split = _task_rules(checked["task"], cfg["task"].keys())
+    written = {name: cfg[name].keys() - {"_comment"} for name in reads}  # without defaults
+    split = _task_rules(checked["task"], written["task"])
     run = {
         "out_dir": out_dir,
         "task": TaskSets(checked["task"], *_DATASETS[command], split),
-        **_model(checked["model"], command),
+        **_model(checked["model"], command, written["model"]),
     }
     if command == "search":
-        if checked["mutation"].keys() != {"search"}:
+        if written["mutation"] != {"search"}:
             raise ConfigurationError(
                 "the search command's mutation section holds a 'search' directive and "
-                f"nothing else, got keys {sorted(checked['mutation'])}"
+                f"nothing else, got keys {sorted(written['mutation'])}"
             )
         run["search"] = GridSearchConfig(**checked["mutation"]["search"])
     elif command == "evolve":
         sizes = dict(checked["evolution"])
-        run["master_seed"] = sizes.pop("master_seed")
+        run["master_seed"], run["repeats"] = sizes.pop("master_seed"), sizes.pop("repeats")
         _population(sizes["pop_size"], sizes["top_k"], checked["mutation"])
         run.update(sizes=sizes, mutation=_mutation(checked["mutation"]))
     elif command == "boundary":
@@ -330,7 +333,7 @@ def _task_rules(task: dict, written) -> SplitSpec | None:
     return None
 
 
-def _model(model: dict, command: str) -> dict:
+def _model(model: dict, command: str, written) -> dict:
     """The checkpoint path, or for `train` the network spec and training settings."""
     if ("train" in model) == ("checkpoint" in model):
         raise ConfigurationError("model section needs exactly one of 'train' or 'checkpoint'")
@@ -338,7 +341,7 @@ def _model(model: dict, command: str) -> dict:
     if wanted not in model:
         raise ConfigurationError(f"the {command} command needs model.{wanted}")
     if command != "train":
-        overridden = sorted(model.keys() & _ARCHITECTURE)
+        overridden = sorted(written.intersection(_ARCHITECTURE))
         if overridden:
             raise ConfigurationError(
                 f"model keys {overridden} do not apply beside 'checkpoint', "
@@ -347,7 +350,7 @@ def _model(model: dict, command: str) -> dict:
         return {"checkpoint": Path(model["checkpoint"])}
     if "layer_sizes" not in model:
         raise ConfigurationError("model section needs 'layer_sizes' to train from scratch")
-    spec = NetworkSpec(**{k: model[k] for k in _ARCHITECTURE if k in model})
+    spec = NetworkSpec(**{k: model[k] for k in _ARCHITECTURE})
     return {"spec": spec, "train_cfg": TrainConfig(**model["train"])}
 
 
@@ -385,7 +388,7 @@ def _mutation(mutation: dict) -> MutationParams:
     if not isinstance(found, dict) or not {"sigma", "rho"} <= found.keys():
         raise ConfigurationError(f"{source} needs both 'sigma' and 'rho', got {found!r}")
     sigma, rho = (_value(source, k, SCHEMA["mutation"][k][0], found[k]) for k in ("sigma", "rho"))
-    params = MutationParams(sigma, rho, **{k: mutation[k] for k in _STRATEGY if k in mutation})
+    params = MutationParams(sigma, rho, **{k: mutation[k] for k in _STRATEGY})
     if params.anti_random and rho == 0:
         raise ConfigurationError(
             f"mutation 'anti_random' needs rho > 0, got rho 0 from {source}: the complement "
@@ -403,7 +406,7 @@ def build_task_data(task: TaskSets) -> tuple[Dataset | None, Dataset | None, Dat
     """
     section, train = task.section, None
     if section["dataset"] == "spirals":
-        shape = {k: section[k] for k in ("noise_std", "turns") if k in section}
+        shape = {k: section[k] for k in ("noise_std", "turns")}
         if task.train:
             train = make_spirals(section["n_train"], seed=section["train_seed"], **shape)
         if not task.evaluation:

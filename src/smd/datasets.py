@@ -54,7 +54,7 @@ class SplitSpec:
             raise ConfigurationError(f"fractions must sum to 1, got {sum(self.fractions)}")
 
 
-def make_spirals(n: int, noise_std: float = 0.05, turns: float = 1.75, seed: int = 0) -> Dataset:
+def make_spirals(n: int, *, noise_std: float = 0.05, turns: float = 1.75, seed: int = 0) -> Dataset:
     """Two interleaved spirals, n/2 points per class.
 
     Each class traces r = t, angle = 2*pi*turns*t (+ pi for class 1) for
@@ -114,7 +114,7 @@ def load_csv(path: str | Path, class_count: int | None = None) -> Dataset:
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing file, or one that is not UTF-8
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
     rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
@@ -141,8 +141,8 @@ def load_csv(path: str | Path, class_count: int | None = None) -> Dataset:
             labels.append(int(fields[-1]))
         except ValueError:
             raise ParseError(f"{path}: row {lineno} has a non-integer label") from None
-        if labels[-1] < 0:
-            raise ParseError(f"{path}: row {lineno} has a negative label")
+        if not 0 <= labels[-1] < 2**63:  # a label is an int64
+            raise ParseError(f"{path}: row {lineno} has label {labels[-1]}, outside [0, 2**63)")
 
     inferred = max(labels) + 1
     if class_count is None:

@@ -81,7 +81,7 @@ class EvalReport:
     ensemble_val_accuracy: float
     config: dict
     seed: int
-    # With --repeats R > 1: each repeat's seed and ensemble validation
+    # With `evolution.repeats` R > 1: each repeat's seed and ensemble validation
     # accuracy, and the index of the reported one.
     repeats: list[dict] = field(default_factory=list)
     best_repeat: int = 0

@@ -215,7 +215,7 @@ class TestSearchCommand:
 
 
 class TestEvolveCommand:
-    def evolve_config(self, trained, mutation=None, seed=0):
+    def evolve_config(self, trained, mutation=None, seed=0, **evolution):
         base, out, cfg = trained
         payload = {
             "task": cfg["task"],
@@ -226,6 +226,7 @@ class TestEvolveCommand:
                 "top_k": 4,
                 "generations": 1,
                 "master_seed": seed,
+                **evolution,
             },
             "output": {"dir": str(out)},
         }
@@ -274,8 +275,8 @@ class TestEvolveCommand:
         assert len({c["mask_seed"] for c in report["per_child"]}) == 1
 
     def test_repeats_records_all_runs(self, trained):
-        path, out = self.evolve_config(trained)
-        assert main(["evolve", "--config", path, "--repeats", "3"]) == 0
+        path, out = self.evolve_config(trained, repeats=3)
+        assert main(["evolve", "--config", path]) == 0
         report = json.loads((out / "eval_report.json").read_text())
         assert len(report["repeats"]) == 3
         best = max(range(3), key=lambda r: report["repeats"][r]["ensemble_val_accuracy"])
@@ -348,11 +349,14 @@ class TestEvolveCommand:
         digest = hashlib.sha256(mask_dump(out).encode()).hexdigest()
         assert digest == MASK_DUMPS[mirrored, anti_random, mode]
 
-    @pytest.mark.parametrize("flag", [["--repeats", "0"], ["--repeats", "-3"]])
+    @pytest.mark.parametrize("flag", [{"repeats": 0}, {"repeats": -3}])
     def test_nonpositive_count_flags_exit_2(self, trained, flag, capsys):
-        path, out = self.evolve_config(trained)
-        assert main(["evolve", "--config", path, *flag]) == 2
-        assert "error:" in capsys.readouterr().err
+        """A count set below 1 in `evolution` names the key and runs nothing."""
+        path, out = self.evolve_config(trained, **flag)
+        assert main(["evolve", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: evolution 'repeats' must be an integer >= 1, got {flag['repeats']}\n"
+        )
         assert not (out / "eval_report.json").exists()
 
 
@@ -676,7 +680,7 @@ class TestEvolveWorkers:
 
         return cpus, calls
 
-    def evolve(self, trained, sigma=0.05, *flags):
+    def evolve(self, trained, sigma=0.05, repeats=1):
         """Exit code and output directory of a two-generation `evolve` on
         `trained`'s checkpoint; the directory is new to the run."""
         base, out, cfg = trained
@@ -685,18 +689,20 @@ class TestEvolveWorkers:
             "task": cfg["task"],
             "model": {"checkpoint": str(out / "model.ckpt")},
             "mutation": {"sigma": sigma, "rho": 0.5},
-            "evolution": {"pop_size": 8, "top_k": 4, "generations": 2, "master_seed": 3},
+            "evolution": {
+                "pop_size": 8, "top_k": 4, "generations": 2, "master_seed": 3, "repeats": repeats
+            },
             "output": {"dir": str(evolved)},
         }
         path = write_config(base / "evolve.json", payload)
-        return main(["evolve", "--config", path, *flags]), evolved
+        return main(["evolve", "--config", path]), evolved
 
     def test_report_identical_for_one_and_two_workers(self, trained, forked):
         cpus, calls = forked
         written = []
         for n in (1, 2):
             cpus(n)
-            code, evolved = self.evolve(trained, 0.05, "--repeats", "2")
+            code, evolved = self.evolve(trained, 0.05, repeats=2)
             assert code == 0
             written.append([(evolved / f).read_bytes() for f in ("eval_report.json", "eval_report.csv")])
             # 2 repeats x 2 generations, each pass scored on n workers.
@@ -794,14 +800,23 @@ def assert_flag_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-class TestEvolveOnlyFlags:
-    @pytest.mark.parametrize("command", ["train", "search", "boundary", "ablate"])
-    @pytest.mark.parametrize("flag", [["--repeats", "2"]])
-    def test_rejected_by_other_commands(self, tmp_path, command, flag, capsys):
-        assert_flag_rejected([command, "--config", str(tmp_path / "unread.json"), *flag], capsys)
-
-
 class TestRemovedFlags:
+    def test_each_command_takes_only_config_and_out(self):
+        """Every other setting is a config key, so the config file is the whole run."""
+        from smd.cli import build_parser
+
+        (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+        assert sorted(commands.choices) == ["ablate", "boundary", "evolve", "search", "train"]
+        for name, parser in commands.choices.items():
+            flags = {flag for a in parser._actions for flag in a.option_strings}
+            assert flags - {"-h", "--help"} == {"--config", "--out"}, name
+
+    @pytest.mark.parametrize("command", ["train", "search", "evolve", "boundary", "ablate"])
+    def test_repeats_rejected(self, tmp_path, command, capsys):
+        """Best-of-R runs are set by the config key `evolution.repeats`."""
+        argv = [command, "--config", str(tmp_path / "unread.json"), "--repeats", "2"]
+        assert_flag_rejected(argv, capsys)
+
     @pytest.mark.parametrize("command", ["train", "search", "evolve", "boundary", "ablate"])
     def test_workers_rejected(self, tmp_path, command, capsys):
         argv = [command, "--config", str(tmp_path / "unread.json"), "--workers", "2"]
@@ -865,12 +880,12 @@ def _evolve_outcome(cfg):
 BOUNDARY_CONTRACT_BASE = {"sigma_grid": [0.05], "rho_grid": [0.5], "resolution": 8, "seed": 13}
 
 
-def _boundary_outcome(cfg):
-    """Exit code and the name and bytes of each file `boundary` writes."""
+def _written_bytes(command, cfg):
+    """The exit code, and the name and bytes of each file one run writes."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_config(Path(tmp) / "boundary.json", cfg)
+        path = write_config(Path(tmp) / f"{command}.json", cfg)
         out = Path(tmp) / "out"
-        code = main(["boundary", "--config", path, "--out", str(out)])
+        code = main([command, "--config", path, "--out", str(out)])
         return code, {p.name: p.read_bytes() for p in out.iterdir()}
 
 
@@ -983,6 +998,7 @@ KEY_CHANGES = {
     "evolution.top_k": ("evolve", 4),
     "evolution.generations": ("evolve", 2),
     "evolution.master_seed": ("evolve", 5),
+    "evolution.repeats": ("evolve", 2),
     "boundary.sigma_grid": ("boundary", [0.1]),
     "boundary.rho_grid": ("boundary", [0.9]),
     "boundary.resolution": ("boundary", 9),
@@ -1034,9 +1050,9 @@ class TestConfigKeyContract:
     def test_every_boundary_key_changes_the_files(self, contract_base, key, value):
         cfg = {k: contract_base[0][k] for k in ("task", "model")}
         cfg["boundary"] = BOUNDARY_CONTRACT_BASE
-        base_code, base_files = _boundary_outcome(cfg)
+        base_code, base_files = _written_bytes("boundary", cfg)
         cfg["boundary"] = dict(BOUNDARY_CONTRACT_BASE, **{key: value})
-        code, files = _boundary_outcome(cfg)
+        code, files = _written_bytes("boundary", cfg)
         assert (base_code, code) == (0, 0)
         assert len(files) == len(base_files) == 2
         assert files != base_files, f"boundary.{key} = {value!r} changed nothing"
@@ -1090,6 +1106,29 @@ class TestConfigKeyContract:
         cfg.setdefault(section, {})[key] = value
         assert _evolve_outcome(cfg) == (2, None)
         assert "error:" in capsys.readouterr().err
+
+
+class TestComments:
+    @pytest.mark.parametrize(
+        "base, where",
+        [("train", ()), ("train", ("task",)), ("train", ("model", "train")),
+         ("evolve", ("model",)), ("search", ("mutation",))],
+        ids=["top level", "task", "model.train", "model beside checkpoint", "search mutation"],
+    )
+    def test_comment_changes_no_byte(self, key_bases, monkeypatch, base, where):
+        """A `_comment` key is ignored wherever it stands, also by the rules
+        that read the keys a section was written with."""
+        inputs, bases = key_bases
+        monkeypatch.chdir(inputs)
+        command, cfg = bases[base]
+        commented = json.loads(json.dumps(cfg))
+        node = commented
+        for part in where:
+            node = node[part]
+        node["_comment"] = "ignored"
+        plain = _written_bytes(command, cfg)
+        assert plain[0] == 0 and plain[1]
+        assert _written_bytes(command, commented) == plain
 
 
 class TestOneCheckPerSection:
@@ -1540,6 +1579,28 @@ class TestStrictConfigValues:
         assert main([command, "--config", path, "--out", str(tmp_path)]) in (0, 4)
 
 
+class TestMalformedCsv:
+    @pytest.mark.parametrize(
+        "body, names_row",
+        [(b"0.1,0.2,0\n0.3,\xff0.4,1\n", False),
+         (b"0.1,0.2,0\n0.3,0.4,99999999999999999999\n", True)],
+        ids=["not UTF-8", "a label beyond int64"],
+    )
+    @pytest.mark.parametrize("key", ["train_csv", "eval_csv"])
+    def test_exits_2_naming_the_file(self, strict_bases, tmp_path, key, body, names_row, capsys):
+        command, cfg = strict_bases["csv"]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(body)
+        cfg = dict(cfg, task=dict(cfg["task"], **{key: str(bad)}))
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "config.json", cfg)
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert ("row 2" in err) == names_row
+        assert not any(out.iterdir())
+
+
 # A config that sets every SCHEMA key to a valid value. Files need not
 # exist: each value is checked before a command reads anything.
 FULL_CONFIG = {
@@ -1565,7 +1626,7 @@ FULL_CONFIG = {
             "samples_per_cell": 2, "probe_size": 50, "seed": 0,
         },
     },
-    "evolution": {"pop_size": 4, "top_k": 2, "generations": 1, "master_seed": 0},
+    "evolution": {"pop_size": 4, "top_k": 2, "generations": 1, "master_seed": 0, "repeats": 1},
     "boundary": {"sigma_grid": [0.05], "rho_grid": [0.5], "resolution": 8, "seed": 0},
     "ablation": {
         "sigma_grid": [0.05], "rho_grid": [0.5], "modes": ["dynamic"], "seeds": [0],
@@ -1629,6 +1690,26 @@ class TestSchema:
             assert main([command, "--config", path, "--out", str(out)]) == 2
             assert not any(out.iterdir())
         assert f"error: {name} '{key}' must be" in err.getvalue()
+
+    def test_defaults_equal_their_holders(self):
+        """A SCHEMA key whose class or function also declares a default has
+        that default, so the two can never disagree."""
+        import inspect
+
+        from smd.datasets import make_spirals
+        from smd.divergence import GridSearchConfig
+        from smd.mutation import MutationParams
+        from smd.training import TrainConfig
+
+        holders = {"task": make_spirals, "model": NetworkSpec, "model.train": TrainConfig,
+                   "mutation": MutationParams, "mutation.search": GridSearchConfig}
+        compared = []
+        for name, holder in holders.items():
+            for key, param in inspect.signature(holder).parameters.items():
+                if key in SCHEMA[name] and param.default is not param.empty:
+                    compared.append((f"{name}.{key}", SCHEMA[name][key][1], param.default))
+        assert len(compared) == 21  # a renamed parameter would drop out unseen
+        assert [c for c in compared if c[1] != c[2]] == []
 
     def test_readme_tables_match_the_schema(self):
         readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")

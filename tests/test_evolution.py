@@ -271,12 +271,12 @@ class TestRunGeneration:
             "task": {"dataset": "spirals", "n_train": 100, "n_eval": 600, "turns": 1.75},
             "model": {"checkpoint": str(tmp_path / "parent.ckpt")},
             "mutation": {"sigma": 0.05, "rho": 0.5},
-            "evolution": {"pop_size": 8, "top_k": 4},
+            "evolution": {"pop_size": 8, "top_k": 4, "repeats": 3},
         }
         path = tmp_path / "evolve.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
-        assert main(["evolve", "--config", str(path), "--out", str(out), "--repeats", "3"]) == 0
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
         assert len(json.loads((out / "eval_report.json").read_text())["repeats"]) == 3
         # the validation/test overlap check, then the chosen repeat's parent,
         # averaged model and ensemble

@@ -120,7 +120,7 @@ class TestWorkCounts:
     def test_only_chained_and_reported_runs_average(
         self, spiral_task, monkeypatch, generations, averages
     ):
-        """With --repeats 3, each run averages only to chain a generation,
+        """With three repeats, each run averages only to chain a generation,
         and the reported run once more for its report."""
         t = spiral_task
         calls, real = [], evolution.average_weights
@@ -274,10 +274,10 @@ def _task():
     }
 
 
-def _run(tmp_path, name, payload, *flags):
+def _run(tmp_path, name, payload):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(payload))
-    assert main([name, "--config", str(path), *flags]) == 0
+    assert main([name, "--config", str(path)]) == 0
 
 
 def test_artifact_bytes_pinned(tmp_path):
@@ -310,9 +310,9 @@ def test_artifact_bytes_pinned(tmp_path):
         "task": task,
         "model": checkpoint,
         "mutation": {"search_result": str(out / "search_result.json")},
-        "evolution": {"pop_size": 8, "top_k": 4, "generations": 1, "master_seed": 4},
+        "evolution": {"pop_size": 8, "top_k": 4, "generations": 1, "master_seed": 4, "repeats": 3},
         "output": {"dir": str(out / "repeats")},
-    }, "--repeats", "3")
+    })
     _run(tmp_path, "ablate", {
         "task": task,
         "model": checkpoint,
