@@ -12,8 +12,6 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import Dataset, SplitSpec, load_csv, make_spirals, split
 from .divergence import GridSearchConfig, grid_search
 from .evolution import (
-    EvalReport,
-    GenerationConfig,
     Population,
     average_weights,
     evaluate_fitness,
@@ -21,7 +19,7 @@ from .evolution import (
     run_generation,
     select_top_k,
 )
-from .metrics import MetricTriple, accuracy, ece, metric_triple
+from .metrics import accuracy, ece, metric_triple
 from .mutation import (
     Child,
     MutationParams,

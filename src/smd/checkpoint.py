@@ -34,7 +34,8 @@ def save_checkpoint(net: Network, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Network:
-    """Read a checkpoint; rejects wrong magic, bad lengths, trailing bytes.
+    """Read a checkpoint; rejects wrong magic, bad layer sizes, bad lengths and
+    trailing bytes.
 
     The init seed is not serialized; the restored spec carries seed 0.
     """
@@ -47,6 +48,10 @@ def load_checkpoint(path: str | Path) -> Network:
         act_code, w = struct.unpack_from("<BQ", blob, 8 + 4 * layer_count)
     except struct.error as exc:
         raise CheckpointError(f"{path}: truncated header") from exc
+    if len(sizes) < 2 or 0 in sizes:
+        raise CheckpointError(
+            f"{path}: layer sizes must be at least two integers >= 1, got {list(sizes)}"
+        )
     if act_code >= len(ACTIVATIONS):
         raise CheckpointError(f"{path}: unknown activation code {act_code}")
 

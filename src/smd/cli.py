@@ -32,12 +32,7 @@ from .errors import (
     WorkerError,
 )
 from .evolution import (
-    GenerationConfig,
-    datasets_disjoint,
-    run_ablation,
-    run_generation,
-    write_ablation_csv,
-    write_eval_csv,
+    datasets_disjoint, run_ablation, run_generation, write_ablation_csv, write_eval_csv
 )
 from .metrics import accuracy
 from .network import Network, NetworkSpec, forward, init_network, softmax
@@ -142,20 +137,37 @@ def cmd_search(run: dict) -> int:
     return EXIT_OK if outcome.in_band else EXIT_OUT_OF_BAND
 
 
-def cmd_evolve(run: dict) -> int:
+def _evaluation_data(run: dict) -> tuple[Network, Dataset, Dataset]:
+    """The checkpoint's parent and the task's validation and test sets,
+    which must share no sample."""
     _, val, test = cfgmod.build_task_data(run["task"])
     if not datasets_disjoint(val, test):
         raise DataHygieneError("validation and test sets share samples")
-    parent = _load_parent(run["checkpoint"], val)
-    gen_cfg = GenerationConfig(run["mutation"], **run["sizes"])
+    return _load_parent(run["checkpoint"], val), val, test
 
-    # Best-of-R selection peeks only at validation-side accuracy.
-    best = run_generation(
-        parent, gen_cfg, val, test, run["master_seed"], run["repeats"], _usable_cpus()
+
+def _summary_line(report: dict) -> str:
+    """One line of `eval_report.json`, in the standard report table's column order."""
+    parent, ensemble, mutation = report["parent"], report["ensemble"], report["config"]["mutation"]
+    return (
+        f"Acc {100 * parent['accuracy']:.2f} | NLL {parent['nll']:.4f} | "
+        f"ECE {parent['ece']:.4f} | eAcc {100 * ensemble['accuracy']:.2f} | "
+        f"eNLL {ensemble['nll']:.4f} | eECE {ensemble['ece']:.4f} | "
+        f"dAcc {100 * report['delta_acc']:+.2f} | "
+        f"sigma {mutation['sigma']:g} | rho {mutation['rho']:g} | "
+        f"KL {report['mean_kl_children']:.4f}"
     )
-    _write_json(run["out_dir"] / "eval_report.json", best.to_json_dict())
-    write_eval_csv(best, run["out_dir"] / "eval_report.csv")
-    print(best.summary_line())
+
+
+def cmd_evolve(run: dict) -> int:
+    parent, val, test = _evaluation_data(run)
+    # Best-of-R selection peeks only at validation-side accuracy.
+    report = run_generation(
+        parent, run["mutation"], val, test, jobs=_usable_cpus(), **run["evolution"]
+    )
+    _write_json(run["out_dir"] / "eval_report.json", report)
+    write_eval_csv(report, run["out_dir"] / "eval_report.csv")
+    print(_summary_line(report))
     return EXIT_OK
 
 
@@ -177,11 +189,8 @@ def cmd_boundary(run: dict) -> int:
 
 
 def cmd_ablate(run: dict) -> int:
-    _, val, test = cfgmod.build_task_data(run["task"])
-    if not datasets_disjoint(val, test):
-        raise DataHygieneError("validation and test sets share samples")
-    parent = _load_parent(run["checkpoint"], val)
-    rows = run_ablation(parent, val=val, test=test, jobs=_usable_cpus(), **run["ablation"])
+    parent, val, test = _evaluation_data(run)
+    rows = run_ablation(parent, val, test, jobs=_usable_cpus(), **run["ablation"])
     write_ablation_csv(rows, run["out_dir"] / "ablation.csv")
     print(f"wrote {len(rows)} ablation rows to {run['out_dir'] / 'ablation.csv'}")
     return EXIT_OK

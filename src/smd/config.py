@@ -281,10 +281,9 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
             )
         run["search"] = GridSearchConfig(**checked["mutation"]["search"])
     elif command == "evolve":
-        sizes = dict(checked["evolution"])
-        run["master_seed"], run["repeats"] = sizes.pop("master_seed"), sizes.pop("repeats")
-        _population(sizes["pop_size"], sizes["top_k"], checked["mutation"])
-        run.update(sizes=sizes, mutation=_mutation(checked["mutation"]))
+        evolution = checked["evolution"]
+        _population(evolution["pop_size"], evolution["top_k"], checked["mutation"])
+        run.update(evolution=evolution, mutation=_mutation(checked["mutation"]))
     elif command == "boundary":
         sigmas, rhos = checked["boundary"]["sigma_grid"], checked["boundary"]["rho_grid"]
         if len({cell_tag(s, r) for s in sigmas for r in rhos}) != len(sigmas) * len(rhos):

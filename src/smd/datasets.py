@@ -4,6 +4,7 @@ CSV writer of the artifacts."""
 from __future__ import annotations
 
 import csv
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -137,6 +138,8 @@ def load_csv(path: str | Path, class_count: int | None = None) -> Dataset:
             features.append([float(f) for f in fields[:-1]])
         except ValueError:
             raise ParseError(f"{path}: row {lineno} has a non-numeric feature") from None
+        if not all(map(math.isfinite, features[-1])):
+            raise ParseError(f"{path}: row {lineno} has a non-finite feature")
         try:
             labels.append(int(fields[-1]))
         except ValueError:

@@ -11,14 +11,14 @@ from __future__ import annotations
 import os
 import pickle
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .datasets import Dataset, write_csv
 from .errors import WorkerError
-from .metrics import MetricTriple, accuracy, metric_triple
+from .metrics import accuracy, metric_triple
 from .mutation import (
     Child, MutationParams, child_logits, derive_seed, spawn_mutations, working_genomes
 )
@@ -42,14 +42,6 @@ ABLATION_CSV_COLUMNS = ("sigma", "rho", "mode", "seed", "mean_kl", "avg_acc", "e
 
 
 @dataclass
-class GenerationConfig:
-    mutation: MutationParams
-    pop_size: int
-    top_k: int
-    generations: int
-
-
-@dataclass
 class Population:
     """A scored generation, as `evaluate_fitness` builds it.
 
@@ -67,74 +59,6 @@ class Population:
     fitness: np.ndarray
     val_nll: np.ndarray
     val_probs: list[np.ndarray]
-
-
-@dataclass
-class EvalReport:
-    parent_metrics: MetricTriple
-    averaged_metrics: MetricTriple
-    ensemble_metrics: MetricTriple
-    per_child: list[dict]
-    selected_indices: list[int]
-    mean_kl_children: float
-    mean_kl_selected: float
-    ensemble_val_accuracy: float
-    config: dict
-    seed: int
-    # With `evolution.repeats` R > 1: each repeat's seed and ensemble validation
-    # accuracy, and the index of the reported one.
-    repeats: list[dict] = field(default_factory=list)
-    best_repeat: int = 0
-
-    @property
-    def delta_acc(self) -> float:
-        return self.ensemble_metrics.accuracy - self.parent_metrics.accuracy
-
-    def to_json_dict(self) -> dict:
-        payload = {
-            "parent": self.parent_metrics.as_dict(),
-            "averaged": self.averaged_metrics.as_dict(),
-            "ensemble": self.ensemble_metrics.as_dict(),
-            "per_child": self.per_child,
-            "selected": self.selected_indices,
-            "delta_acc": self.delta_acc,
-            "mean_kl_children": self.mean_kl_children,
-            "mean_kl_selected": self.mean_kl_selected,
-            "ensemble_val_accuracy": self.ensemble_val_accuracy,
-            "config": self.config,
-            "seed": self.seed,
-        }
-        if len(self.repeats) > 1:
-            payload["repeats"] = self.repeats
-            payload["best_repeat"] = self.best_repeat
-        return payload
-
-    def to_csv_row(self) -> list:
-        mut = self.config["mutation"]
-        return [
-            mut["sigma"], mut["rho"], mut["subspace_mode"], mut["mirrored"],
-            mut["anti_random"], self.config["pop_size"], self.config["top_k"],
-            self.config["generations"], self.seed,
-            self.parent_metrics.accuracy, self.parent_metrics.nll, self.parent_metrics.ece,
-            self.averaged_metrics.accuracy, self.averaged_metrics.nll, self.averaged_metrics.ece,
-            self.ensemble_metrics.accuracy, self.ensemble_metrics.nll, self.ensemble_metrics.ece,
-            self.delta_acc, self.mean_kl_children, self.mean_kl_selected,
-        ]
-
-    def summary_line(self) -> str:
-        """One line shaped like the standard report table column order."""
-        mut = self.config["mutation"]
-        return (
-            f"Acc {100 * self.parent_metrics.accuracy:.2f} | "
-            f"NLL {self.parent_metrics.nll:.4f} | "
-            f"ECE {self.parent_metrics.ece:.4f} | "
-            f"eAcc {100 * self.ensemble_metrics.accuracy:.2f} | "
-            f"eNLL {self.ensemble_metrics.nll:.4f} | "
-            f"eECE {self.ensemble_metrics.ece:.4f} | "
-            f"dAcc {100 * self.delta_acc:+.2f} | "
-            f"sigma {mut['sigma']:g} | rho {mut['rho']:g} | "
-            f"KL {self.mean_kl_children:.4f}"
-        )
 
 
 # Forward multiply-adds (children x rows x sum of fan_in * fan_out) below
@@ -245,9 +169,17 @@ def _ensemble_val_accuracy(pop: Population, selected: list[int], val: Dataset) -
 
 
 def _evolve(
-    parent: Network, cfg: GenerationConfig, val: Dataset, master_seed: int, jobs: int = 1
+    parent: Network,
+    params: MutationParams,
+    val: Dataset,
+    *,
+    pop_size: int,
+    top_k: int,
+    generations: int,
+    master_seed: int,
+    jobs: int = 1,
 ) -> tuple[Population, list[int]]:
-    """Run cfg.generations generations on validation data only.
+    """Run `generations` generations on validation data only.
 
     Returns the final generation's scored population (its parent is the
     chained model) and the selected indices. Every generation but the last
@@ -258,20 +190,20 @@ def _evolve(
     is scored by `evaluate_fitness` on up to `jobs` workers.
     """
     current = parent
-    for gen in range(cfg.generations):
+    for gen in range(generations):
         gen_seed = derive_seed(master_seed, _GENERATION_NS, gen)
-        children = spawn_mutations(current.params, cfg.mutation, cfg.pop_size, gen_seed)
-        pop = evaluate_fitness(current, cfg.mutation, children, val, jobs)
-        selected = select_top_k(pop, cfg.top_k)
-        if gen < cfg.generations - 1:
+        children = spawn_mutations(current.params, params, pop_size, gen_seed)
+        pop = evaluate_fitness(current, params, children, val, jobs)
+        selected = select_top_k(pop, top_k)
+        if gen < generations - 1:
             chosen = [pop.children[i] for i in selected]
-            averaged = average_weights(working_genomes(current.params, cfg.mutation, chosen))
+            averaged = average_weights(working_genomes(current.params, params, chosen))
             quantized = averaged.values.astype(np.float32).astype(np.float64)
             current = Network(current.spec, ParamVector(quantized))
     return pop, selected
 
 
-def _score_parent(parent: Network, val: Dataset, test: Dataset) -> tuple[np.ndarray, MetricTriple]:
+def _score_parent(parent: Network, val: Dataset, test: Dataset) -> tuple[np.ndarray, dict]:
     """The parent's clamped validation distribution (the fixed side of the
     KL probe) and its test metrics."""
     val_probs = clamp_probs(softmax(forward(parent, val.inputs)))
@@ -281,21 +213,21 @@ def _score_parent(parent: Network, val: Dataset, test: Dataset) -> tuple[np.ndar
 def _report(
     pop: Population,
     selected: list[int],
-    cfg: GenerationConfig,
     val: Dataset,
     test: Dataset,
-    master_seed: int,
-    parent_scores: tuple[np.ndarray, MetricTriple],
-) -> EvalReport:
-    """Report one scored generation from its cached validation
-    probabilities and its parent's `_score_parent` result.
+    parent_scores: tuple[np.ndarray, dict],
+    *,
+    generations: int,
+    seed: int,
+) -> dict:
+    """The `eval_report.json` payload of one scored generation, from its
+    cached validation probabilities and its parent's `_score_parent` result.
 
     Only the averaged model and the ensemble members are run forward, on
     the test set. One `_ensemble_probs` pass builds each member from its seed
     record once, for both the average and the ensemble.
     """
     parent_val_probs, parent_metrics = parent_scores
-    spec = pop.parent.spec
     child_kls = [kl_from_probs(parent_val_probs, p) for p in pop.val_probs]
     per_child = [
         {
@@ -312,41 +244,47 @@ def _report(
     ]
     chosen = [pop.children[i] for i in selected]
     ensemble_probs, average = _ensemble_probs(pop.parent, pop.mutation, chosen, test.inputs)
-    ensemble_metrics = metric_triple(ensemble_probs, test.labels)
-    averaged_metrics = metric_triple(
-        softmax(forward(Network(spec, average), test.inputs)), test.labels
+    ensemble = metric_triple(ensemble_probs, test.labels)
+    averaged = metric_triple(
+        softmax(forward(Network(pop.parent.spec, average), test.inputs)), test.labels
     )
-
-    config_echo = {
-        "pop_size": cfg.pop_size,
-        "top_k": cfg.top_k,
-        "generations": cfg.generations,
-        "mutation": asdict(cfg.mutation),
+    return {
+        "parent": parent_metrics,
+        "averaged": averaged,
+        "ensemble": ensemble,
+        "per_child": per_child,
+        "selected": selected,
+        "delta_acc": ensemble["accuracy"] - parent_metrics["accuracy"],
+        "mean_kl_children": float(np.mean(child_kls)),
+        "mean_kl_selected": float(np.mean([child_kls[i] for i in selected])),
+        "ensemble_val_accuracy": _ensemble_val_accuracy(pop, selected, val),
+        "config": {
+            "pop_size": len(pop.children),
+            "top_k": len(selected),
+            "generations": generations,
+            "mutation": asdict(pop.mutation),
+        },
+        "seed": seed,
     }
-    return EvalReport(
-        parent_metrics=parent_metrics,
-        averaged_metrics=averaged_metrics,
-        ensemble_metrics=ensemble_metrics,
-        per_child=per_child,
-        selected_indices=list(selected),
-        mean_kl_children=float(np.mean(child_kls)),
-        mean_kl_selected=float(np.mean([child_kls[i] for i in selected])),
-        ensemble_val_accuracy=_ensemble_val_accuracy(pop, selected, val),
-        config=config_echo,
-        seed=master_seed,
-    )
 
 
 def run_generation(
     parent: Network,
-    cfg: GenerationConfig,
+    params: MutationParams,
     val: Dataset,
     test: Dataset,
+    *,
+    pop_size: int,
+    top_k: int,
+    generations: int,
     master_seed: int,
-    repeats: int = 1,
+    repeats: int,
     jobs: int = 1,
-) -> EvalReport:
+) -> dict:
     """Spawn, score, select, combine; report metrics on the test set.
+
+    Returns the `eval_report.json` payload. The keyword parameters besides
+    `jobs` are the checked `evolution` section's keys.
 
     With generations > 1 the averaged model becomes the next parent; the
     report describes the final generation (its parent is the chained
@@ -366,15 +304,19 @@ def run_generation(
     a seed derived from (master_seed, r). Only the run whose ensemble has
     the best validation accuracy (the earliest on a tie) is scored on the
     test set, so the test set is still read once, by k + 2 forward passes
-    (the parent, the average and the k members). The report lists each
-    run's seed and ensemble validation accuracy.
+    (the parent, the average and the k members). The report then lists
+    each run's seed and ensemble validation accuracy under `repeats`, and
+    the reported run's index under `best_repeat`.
     """
     seeds = [master_seed]
     if repeats > 1:
         seeds = [derive_seed(master_seed, _REPEAT_NS, r) for r in range(repeats)]
     tried, best, best_repeat = [], None, 0
     for r, seed in enumerate(seeds):
-        run = _evolve(parent, cfg, val, seed, jobs)
+        run = _evolve(
+            parent, params, val,
+            pop_size=pop_size, top_k=top_k, generations=generations, master_seed=seed, jobs=jobs,
+        )
         val_acc = _ensemble_val_accuracy(run[0], run[1], val)
         tried.append({"seed": seed, "ensemble_val_accuracy": val_acc})
         if best is None or val_acc > tried[best_repeat]["ensemble_val_accuracy"]:
@@ -383,24 +325,29 @@ def run_generation(
     pop, selected = best
     # Selection is done: test data is read from here on only.
     parent_scores = _score_parent(pop.parent, val, test)
-    report = _report(pop, selected, cfg, val, test, seeds[best_repeat], parent_scores)
-    report.repeats, report.best_repeat = tried, best_repeat
+    report = _report(
+        pop, selected, val, test, parent_scores, generations=generations, seed=seeds[best_repeat]
+    )
+    if repeats > 1:
+        report.update(repeats=tried, best_repeat=best_repeat)
     return report
 
 
 def run_ablation(
     parent: Network,
+    val: Dataset,
+    test: Dataset,
+    *,
     sigma_grid: list[float],
     rho_grid: list[float],
     modes: list[str],
-    val: Dataset,
-    test: Dataset,
     seeds: list[int],
     pop_size: int,
     top_k: int,
     jobs: int = 1,
 ) -> list[dict]:
-    """Full factorial sweep over (sigma, rho, subspace mode, seed).
+    """Full factorial sweep over (sigma, rho, subspace mode, seed). The
+    keyword parameters besides `jobs` are the checked `ablation` section's keys.
 
     Each distinct sweep point runs one generation; rows carry both the
     averaged model's and the ensemble's test accuracy plus the mean child
@@ -427,17 +374,15 @@ def run_ablation(
 
     def run_point(point: tuple) -> tuple[float, float, float]:
         sigma, rho, mode, seed = point
-        cfg = GenerationConfig(
-            mutation=MutationParams(sigma=sigma, rho=rho, subspace_mode=mode),
-            pop_size=pop_size,
-            top_k=top_k,
-            generations=1,
+        params = MutationParams(sigma=sigma, rho=rho, subspace_mode=mode)
+        scored = _evolve(
+            parent, params, val, pop_size=pop_size, top_k=top_k, generations=1, master_seed=seed
         )
-        report = _report(*_evolve(parent, cfg, val, seed), cfg, val, test, seed, parent_scores)
+        report = _report(*scored, val, test, parent_scores, generations=1, seed=seed)
         return (
-            report.mean_kl_children,
-            report.averaged_metrics.accuracy,
-            report.ensemble_metrics.accuracy,
+            report["mean_kl_children"],
+            report["averaged"]["accuracy"],
+            report["ensemble"]["accuracy"],
         )
 
     values = _map_points(run_point, list(points.values()), jobs)
@@ -556,8 +501,15 @@ def datasets_disjoint(a: Dataset, b: Dataset) -> bool:
     return all(row.tobytes() not in rows_a for row in b.inputs)
 
 
-def write_eval_csv(report: EvalReport, path: str | Path) -> None:
-    write_csv(path, EVAL_CSV_COLUMNS, [report.to_csv_row()])
+def write_eval_csv(report: dict, path: str | Path) -> None:
+    """The report as one row of `EVAL_CSV_COLUMNS`. A column is the key of
+    its name in the report, its config echo or its mutation echo, or a
+    metric block's `<block>_<metric>`."""
+    fields = {**report["config"]["mutation"], **report["config"], **report}
+    for prefix, block in (("parent", "parent"), ("avg", "averaged"), ("ens", "ensemble")):
+        for suffix, metric in (("acc", "accuracy"), ("nll", "nll"), ("ece", "ece")):
+            fields[f"{prefix}_{suffix}"] = report[block][metric]
+    write_csv(path, EVAL_CSV_COLUMNS, [[fields[c] for c in EVAL_CSV_COLUMNS]])
 
 
 def write_ablation_csv(rows: list[dict], path: str | Path) -> None:

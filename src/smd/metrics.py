@@ -6,23 +6,11 @@ ECE always uses `ECE_BINS` (15) equal-width max-confidence bins over
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .network import nll_loss
 
 ECE_BINS = 15
-
-
-@dataclass(frozen=True)
-class MetricTriple:
-    accuracy: float
-    nll: float
-    ece: float
-
-    def as_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "nll": self.nll, "ece": self.ece}
 
 
 def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -60,6 +48,11 @@ def ece(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(total)
 
 
-def metric_triple(probs: np.ndarray, labels: np.ndarray) -> MetricTriple:
-    """Accuracy, NLL, and ECE of one probability matrix."""
-    return MetricTriple(accuracy(probs, labels), nll_loss(probs, labels), ece(probs, labels))
+def metric_triple(probs: np.ndarray, labels: np.ndarray) -> dict[str, float]:
+    """Accuracy, NLL and ECE of one probability matrix: a metric block of
+    `eval_report.json`, keyed in that order."""
+    return {
+        "accuracy": accuracy(probs, labels),
+        "nll": nll_loss(probs, labels),
+        "ece": ece(probs, labels),
+    }

@@ -15,7 +15,7 @@ import pytest
 from smd.cli import main
 from smd.datasets import make_spirals
 from smd.divergence import sweep_cells, write_sweep_csv
-from smd.evolution import GenerationConfig, run_generation, select_top_k
+from smd.evolution import run_generation, select_top_k
 from smd.metrics import accuracy, ece, metric_triple
 from smd.mutation import (
     Child,
@@ -239,17 +239,13 @@ class TestCriterion06TableShapedImprovement:
         found = json.loads((tmp_path / "search_out" / "search_result.json").read_text())
         assert code == 0 and found["in_band"], f"search left the KL band: {found}"
 
-        gen_cfg = GenerationConfig(
-            mutation=MutationParams(sigma=found["sigma"], rho=found["rho"]),
-            pop_size=16,
-            top_k=8,
-            generations=1,
-        )
+        params = MutationParams(sigma=found["sigma"], rho=found["rho"])
         deltas = np.array(
             [
                 run_generation(
-                    bench_task.parent, gen_cfg, bench_task.val, bench_task.test, seed
-                ).delta_acc
+                    bench_task.parent, params, bench_task.val, bench_task.test,
+                    pop_size=16, top_k=8, generations=1, master_seed=seed, repeats=1,
+                )["delta_acc"]
                 for seed in range(20)
             ]
         )
@@ -313,20 +309,16 @@ class TestCriterion07RerunDeterminism:
 
 class TestCriterion08ZeroMutationFixedPoint:
     def test_sigma_1e12(self, bench_task):
-        cfg = GenerationConfig(
-            mutation=MutationParams(sigma=1e-12, rho=0.5), pop_size=8, top_k=4, generations=1
+        rep = run_generation(
+            bench_task.parent, MutationParams(sigma=1e-12, rho=0.5), bench_task.val,
+            bench_task.test, pop_size=8, top_k=4, generations=1, master_seed=5, repeats=1,
         )
-        rep = run_generation(bench_task.parent, cfg, bench_task.val, bench_task.test, 5)
-        p, a, e = rep.parent_metrics, rep.averaged_metrics, rep.ensemble_metrics
-        close = all(
-            abs(getattr(p, f) - getattr(x, f)) <= 1e-6
-            for x in (a, e)
-            for f in ("accuracy", "nll", "ece")
-        )
+        p, a, e = rep["parent"], rep["averaged"], rep["ensemble"]
+        close = all(abs(p[f] - x[f]) <= 1e-6 for x in (a, e) for f in ("accuracy", "nll", "ece"))
         report(
             "8 (zero-mutation fixed point)",
-            close and rep.delta_acc == 0.0,
-            f"- dAcc={rep.delta_acc}",
+            close and rep["delta_acc"] == 0.0,
+            f"- dAcc={rep['delta_acc']}",
         )
 
 
@@ -348,9 +340,9 @@ class TestCriterion09MetricUnits:
         assert ece(probs, labels) <= 1e-12
 
         triple = metric_triple(np.full((8, 2), 0.5), np.zeros(8, int))
-        assert triple.accuracy == 1.0
-        assert abs(triple.nll - math.log(2)) <= 1e-9
-        assert abs(triple.ece - 0.5) <= 1e-9
+        assert triple["accuracy"] == 1.0
+        assert abs(triple["nll"] - math.log(2)) <= 1e-9
+        assert abs(triple["ece"] - 0.5) <= 1e-9
         report("9 (metric unit suite)", True)
 
 

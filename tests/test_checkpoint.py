@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,17 @@ class TestRejection:
         path.write_bytes(MAGIC + b"\x05")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "sizes, w", [((2, 0, 2), 2), ((2,), 0)], ids=["a zero layer size", "one layer"]
+    )
+    def test_bad_layer_sizes_name_the_file(self, tmp_path, sizes, w):
+        path = tmp_path / "sizes.ckpt"
+        header = struct.pack(f"<I{len(sizes)}IBQ", len(sizes), *sizes, 0, w)
+        path.write_bytes(MAGIC + header + bytes(4 * w))
+        with pytest.raises(CheckpointError, match="layer sizes") as error:
+            load_checkpoint(path)
+        assert str(error.value).startswith(f"{path}: ")
 
     def test_unknown_activation_code(self, net, tmp_path):
         path = tmp_path / "act.ckpt"

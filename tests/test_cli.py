@@ -599,7 +599,7 @@ class TestAblateWorkers:
         cpus(2)
         command = os.getpid()
 
-        def die(*args):
+        def die(*args, **kwargs):
             # Only the workers may run `_evolve`; the command process scores the parent.
             assert os.getpid() != command, "a sweep point ran in the command process"
             os._exit(3)
@@ -1583,8 +1583,10 @@ class TestMalformedCsv:
     @pytest.mark.parametrize(
         "body, names_row",
         [(b"0.1,0.2,0\n0.3,\xff0.4,1\n", False),
-         (b"0.1,0.2,0\n0.3,0.4,99999999999999999999\n", True)],
-        ids=["not UTF-8", "a label beyond int64"],
+         (b"0.1,0.2,0\n0.3,0.4,99999999999999999999\n", True),
+         (b"0.1,0.2,0\n0.3,nan,1\n", True),
+         (b"0.1,0.2,0\n1e999,0.4,1\n", True)],
+        ids=["not UTF-8", "a label beyond int64", "a nan feature", "an inf feature"],
     )
     @pytest.mark.parametrize("key", ["train_csv", "eval_csv"])
     def test_exits_2_naming_the_file(self, strict_bases, tmp_path, key, body, names_row, capsys):

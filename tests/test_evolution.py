@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import itertools
 import json
 import os
@@ -8,12 +10,11 @@ import pytest
 
 import smd.config as cfgmod
 import smd.evolution as evolution
-from smd.checkpoint import save_checkpoint
+from smd.checkpoint import load_checkpoint, save_checkpoint
 from smd.cli import main
 from smd.datasets import Dataset, make_spirals
 from smd.errors import ConfigurationError, WorkerError
 from smd.evolution import (
-    GenerationConfig,
     Population,
     average_weights,
     datasets_disjoint,
@@ -211,46 +212,41 @@ class CountingDataset(Dataset):
         self._inputs = value
 
 
-class TestRunGeneration:
-    def gen_cfg(self, **kw):
-        base = dict(
-            mutation=MutationParams(sigma=0.05, rho=0.5), pop_size=8, top_k=4, generations=1
-        )
-        base.update(kw)
-        return GenerationConfig(**base)
+def generation(t, master_seed, params=None, **run):
+    """`run_generation` on the task `t`: a pop-8, top-4, one-generation run
+    of sigma 0.05, rho 0.5 unless `params` or `run` say otherwise."""
+    params = params or MutationParams(sigma=0.05, rho=0.5)
+    run = {"pop_size": 8, "top_k": 4, "generations": 1, "repeats": 1, **run}
+    return run_generation(t.parent, params, t.val, t.test, master_seed=master_seed, **run)
 
+
+class TestRunGeneration:
     def test_report_shape(self, spiral_task):
-        report = run_generation(
-            spiral_task.parent, self.gen_cfg(), spiral_task.val, spiral_task.test, 7
-        )
-        assert len(report.per_child) == 8
-        assert len(report.selected_indices) == 4
-        assert len(set(report.selected_indices)) == 4
-        sel = set(report.selected_indices)
-        fit = [c["fitness"] for c in report.per_child]
+        report = generation(spiral_task, 7)
+        assert len(report["per_child"]) == 8
+        assert len(report["selected"]) == 4
+        assert len(set(report["selected"])) == 4
+        sel = set(report["selected"])
+        fit = [c["fitness"] for c in report["per_child"]]
         assert min(fit[i] for i in sel) >= max(
             (fit[i] for i in range(8) if i not in sel), default=0.0
         )
 
     def test_zero_mutation_fixed_point(self, spiral_task):
-        cfg = self.gen_cfg(mutation=MutationParams(sigma=1e-12, rho=0.5))
-        report = run_generation(spiral_task.parent, cfg, spiral_task.val, spiral_task.test, 8)
-        p, a, e = report.parent_metrics, report.averaged_metrics, report.ensemble_metrics
+        report = generation(spiral_task, 8, MutationParams(sigma=1e-12, rho=0.5))
+        p, a, e = report["parent"], report["averaged"], report["ensemble"]
         for field in ("accuracy", "nll", "ece"):
-            assert abs(getattr(p, field) - getattr(a, field)) <= 1e-6
-            assert abs(getattr(p, field) - getattr(e, field)) <= 1e-6
-        assert report.delta_acc == 0.0
+            assert abs(p[field] - a[field]) <= 1e-6
+            assert abs(p[field] - e[field]) <= 1e-6
+        assert report["delta_acc"] == 0.0
 
     def test_rerun_is_identical(self, spiral_task):
-        cfg = self.gen_cfg()
-        a = run_generation(spiral_task.parent, cfg, spiral_task.val, spiral_task.test, 9)
-        b = run_generation(spiral_task.parent, cfg, spiral_task.val, spiral_task.test, 9)
-        assert a.to_json_dict() == b.to_json_dict()
+        assert generation(spiral_task, 9) == generation(spiral_task, 9)
 
     def test_test_set_read_once_at_the_end(self, spiral_task):
         val = CountingDataset(spiral_task.val)
         test = CountingDataset(spiral_task.test)
-        run_generation(spiral_task.parent, self.gen_cfg(), val, test, 10)
+        generation(dataclasses.replace(spiral_task, val=val, test=test), 10)
         # parent, averaged, ensemble each forward the test inputs once,
         # after the last validation read
         assert test.reads == 3
@@ -284,57 +280,85 @@ class TestRunGeneration:
         assert read["val"].reads > read["test"].reads
 
     def test_repeats_report_the_chosen_run(self, spiral_task):
-        t = spiral_task
-        cfg = self.gen_cfg()
-        report = run_generation(t.parent, cfg, t.val, t.test, 10, repeats=3)
+        report = generation(spiral_task, 10, repeats=3)
         seeds = [derive_seed(10, evolution._REPEAT_NS, r) for r in range(3)]
-        singles = [run_generation(t.parent, cfg, t.val, t.test, seed) for seed in seeds]
-        assert report.repeats == [
-            {"seed": seed, "ensemble_val_accuracy": single.ensemble_val_accuracy}
+        singles = [generation(spiral_task, seed) for seed in seeds]
+        assert report.pop("repeats") == [
+            {"seed": seed, "ensemble_val_accuracy": single["ensemble_val_accuracy"]}
             for seed, single in zip(seeds, singles)
         ]
-        best = max(range(3), key=lambda r: (singles[r].ensemble_val_accuracy, -r))
-        assert report.best_repeat == best
-        payload = report.to_json_dict()
-        assert payload.pop("repeats") == report.repeats
-        assert payload.pop("best_repeat") == best
-        assert payload == singles[best].to_json_dict()
+        best = max(range(3), key=lambda r: (singles[r]["ensemble_val_accuracy"], -r))
+        assert report.pop("best_repeat") == best
+        assert report == singles[best]
 
     def test_per_child_kl_nonnegative(self, spiral_task):
-        report = run_generation(
-            spiral_task.parent, self.gen_cfg(), spiral_task.val, spiral_task.test, 11
-        )
-        assert all(c["kl_to_parent"] >= 0.0 for c in report.per_child)
-        assert report.mean_kl_children >= 0.0
-        assert report.mean_kl_selected >= 0.0
+        report = generation(spiral_task, 11)
+        assert all(c["kl_to_parent"] >= 0.0 for c in report["per_child"])
+        assert report["mean_kl_children"] >= 0.0
+        assert report["mean_kl_selected"] >= 0.0
 
     def test_two_generations_chain_averaged_parent(self, spiral_task):
-        cfg1 = self.gen_cfg(generations=1)
-        cfg2 = self.gen_cfg(generations=2)
-        r1 = run_generation(spiral_task.parent, cfg1, spiral_task.val, spiral_task.test, 12)
-        r2 = run_generation(spiral_task.parent, cfg2, spiral_task.val, spiral_task.test, 12)
+        r1 = generation(spiral_task, 12, generations=1)
+        r2 = generation(spiral_task, 12, generations=2)
         # the second generation's parent is the first generation's average,
         # so its parent metrics generally differ from the original parent's
-        assert r1.config["generations"] == 1
-        assert r2.config["generations"] == 2
-        assert r2.parent_metrics != r1.parent_metrics
+        assert r1["config"]["generations"] == 1
+        assert r2["config"]["generations"] == 2
+        assert r2["parent"] != r1["parent"]
 
-    def test_csv_row_matches_columns(self, spiral_task):
-        from smd.evolution import EVAL_CSV_COLUMNS
+    def test_csv_row_matches_columns(self, spiral_task, tmp_path):
+        from smd.evolution import EVAL_CSV_COLUMNS, write_eval_csv
 
-        report = run_generation(
-            spiral_task.parent, self.gen_cfg(), spiral_task.val, spiral_task.test, 13
-        )
-        assert len(report.to_csv_row()) == len(EVAL_CSV_COLUMNS)
+        report = generation(spiral_task, 13)
+        write_eval_csv(report, tmp_path / "eval_report.csv")
+        header, row = (tmp_path / "eval_report.csv").read_text().splitlines()
+        assert header.split(",") == list(EVAL_CSV_COLUMNS)
+        assert len(row.split(",")) == len(EVAL_CSV_COLUMNS)
 
     def test_summary_line_field_order(self, spiral_task):
-        report = run_generation(
-            spiral_task.parent, self.gen_cfg(), spiral_task.val, spiral_task.test, 14
-        )
-        line = report.summary_line()
+        from smd.cli import _summary_line
+
+        line = _summary_line(generation(spiral_task, 14))
         fields = ["Acc", "NLL", "ECE", "eAcc", "eNLL", "eECE", "dAcc", "sigma", "rho", "KL"]
         positions = [line.index(f" {f} ") if f" {f} " in line else line.index(f) for f in fields]
         assert positions == sorted(positions)
+
+
+class TestReportIsTheArtifact:
+    """`run_generation` and `run_ablation` take their config section's keys as
+    keywords, and the dict `run_generation` returns is `eval_report.json`."""
+
+    @pytest.mark.parametrize(
+        "function, name", [(run_generation, "evolution"), (run_ablation, "ablation")]
+    )
+    def test_keywords_are_the_section_keys(self, function, name):
+        keywords = {
+            p.name for p in inspect.signature(function).parameters.values()
+            if p.kind is p.KEYWORD_ONLY
+        }
+        assert keywords - {"jobs"} == cfgmod.SCHEMA[name].keys()
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_returned_dict_is_the_written_report(self, spiral_task, tmp_path, repeats):
+        save_checkpoint(spiral_task.parent, tmp_path / "parent.ckpt")
+        cfg = {
+            "task": {"dataset": "spirals", "n_train": 100, "n_eval": 600, "turns": 1.75},
+            "model": {"checkpoint": str(tmp_path / "parent.ckpt")},
+            "mutation": {"sigma": 0.05, "rho": 0.5},
+            "evolution": {"pop_size": 8, "top_k": 4, "master_seed": 6, "repeats": repeats},
+        }
+        path = tmp_path / "evolve.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+
+        run = cfgmod.check(cfg, "evolve", str(tmp_path / "unused"))
+        _, val, test = cfgmod.build_task_data(run["task"])
+        parent = load_checkpoint(run["checkpoint"])
+        report = run_generation(parent, run["mutation"], val, test, **run["evolution"])
+        written = (out / "eval_report.json").read_text()
+        assert json.dumps(report, indent=2) + "\n" == written
+        assert ("repeats" in report, "best_repeat" in report) == (repeats > 1, repeats > 1)
 
 
 class TestGenerationMemory:
@@ -346,17 +370,18 @@ class TestGenerationMemory:
         parent = Network(spec, ParamVector(values))
         val = make_spirals(250, seed=2)
         test = make_spirals(250, seed=3)
-        cfg = GenerationConfig(
-            MutationParams(sigma=0.01, rho=0.5), pop_size=32, top_k=4, generations=1
-        )
+        top_k = 4
         genome_bytes = parent.params.w * 8
         tracemalloc.start()
         try:
-            run_generation(parent, cfg, val, test, master_seed=0)
+            run_generation(
+                parent, MutationParams(sigma=0.01, rho=0.5), val, test,
+                pop_size=32, top_k=top_k, generations=1, master_seed=0, repeats=1,
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < (cfg.top_k + 6) * genome_bytes, peak / genome_bytes
+        assert peak < (top_k + 6) * genome_bytes, peak / genome_bytes
 
     @pytest.mark.parametrize("anti_random", [False, True])
     def test_selected_genomes_are_combined_one_at_a_time(self, anti_random):
@@ -368,11 +393,13 @@ class TestGenerationMemory:
         val = make_spirals(250, seed=2)
         test = make_spirals(250, seed=3)
         params = MutationParams(sigma=0.01, rho=0.5, anti_random=anti_random)
-        cfg = GenerationConfig(params, pop_size=32, top_k=16, generations=1)
         genome_bytes = parent.params.w * 8
         tracemalloc.start()
         try:
-            run_generation(parent, cfg, val, test, master_seed=0)
+            run_generation(
+                parent, params, val, test,
+                pop_size=32, top_k=16, generations=1, master_seed=0, repeats=1,
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -432,8 +459,7 @@ class TestChainedParent:
 
         monkeypatch.setattr(evolution, "evaluate_fitness", recording)
         params = MutationParams(sigma=0.05, rho=0.5, anti_random=anti_random)
-        cfg = GenerationConfig(params, pop_size=8, top_k=3, generations=2)
-        run_generation(spiral_task.parent, cfg, spiral_task.val, spiral_task.test, 4)
+        generation(spiral_task, 4, params, top_k=3, generations=2)
         assert len(populations) == 2
         final = populations[-1]
         theta = final.parent.params
@@ -457,11 +483,11 @@ class TestRunAblation:
     def test_row_count_and_schema(self, spiral_task, tmp_path):
         rows = run_ablation(
             spiral_task.parent,
+            spiral_task.val,
+            spiral_task.test,
             sigma_grid=[0.05, 0.1],
             rho_grid=[0.5],
             modes=["static", "dynamic"],
-            val=spiral_task.val,
-            test=spiral_task.test,
             seeds=[0, 1],
             pop_size=4,
             top_k=2,
@@ -482,11 +508,11 @@ class TestRunAblation:
         the dense rows, for both combination styles (seed-averaged)."""
         rows = run_ablation(
             bench_task.parent,
+            bench_task.val,
+            bench_task.test,
             sigma_grid=[0.25],
             rho_grid=[0.0, 0.9],
             modes=["dynamic"],
-            val=bench_task.val,
-            test=bench_task.test,
             seeds=[0, 1, 2, 3, 4],
             pop_size=16,
             top_k=4,
@@ -502,11 +528,11 @@ class TestRunAblation:
     def test_static_and_dynamic_subspaces_similar(self, bench_task):
         rows = run_ablation(
             bench_task.parent,
+            bench_task.val,
+            bench_task.test,
             sigma_grid=[0.1],
             rho_grid=[0.9],
             modes=["static", "dynamic"],
-            val=bench_task.val,
-            test=bench_task.test,
             seeds=[0, 1, 2, 3, 4],
             pop_size=16,
             top_k=4,
@@ -541,8 +567,8 @@ class TestAblationJobs:
     def ablate(self, t, jobs, sigmas=None):
         grid_sigmas, rhos, modes, seeds = self.GRID
         return run_ablation(
-            t.parent, sigmas or grid_sigmas, rhos, modes, t.val, t.test, seeds,
-            pop_size=4, top_k=2, jobs=jobs,
+            t.parent, t.val, t.test, sigma_grid=sigmas or grid_sigmas, rho_grid=rhos,
+            modes=modes, seeds=seeds, pop_size=4, top_k=2, jobs=jobs,
         )
 
     @pytest.fixture(scope="class")
@@ -693,9 +719,9 @@ class TestDatasetsDisjoint:
         assert not datasets_disjoint(spiral_task.val, spiral_task.val)
 
 
-class TestGenerationConfig:
-    """`GenerationConfig` is a plain record: `config.check` checks the
-    population sizes before one is built."""
+class TestPopulationSizes:
+    """`config.check` checks the population sizes before `run_generation`
+    reads them."""
 
     def test_top_k_bounded(self, config_error):
         message = config_error("evolve", evolution={"pop_size": 4, "top_k": 5})

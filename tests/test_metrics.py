@@ -60,16 +60,17 @@ class TestMetricTriple:
     def test_perfect_predictor(self):
         probs = np.eye(3)
         triple = metric_triple(probs, np.arange(3))
-        assert triple.accuracy == 1.0
-        assert triple.nll == pytest.approx(0.0, abs=1e-9)
-        assert triple.ece == pytest.approx(0.0, abs=1e-9)
+        assert list(triple) == ["accuracy", "nll", "ece"]  # the report's metric block order
+        assert triple["accuracy"] == 1.0
+        assert triple["nll"] == pytest.approx(0.0, abs=1e-9)
+        assert triple["ece"] == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_two_class_labels_all_zero(self):
         probs = np.full((8, 2), 0.5)
         triple = metric_triple(probs, np.zeros(8, int))
-        assert triple.accuracy == 1.0  # tie-break rule
-        assert triple.nll == pytest.approx(math.log(2), abs=1e-9)
-        assert triple.ece == pytest.approx(0.5, abs=1e-9)
+        assert triple["accuracy"] == 1.0  # tie-break rule
+        assert triple["nll"] == pytest.approx(math.log(2), abs=1e-9)
+        assert triple["ece"] == pytest.approx(0.5, abs=1e-9)
 
     def test_permutation_invariance(self, rng):
         probs = rng.dirichlet(np.ones(3), size=40)
@@ -77,9 +78,9 @@ class TestMetricTriple:
         perm = rng.permutation(40)
         a = metric_triple(probs, labels)
         b = metric_triple(probs[perm], labels[perm])
-        assert a.accuracy == b.accuracy
-        assert a.nll == pytest.approx(b.nll, abs=1e-12)
-        assert a.ece == pytest.approx(b.ece, abs=1e-12)
+        assert a["accuracy"] == b["accuracy"]
+        assert a["nll"] == pytest.approx(b["nll"], abs=1e-12)
+        assert a["ece"] == pytest.approx(b["ece"], abs=1e-12)
 
 
 class TestNllEdgeCases:

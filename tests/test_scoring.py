@@ -17,7 +17,7 @@ import pytest
 import smd.evolution as evolution
 import smd.mutation as mutation
 from smd.cli import main
-from smd.evolution import GenerationConfig, evaluate_fitness, run_ablation, run_generation
+from smd.evolution import evaluate_fitness, run_ablation, run_generation
 from smd.mutation import MutationParams, derive_seed, spawn_mutations
 from smd.network import Network, ParamVector, forward, softmax
 
@@ -41,11 +41,15 @@ def forward_calls(monkeypatch):
     return calls
 
 
-def gen_cfg(generations=1, **mutation):
-    params = dict(sigma=0.05, rho=0.5)
-    params.update(mutation)
-    return GenerationConfig(
-        mutation=MutationParams(**params), pop_size=POP, top_k=TOP_K, generations=generations
+def params_of(**mutation):
+    return MutationParams(**{"sigma": 0.05, "rho": 0.5, **mutation})
+
+
+def sizes(generations=1, master_seed=0, repeats=1):
+    """`run_generation`'s keywords: a pop-POP, top-TOP_K run."""
+    return dict(
+        pop_size=POP, top_k=TOP_K, generations=generations, master_seed=master_seed,
+        repeats=repeats,
     )
 
 
@@ -53,7 +57,7 @@ class TestForwardCallCount:
     @pytest.mark.parametrize("generations", [1, 2])
     def test_run_generation(self, spiral_task, forward_calls, generations):
         t = spiral_task
-        run_generation(t.parent, gen_cfg(generations), t.val, t.test, 3)
+        run_generation(t.parent, params_of(), t.val, t.test, **sizes(generations, 3))
         # P per generation for fitness; then parent val, parent test,
         # averaged test, and k ensemble members on test.
         assert len(forward_calls) == generations * POP + TOP_K + 3
@@ -61,8 +65,8 @@ class TestForwardCallCount:
     def test_run_ablation(self, spiral_task, forward_calls):
         t = spiral_task
         rows = run_ablation(
-            t.parent, [0.05, 0.1], [0.5], ["static", "dynamic"], t.val, t.test, [0, 1],
-            pop_size=POP, top_k=TOP_K,
+            t.parent, t.val, t.test, sigma_grid=[0.05, 0.1], rho_grid=[0.5],
+            modes=["static", "dynamic"], seeds=[0, 1], pop_size=POP, top_k=TOP_K,
         )
         points = len(rows)
         assert points == 8
@@ -71,7 +75,7 @@ class TestForwardCallCount:
 
     def test_evaluate_fitness_one_pass_per_child(self, spiral_task, forward_calls):
         t = spiral_task
-        params = gen_cfg().mutation
+        params = params_of()
         children = spawn_mutations(t.parent.params, params, POP, 4)
         pop = evaluate_fitness(t.parent, params, children, t.val)
         assert forward_calls == [t.val.n] * POP
@@ -84,7 +88,7 @@ class TestWorkCounts:
 
     def test_scoring_builds_one_param_vector(self, spiral_task, monkeypatch):
         t = spiral_task
-        params = gen_cfg().mutation
+        params = params_of()
         children = spawn_mutations(t.parent.params, params, POP, 4)
         built, post_init = [], ParamVector.__post_init__
 
@@ -99,8 +103,10 @@ class TestWorkCounts:
     def test_report_draws_each_member_once(self, spiral_task, monkeypatch):
         t = spiral_task
         # Independent children: each selected member is a group of its own.
-        cfg = gen_cfg(mirrored=False)
-        pop, selected = evolution._evolve(t.parent, cfg, t.val, 5)
+        pop, selected = evolution._evolve(
+            t.parent, params_of(mirrored=False), t.val,
+            pop_size=POP, top_k=TOP_K, generations=1, master_seed=5,
+        )
         parent_scores = evolution._score_parent(pop.parent, t.val, t.test)
         draws = {"mask": 0, "noise": 0}
         real = {"mask": mutation.sample_mask, "noise": mutation.sample_noise}
@@ -113,7 +119,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(mutation, "sample_mask", counting("mask"))
         monkeypatch.setattr(mutation, "sample_noise", counting("noise"))
-        evolution._report(pop, selected, cfg, t.val, t.test, 5, parent_scores)
+        evolution._report(pop, selected, t.val, t.test, parent_scores, generations=1, seed=5)
         assert draws == {"mask": TOP_K, "noise": TOP_K}
 
     @pytest.mark.parametrize("generations, averages", [(1, 1), (2, 3 + 1)])
@@ -130,14 +136,14 @@ class TestWorkCounts:
             return real(candidates)
 
         monkeypatch.setattr(evolution, "average_weights", counting)
-        run_generation(t.parent, gen_cfg(generations), t.val, t.test, 7, repeats=3)
+        run_generation(t.parent, params_of(), t.val, t.test, **sizes(generations, 7, repeats=3))
         assert len(calls) == averages
 
 
 class TestCachedScores:
     def test_val_logits_match_direct_forward(self, spiral_task):
         t = spiral_task
-        params = gen_cfg().mutation
+        params = params_of()
         children = spawn_mutations(t.parent.params, params, POP, 5)
         pop = evaluate_fitness(t.parent, params, children, t.val)
         for child, cached in zip(pop.children, pop.val_probs, strict=True):
@@ -149,36 +155,36 @@ class TestCachedScores:
     def test_kl_and_ensemble_val_match_recompute(self, spiral_task, generations):
         t = spiral_task
         seed = 6
-        cfg = gen_cfg(generations)
-        report = run_generation(t.parent, cfg, t.val, t.test, seed)
+        params = params_of()
+        report = run_generation(t.parent, params, t.val, t.test, **sizes(generations, seed))
 
         current = t.parent
         for gen in range(generations):
             gen_seed = derive_seed(seed, evolution._GENERATION_NS, gen)
-            children = spawn_mutations(current.params, cfg.mutation, POP, gen_seed)
-            pop = evaluate_fitness(current, cfg.mutation, children, t.val)
+            children = spawn_mutations(current.params, params, POP, gen_seed)
+            pop = evaluate_fitness(current, params, children, t.val)
             selected = evolution.select_top_k(pop, TOP_K)
             chosen = [pop.children[i] for i in selected]
             averaged = evolution.average_weights(
-                [seed_record_genome(current.params, cfg.mutation, c) for c in chosen]
+                [seed_record_genome(current.params, params, c) for c in chosen]
             )
             if gen < generations - 1:
                 # A chained parent is float32-valued, like a loaded checkpoint.
                 quantized = averaged.values.astype(np.float32).astype(np.float64)
                 current = Network(current.spec, ParamVector(quantized))
-        assert report.selected_indices == selected
+        assert report["selected"] == selected
 
         parent_logits = forward(current, t.val.inputs)
         nets = [
-            Network(current.spec, seed_record_genome(current.params, cfg.mutation, c))
+            Network(current.spec, seed_record_genome(current.params, params, c))
             for c in pop.children
         ]
-        for record, net in zip(report.per_child, nets):
+        for record, net in zip(report["per_child"], nets):
             kl = kl_from_logits(parent_logits, forward(net, t.val.inputs))
             assert record["kl_to_parent"] == kl
         probs = np.mean([softmax(forward(nets[i], t.val.inputs)) for i in selected], axis=0)
         ens_val = float((probs.argmax(axis=1) == t.val.labels).mean())
-        assert report.ensemble_val_accuracy == ens_val
+        assert report["ensemble_val_accuracy"] == ens_val
 
 
 class TestAblationPoints:
@@ -189,15 +195,18 @@ class TestAblationPoints:
 
     def ablate(self, t):
         sigmas, rhos, modes, seeds = self.GRID
-        return run_ablation(t.parent, sigmas, rhos, modes, t.val, t.test, seeds, pop_size=4, top_k=2)
+        return run_ablation(
+            t.parent, t.val, t.test, sigma_grid=sigmas, rho_grid=rhos, modes=modes, seeds=seeds,
+            pop_size=4, top_k=2,
+        )
 
     def test_evolve_runs_once_per_distinct_point(self, spiral_task, monkeypatch):
         points = []
         real = evolution._evolve
 
-        def counting(parent, cfg, val, seed):
-            points.append((cfg.mutation.sigma, cfg.mutation.rho, cfg.mutation.subspace_mode, seed))
-            return real(parent, cfg, val, seed)
+        def counting(parent, params, val, **run):
+            points.append((params.sigma, params.rho, params.subspace_mode, run["master_seed"]))
+            return real(parent, params, val, **run)
 
         monkeypatch.setattr(evolution, "_evolve", counting)
         rows = self.ablate(spiral_task)
@@ -216,19 +225,19 @@ class TestAblationPoints:
             for rho in rhos:
                 for mode in modes:
                     for seed in seeds:
-                        cfg = GenerationConfig(
-                            MutationParams(sigma=sigma, rho=rho, subspace_mode=mode),
-                            pop_size=4, top_k=2, generations=1,
+                        params = MutationParams(sigma=sigma, rho=rho, subspace_mode=mode)
+                        scored = evolution._evolve(
+                            t.parent, params, t.val,
+                            pop_size=4, top_k=2, generations=1, master_seed=seed,
                         )
                         report = evolution._report(
-                            *evolution._evolve(t.parent, cfg, t.val, seed),
-                            cfg, t.val, t.test, seed, parent_scores,
+                            *scored, t.val, t.test, parent_scores, generations=1, seed=seed
                         )
                         expected.append({
                             "sigma": sigma, "rho": rho, "mode": mode, "seed": seed,
-                            "mean_kl": report.mean_kl_children,
-                            "avg_acc": report.averaged_metrics.accuracy,
-                            "ens_acc": report.ensemble_metrics.accuracy,
+                            "mean_kl": report["mean_kl_children"],
+                            "avg_acc": report["averaged"]["accuracy"],
+                            "ens_acc": report["ensemble"]["accuracy"],
                         })
         assert rows == expected
 
