@@ -9,8 +9,8 @@ mutation hyperparameters.
 """
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .datasets import Dataset, SplitSpec, load_csv, make_spirals, split
-from .divergence import GridSearchConfig, grid_search
+from .datasets import Dataset, load_csv, make_spirals, split
+from .divergence import grid_search
 from .evolution import (
     Population,
     average_weights,
@@ -37,6 +37,6 @@ from .network import (
     nll_loss,
     softmax,
 )
-from .training import TrainConfig, train_model
+from .training import train_model
 
 __version__ = "0.1.0"

@@ -138,13 +138,16 @@ def cell_tag(sigma: float, rho: float) -> str:
 def export_boundary_cells(
     parent: Network,
     data: Dataset,
+    out_dir: str | Path,
+    *,
     sigma_grid: list[float],
     rho_grid: list[float],
-    out_dir: str | Path,
-    master_seed: int,
     resolution: int,
+    seed: int,
 ) -> list[Path]:
-    """Write one CSV and one PGM per (sigma, rho) cell; returns the paths."""
+    """Write one CSV and one PGM per (sigma, rho) cell; returns the paths.
+    The keyword parameters are the checked `boundary` section's keys; `seed`
+    is the master seed of every cell's perturbation."""
     if data.inputs.shape[1] != 2:
         raise TaskMismatchError(
             f"boundary export needs 2-D data, got {data.inputs.shape[1]} features"
@@ -158,7 +161,7 @@ def export_boundary_cells(
     written = []
     for ci, sigma in enumerate(sigma_grid):
         for cj, rho in enumerate(rho_grid):
-            cell_seed = derive_seed(master_seed, ci * len(rho_grid) + cj)
+            cell_seed = derive_seed(seed, ci * len(rho_grid) + cj)
             net = perturbed_network(parent, sigma, rho, cell_seed)
             grid = evaluate_grid(net, bounds, resolution, scratch)
             csv_path = out_dir / f"boundary_{cell_tag(sigma, rho)}.csv"

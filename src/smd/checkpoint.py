@@ -34,8 +34,8 @@ def save_checkpoint(net: Network, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Network:
-    """Read a checkpoint; rejects wrong magic, bad layer sizes, bad lengths and
-    trailing bytes.
+    """Read a checkpoint; rejects wrong magic, bad layer sizes, bad lengths,
+    trailing bytes and non-finite values.
 
     The init seed is not serialized; the restored spec carries seed 0.
     """
@@ -66,4 +66,6 @@ def load_checkpoint(path: str | Path) -> Network:
             f"{path}: expected {offset + 4 * w} bytes, found {len(blob)}"
         )
     values = np.frombuffer(blob, dtype="<f4", count=w, offset=offset).astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise CheckpointError(f"{path}: parameter vector contains non-finite entries")
     return Network(spec, ParamVector(values))

@@ -74,7 +74,7 @@ def cmd_train(run: dict) -> int:
 
     net = init_network(run["spec"])
     history: list[dict] = []
-    trained = train_model(net, train, run["train_cfg"], history)
+    trained = train_model(net, train, history, **run["train"])
     val_acc = accuracy(softmax(forward(trained, val.inputs)), val.labels)
 
     ckpt_path = run["out_dir"] / "model.ckpt"
@@ -88,7 +88,7 @@ def cmd_train(run: dict) -> int:
         run["out_dir"] / "train_summary.json",
         {
             "checkpoint": ckpt_path.name,
-            "epochs": run["train_cfg"].epochs,
+            "epochs": run["train"]["epochs"],
             "final_train_loss": history[-1]["loss"],
             "final_train_accuracy": history[-1]["accuracy"],
             "val_accuracy": val_acc,
@@ -110,31 +110,14 @@ def _load_parent(path: Path, data: Dataset) -> Network:
 def cmd_search(run: dict) -> int:
     _, val, _ = cfgmod.build_task_data(run["task"])
     parent = _load_parent(run["checkpoint"], val)
-    search = run["search"]
-
-    outcome = grid_search(parent, val, search)
-    best = outcome.best
-    _write_json(
-        run["out_dir"] / "search_result.json",
-        {
-            "sigma": best.sigma,
-            "rho": best.rho,
-            "mean_kl": best.mean_kl,
-            "mean_mse": best.mean_mse,
-            "child_accuracy": best.mean_child_acc,
-            "probe_size": outcome.probe_size,
-            "in_band": outcome.in_band,
-            "kl_target": search.kl_target,
-            "kl_tolerance": search.kl_tolerance,
-            "seed": search.seed,
-        },
-    )
-    write_sweep_csv(outcome.cells, run["out_dir"] / "sweep.csv")
+    result, cells = grid_search(parent, val, **run["search"])
+    _write_json(run["out_dir"] / "search_result.json", result)
+    write_sweep_csv(cells, run["out_dir"] / "sweep.csv")
     print(
-        f"sigma {best.sigma:g} | rho {best.rho:g} | mean KL {best.mean_kl:.4f}"
-        f" | in_band {outcome.in_band}"
+        f"sigma {result['sigma']:g} | rho {result['rho']:g} | mean KL {result['mean_kl']:.4f}"
+        f" | in_band {result['in_band']}"
     )
-    return EXIT_OK if outcome.in_band else EXIT_OUT_OF_BAND
+    return EXIT_OK if result["in_band"] else EXIT_OUT_OF_BAND
 
 
 def _evaluation_data(run: dict) -> tuple[Network, Dataset, Dataset]:
@@ -174,16 +157,7 @@ def cmd_evolve(run: dict) -> int:
 def cmd_boundary(run: dict) -> int:
     train, _, _ = cfgmod.build_task_data(run["task"])
     parent = _load_parent(run["checkpoint"], train)
-    boundary = run["boundary"]
-    written = export_boundary_cells(
-        parent,
-        train,
-        boundary["sigma_grid"],
-        boundary["rho_grid"],
-        run["out_dir"],
-        master_seed=boundary["seed"],
-        resolution=boundary["resolution"],
-    )
+    written = export_boundary_cells(parent, train, run["out_dir"], **run["boundary"])
     print(f"wrote {len(written)} boundary files to {run['out_dir']}")
     return EXIT_OK
 

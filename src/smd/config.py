@@ -6,13 +6,14 @@ against it. Unknown keys, values of the wrong kind and missing required keys
 are configuration errors that name the section and the key, so typos fail
 loudly instead of silently using defaults. A None default marks an optional
 key with no default; a default that the class or function the key builds
-declares is read from it (`TrainConfig.epochs`), never copied.
+declares is read from it (`NetworkSpec.seed`), never copied.
 
 `check` is the one check of a command's config, run before any data or
 checkpoint is read: it runs `section` once per section, applies every rule
-that ties keys together, and hands the command only checked values. It is
-the one check of each value: the dataclasses and samplers built from them
-do not check them again. All randomness is seeded from config fields;
+that ties keys together, and hands the command only checked values: each
+command calls its library function with its checked section as keywords.
+It is the one check of each value: the dataclasses and samplers built from
+them do not check them again. All randomness is seeded from config fields;
 nothing reads system entropy.
 """
 
@@ -24,12 +25,11 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .boundary import cell_tag
-from .datasets import Dataset, SplitSpec, load_csv, make_spirals, split
-from .divergence import GridSearchConfig
+from .datasets import Dataset, load_csv, make_spirals, split
 from .errors import ConfigurationError
 from .mutation import SUBSPACE_MODES, MutationParams, group_roles
 from .network import ACTIVATIONS, NetworkSpec
-from .training import OPTIMIZERS, TrainConfig
+from .training import OPTIMIZERS
 
 
 class Kind(NamedTuple):
@@ -103,14 +103,14 @@ SCHEMA: dict[str, dict[str, tuple[Kind, object]]] = {
         "checkpoint": (STRING, None),
     },
     "model.train": {
-        "optimizer": (_one_of(OPTIMIZERS), TrainConfig.optimizer),
-        "learning_rate": (_POSITIVE, TrainConfig.learning_rate),
-        "epochs": (_COUNT, TrainConfig.epochs),
-        "batch_size": (_COUNT, TrainConfig.batch_size),
-        "adam_beta1": (_BETA, TrainConfig.adam_beta1),
-        "adam_beta2": (_BETA, TrainConfig.adam_beta2),
-        "adam_eps": (_POSITIVE, TrainConfig.adam_eps),
-        "shuffle_seed": (_SEED, TrainConfig.shuffle_seed),
+        "optimizer": (_one_of(OPTIMIZERS), "adam"),
+        "learning_rate": (_POSITIVE, 0.001),
+        "epochs": (_COUNT, 10),
+        "batch_size": (_COUNT, 16),
+        "adam_beta1": (_BETA, 0.9),
+        "adam_beta2": (_BETA, 0.999),
+        "adam_eps": (_POSITIVE, 1e-8),
+        "shuffle_seed": (_SEED, 0),
     },
     "mutation": {
         "sigma": (_POSITIVE, None),
@@ -125,11 +125,11 @@ SCHEMA: dict[str, dict[str, tuple[Kind, object]]] = {
     "mutation.search": {
         "sigma_grid": (_list_of(_POSITIVE), REQUIRED),
         "rho_grid": (_list_of(_RHO), REQUIRED),
-        "kl_target": (_POSITIVE, GridSearchConfig.kl_target),
-        "kl_tolerance": (_POSITIVE, GridSearchConfig.kl_tolerance),
-        "samples_per_cell": (_COUNT, GridSearchConfig.samples_per_cell),
-        "probe_size": (_COUNT, GridSearchConfig.probe_size),
-        "seed": (_SEED, GridSearchConfig.seed),
+        "kl_target": (_POSITIVE, 0.05),
+        "kl_tolerance": (_POSITIVE, 0.5),  # relative band half-width around the target
+        "samples_per_cell": (_COUNT, 4),
+        "probe_size": (_COUNT, 1000),
+        "seed": (_SEED, 0),
     },
     "evolution": {
         "pop_size": (_COUNT, 16),
@@ -157,13 +157,11 @@ SCHEMA: dict[str, dict[str, tuple[Kind, object]]] = {
 
 
 class TaskSets(NamedTuple):
-    """A checked task section, which of its datasets a command reads, and
-    how its eval pool splits into validation and test sets."""
+    """A checked task section and which of its datasets a command reads."""
 
     section: dict
     train: bool  # the training set
     evaluation: bool  # the validation and test sets
-    split: SplitSpec | None  # None for a csv task that names both sets' files
 
 
 # The sections each command reads: a config without one of them is an error,
@@ -267,10 +265,10 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
             raise ConfigurationError(f"config is missing the '{name}' section")
         checked[name] = section(cfg, name)
     written = {name: cfg[name].keys() - {"_comment"} for name in reads}  # without defaults
-    split = _task_rules(checked["task"], written["task"])
+    _task_rules(checked["task"], written["task"])
     run = {
         "out_dir": out_dir,
-        "task": TaskSets(checked["task"], *_DATASETS[command], split),
+        "task": TaskSets(checked["task"], *_DATASETS[command]),
         **_model(checked["model"], command, written["model"]),
     }
     if command == "search":
@@ -279,7 +277,10 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
                 "the search command's mutation section holds a 'search' directive and "
                 f"nothing else, got keys {sorted(written['mutation'])}"
             )
-        run["search"] = GridSearchConfig(**checked["mutation"]["search"])
+        search = run["search"] = checked["mutation"]["search"]
+        for name in ("sigma_grid", "rho_grid"):
+            if search[name] != sorted(set(search[name])):
+                raise ConfigurationError(f"{name} must be strictly ascending")
     elif command == "evolve":
         evolution = checked["evolution"]
         _population(evolution["pop_size"], evolution["top_k"], checked["mutation"])
@@ -298,13 +299,12 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
     return run
 
 
-def _task_rules(task: dict, written) -> SplitSpec | None:
+def _task_rules(task: dict, written) -> None:
     """A csv task names its files one of two ways; a spirals task's sample
-    counts split evenly between its two spirals; an eval pool is split by
-    fractions that sum to 1; the config writes no task key that the task's
-    form never reads (`written` are the keys as written, since `task` also
-    holds defaults). Returns the eval pool's split, or None when a csv task
-    names its validation and test files."""
+    counts split evenly between its two spirals; the config writes no task
+    key that the task's form never reads (`written` are the keys as written,
+    since `task` also holds defaults); an eval pool is split by fractions
+    that sum to 1 (a task without one keeps the default fractions)."""
     if task["dataset"] == "spirals":
         for key in ("n_train", "n_eval"):
             if task[key] % 2:
@@ -327,9 +327,8 @@ def _task_rules(task: dict, written) -> SplitSpec | None:
     unread = sorted(unread & written)
     if unread:
         raise ConfigurationError(f"task '{unread[0]}' is not read by {form}")
-    if task["dataset"] == "spirals" or "val_csv" not in task:
-        return SplitSpec(task["eval_fractions"], task["split_seed"])
-    return None
+    if abs(sum(task["eval_fractions"]) - 1.0) > 1e-9:
+        raise ConfigurationError(f"fractions must sum to 1, got {sum(task['eval_fractions'])}")
 
 
 def _model(model: dict, command: str, written) -> dict:
@@ -350,7 +349,7 @@ def _model(model: dict, command: str, written) -> dict:
     if "layer_sizes" not in model:
         raise ConfigurationError("model section needs 'layer_sizes' to train from scratch")
     spec = NetworkSpec(**{k: model[k] for k in _ARCHITECTURE})
-    return {"spec": spec, "train_cfg": TrainConfig(**model["train"])}
+    return {"spec": spec, "train": model["train"]}
 
 
 def _population(pop_size: int, top_k: int, strategy: dict) -> None:
@@ -420,5 +419,5 @@ def build_task_data(task: TaskSets) -> tuple[Dataset | None, Dataset | None, Dat
             test = load_csv(section["test_csv"], class_count=train.class_count)
             return train, val, test
         eval_pool = load_csv(section["eval_csv"], class_count=train.class_count)
-    val, test = split(eval_pool, task.split)
+    val, test = split(eval_pool, section["eval_fractions"], section["split_seed"])
     return train, val, test

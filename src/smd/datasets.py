@@ -44,17 +44,6 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-@dataclass
-class SplitSpec:
-    fractions: tuple[float, ...]
-    seed: int = 0
-
-    def __post_init__(self):
-        self.fractions = tuple(float(f) for f in self.fractions)
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ConfigurationError(f"fractions must sum to 1, got {sum(self.fractions)}")
-
-
 def make_spirals(n: int, *, noise_std: float = 0.05, turns: float = 1.75, seed: int = 0) -> Dataset:
     """Two interleaved spirals, n/2 points per class.
 
@@ -74,20 +63,21 @@ def make_spirals(n: int, *, noise_std: float = 0.05, turns: float = 1.75, seed: 
     return Dataset(inputs, labels, class_count=2)
 
 
-def split(data: Dataset, spec: SplitSpec) -> list[Dataset]:
-    """Disjoint, exhaustive partition after a seeded shuffle.
+def split(data: Dataset, fractions: Sequence[float], seed: int) -> list[Dataset]:
+    """Disjoint, exhaustive partition after a seeded shuffle, by fractions
+    that sum to 1.
 
     Sizes are floor(n * fraction); the rounding remainder goes to the
     first split. Any empty part is a configuration error.
     """
     n = data.n
-    sizes = [int(np.floor(n * f)) for f in spec.fractions]
+    sizes = [int(np.floor(n * f)) for f in fractions]
     sizes[0] += n - sum(sizes)
     if any(s < 1 for s in sizes):
         raise ConfigurationError(
-            f"split of {n} samples by {spec.fractions} yields an empty part {sizes}"
+            f"split of {n} samples by {tuple(fractions)} yields an empty part {sizes}"
         )
-    order = np.random.default_rng(spec.seed).permutation(n)
+    order = np.random.default_rng(seed).permutation(n)
     out = []
     pos = 0
     for s in sizes:

@@ -10,13 +10,11 @@ KL(parent || child).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .datasets import Dataset, write_csv
-from .errors import ConfigurationError
 from .metrics import accuracy
 from .mutation import MutationParams, child_logits, derive_seed, spawn_mutations
 from .network import EPS_PROB, Network, forward, softmax, workspace
@@ -25,41 +23,6 @@ from .network import EPS_PROB, Network, forward, softmax, workspace
 _CELL_NS = 2
 
 SWEEP_COLUMNS = ("sigma", "rho", "mean_kl", "mean_mse", "mean_child_acc", "n_children")
-
-
-@dataclass
-class GridSearchConfig:
-    sigma_grid: Sequence[float]
-    rho_grid: Sequence[float]
-    kl_target: float = 0.05
-    kl_tolerance: float = 0.5  # relative band half-width around the target
-    samples_per_cell: int = 4
-    probe_size: int = 1000
-    seed: int = 0  # the master seed of every cell's children
-
-    def __post_init__(self):
-        for name in ("sigma_grid", "rho_grid"):
-            grid = getattr(self, name)
-            if list(grid) != sorted(set(grid)):
-                raise ConfigurationError(f"{name} must be strictly ascending")
-
-
-@dataclass(frozen=True)
-class CellResult:
-    sigma: float
-    rho: float
-    mean_kl: float
-    mean_mse: float
-    mean_child_acc: float
-    n_children: int
-
-
-@dataclass(frozen=True)
-class GridSearchOutcome:
-    best: CellResult  # the cell the selection rule chose
-    probe_size: int  # probe rows every cell was scored on
-    in_band: bool
-    cells: tuple[CellResult, ...]
 
 
 def mse_from_logits(parent_logits: np.ndarray, child_logits: np.ndarray) -> float:
@@ -102,8 +65,9 @@ def sweep_cells(
     rho_grid: Sequence[float],
     samples_per_cell: int,
     master_seed: int,
-) -> list[CellResult]:
-    """Evaluate every (sigma, rho) cell: mean KL/MSE/accuracy of fresh children.
+) -> list[dict]:
+    """Evaluate every (sigma, rho) cell: mean KL/MSE/accuracy of fresh children,
+    one dict keyed by `SWEEP_COLUMNS` per cell.
 
     Cells come out sorted by (rho, sigma) for ascending grids. Cell
     randomness derives from (master_seed, cell index, child index), with
@@ -128,22 +92,12 @@ def sweep_cells(
                 kls.append(kl_from_probs(parent_probs, probs))
                 mses.append(mse_from_logits(parent_logits, logits))
                 accs.append(accuracy(probs, probe.labels))
-            cells.append(
-                CellResult(
-                    sigma=sigma,
-                    rho=rho,
-                    mean_kl=float(np.mean(kls)),
-                    mean_mse=float(np.mean(mses)),
-                    mean_child_acc=float(np.mean(accs)),
-                    n_children=len(children),
-                )
-            )
+            means = (float(np.mean(kls)), float(np.mean(mses)), float(np.mean(accs)))
+            cells.append(dict(zip(SWEEP_COLUMNS, (sigma, rho, *means, len(children)))))
     return cells
 
 
-def select_cell(
-    cells: list[CellResult], kl_target: float, kl_tolerance: float
-) -> tuple[CellResult, bool]:
+def select_cell(cells: list[dict], kl_target: float, kl_tolerance: float) -> tuple[dict, bool]:
     """Selection rule: among cells with mean KL inside kl_target * (1 +-
     kl_tolerance), the one with the best mean child accuracy; if the band
     is empty, the cell with mean KL closest to the target, flagged False.
@@ -151,27 +105,49 @@ def select_cell(
     """
     lo = kl_target * (1 - kl_tolerance)
     hi = kl_target * (1 + kl_tolerance)
-    in_band = [c for c in cells if lo <= c.mean_kl <= hi]
+    in_band = [c for c in cells if lo <= c["mean_kl"] <= hi]
     if in_band:
-        return max(in_band, key=lambda c: (c.mean_child_acc, c.sigma, c.rho)), True
-    return max(cells, key=lambda c: (-abs(c.mean_kl - kl_target), c.sigma, c.rho)), False
+        return max(in_band, key=lambda c: (c["mean_child_acc"], c["sigma"], c["rho"])), True
+    return max(cells, key=lambda c: (-abs(c["mean_kl"] - kl_target), c["sigma"], c["rho"])), False
 
 
-def grid_search(parent: Network, probe: Dataset, cfg: GridSearchConfig) -> GridSearchOutcome:
-    """Sweep the grid and apply the selection rule; see select_cell."""
-    probe = _cap_probe(probe, cfg.probe_size)
-    cells = sweep_cells(
-        parent, probe, cfg.sigma_grid, cfg.rho_grid, cfg.samples_per_cell, cfg.seed
-    )
-    best, in_band = select_cell(cells, cfg.kl_target, cfg.kl_tolerance)
-    return GridSearchOutcome(best, probe.n, in_band, tuple(cells))
+def grid_search(
+    parent: Network,
+    probe: Dataset,
+    *,
+    sigma_grid: list[float],
+    rho_grid: list[float],
+    kl_target: float,
+    kl_tolerance: float,
+    samples_per_cell: int,
+    probe_size: int,
+    seed: int,
+) -> tuple[dict, list[dict]]:
+    """Sweep the grid on the first `probe_size` probe rows and apply the
+    selection rule (see select_cell). The keyword parameters are the checked
+    `mutation.search` section's keys; `seed` is the master seed of every
+    cell's children.
+
+    Returns the `search_result.json` payload and the sweep cells.
+    """
+    if probe.n > probe_size:
+        probe = Dataset(probe.inputs[:probe_size], probe.labels[:probe_size], probe.class_count)
+    cells = sweep_cells(parent, probe, sigma_grid, rho_grid, samples_per_cell, seed)
+    best, in_band = select_cell(cells, kl_target, kl_tolerance)
+    result = {
+        "sigma": best["sigma"],
+        "rho": best["rho"],
+        "mean_kl": best["mean_kl"],
+        "mean_mse": best["mean_mse"],
+        "child_accuracy": best["mean_child_acc"],
+        "probe_size": probe.n,
+        "in_band": in_band,
+        "kl_target": kl_target,
+        "kl_tolerance": kl_tolerance,
+        "seed": seed,
+    }
+    return result, cells
 
 
-def _cap_probe(probe: Dataset, probe_size: int) -> Dataset:
-    if probe.n <= probe_size:
-        return probe
-    return Dataset(probe.inputs[:probe_size], probe.labels[:probe_size], probe.class_count)
-
-
-def write_sweep_csv(cells: list[CellResult], path: str | Path) -> None:
-    write_csv(path, SWEEP_COLUMNS, ([getattr(c, name) for name in SWEEP_COLUMNS] for c in cells))
+def write_sweep_csv(cells: list[dict], path: str | Path) -> None:
+    write_csv(path, SWEEP_COLUMNS, ([c[name] for name in SWEEP_COLUMNS] for c in cells))

@@ -22,12 +22,17 @@ class CheckpointError(ValueError):
 
 
 class TrainingDivergenceError(RuntimeError):
-    """Loss became non-finite during training."""
+    """Training diverged: a batch loss became non-finite (at `batch`), or
+    an epoch left a parameter that float32, the checkpoint's type, cannot
+    hold (`batch` None)."""
 
-    def __init__(self, epoch: int, batch: int):
+    def __init__(self, epoch: int, batch: int | None = None):
         self.epoch = epoch
         self.batch = batch
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
+        super().__init__(
+            f"non-finite loss at epoch {epoch}, batch {batch}" if batch is not None
+            else f"parameters outside the float32 range after epoch {epoch}"
+        )
 
 
 class DataHygieneError(RuntimeError):

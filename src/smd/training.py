@@ -7,8 +7,6 @@ bit-identical parameter vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .datasets import Dataset
@@ -25,18 +23,8 @@ from .network import (
 )
 
 OPTIMIZERS = ("adam", "sgd")
-
-
-@dataclass
-class TrainConfig:
-    optimizer: str = "adam"
-    learning_rate: float = 0.001
-    epochs: int = 10
-    batch_size: int = 16
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    shuffle_seed: int = 0
+# A checkpoint stores float32, so a parameter beyond this cannot be saved.
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _loss_and_delta(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -106,39 +94,49 @@ def loss_and_grad(
 def train_model(
     net: Network,
     data: Dataset,
-    cfg: TrainConfig,
     history: list[dict] | None = None,
+    *,
+    optimizer: str,
+    learning_rate: float,
+    epochs: int,
+    batch_size: int,
+    adam_beta1: float,
+    adam_beta2: float,
+    adam_eps: float,
+    shuffle_seed: int,
 ) -> Network:
     """Train a copy of `net` on `data`; the input network is left untouched.
+    The keyword parameters are the checked `model.train` section's keys.
 
     Appends one {"epoch", "loss", "accuracy"} record per epoch to `history`
     when given. Raises TrainingDivergenceError on the first non-finite
-    batch loss. The optimizer state lives in buffers allocated once and
-    updated in place, in the same elementwise order as the textbook
-    out-of-place update, so the result is the same bit for bit.
+    batch loss, and after an epoch that leaves a parameter outside the
+    float32 range of a checkpoint. The optimizer state lives in buffers
+    allocated once and updated in place, in the same elementwise order as
+    the textbook out-of-place update, so the result is the same bit for bit.
     """
     theta = net.params.values.copy()
-    shuffle_rng = np.random.default_rng(cfg.shuffle_seed)
+    shuffle_rng = np.random.default_rng(shuffle_seed)
     n = data.inputs.shape[0]
 
     grad = np.empty_like(theta)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     tmp = np.empty_like(theta)
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = adam_beta1, adam_beta2
     step = 0
 
-    for epoch in range(cfg.epochs):
+    for epoch in range(epochs):
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
-        for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):
-            sel = order[start : start + cfg.batch_size]
+        for batch_idx, start in enumerate(range(0, n, batch_size)):
+            sel = order[start : start + batch_size]
             loss, _ = loss_and_grad(net.spec, theta, data.inputs[sel], data.labels[sel], grad)
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(epoch, batch_idx)
             epoch_loss += loss * len(sel)
             step += 1
-            if cfg.optimizer == "adam":
+            if optimizer == "adam":
                 # m = b1*m + (1-b1)*grad;  v = b2*v + (1-b2)*grad**2
                 m *= b1
                 np.multiply(1 - b1, grad, out=tmp)
@@ -151,14 +149,16 @@ def train_model(
                 # it holds the denominator
                 np.divide(v, 1 - b2**step, out=grad)
                 np.sqrt(grad, out=grad)
-                grad += cfg.adam_eps
+                grad += adam_eps
                 np.divide(m, 1 - b1**step, out=tmp)
-                tmp *= cfg.learning_rate
+                tmp *= learning_rate
                 tmp /= grad
                 theta -= tmp
             else:
-                grad *= cfg.learning_rate
+                grad *= learning_rate
                 theta -= grad
+        if not (-_FLOAT32_MAX <= theta.min() and theta.max() <= _FLOAT32_MAX):  # NaN fails too
+            raise TrainingDivergenceError(epoch)
 
         if history is not None:
             trained = Network(net.spec, ParamVector(theta))

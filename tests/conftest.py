@@ -11,8 +11,6 @@ from smd import (
     Dataset,
     Network,
     NetworkSpec,
-    SplitSpec,
-    TrainConfig,
     init_network,
     make_spirals,
     split,
@@ -21,6 +19,8 @@ from smd import (
 from smd.checkpoint import load_checkpoint, save_checkpoint
 from smd.config import check
 from smd.errors import ConfigurationError
+
+from oracles import train_settings
 
 
 @dataclass
@@ -34,9 +34,9 @@ class Task:
 def _build_task(tmp_path, turns: float, batch_size: int, n_eval: int) -> Task:
     train = make_spirals(2500, turns=turns, seed=1)
     pool = make_spirals(n_eval, turns=turns, seed=2)
-    val, test = split(pool, SplitSpec((0.5, 0.5), seed=3))
+    val, test = split(pool, (0.5, 0.5), seed=3)
     spec = NetworkSpec([2, 64, 64, 64, 2], seed=7)
-    trained = train_model(init_network(spec), train, TrainConfig(batch_size=batch_size))
+    trained = train_model(init_network(spec), train, **train_settings(batch_size=batch_size))
     ckpt = tmp_path / f"parent_t{turns}_b{batch_size}.ckpt"
     save_checkpoint(trained, ckpt)
     return Task(train, val, test, load_checkpoint(ckpt))

@@ -4,7 +4,8 @@ None of these run in a command. `child_genome` builds a genome by its own
 scatter from a whole mask, and `seed_record_genome` rebuilds a child from
 its seed record through it, so a test that compares them with
 `mutation.working_genomes` or `mutation.child_supports` compares two
-separate implementations.
+separate implementations. `train_settings` gives `train_model` the
+keywords a config's `model.train` section would.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from smd.config import section
 from smd.datasets import Dataset
 from smd.divergence import clamp_probs, kl_from_probs, mse_from_logits
 from smd.errors import ConfigurationError, ShapeError
@@ -152,3 +154,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     z = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z).sum(axis=1))
     return float((log_norm - z[np.arange(len(labels)), labels]).mean())
+
+
+def train_settings(**keys) -> dict:
+    """The checked `model.train` section that writes `keys`, defaults filled in."""
+    return section({"train": keys}, "model.train")

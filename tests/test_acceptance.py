@@ -33,9 +33,11 @@ from smd.network import (
     nll_loss,
     softmax,
 )
-from smd.training import TrainConfig, loss_and_grad
+from smd.training import loss_and_grad
 
-from oracles import child_genome, cross_entropy, output_kl, output_mse, partition_masks
+from oracles import (
+    child_genome, cross_entropy, output_kl, output_mse, partition_masks, train_settings
+)
 
 
 def report(criterion: str, passed: bool, detail: str = ""):
@@ -180,7 +182,7 @@ class TestCriterion05KlTrends:
                 bench_task.parent, bench_task.val, sigma_grid, rho_grid, 4, seed
             )
             for r in rows:
-                kl.setdefault((r.sigma, r.rho), []).append(r.mean_kl)
+                kl.setdefault((r["sigma"], r["rho"]), []).append(r["mean_kl"])
         write_sweep_csv(
             sweep_cells(bench_task.parent, bench_task.val, sigma_grid, rho_grid, 4, 0),
             tmp_path / "sweep.csv",
@@ -268,7 +270,7 @@ class TestCriterion07RerunDeterminism:
 
         train = make_spirals(600, seed=1)
         net = train_model(
-            init_network(NetworkSpec([2, 16, 2], seed=7)), train, TrainConfig(epochs=5)
+            init_network(NetworkSpec([2, 16, 2], seed=7)), train, **train_settings(epochs=5)
         )
         ckpt = tmp_path / "m.ckpt"
         save_checkpoint(net, ckpt)

@@ -100,7 +100,7 @@ class TestPgm:
 class TestExport:
     def test_two_by_two_grid_writes_eight_files(self, net, data, tmp_path):
         paths = export_boundary_cells(
-            net, data, [0.05, 0.25], [0.0, 0.9], tmp_path, master_seed=3, resolution=20
+            net, data, tmp_path, sigma_grid=[0.05, 0.25], rho_grid=[0.0, 0.9], resolution=20, seed=3
         )
         assert len(paths) == 8
         assert all(p.exists() for p in paths)
@@ -109,7 +109,9 @@ class TestExport:
         assert f"boundary_{cell_tag(0.25, 0.9)}.pgm" in names
 
     def test_sigma_zero_cell_reproduces_parent_boundary(self, net, data, tmp_path):
-        export_boundary_cells(net, data, [0.0], [0.9], tmp_path, master_seed=4, resolution=30)
+        export_boundary_cells(
+            net, data, tmp_path, sigma_grid=[0.0], rho_grid=[0.9], resolution=30, seed=4
+        )
         parent_grid = evaluate(net, lattice_bounds(data), 30)
         ref = tmp_path / "ref.pgm"
         write_grid_pgm(parent_grid, ref)
@@ -120,12 +122,16 @@ class TestExport:
         a_dir = tmp_path / "a"
         b_dir = tmp_path / "b"
         for d in (a_dir, b_dir):
-            export_boundary_cells(net, data, [0.1], [0.5], d, master_seed=5, resolution=25)
+            export_boundary_cells(
+                net, data, d, sigma_grid=[0.1], rho_grid=[0.5], resolution=25, seed=5
+            )
         for name in ("boundary_sigma0.1_rho0.5.csv", "boundary_sigma0.1_rho0.5.pgm"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
     def test_csv_schema(self, net, data, tmp_path):
-        export_boundary_cells(net, data, [0.1], [0.5], tmp_path, master_seed=6, resolution=10)
+        export_boundary_cells(
+            net, data, tmp_path, sigma_grid=[0.1], rho_grid=[0.5], resolution=10, seed=6
+        )
         lines = (tmp_path / "boundary_sigma0.1_rho0.5.csv").read_text().splitlines()
         assert lines[0] == "x,y,class,confidence"
         assert len(lines) == 1 + 10 * 10
@@ -292,7 +298,9 @@ class TestBlocks:
             return workspace(spec, rows)
 
         monkeypatch.setattr("smd.boundary.workspace", counting_workspace)
-        export_boundary_cells(net, data, [0.05, 0.25], [0.0, 0.9], tmp_path, 3, resolution=90)
+        export_boundary_cells(
+            net, data, tmp_path, sigma_grid=[0.05, 0.25], rho_grid=[0.0, 0.9], resolution=90, seed=3
+        )
         assert made == [8000]
 
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):

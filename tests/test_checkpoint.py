@@ -82,6 +82,17 @@ class TestRejection:
             load_checkpoint(path)
         assert str(error.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_the_file(self, net, tmp_path, value):
+        path = tmp_path / "values.ckpt"
+        save_checkpoint(net, path)
+        blob = bytearray(path.read_bytes())
+        blob[-8:-4] = np.float32(value).tobytes()  # the second-to-last parameter
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="non-finite") as error:
+            load_checkpoint(path)
+        assert str(error.value).startswith(f"{path}: ")
+
     def test_unknown_activation_code(self, net, tmp_path):
         path = tmp_path / "act.ckpt"
         save_checkpoint(net, path)

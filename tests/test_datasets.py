@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smd.datasets import Dataset, SplitSpec, load_csv, make_spirals, split
+from smd.datasets import Dataset, load_csv, make_spirals, split
 from smd.errors import ConfigurationError, ParseError
 
 from oracles import save_csv
@@ -48,24 +48,24 @@ class TestMakeSpirals:
 class TestSplit:
     def test_even_split_250(self):
         data = make_spirals(250, seed=4)
-        a, b = split(data, SplitSpec((0.5, 0.5), seed=0))
+        a, b = split(data, (0.5, 0.5), seed=0)
         assert (a.n, b.n) == (125, 125)
 
     def test_remainder_goes_to_first(self):
         data = Dataset(np.arange(10).reshape(5, 2).astype(float), np.zeros(5, int), 1)
-        a, b = split(data, SplitSpec((0.5, 0.5), seed=1))
+        a, b = split(data, (0.5, 0.5), seed=1)
         assert (a.n, b.n) == (3, 2)
 
     def test_empty_split_rejected(self):
         data = make_spirals(100, seed=5)
         with pytest.raises(ConfigurationError):
-            split(data, SplitSpec((1.0, 0.0), seed=0))
+            split(data, (1.0, 0.0), seed=0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_disjoint_and_exhaustive(self, seed):
         data = make_spirals(200, seed=6)
         fractions = (0.3, 0.5, 0.2)
-        parts = split(data, SplitSpec(fractions, seed=seed))
+        parts = split(data, fractions, seed=seed)
         assert sum(p.n for p in parts) == data.n
         all_rows = sorted(r.tobytes() for r in data.inputs)
         got_rows = sorted(r.tobytes() for p in parts for r in p.inputs)
@@ -73,18 +73,18 @@ class TestSplit:
 
     def test_deterministic_per_seed(self):
         data = make_spirals(100, seed=7)
-        a1, _ = split(data, SplitSpec((0.5, 0.5), seed=3))
-        a2, _ = split(data, SplitSpec((0.5, 0.5), seed=3))
+        a1, _ = split(data, (0.5, 0.5), seed=3)
+        a2, _ = split(data, (0.5, 0.5), seed=3)
         assert np.array_equal(a1.inputs, a2.inputs)
 
     def test_fractions_validation(self, config_error):
-        with pytest.raises(ConfigurationError):
-            SplitSpec((0.5,))
-        with pytest.raises(ConfigurationError):
-            SplitSpec((0.6, 0.6))
-        # `config.check` owns the sign of each fraction.
+        # `config.check` owns the fractions: two of them, each >= 0, summing to 1.
+        message = config_error("train", task={"eval_fractions": [0.5]})
+        assert message.startswith("task 'eval_fractions' must be a list of 2")
         message = config_error("train", task={"eval_fractions": [-0.1, 1.1]})
         assert message.startswith("task 'eval_fractions' must be")
+        message = config_error("train", task={"eval_fractions": [0.6, 0.6]})
+        assert message.startswith("fractions must sum to 1, got 1.2")
 
 
 class TestCsvRoundTrip:

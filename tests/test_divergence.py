@@ -3,20 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from smd.config import section
 from smd.datasets import Dataset, make_spirals
-from smd.divergence import (
-    CellResult,
-    GridSearchConfig,
-    grid_search,
-    select_cell,
-    sweep_cells,
-    write_sweep_csv,
-)
+from smd.divergence import SWEEP_COLUMNS, grid_search, select_cell, sweep_cells, write_sweep_csv
 from smd.errors import ShapeError
 from smd.mutation import MutationParams, spawn_mutations
 from smd.network import Network, NetworkSpec, ParamVector, forward, init_network, softmax
 
-from oracles import output_kl, output_mse
+from oracles import output_kl, output_mse, train_settings
 
 
 def random_probe(rng, n, d, classes):
@@ -132,9 +126,14 @@ class TestAgainstDirectSummation:
         assert output_mse(parent, child, probe) == pytest.approx(mse_direct(pl, ql), abs=1e-9)
 
 
+def search(**keys) -> dict:
+    """The checked `mutation.search` section that writes `keys`."""
+    return section({"search": keys}, "mutation.search")
+
+
 class TestSelectCell:
     def cell(self, sigma, rho, kl, acc):
-        return CellResult(sigma, rho, kl, 0.0, acc, 4)
+        return dict(zip(SWEEP_COLUMNS, (sigma, rho, kl, 0.0, acc, 4)))
 
     def test_in_band_max_accuracy_wins(self):
         cells = [
@@ -143,12 +142,12 @@ class TestSelectCell:
             self.cell(0.3, 0.5, 0.30, 0.99),  # out of band
         ]
         best, in_band = select_cell(cells, 0.05, 0.5)
-        assert (best.sigma, in_band) == (0.2, True)
+        assert (best["sigma"], in_band) == (0.2, True)
 
     def test_fallback_closest_kl(self):
         cells = [self.cell(0.1, 0.5, 0.001, 0.99), self.cell(0.2, 0.5, 0.004, 0.90)]
         best, in_band = select_cell(cells, 0.05, 0.5)
-        assert (best.sigma, in_band) == (0.2, False)
+        assert (best["sigma"], in_band) == (0.2, False)
 
     def test_ties_prefer_larger_sigma_then_rho(self):
         cells = [
@@ -157,22 +156,22 @@ class TestSelectCell:
             self.cell(0.2, 0.9, 0.05, 0.95),
         ]
         best, _ = select_cell(cells, 0.05, 0.5)
-        assert (best.sigma, best.rho) == (0.2, 0.9)
+        assert (best["sigma"], best["rho"]) == (0.2, 0.9)
 
     def test_band_edges_inclusive(self):
         cells = [self.cell(0.1, 0.5, 0.025, 0.9), self.cell(0.2, 0.5, 0.075, 0.8)]
         best, in_band = select_cell(cells, 0.05, 0.5)
         assert in_band
-        assert best.mean_child_acc == 0.9
+        assert best["mean_child_acc"] == 0.9
 
 
 @pytest.fixture(scope="module")
 def small_parent():
     data = make_spirals(600, seed=30)
-    from smd.training import TrainConfig, train_model
+    from smd.training import train_model
 
     net = init_network(NetworkSpec([2, 16, 2], seed=31))
-    trained = train_model(net, data, TrainConfig(epochs=5))
+    trained = train_model(net, data, **train_settings(epochs=5))
     quantized = ParamVector(trained.params.values.astype(np.float32).astype(np.float64))
     return Network(trained.spec, quantized), data
 
@@ -182,7 +181,7 @@ class TestSweep:
         parent, data = small_parent
         cells = sweep_cells(parent, data, (0.05, 0.1), (0.0, 0.5, 0.9), 4, 77)
         assert len(cells) == 6
-        assert [(c.sigma, c.rho) for c in cells[:3]] == [(0.05, 0.0), (0.1, 0.0), (0.05, 0.5)]
+        assert [(c["sigma"], c["rho"]) for c in cells[:3]] == [(0.05, 0.0), (0.1, 0.0), (0.05, 0.5)]
 
     def test_deterministic(self, small_parent):
         parent, data = small_parent
@@ -193,14 +192,14 @@ class TestSweep:
     def test_curve_sorted_by_rho_then_sigma(self, small_parent):
         parent, data = small_parent
         rows = sweep_cells(parent, data, (0.05, 0.1), (0.0, 0.9), 4, 7)
-        assert [(r.rho, r.sigma) for r in rows] == [
+        assert [(r["rho"], r["sigma"]) for r in rows] == [
             (0.0, 0.05), (0.0, 0.1), (0.9, 0.05), (0.9, 0.1),
         ]
 
     def test_sigma_to_zero_limit(self, small_parent):
         parent, data = small_parent
         rows = sweep_cells(parent, data, (1e-6,), (0.0, 0.5, 0.9), 4, 11)
-        assert all(r.mean_kl <= 1e-6 for r in rows)
+        assert all(r["mean_kl"] <= 1e-6 for r in rows)
 
     def test_csv_columns(self, small_parent, tmp_path):
         parent, data = small_parent
@@ -212,38 +211,33 @@ class TestSweep:
 
     def test_grid_search_single_cell(self, small_parent):
         parent, data = small_parent
-        cfg = GridSearchConfig(sigma_grid=(0.05,), rho_grid=(0.5,), kl_target=0.05, seed=13)
-        out = grid_search(parent, data, cfg)
-        assert (out.best.sigma, out.best.rho) == (0.05, 0.5)
+        out, cells = grid_search(parent, data, **search(sigma_grid=[0.05], rho_grid=[0.5], seed=13))
+        assert (out["sigma"], out["rho"], len(cells)) == (0.05, 0.5, 1)
 
     def test_grid_search_deterministic(self, small_parent):
         parent, data = small_parent
-        cfg = GridSearchConfig(
-            sigma_grid=(0.02, 0.05), rho_grid=(0.0, 0.5), kl_target=0.05, seed=21
-        )
-        a = grid_search(parent, data, cfg)
-        b = grid_search(parent, data, cfg)
-        assert (a.best, a.probe_size) == (b.best, b.probe_size)
+        settings = search(sigma_grid=[0.02, 0.05], rho_grid=[0.0, 0.5], seed=21)
+        assert grid_search(parent, data, **settings) == grid_search(parent, data, **settings)
 
     def test_spiral_search_prefers_sparse_cells(self, bench_task):
         """At the 0.05 KL budget, the winning cell mutates a sparse subspace."""
-        cfg = GridSearchConfig(
-            sigma_grid=(0.01, 0.02, 0.05, 0.08, 0.1, 0.15, 0.2, 0.25),
-            rho_grid=(0.0, 0.5, 0.75, 0.9, 0.99),
+        settings = search(
+            sigma_grid=[0.01, 0.02, 0.05, 0.08, 0.1, 0.15, 0.2, 0.25],
+            rho_grid=[0.0, 0.5, 0.75, 0.9, 0.99],
             kl_target=0.05,
             kl_tolerance=0.5,
             samples_per_cell=8,
             probe_size=1000,
             seed=11,
         )
-        out = grid_search(bench_task.parent, bench_task.val, cfg)
-        assert out.in_band
-        assert out.best.rho >= 0.5
+        out, _ = grid_search(bench_task.parent, bench_task.val, **settings)
+        assert out["in_band"]
+        assert out["rho"] >= 0.5
 
 
 class TestGridSearchConfig:
-    """`config.check` checks each `mutation.search` value; the one rule
-    `GridSearchConfig` keeps is that each grid is strictly ascending."""
+    """`config.check` checks each `mutation.search` value, and that each
+    grid is strictly ascending."""
 
     @pytest.mark.parametrize(
         "kw",

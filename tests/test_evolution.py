@@ -10,9 +10,11 @@ import pytest
 
 import smd.config as cfgmod
 import smd.evolution as evolution
+from smd.boundary import export_boundary_cells
 from smd.checkpoint import load_checkpoint, save_checkpoint
 from smd.cli import main
 from smd.datasets import Dataset, make_spirals
+from smd.divergence import SWEEP_COLUMNS, grid_search
 from smd.errors import ConfigurationError, WorkerError
 from smd.evolution import (
     Population,
@@ -35,6 +37,7 @@ from smd.mutation import (
     spawn_mutations,
 )
 from smd.network import Network, NetworkSpec, ParamVector, forward, init_network, softmax
+from smd.training import train_model
 
 from oracles import child_genome, seed_record_genome
 
@@ -325,18 +328,27 @@ class TestRunGeneration:
 
 
 class TestReportIsTheArtifact:
-    """`run_generation` and `run_ablation` take their config section's keys as
-    keywords, and the dict `run_generation` returns is `eval_report.json`."""
+    """Each command's library function takes its checked config section's
+    keys as keywords, with no defaults of its own, and the dicts that
+    `run_generation` and `grid_search` return are the JSON they write."""
 
     @pytest.mark.parametrize(
-        "function, name", [(run_generation, "evolution"), (run_ablation, "ablation")]
+        "function, name",
+        [
+            (run_generation, "evolution"),
+            (run_ablation, "ablation"),
+            (train_model, "model.train"),
+            (grid_search, "mutation.search"),
+            (export_boundary_cells, "boundary"),
+        ],
     )
     def test_keywords_are_the_section_keys(self, function, name):
-        keywords = {
-            p.name for p in inspect.signature(function).parameters.values()
-            if p.kind is p.KEYWORD_ONLY
-        }
-        assert keywords - {"jobs"} == cfgmod.SCHEMA[name].keys()
+        keywords = [
+            p for p in inspect.signature(function).parameters.values()
+            if p.kind is p.KEYWORD_ONLY and p.name != "jobs"
+        ]
+        assert {p.name for p in keywords} == cfgmod.SCHEMA[name].keys()
+        assert [p.name for p in keywords if p.default is not p.empty] == []
 
     @pytest.mark.parametrize("repeats", [1, 3])
     def test_returned_dict_is_the_written_report(self, spiral_task, tmp_path, repeats):
@@ -359,6 +371,26 @@ class TestReportIsTheArtifact:
         written = (out / "eval_report.json").read_text()
         assert json.dumps(report, indent=2) + "\n" == written
         assert ("repeats" in report, "best_repeat" in report) == (repeats > 1, repeats > 1)
+
+    def test_returned_dict_is_the_written_search_result(self, spiral_task, tmp_path):
+        save_checkpoint(spiral_task.parent, tmp_path / "parent.ckpt")
+        search = {"sigma_grid": [0.02, 0.05], "rho_grid": [0.0, 0.5], "probe_size": 300}
+        cfg = {
+            "task": {"dataset": "spirals", "n_train": 100, "n_eval": 600, "turns": 1.75},
+            "model": {"checkpoint": str(tmp_path / "parent.ckpt")},
+            "mutation": {"search": search},
+        }
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["search", "--config", str(path), "--out", str(out)]) in (0, 4)
+
+        run = cfgmod.check(cfg, "search", str(tmp_path / "unused"))
+        _, val, _ = cfgmod.build_task_data(run["task"])
+        result, cells = grid_search(load_checkpoint(run["checkpoint"]), val, **run["search"])
+        written = (out / "search_result.json").read_bytes()
+        assert (json.dumps(result, indent=2) + "\n").encode() == written
+        assert [tuple(c) for c in cells] == [SWEEP_COLUMNS] * 4
 
 
 class TestGenerationMemory:

@@ -9,9 +9,9 @@ from smd.datasets import Dataset, make_spirals
 from smd.errors import TrainingDivergenceError
 from smd.metrics import accuracy
 from smd.network import NetworkSpec, forward, init_network, softmax
-from smd.training import TrainConfig, loss_and_grad, train_model
+from smd.training import loss_and_grad, train_model
 
-from oracles import cross_entropy
+from oracles import cross_entropy, train_settings
 
 
 def tiny_batch(rng, n=12, d=2, classes=2):
@@ -67,7 +67,7 @@ class TestTrainModel:
         data = make_spirals(400, seed=5)
         net = init_network(NetworkSpec([2, 16, 2], seed=0))
         history = []
-        trained = train_model(net, data, TrainConfig(epochs=5), history)
+        trained = train_model(net, data, history, **train_settings(epochs=5))
         start = cross_entropy(forward(net, data.inputs), data.labels)
         end = cross_entropy(forward(trained, data.inputs), data.labels)
         assert end < start
@@ -77,28 +77,28 @@ class TestTrainModel:
         data = make_spirals(100, seed=5)
         net = init_network(NetworkSpec([2, 4, 2], seed=0))
         before = net.params.values.copy()
-        train_model(net, data, TrainConfig(epochs=1))
+        train_model(net, data, **train_settings(epochs=1))
         assert np.array_equal(net.params.values, before)
 
     def test_zero_epochs_leaves_params_unchanged(self):
         data = make_spirals(100, seed=5)
         net = init_network(NetworkSpec([2, 4, 2], seed=0))
-        cfg = TrainConfig(epochs=1)
-        cfg.epochs = 0  # forced below the validated minimum
-        trained = train_model(net, data, cfg)
+        settings = dict(train_settings(), epochs=0)  # below the checked minimum
+        trained = train_model(net, data, **settings)
         assert np.array_equal(trained.params.values, net.params.values)
 
     def test_bit_reproducible(self):
         data = make_spirals(200, seed=8)
         net = init_network(NetworkSpec([2, 8, 2], seed=3))
-        a = train_model(net, data, TrainConfig(epochs=3))
-        b = train_model(net, data, TrainConfig(epochs=3))
+        a = train_model(net, data, **train_settings(epochs=3))
+        b = train_model(net, data, **train_settings(epochs=3))
         assert np.array_equal(a.params.values, b.params.values)
 
     def test_sgd_path(self):
         data = make_spirals(200, seed=8)
         net = init_network(NetworkSpec([2, 8, 2], seed=3))
-        trained = train_model(net, data, TrainConfig(optimizer="sgd", epochs=3, learning_rate=0.1))
+        settings = train_settings(optimizer="sgd", epochs=3, learning_rate=0.1)
+        trained = train_model(net, data, **settings)
         assert not np.array_equal(trained.params.values, net.params.values)
 
     def test_label_out_of_range_rejected(self, tmp_path, capsys):
@@ -125,9 +125,9 @@ class TestTrainModel:
         net = init_network(NetworkSpec([2, 8, 2], seed=0))
         # an absurd learning rate overflows the hidden-layer product to inf,
         # and the following loss evaluation sees inf - inf = nan
-        cfg = TrainConfig(optimizer="sgd", learning_rate=1e300, epochs=5)
+        settings = train_settings(optimizer="sgd", learning_rate=1e300, epochs=5)
         with pytest.raises(TrainingDivergenceError) as err:
-            train_model(net, data, cfg)
+            train_model(net, data, **settings)
         assert err.value.epoch >= 0
         assert err.value.batch >= 0
 
@@ -140,14 +140,14 @@ class TestTrainModel:
         data = make_spirals(400, seed=5)
         net = init_network(NetworkSpec([2, 16, 2], seed=0))
         history = []
-        trained = train_model(net, data, TrainConfig(epochs=3), history)
+        trained = train_model(net, data, history, **train_settings(epochs=3))
         probs = softmax(forward(trained, data.inputs))
         assert accuracy(probs, data.labels) == history[-1]["accuracy"]
 
 
 class TestTrainConfig:
-    """`TrainConfig` is a plain record: `config.check` checks each
-    `model.train` value before one is built."""
+    """`config.check` checks each `model.train` value before `train_model`
+    takes the section as keywords."""
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -222,7 +222,7 @@ class TestTrainingBytesPinned:
         train = dict(optimizer, epochs=2, batch_size=8, shuffle_seed=5)
         net = init_network(NetworkSpec([2, 16, 16, 2], hidden_activation=activation, seed=3))
         before = net.params.values.copy()
-        trained = train_model(net, make_spirals(300, seed=1), TrainConfig(**train))
+        trained = train_model(net, make_spirals(300, seed=1), **train_settings(**train))
         assert _sha(trained.params.values.tobytes()) == params_sha
         assert np.array_equal(net.params.values.view(np.uint64), before.view(np.uint64))
 
@@ -264,5 +264,9 @@ class TestTrainConfigTypes:
         assert not (tmp_path / "out" / "model.ckpt").exists()
 
     def test_numpy_integers_accepted(self):
-        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), shuffle_seed=np.uint8(0))
-        assert cfg.epochs == 2
+        data = make_spirals(100, seed=5)
+        net = init_network(NetworkSpec([2, 4, 2], seed=0))
+        plain = train_model(net, data, **train_settings(epochs=2, batch_size=4, shuffle_seed=0))
+        settings = dict(train_settings(), epochs=np.int64(2), batch_size=np.int32(4),
+                        shuffle_seed=np.uint8(0))
+        assert np.array_equal(train_model(net, data, **settings).params.values, plain.params.values)
