@@ -23,7 +23,6 @@ from .metrics import accuracy, ece, metric_triple
 from .mutation import (
     Child,
     MutationParams,
-    child_logits,
     sample_mask,
     sample_noise,
     spawn_mutations,
@@ -35,6 +34,7 @@ from .network import (
     forward,
     init_network,
     nll_loss,
+    predict,
     softmax,
 )
 from .training import train_model

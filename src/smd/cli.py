@@ -2,9 +2,10 @@
 
 Every command is a pure function of its JSON config (all seeds included),
 so reruns produce byte-identical artifacts. Exit codes: 0 success,
-2 configuration error, 3 training divergence, 4 search found no in-band
-cell, 5 validation/test overlap, 6 task/model or task/command mismatch,
-7 a forked worker process (of `ablate`'s sweep or `evolve`'s scoring) died.
+2 configuration error or a file that cannot be read or written, 3 training
+divergence, 4 search found no in-band cell, 5 validation/test overlap,
+6 task/model or task/command mismatch, 7 a forked worker process (of
+`ablate`'s sweep or `evolve`'s scoring) died.
 `EXIT_CODES` maps each error of `smd.errors` to its code.
 """
 
@@ -207,6 +208,11 @@ def main(argv: list[str] | None = None) -> int:
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES[type(exc)]
+    except OSError as exc:
+        if exc.filename is None:  # no file to name: a fault, such as a failed `os.fork`
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CODES[ConfigurationError]
 
 
 if __name__ == "__main__":

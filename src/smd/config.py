@@ -252,7 +252,10 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
     (--out, else `output.dir`), so a failed check leaves it empty."""
     output = section(cfg, "output")
     out_dir = Path(cli_out or output["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or on it, or no permission
+        raise ConfigurationError(f"cannot make output directory {out_dir}: {exc.strerror}") from exc
     reads = _SECTIONS[command]
     unread = sorted(cfg.keys() - {*reads, "output", "_comment"})
     if unread:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .datasets import Dataset, write_csv
 from .metrics import accuracy
-from .mutation import MutationParams, child_logits, derive_seed, spawn_mutations
-from .network import EPS_PROB, Network, forward, softmax, workspace
+from .mutation import MutationParams, derive_seed, spawn_mutations, working_genomes
+from .network import EPS_PROB, Network, forward, predict, softmax
 
 # Spawn-key namespace for per-cell search randomness.
 _CELL_NS = 2
@@ -72,12 +72,11 @@ def sweep_cells(
     Cells come out sorted by (rho, sigma) for ascending grids. Cell
     randomness derives from (master_seed, cell index, child index), with
     the cell index counted sigma-major, so the visiting order does not
-    change any cell's values. The parent and every child run through one
-    activation workspace, and each child's logits are softmaxed once, for
-    both its KL and its accuracy.
+    change any cell's values. Each cell's children are scored by one
+    `network.predict` pass, which softmaxes each child's logits once, for
+    both its KL and its accuracy; the logits give its MSE.
     """
-    scratch = workspace(parent.spec, probe.n)
-    parent_logits = forward(parent, probe.inputs, scratch)
+    parent_logits = forward(parent, probe.inputs)
     parent_probs = clamp_probs(softmax(parent_logits))
     cells = []
     for cj, rho in enumerate(rho_grid):
@@ -86,9 +85,9 @@ def sweep_cells(
             cell_seed = derive_seed(master_seed, _CELL_NS, cell_index)
             params = _search_spawn_params(sigma, rho, samples_per_cell)
             children = spawn_mutations(parent.params, params, samples_per_cell, cell_seed)
+            genomes = working_genomes(parent.params, params, children)
             kls, mses, accs = [], [], []
-            for logits in child_logits(parent, params, children, probe.inputs, scratch):
-                probs = softmax(logits)
+            for _, logits, probs in predict(parent.spec, genomes, probe.inputs):
                 kls.append(kl_from_probs(parent_probs, probs))
                 mses.append(mse_from_logits(parent_logits, logits))
                 accs.append(accuracy(probs, probe.labels))

@@ -19,10 +19,8 @@ import numpy as np
 from .datasets import Dataset, write_csv
 from .errors import WorkerError
 from .metrics import accuracy, metric_triple
-from .mutation import (
-    Child, MutationParams, child_logits, derive_seed, spawn_mutations, working_genomes
-)
-from .network import Network, ParamVector, forward, nll_loss, softmax, workspace
+from .mutation import Child, MutationParams, derive_seed, spawn_mutations, working_genomes
+from .network import Network, ParamVector, forward, nll_loss, predict, softmax
 from .divergence import clamp_probs, kl_from_probs
 
 # Spawn-key namespaces separating per-generation and per-repeat randomness.
@@ -75,16 +73,16 @@ def evaluate_fitness(
 ) -> Population:
     """The scored population of `children` (the parent is never scored).
 
-    This is the one validation pass per child: `child_logits` runs each
-    child once through one activation workspace, and its logits are
-    softmaxed once. The probabilities give the child's fitness (validation
-    accuracy) and its validation NLL, the selection tie-break, and are kept
-    for the KL probe and the ensemble's validation accuracy.
+    This is the one validation pass per child: `network.predict` runs each
+    child's working genome forward once and softmaxes its logits once. The
+    probabilities give the child's fitness (validation accuracy) and its
+    validation NLL, the selection tie-break, and are kept for the KL probe
+    and the ensemble's validation accuracy.
 
     A pass of at least `_FORK_MIN_MACS` with jobs > 1 is split into at most
     `jobs` contiguous runs of whole groups (partners share a mask draw),
-    each scored on a forked worker (`_map_points`) with its own genome and
-    workspace. Its probabilities are the serial pass's, bit for bit.
+    each scored on a forked worker (`_map_points`) by a pass of its own.
+    Its probabilities are the serial pass's, bit for bit.
     """
     sizes = parent.spec.layer_sizes
     macs = len(children) * val.n * sum(a * b for a, b in zip(sizes, sizes[1:]))
@@ -94,9 +92,8 @@ def evaluate_fitness(
     runs = list(zip(bounds, bounds[1:]))
 
     def score(run: tuple[int, int]) -> list[np.ndarray]:
-        scratch = workspace(parent.spec, val.n)
-        members = children[run[0] : run[1]]
-        return [softmax(z) for z in child_logits(parent, params, members, val.inputs, scratch)]
+        genomes = working_genomes(parent.params, params, children[run[0] : run[1]])
+        return [probs for _, _, probs in predict(parent.spec, genomes, val.inputs)]
 
     scored = _map_points(score, runs, n)
     val_probs = [probs for run in runs for probs in scored[run]]
@@ -146,19 +143,14 @@ def _ensemble_probs(
     """The ensemble's prediction, the unweighted mean of the members'
     softmax outputs, and the members' weight average.
 
-    One pass, in member order: each member is written into one working
-    genome, run forward through one workspace and added to the running sum
-    of the average, so each member is built once for both.
+    One `network.predict` pass, in member order: each member is written
+    into one working genome, scored, and added to the running sum of the
+    average, so each member is built once for both.
     """
-    scratch = workspace(parent.spec, len(inputs))
     member_probs = []
-
-    def run_each(genomes: Iterable[ParamVector]) -> Iterable[ParamVector]:
-        for genome in genomes:
-            member_probs.append(softmax(forward(Network(parent.spec, genome), inputs, scratch)))
-            yield genome
-
-    average = average_weights(run_each(working_genomes(parent.params, params, members)))
+    scored = predict(parent.spec, working_genomes(parent.params, params, members), inputs)
+    # Keep each member's probabilities as the average pulls its genome.
+    average = average_weights(member_probs.append(probs) or genome for genome, _, probs in scored)
     return _mean_probs(member_probs), average
 
 
@@ -294,11 +286,12 @@ def run_generation(
     parent and the ensemble's validation accuracy, so one generation runs
     P + k + 3 forward passes: P on validation, then the parent on
     validation and test, and the averaged model and k members on test.
-    Children are kept as seed records, and every child pass writes each
-    child into one working genome: a genome exists only while its child
-    runs. The k selected genomes are built once, one at a time, for both
-    the average and the ensemble. A big enough validation pass is scored
-    on up to `jobs` forked workers (`evaluate_fitness`), with the same bytes.
+    Children are kept as seed records, and every pass over children writes
+    each child into one working genome that `network.predict` scores: a
+    genome exists only while its child runs. The k selected genomes are
+    built once, one at a time, for both the average and the ensemble. A
+    big enough validation pass is scored on up to `jobs` forked workers
+    (`evaluate_fitness`), with the same bytes.
 
     With repeats R > 1, R runs evolve on validation data only, run r from
     a seed derived from (master_seed, r). Only the run whose ensemble has

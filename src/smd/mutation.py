@@ -19,14 +19,14 @@ two 24-bit significands are exact in float64 arithmetic: mirrored pairs
 cancel exactly. Frozen coordinates are never written, so they stay
 bit-identical (-0.0 included).
 
-A child's genome lives only while its child is used. A scoring pass
-(`working_genomes`, read by `child_logits`) copies the parent once and
-rewrites that one working genome for each child in turn: it restores the
-previous child's support from the parent, then writes theta[support] +-
-noise, so a child costs O(support), not O(w). A mirrored partner shares
-its support and skips the restore. The yielded genome is valid until the
-next child is written; a caller that runs a pass to its end owns the last
-one.
+A child's genome lives only while its child is used. A pass over
+children (`working_genomes`) copies the parent once and rewrites that one
+working genome for each child in turn: it restores the previous child's
+support from the parent, then writes theta[support] +- noise, so a child
+costs O(support), not O(w). A mirrored partner shares its support and
+skips the restore. The yielded genome is valid until the next child is
+written; a caller that runs a pass to its end owns the last one. This
+module never runs a network: `network.predict` scores such a pass.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .network import Network, ParamVector, forward
+from .network import ParamVector
 
 SUBSPACE_MODES = ("static", "dynamic")
 
@@ -199,23 +199,6 @@ def working_genomes(
         _write_support(genome.values, theta.values, sign, index, values)
         written, values = index, None  # keep only what the restore needs
         yield genome
-
-
-def child_logits(
-    parent: Network,
-    params: MutationParams,
-    children: Iterable[Child],
-    inputs: np.ndarray,
-    scratch: tuple[np.ndarray, np.ndarray],
-) -> Iterator[np.ndarray]:
-    """Yield each child's logits on `inputs`, in order.
-
-    Each child is written into the pass's one working genome by
-    `working_genomes` and runs forward through the caller's activation
-    workspace `scratch`.
-    """
-    for genome in working_genomes(parent.params, params, children):
-        yield forward(Network(parent.spec, genome), inputs, scratch)
 
 
 def child_supports(

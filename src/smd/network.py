@@ -9,6 +9,7 @@ layout being stable across runs and checkpoints.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,6 +183,19 @@ def forward(
     logits = a @ w_out
     logits += b_out
     return logits
+
+
+def predict(
+    spec: NetworkSpec, genomes: Iterable[ParamVector], inputs: np.ndarray
+) -> Iterator[tuple[ParamVector, np.ndarray, np.ndarray]]:
+    """Each genome with its logits on `inputs` and their softmax: the one
+    scoring pass over a population, through one `workspace`. A genome is
+    pulled only once the previous one's results are yielded, so a stream
+    that rewrites one genome in place (`working_genomes`) can feed it."""
+    scratch = workspace(spec, len(inputs))
+    for genome in genomes:
+        logits = forward(Network(spec, genome), inputs, scratch)
+        yield genome, logits, softmax(logits)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

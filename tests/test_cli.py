@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -259,6 +260,14 @@ class TestEvolveCommand:
         line = capsys.readouterr().out.splitlines()[-1]
         for field in ("Acc", "NLL", "ECE", "eAcc", "eNLL", "eECE", "dAcc", "sigma", "rho", "KL"):
             assert field in line
+
+    def test_failed_artifact_write_exits_2(self, trained, capsys):
+        path, out = self.evolve_config(trained)
+        (out / "eval_report.csv").mkdir()
+        assert main(["evolve", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: {out / 'eval_report.csv'}: Is a directory\n"
+        # The artifact written before the failed one is left in place.
+        assert (out / "eval_report.json").is_file()
 
     def test_zero_strength_delta_zero(self, trained):
         path, out = self.evolve_config(trained, {"sigma": 1e-12, "rho": 0.5})
@@ -753,7 +762,7 @@ class TestEvolveWorkers:
             assert os.getpid() != command, "a child was scored in the command process"
             os._exit(3)
 
-        monkeypatch.setattr(smd.evolution, "child_logits", die)
+        monkeypatch.setattr(smd.evolution, "predict", die)
         code, evolved = self.evolve(trained)
         assert code == 7
         assert capsys.readouterr().err == (
@@ -763,6 +772,17 @@ class TestEvolveWorkers:
         assert not any(evolved.iterdir())
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failed_fork_is_not_a_configuration_error(self, trained, forked, monkeypatch):
+        cpus, _ = forked
+        cpus(2)
+
+        def fail():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fail)
+        with pytest.raises(BlockingIOError):
+            self.evolve(trained)
 
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         """`evolve` on a net whose 256 x 256 layer OpenBLAS splits between
@@ -1914,6 +1934,17 @@ class TestOutputResolution:
         assert main(["train", "--config", path]) == 0
         assert (tmp_path / "config_out" / "model.ckpt").exists()
         assert not (tmp_path / "env_out").exists()
+
+    def test_out_naming_a_file_exits_2(self, trained, tmp_path, capsys):
+        base, out, cfg = trained
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        path = write_config(base / "filetrain.json", cfg)
+        assert main(["train", "--config", path, "--out", str(taken)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot make output directory {taken}: File exists\n"
+        )
+        assert taken.read_text() == "kept"
 
     def test_flag_overrides_config(self, trained, tmp_path):
         base, out, cfg = trained

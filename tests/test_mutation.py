@@ -12,7 +12,6 @@ from smd.mutation import (
     _COMPLEMENT_NS,
     SUBSPACE_MODES,
     MutationParams,
-    child_logits,
     child_supports,
     derive_seed,
     sample_mask,
@@ -20,7 +19,7 @@ from smd.mutation import (
     spawn_mutations,
     working_genomes,
 )
-from smd.network import Network, NetworkSpec, ParamVector, forward, workspace
+from smd.network import Network, NetworkSpec, ParamVector, forward, predict
 
 from oracles import child_genome, mask_to_rle, partition_masks, rle_to_mask, seed_record_genome
 
@@ -481,9 +480,8 @@ class TestWorkingGenome:
         assert working == [g.values.tobytes() for g in owned]
         assert len(set(working)) > 1
         x = np.random.default_rng(6).normal(size=(20, 3))
-        parent = Network(self.SPEC, theta)
-        logits = child_logits(parent, params, children, x, workspace(self.SPEC, 20))
-        for genome, got in zip(owned, logits, strict=True):
+        scored = predict(self.SPEC, working_genomes(theta, params, children), x)
+        for genome, (_, got, _) in zip(owned, scored, strict=True):
             assert got.tobytes() == forward(Network(self.SPEC, genome), x).tobytes()
         assert theta.values.tobytes() == before
 
@@ -499,12 +497,11 @@ class TestWorkingGenome:
 
     def test_huge_noise_on_a_huge_parent_is_an_error(self):
         theta = ParamVector(np.full(self.SPEC.param_count(), 1.7e308))
-        parent = Network(self.SPEC, theta)
         x = np.zeros((4, 3))
         params = MutationParams(sigma=1e39, rho=0.5)
         children = spawn_mutations(theta, params, 2, master_seed=1)
         with pytest.raises(ConfigurationError):
-            next(child_logits(parent, params, children, x, workspace(self.SPEC, 4)))
+            next(predict(self.SPEC, working_genomes(theta, params, children), x))
 
     def test_overflowing_write_is_an_error(self, monkeypatch):
         """Float32-range noise cannot overflow a finite float64 parent; the

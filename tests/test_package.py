@@ -35,6 +35,23 @@ def test_every_public_definition_is_used_inside_the_package():
     assert unused == []
 
 
+# The modules that may make an activation workspace: `network`, whose
+# `predict` makes one per scoring pass and whose `forward` makes one for a
+# call handed none, and `boundary`, which makes one for a whole export.
+WORKSPACE_MAKERS = {"boundary.py", "network.py"}
+
+
+def test_workspaces_are_made_only_where_they_are_decided():
+    makers = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "workspace"
+    }
+    assert makers <= WORKSPACE_MAKERS
+
+
 # Modules that no command should pay to import at start-up: importing
 # multiprocessing and concurrent.futures costs about 21 ms. `ctypes` is
 # imported only where workers are forked, to find OpenBLAS's thread

@@ -14,12 +14,15 @@ import json
 import numpy as np
 import pytest
 
+import smd.divergence as divergence
 import smd.evolution as evolution
 import smd.mutation as mutation
+import smd.network as network
 from smd.cli import main
+from smd.divergence import grid_search
 from smd.evolution import evaluate_fitness, run_ablation, run_generation
 from smd.mutation import MutationParams, derive_seed, spawn_mutations
-from smd.network import Network, ParamVector, forward, softmax
+from smd.network import Network, ParamVector, forward, softmax, workspace
 
 from oracles import kl_from_logits, seed_record_genome
 
@@ -28,8 +31,8 @@ POP, TOP_K = 8, 4
 
 @pytest.fixture()
 def forward_calls(monkeypatch):
-    """Counts every `forward` call made from `smd.evolution`, and from
-    `smd.mutation.child_logits`, which runs every child."""
+    """Counts every `forward` call made from `smd.evolution` and
+    `smd.divergence`, and from `smd.network.predict`, which runs every child."""
     calls = []
 
     def counting(net, inputs, *scratch):
@@ -37,8 +40,23 @@ def forward_calls(monkeypatch):
         return forward(net, inputs, *scratch)
 
     monkeypatch.setattr(evolution, "forward", counting)
-    monkeypatch.setattr(mutation, "forward", counting)
+    monkeypatch.setattr(divergence, "forward", counting)
+    monkeypatch.setattr(network, "forward", counting)
     return calls
+
+
+@pytest.fixture()
+def workspaces(monkeypatch):
+    """The rows of every `workspace` made: one per `predict` pass, and one
+    per `forward` call that is handed none."""
+    made = []
+
+    def counting(spec, rows):
+        made.append(rows)
+        return workspace(spec, rows)
+
+    monkeypatch.setattr(network, "workspace", counting)
+    return made
 
 
 def params_of(**mutation):
@@ -73,13 +91,38 @@ class TestForwardCallCount:
         # The fixed parent's val logits and test metrics are shared by the sweep.
         assert len(forward_calls) == (POP + TOP_K + 1) * points + 2
 
-    def test_evaluate_fitness_one_pass_per_child(self, spiral_task, forward_calls):
+    def test_evaluate_fitness_one_pass_per_child(self, spiral_task, forward_calls, workspaces):
         t = spiral_task
         params = params_of()
         children = spawn_mutations(t.parent.params, params, POP, 4)
         pop = evaluate_fitness(t.parent, params, children, t.val)
         assert forward_calls == [t.val.n] * POP
+        assert workspaces == [t.val.n]
         assert len(pop.val_probs) == POP
+
+    def test_report_one_pass_for_the_members(self, spiral_task, forward_calls, workspaces):
+        t = spiral_task
+        pop, selected = evolution._evolve(
+            t.parent, params_of(), t.val, pop_size=POP, top_k=TOP_K, generations=1, master_seed=5
+        )
+        parent_scores = evolution._score_parent(pop.parent, t.val, t.test)
+        del forward_calls[:], workspaces[:]
+        evolution._report(pop, selected, t.val, t.test, parent_scores, generations=1, seed=5)
+        # The k members in one pass, then the averaged model on its own.
+        assert forward_calls == [t.test.n] * (TOP_K + 1)
+        assert workspaces == [t.test.n] * 2
+
+    def test_grid_search(self, spiral_task, forward_calls, workspaces):
+        t = spiral_task
+        sigmas, rhos, samples, probe_size = [0.02, 0.05, 0.1], [0.5, 0.9], 4, 200
+        _, cells = grid_search(
+            t.parent, t.val, sigma_grid=sigmas, rho_grid=rhos, kl_target=0.01,
+            kl_tolerance=0.5, samples_per_cell=samples, probe_size=probe_size, seed=2,
+        )
+        assert len(cells) == len(sigmas) * len(rhos)
+        # The parent once, then one pass per cell of `samples` children.
+        assert forward_calls == [probe_size] * (1 + len(cells) * samples)
+        assert workspaces == [probe_size] * (1 + len(cells))
 
 
 class TestWorkCounts:
