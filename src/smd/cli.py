@@ -70,7 +70,7 @@ def _check_task(spec: NetworkSpec, data: Dataset) -> None:
 
 
 def cmd_train(run: dict) -> int:
-    train, val, _ = cfgmod.build_task_data(run["task"])
+    train, val, _ = cfgmod.build_task_data(run["task"], train=True, evaluation=True)
     _check_task(run["spec"], train)
 
     net = init_network(run["spec"])
@@ -101,15 +101,13 @@ def cmd_train(run: dict) -> int:
 
 def _load_parent(path: Path, data: Dataset) -> Network:
     """The checkpoint at path, checked against the task's `data`."""
-    if not path.is_file():
-        raise ConfigurationError(f"checkpoint not found: {path}")
     parent = load_checkpoint(path)
     _check_task(parent.spec, data)
     return parent
 
 
 def cmd_search(run: dict) -> int:
-    _, val, _ = cfgmod.build_task_data(run["task"])
+    _, val, _ = cfgmod.build_task_data(run["task"], train=False, evaluation=True)
     parent = _load_parent(run["checkpoint"], val)
     result, cells = grid_search(parent, val, **run["search"])
     _write_json(run["out_dir"] / "search_result.json", result)
@@ -124,7 +122,7 @@ def cmd_search(run: dict) -> int:
 def _evaluation_data(run: dict) -> tuple[Network, Dataset, Dataset]:
     """The checkpoint's parent and the task's validation and test sets,
     which must share no sample."""
-    _, val, test = cfgmod.build_task_data(run["task"])
+    _, val, test = cfgmod.build_task_data(run["task"], train=False, evaluation=True)
     if not datasets_disjoint(val, test):
         raise DataHygieneError("validation and test sets share samples")
     return _load_parent(run["checkpoint"], val), val, test
@@ -156,7 +154,7 @@ def cmd_evolve(run: dict) -> int:
 
 
 def cmd_boundary(run: dict) -> int:
-    train, _, _ = cfgmod.build_task_data(run["task"])
+    train, _, _ = cfgmod.build_task_data(run["task"], train=True, evaluation=False)
     parent = _load_parent(run["checkpoint"], train)
     written = export_boundary_cells(parent, train, run["out_dir"], **run["boundary"])
     print(f"wrote {len(written)} boundary files to {run['out_dir']}")

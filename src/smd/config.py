@@ -11,10 +11,14 @@ declares is read from it (`NetworkSpec.seed`), never copied.
 `check` is the one check of a command's config, run before any data or
 checkpoint is read: it runs `section` once per section, applies every rule
 that ties keys together, and hands the command only checked values: each
-command calls its library function with its checked section as keywords.
-It is the one check of each value: the dataclasses and samplers built from
-them do not check them again. All randomness is seeded from config fields;
-nothing reads system entropy.
+command calls its library function with its checked section as keywords,
+and asks `build_task_data` for the datasets it reads. Two library checks
+run again on values it has checked: the divisibility check of
+`group_roles`, which `spawn_mutations` also calls, and
+`NetworkSpec.__post_init__`. A file that cannot be opened (the config, a
+search result) raises its `OSError`, which names the path and which
+`cli.main` reports. All randomness is seeded from config fields; nothing
+reads system entropy.
 """
 
 from __future__ import annotations
@@ -156,14 +160,6 @@ SCHEMA: dict[str, dict[str, tuple[Kind, object]]] = {
 }
 
 
-class TaskSets(NamedTuple):
-    """A checked task section and which of its datasets a command reads."""
-
-    section: dict
-    train: bool  # the training set
-    evaluation: bool  # the validation and test sets
-
-
 # The sections each command reads: a config without one of them is an error,
 # and so is any other section. Every command also reads `output`, whose keys
 # all have defaults.
@@ -173,14 +169,6 @@ _SECTIONS = {
     "evolve": ("task", "model", "mutation", "evolution"),
     "boundary": ("task", "model", "boundary"),
     "ablate": ("task", "model", "ablation"),
-}
-# The datasets each command reads: (training set, validation and test sets).
-_DATASETS = {
-    "train": (True, True),
-    "search": (False, True),
-    "evolve": (False, True),
-    "boundary": (True, False),
-    "ablate": (False, True),
 }
 _STRATEGY = ("mu", "subspace_mode", "mirrored", "anti_random")
 # The model keys that build a network; a checkpoint brings its own network.
@@ -197,18 +185,16 @@ def _unique(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _read_json(path: Path, what: str) -> object:
-    """The JSON value in the file at path; `what` names the file in errors."""
-    if not path.is_file():
-        raise ConfigurationError(f"{what} not found: {path}")
+def _read_json(path: str | Path) -> object:
+    """The JSON value in the file at path."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique)
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique)
     except ValueError as exc:  # a JSONDecodeError, a duplicate key or bad UTF-8
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def load_config(path: str | Path) -> dict:
-    cfg = _read_json(Path(path), "config file")
+    cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"{path}: top level must be an object")
     return cfg
@@ -271,7 +257,7 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
     _task_rules(checked["task"], written["task"])
     run = {
         "out_dir": out_dir,
-        "task": TaskSets(checked["task"], *_DATASETS[command]),
+        "task": checked["task"],
         **_model(checked["model"], command, written["model"]),
     }
     if command == "search":
@@ -385,7 +371,7 @@ def _mutation(mutation: dict) -> MutationParams:
         found, source = mutation, "mutation"
     else:
         path = Path(mutation["search_result"])
-        found, source = _read_json(path, "search result"), f"search result {path}"
+        found, source = _read_json(path), f"search result {path}"
     if not isinstance(found, dict) or not {"sigma", "rho"} <= found.keys():
         raise ConfigurationError(f"{source} needs both 'sigma' and 'rho', got {found!r}")
     sigma, rho = (_value(source, k, SCHEMA["mutation"][k][0], found[k]) for k in ("sigma", "rho"))
@@ -398,29 +384,32 @@ def _mutation(mutation: dict) -> MutationParams:
     return params
 
 
-def build_task_data(task: TaskSets) -> tuple[Dataset | None, Dataset | None, Dataset | None]:
+def build_task_data(
+    section: dict, *, train: bool, evaluation: bool
+) -> tuple[Dataset | None, Dataset | None, Dataset | None]:
     """(train, validation, test) datasets of the checked task section.
 
-    Only the sets the command reads are built; a set it does not read is
-    None. A csv task reads `train_csv` either way, because it sets the
-    class count of the other files.
+    Only the sets the caller asks for are built: the training set when
+    `train`, the validation and test sets when `evaluation`; a set not
+    asked for is None. A csv task reads `train_csv` either way, because it
+    sets the class count of the other files.
     """
-    section, train = task.section, None
+    train_set = None
     if section["dataset"] == "spirals":
         shape = {k: section[k] for k in ("noise_std", "turns")}
-        if task.train:
-            train = make_spirals(section["n_train"], seed=section["train_seed"], **shape)
-        if not task.evaluation:
-            return train, None, None
+        if train:
+            train_set = make_spirals(section["n_train"], seed=section["train_seed"], **shape)
+        if not evaluation:
+            return train_set, None, None
         eval_pool = make_spirals(section["n_eval"], seed=section["eval_seed"], **shape)
     else:
-        train = load_csv(section["train_csv"])
-        if not task.evaluation:
-            return train, None, None
+        train_set = load_csv(section["train_csv"])
+        if not evaluation:
+            return train_set, None, None
         if "val_csv" in section:
-            val = load_csv(section["val_csv"], class_count=train.class_count)
-            test = load_csv(section["test_csv"], class_count=train.class_count)
-            return train, val, test
-        eval_pool = load_csv(section["eval_csv"], class_count=train.class_count)
+            val = load_csv(section["val_csv"], class_count=train_set.class_count)
+            test = load_csv(section["test_csv"], class_count=train_set.class_count)
+            return train_set, val, test
+        eval_pool = load_csv(section["eval_csv"], class_count=train_set.class_count)
     val, test = split(eval_pool, section["eval_fractions"], section["split_seed"])
-    return train, val, test
+    return train_set, val, test

@@ -489,9 +489,10 @@ def _fork_worker(task, points: list):
 
 
 def datasets_disjoint(a: Dataset, b: Dataset) -> bool:
-    """True when no sample row of `a` appears in `b` (exact float match)."""
-    rows_a = {row.tobytes() for row in a.inputs}
-    return all(row.tobytes() not in rows_a for row in b.inputs)
+    """True when no sample row of `a` appears in `b` (exact float match,
+    with -0.0 equal to 0.0: adding 0.0 turns each -0.0 into 0.0)."""
+    rows_a = {row.tobytes() for row in a.inputs + 0.0}
+    return all(row.tobytes() not in rows_a for row in b.inputs + 0.0)
 
 
 def write_eval_csv(report: dict, path: str | Path) -> None:

@@ -334,6 +334,26 @@ class TestEvolveCommand:
         path = write_config(base / "overlap.json", payload)
         assert main(["evolve", "--config", path]) == 5
 
+    def test_overlap_with_a_signed_zero_exits_5(self, trained, tmp_path, capsys):
+        """A sample written `0.0` in one file and `-0.0` in the other is one
+        sample: the hygiene check stops the run before anything is written."""
+        base, out, cfg = trained
+        files = {"train": "0.5,0.5,0\n0.1,0.2,1\n", "val": "0.0,1.0,0\n0.3,0.4,1\n",
+                 "test": "-0.0,1.0,0\n0.6,0.7,1\n"}
+        for name, body in files.items():
+            (tmp_path / f"{name}.csv").write_text(body)
+        payload = {
+            "task": {"dataset": "csv", **{f"{n}_csv": str(tmp_path / f"{n}.csv") for n in files}},
+            "model": {"checkpoint": str(out / "model.ckpt")},
+            "mutation": {"sigma": 0.05, "rho": 0.5},
+            "evolution": {"pop_size": 4, "top_k": 2, "master_seed": 0},
+        }
+        evolve_out = tmp_path / "evolve_out"
+        path = write_config(base / "signed_zero.json", payload)
+        assert main(["evolve", "--config", path, "--out", str(evolve_out)]) == 5
+        assert capsys.readouterr().err == "error: validation and test sets share samples\n"
+        assert not any(evolve_out.iterdir())
+
     @pytest.mark.parametrize("mirrored", [True, False])
     def test_dump_masks_match_child_support(self, trained, mirrored):
         """The report's seed records rebuild the drawn population, and the
@@ -1899,7 +1919,7 @@ class TestExitCodes:
         import smd.cli
         from smd.errors import ShapeError
 
-        def fail(cfg):
+        def fail(cfg, **sets):
             raise ShapeError("inputs must be (n, 2), got (4, 3)")
 
         monkeypatch.setattr(smd.cli.cfgmod, "build_task_data", fail)
@@ -1907,6 +1927,50 @@ class TestExitCodes:
         path = write_config(tmp_path / "train.json", {"task": {}, "model": model})
         assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 6
         assert capsys.readouterr().err == "error: inputs must be (n, 2), got (4, 3)\n"
+
+
+class TestInputPaths:
+    """Every input a command opens goes through one door: a path that
+    cannot be opened exits 2 with `error: <path>: <reason>` and writes no
+    artifact."""
+
+    @pytest.mark.parametrize(
+        "kind, code", [("missing", errno.ENOENT), ("directory", errno.EISDIR)],
+        ids=["missing", "directory"],
+    )
+    @pytest.mark.parametrize("role", ["config", "checkpoint", "search_result"])
+    def test_unopenable_path_exits_2(
+        self, key_bases, tmp_path, monkeypatch, capsys, role, kind, code
+    ):
+        inputs, bases = key_bases
+        monkeypatch.chdir(inputs)
+        _, cfg = bases["evolve_found"]
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        if role == "checkpoint":
+            cfg = dict(cfg, model={"checkpoint": str(bad)})
+        elif role == "search_result":
+            cfg = dict(cfg, mutation={"search_result": str(bad)})
+        config = bad if role == "config" else write_config(tmp_path / "config.json", cfg)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["evolve", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {os.strerror(code)}\n"
+        assert not any(out.iterdir())
+
+    def test_missing_val_csv_exits_2_naming_it(self, key_bases, tmp_path, monkeypatch, capsys):
+        inputs, bases = key_bases
+        monkeypatch.chdir(inputs)
+        _, cfg = bases["evolve_split_csv"]
+        absent = tmp_path / "absent.csv"
+        cfg = dict(cfg, task=dict(cfg["task"], val_csv=str(absent)))
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "config.json", cfg)
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(absent) in err
+        assert not any(out.iterdir())
 
 
 class TestFileFormats:
@@ -1972,6 +2036,10 @@ class TestShippedConfigs:
         for name in SHIPPED_CONFIGS:
             cfg = load_config(CONFIG_DIR / name)
             assert isinstance(cfg, dict)
+
+    def test_spiral_configs_share_one_task_section(self):
+        tasks = [load_config(CONFIG_DIR / f"spiral_{base}.json")["task"] for base in SPIRAL_BASES]
+        assert all(task == tasks[0] for task in tasks)
 
     def test_each_config_passes_its_command_check(self, tmp_path, monkeypatch):
         """`config.check` reads no data or checkpoint, so the stubs pass it

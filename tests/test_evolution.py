@@ -259,8 +259,8 @@ class TestRunGeneration:
         read = {}
         build_task_data = cfgmod.build_task_data
 
-        def counting(cfg):
-            train, val, test = build_task_data(cfg)
+        def counting(cfg, **sets):
+            train, val, test = build_task_data(cfg, **sets)
             read["val"], read["test"] = CountingDataset(val), CountingDataset(test)
             return train, read["val"], read["test"]
 
@@ -365,7 +365,7 @@ class TestReportIsTheArtifact:
         assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
 
         run = cfgmod.check(cfg, "evolve", str(tmp_path / "unused"))
-        _, val, test = cfgmod.build_task_data(run["task"])
+        _, val, test = cfgmod.build_task_data(run["task"], train=False, evaluation=True)
         parent = load_checkpoint(run["checkpoint"])
         report = run_generation(parent, run["mutation"], val, test, **run["evolution"])
         written = (out / "eval_report.json").read_text()
@@ -386,7 +386,7 @@ class TestReportIsTheArtifact:
         assert main(["search", "--config", str(path), "--out", str(out)]) in (0, 4)
 
         run = cfgmod.check(cfg, "search", str(tmp_path / "unused"))
-        _, val, _ = cfgmod.build_task_data(run["task"])
+        _, val, _ = cfgmod.build_task_data(run["task"], train=False, evaluation=True)
         result, cells = grid_search(load_checkpoint(run["checkpoint"]), val, **run["search"])
         written = (out / "search_result.json").read_bytes()
         assert (json.dumps(result, indent=2) + "\n").encode() == written
@@ -749,6 +749,12 @@ class TestDatasetsDisjoint:
 
     def test_overlap_detected(self, spiral_task):
         assert not datasets_disjoint(spiral_task.val, spiral_task.val)
+
+    def test_signed_zeros_are_one_sample(self):
+        plus = Dataset(np.array([[0.0, 1.0], [0.5, 0.5]]), np.array([0, 1]), 2)
+        minus = Dataset(np.array([[0.25, 0.5], [-0.0, 1.0]]), np.array([1, 0]), 2)
+        assert not datasets_disjoint(plus, minus)
+        assert not datasets_disjoint(minus, plus)
 
 
 class TestPopulationSizes:
