@@ -105,7 +105,9 @@ def load_csv(path: str | Path, class_count: int | None = None) -> Dataset:
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:  # a missing file, or one that is not UTF-8
+    except OSError as exc:  # missing, say, or a directory: named as every input path is
+        raise ParseError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
     rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]

@@ -17,7 +17,7 @@ import numpy as np
 from .datasets import Dataset, write_csv
 from .metrics import accuracy
 from .mutation import MutationParams, derive_seed, spawn_mutations, working_genomes
-from .network import EPS_PROB, Network, forward, predict, softmax
+from .network import EPS_PROB, Network, predict
 
 # Spawn-key namespace for per-cell search randomness.
 _CELL_NS = 2
@@ -76,8 +76,8 @@ def sweep_cells(
     `network.predict` pass, which softmaxes each child's logits once, for
     both its KL and its accuracy; the logits give its MSE.
     """
-    parent_logits = forward(parent, probe.inputs)
-    parent_probs = clamp_probs(softmax(parent_logits))
+    ((_, parent_logits, parent_probs),) = predict(parent.spec, [parent.params], probe.inputs)
+    parent_probs = clamp_probs(parent_probs)
     cells = []
     for cj, rho in enumerate(rho_grid):
         for ci, sigma in enumerate(sigma_grid):

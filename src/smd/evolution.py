@@ -20,7 +20,7 @@ from .datasets import Dataset, write_csv
 from .errors import WorkerError
 from .metrics import accuracy, metric_triple
 from .mutation import Child, MutationParams, derive_seed, spawn_mutations, working_genomes
-from .network import Network, ParamVector, forward, nll_loss, predict, softmax
+from .network import Network, ParamVector, nll_loss, predict
 from .divergence import clamp_probs, kl_from_probs
 
 # Spawn-key namespaces separating per-generation and per-repeat randomness.
@@ -61,10 +61,11 @@ class Population:
 
 # Forward multiply-adds (children x rows x sum of fan_in * fan_out) below
 # which a scoring pass runs serially, as forking costs more than it saves.
-# Serial at 2 OpenBLAS threads vs 2 forked workers at 1, 2-vCPU Xeon, median
-# of 15 alternating passes: 3.4e8 (the shipped spiral evolve) 44 vs 49 ms;
-# 5.3e8, 47 vs 54; 1.3e9, 106 vs 103; 2.1e9, 126 vs 119; 4.2e9, 243 vs 205;
-# 1.7e10 (pop 64 of a [2, 512, 512, 512, 2] net), 995 vs 737 ms.
+# Float32 scoring, serial at 2 OpenBLAS threads vs 2 forked workers at 1,
+# 2-vCPU Xeon, median of 15 alternating passes: 3.4e8 (the shipped spiral
+# evolve) 24 vs 33 ms; then pops of a [2, 512, 512, 512, 2] net on 500 rows:
+# 5.3e8, 27 vs 27; 1.1e9, 45 vs 53; 1.6e9 (3 groups on 2 workers), 71 vs 84;
+# 2.1e9, 92 vs 83; 4.2e9, 183 vs 141; 1.7e10 (pop 64), 667 vs 476 ms.
 _FORK_MIN_MACS = 2e9
 
 
@@ -197,9 +198,11 @@ def _evolve(
 
 def _score_parent(parent: Network, val: Dataset, test: Dataset) -> tuple[np.ndarray, dict]:
     """The parent's clamped validation distribution (the fixed side of the
-    KL probe) and its test metrics."""
-    val_probs = clamp_probs(softmax(forward(parent, val.inputs)))
-    return val_probs, metric_triple(softmax(forward(parent, test.inputs)), test.labels)
+    KL probe) and its test metrics, each from a `network.predict` pass, so
+    the parent is scored as its children are."""
+    ((_, _, val_probs),) = predict(parent.spec, [parent.params], val.inputs)
+    ((_, _, test_probs),) = predict(parent.spec, [parent.params], test.inputs)
+    return clamp_probs(val_probs), metric_triple(test_probs, test.labels)
 
 
 def _report(
@@ -237,9 +240,8 @@ def _report(
     chosen = [pop.children[i] for i in selected]
     ensemble_probs, average = _ensemble_probs(pop.parent, pop.mutation, chosen, test.inputs)
     ensemble = metric_triple(ensemble_probs, test.labels)
-    averaged = metric_triple(
-        softmax(forward(Network(pop.parent.spec, average), test.inputs)), test.labels
-    )
+    ((_, _, averaged_probs),) = predict(pop.parent.spec, [average], test.inputs)
+    averaged = metric_triple(averaged_probs, test.labels)
     return {
         "parent": parent_metrics,
         "averaged": averaged,

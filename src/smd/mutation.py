@@ -46,8 +46,8 @@ _MASK_NS = 0
 _NOISE_NS = 1
 _COMPLEMENT_NS = 2  # the M' stream, derived from the group's noise seed
 
-# Uniforms per block of a mask draw: 512 KiB of float64 scratch at any w.
-_MASK_BLOCK = 65_536
+# Uniforms per block of a mask draw: 256 KiB of float64 scratch at any w.
+_MASK_BLOCK = 32_768
 
 
 def derive_seed(master_seed: int, *key: int) -> int:

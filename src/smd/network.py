@@ -5,6 +5,10 @@ for each layer in order, the weight matrix of shape (fan_in, fan_out)
 flattened row-major, followed by the bias vector of length fan_out. All
 mutation and averaging algebra elsewhere in the package relies on this
 layout being stable across runs and checkpoints.
+
+`forward` and `predict` share one layer loop. `forward` runs it in
+float64, for training and the boundary export; `predict` runs it in
+float32, for every scoring pass, and returns float64 logits.
 """
 
 from __future__ import annotations
@@ -139,37 +143,41 @@ def _activate_inplace(z: np.ndarray, kind: str) -> None:
         np.tanh(z, out=z)
 
 
-def workspace(spec: NetworkSpec, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Activation scratch for `forward` on up to `rows` inputs of `spec`.
+def workspace(
+    spec: NetworkSpec, rows: int, dtype: type = np.float64
+) -> tuple[np.ndarray, np.ndarray]:
+    """Activation scratch for a pass of `spec` on up to `rows` inputs: float64
+    for `forward`, float32 for `predict`.
 
-    Two separate flat float64 arrays of rows x widest hidden layer; hidden
-    layers alternate between them. Hold one for a scoring pass and drop it
-    after: a cached workspace would outlive the pass and raise peak memory.
+    Two separate flat arrays of rows x widest hidden layer; hidden layers
+    alternate between them. Hold one for a scoring pass and drop it after:
+    a cached workspace would outlive the pass and raise peak memory.
     """
     size = rows * max(spec.layer_sizes[1:-1], default=0)
-    return np.empty(size), np.empty(size)
+    return np.empty(size, dtype), np.empty(size, dtype)
 
 
-def forward(
-    net: Network, inputs: np.ndarray, scratch: tuple[np.ndarray, np.ndarray] | None = None
+def _inputs(spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
+    """`inputs` as float64 (n, input_dim) rows; any other shape is an error."""
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise ShapeError(f"inputs must be (n, {spec.input_dim}), got {x.shape}")
+    return x
+
+
+def _layers(
+    spec: NetworkSpec, values: np.ndarray, x: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Logits for a batch of inputs, shape (n, output_dim).
+    """The layer loop of `forward` and `predict`, in the dtype of `values`,
+    `x` and `scratch`.
 
     Hidden layer i writes its matmul into an (n, fan_out) view of
     `scratch[i % 2]`, then adds the bias and applies the activation in
-    place; `inputs` and the genome are never written. Only the returned
-    logits are allocated, so they never alias the workspace. Without
-    `scratch` a `workspace` is made for this one call.
+    place; `x` and `values` are never written. Only the returned logits
+    are allocated, so they never alias the workspace.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.spec.input_dim:
-        raise ShapeError(
-            f"inputs must be (n, {net.spec.input_dim}), got {x.shape}"
-        )
     n = x.shape[0]
-    if scratch is None:
-        scratch = workspace(net.spec, n)
-    *hidden, (w_out, b_out) = unflatten(net.spec, net.params.values)
+    *hidden, (w_out, b_out) = unflatten(spec, values)
     a = x
     for i, (w, b) in enumerate(hidden):
         buf = scratch[i % 2]
@@ -178,23 +186,63 @@ def forward(
             raise ShapeError(f"workspace of {buf.size} entries is too small for {n} x {w.shape[1]}")
         z = np.matmul(a, w, out=buf[:size].reshape(n, w.shape[1]))
         z += b
-        _activate_inplace(z, net.spec.hidden_activation)
+        _activate_inplace(z, spec.hidden_activation)
         a = z
     logits = a @ w_out
     logits += b_out
     return logits
 
 
+def forward(
+    net: Network, inputs: np.ndarray, scratch: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    """Float64 logits for a batch of inputs, shape (n, output_dim), through
+    `scratch`, or a `workspace` made for this one call. Training and the
+    boundary run it; every scoring pass runs `predict`."""
+    x = _inputs(net.spec, inputs)
+    if scratch is None:
+        scratch = workspace(net.spec, x.shape[0])
+    return _layers(net.spec, net.params.values, x, scratch)
+
+
+def _float32(values: np.ndarray, out: np.ndarray, what: str) -> np.ndarray:
+    """`values` cast into the float32 array `out`. A value beyond the float32
+    range is an error that names `what`, not an `inf`."""
+    try:
+        with np.errstate(over="raise"):
+            np.copyto(out, values)
+    except FloatingPointError:
+        raise ConfigurationError(f"{what} beyond the float32 range cannot be scored") from None
+    return out
+
+
 def predict(
     spec: NetworkSpec, genomes: Iterable[ParamVector], inputs: np.ndarray
 ) -> Iterator[tuple[ParamVector, np.ndarray, np.ndarray]]:
     """Each genome with its logits on `inputs` and their softmax: the one
-    scoring pass over a population, through one `workspace`. A genome is
+    scoring pass over a population, a single network's included.
+
+    Scoring runs in float32, the precision checkpoints store: the inputs
+    are cast once per pass, and each genome is cast into one float32
+    parameter buffer held for the pass, then run through one float32
+    `workspace`. Its logits are returned as float64, so everything
+    downstream of them stays float64. An input, a parameter or a logit
+    beyond the float32 range is an error, not an `inf`. A genome is
     pulled only once the previous one's results are yielded, so a stream
     that rewrites one genome in place (`working_genomes`) can feed it."""
-    scratch = workspace(spec, len(inputs))
+    x = _inputs(spec, inputs)
+    x = _float32(x, np.empty(x.shape, np.float32), "inputs")
+    scratch = workspace(spec, x.shape[0], np.float32)
+    params = np.empty(spec.param_count(), np.float32)
     for genome in genomes:
-        logits = forward(Network(spec, genome), inputs, scratch)
+        Network(spec, genome)  # the genome's length check
+        _float32(genome.values, params, "genome parameters")
+        # numpy reports only this thread's FP flags, not OpenBLAS's: check the logits instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = _layers(spec, params, x, scratch)
+        if not np.isfinite(logits).all():
+            raise ConfigurationError("logits beyond the float32 range cannot be scored")
+        logits = logits.astype(np.float64)
         yield genome, logits, softmax(logits)
 
 

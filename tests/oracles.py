@@ -27,7 +27,7 @@ from smd.mutation import (
     sample_mask,
     sample_noise,
 )
-from smd.network import Network, ParamVector, forward, softmax
+from smd.network import Network, NetworkSpec, ParamVector, forward, softmax
 
 
 def child_genome(
@@ -121,6 +121,24 @@ def output_kl(parent: Network, child: Network, probe: Dataset) -> float:
     """Mean relative entropy between parent and child output distributions."""
     _check_same_spec(parent, child)
     return kl_from_logits(forward(parent, probe.inputs), forward(child, probe.inputs))
+
+
+def float32_logits(spec: NetworkSpec, genome: ParamVector, inputs: np.ndarray) -> np.ndarray:
+    """The logits `network.predict` scores, written out by hand: the genome
+    and the inputs cast to float32, then per layer a matmul, the bias and,
+    on a hidden layer, the activation; the result cast to float64."""
+    values = genome.values.astype(np.float32)
+    a = np.asarray(inputs, dtype=np.float64).astype(np.float32)
+    shapes = spec.layer_shapes()
+    pos = 0
+    for i, (fan_in, fan_out) in enumerate(shapes):
+        w = values[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
+        b = values[pos + fan_in * fan_out : pos + (fan_in + 1) * fan_out]
+        pos += (fan_in + 1) * fan_out
+        a = np.matmul(a, w) + b
+        if i < len(shapes) - 1:
+            a = np.tanh(a) if spec.hidden_activation == "tanh" else np.maximum(a, 0.0)
+    return a.astype(np.float64)
 
 
 def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:

@@ -21,7 +21,7 @@ from smd.cli import main
 from smd.config import REQUIRED, SCHEMA, check, load_config, section
 from smd.divergence import SWEEP_COLUMNS
 from smd.evolution import ABLATION_CSV_COLUMNS, EVAL_CSV_COLUMNS
-from smd.network import NetworkSpec, init_network
+from smd.network import Network, NetworkSpec, ParamVector, init_network
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src"
@@ -85,18 +85,17 @@ def write_config(path, payload):
 
 
 def count_forward(monkeypatch):
-    """Counts every `network.forward` call, through each module's alias of it."""
+    """Counts every forward pass: each run of the layer loop that
+    `network.forward` and `network.predict` share."""
     import smd.network
 
-    calls, original = [], smd.network.forward
+    calls, original = [], smd.network._layers
 
-    def counting(*args, **kwargs):
-        calls.append(len(args[1]))
-        return original(*args, **kwargs)
+    def counting(spec, values, x, scratch):
+        calls.append(len(x))
+        return original(spec, values, x, scratch)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "smd" and getattr(module, "forward", None) is original:
-            monkeypatch.setattr(module, "forward", counting)
+    monkeypatch.setattr(smd.network, "_layers", counting)
     return calls
 
 
@@ -268,6 +267,21 @@ class TestEvolveCommand:
         assert capsys.readouterr().err == f"error: {out / 'eval_report.csv'}: Is a directory\n"
         # The artifact written before the failed one is left in place.
         assert (out / "eval_report.json").is_file()
+
+    def test_a_child_beyond_the_float32_range_exits_2(self, trained, capsys):
+        """A float32-maximum checkpoint plus noise cannot be scored in float32."""
+        base, out, _ = trained
+        spec = NetworkSpec([2, 16, 2], seed=7)
+        top = float(np.finfo(np.float32).max)
+        parent = Network(spec, ParamVector(np.full(spec.param_count(), top)))
+        save_checkpoint(parent, out / "model.ckpt")
+        path, _ = self.evolve_config(trained, {"sigma": 1e37, "rho": 0.5})
+        evolved = base / "evolved"
+        assert main(["evolve", "--config", path, "--out", str(evolved)]) == 2
+        assert capsys.readouterr().err == (
+            "error: genome parameters beyond the float32 range cannot be scored\n"
+        )
+        assert not any(evolved.iterdir())
 
     def test_zero_strength_delta_zero(self, trained):
         path, out = self.evolve_config(trained, {"sigma": 1e-12, "rho": 0.5})
@@ -809,46 +823,84 @@ class TestEvolveWorkers:
         threads writes the same bytes at one BLAS thread, at two, and on two
         forked one-thread workers. Each run is a child process with its own
         OPENBLAS_NUM_THREADS."""
-        import smd.evolution
-
-        if smd.evolution._blas_threads() is None:
-            pytest.skip("numpy is not linked against OpenBLAS")
-        ckpt = tmp_path / "wide.ckpt"
-        save_checkpoint(init_network(NetworkSpec([2, 256, 256, 2], seed=3)), ckpt)
-        payload = {
-            "task": small_task(tmp_path, n_eval=1000),
-            "model": {"checkpoint": str(ckpt)},
-            "mutation": {"sigma": 0.01, "rho": 0.9},
-            "evolution": {"pop_size": 8, "top_k": 4, "generations": 1, "master_seed": 0},
-        }
-        path = write_config(tmp_path / "evolve.json", payload)
-        script = (
-            "import os, sys\n"
-            "import smd.cli, smd.evolution\n"
-            "forked = sys.argv[1] == 'forked'\n"
-            "smd.cli._usable_cpus = lambda: 2 if forked else 1\n"
-            "smd.evolution._FORK_MIN_MACS = 0 if forked else smd.evolution._FORK_MIN_MACS\n"
-            "forks, fork = [], os.fork\n"
-            "os.fork = lambda: forks.append(1) or fork()\n"
-            "code = smd.cli.main(sys.argv[2:])\n"
-            "print(smd.evolution._blas_threads()[0](), len(forks))\n"
-            "sys.exit(code)\n"
+        blas_thread_runs(
+            tmp_path, "evolve",
+            {
+                "mutation": {"sigma": 0.01, "rho": 0.9},
+                "evolution": {"pop_size": 8, "top_k": 4, "generations": 1, "master_seed": 0},
+            },
+            ("eval_report.json", "eval_report.csv"),
         )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p
-        ))
-        written = []
-        for how, threads, forks in (("serial", "1", 0), ("serial", "2", 0), ("forked", "2", 2)):
-            out = tmp_path / f"{how}{threads}"
-            done = subprocess.run(
-                [sys.executable, "-c", script, how, "evolve", "--config", path, "--out", str(out)],
-                env=dict(env, OPENBLAS_NUM_THREADS=threads),
-                capture_output=True, text=True, timeout=120,
-            )
-            assert done.returncode == 0, done.stderr
-            assert done.stdout.splitlines()[-1] == f"{threads} {forks}"
-            written.append([(out / f).read_bytes() for f in ("eval_report.json", "eval_report.csv")])
-        assert written[0] == written[1] == written[2]
+
+
+class TestBlasThreads:
+    """`search` and `ablate` write the same bytes at one OpenBLAS thread and
+    at two, and `ablate` on two forked one-thread workers too: the float32
+    GEMM of a scoring pass may not depend on how OpenBLAS splits it."""
+
+    def test_search(self, tmp_path):
+        search = {
+            "sigma_grid": [0.01, 0.02], "rho_grid": [0.5, 0.9], "kl_target": 0.001,
+            "kl_tolerance": 0.9, "samples_per_cell": 4, "probe_size": 500, "seed": 1,
+        }
+        blas_thread_runs(
+            tmp_path, "search", {"mutation": {"search": search}},
+            ("search_result.json", "sweep.csv"), forks=0,
+        )
+
+    def test_ablate(self, tmp_path):
+        ablation = {
+            "sigma_grid": [0.01], "rho_grid": [0.0, 0.9], "modes": ["static", "dynamic"],
+            "seeds": [0], "pop_size": 4, "top_k": 2,
+        }
+        blas_thread_runs(tmp_path, "ablate", {"ablation": ablation}, ("ablation.csv",))
+
+
+def blas_thread_runs(tmp_path, command, sections, artifacts, forks=2):
+    """Run `command` with `sections` on a [2, 256, 256, 2] checkpoint and a
+    500-row validation set in child processes: serially at
+    OPENBLAS_NUM_THREADS 1 and 2, then with two usable CPUs (and forked
+    scoring at any size) at 2, which forks `forks` workers. Each run must
+    keep its thread count, and all must write the same `artifacts` bytes."""
+    import smd.evolution
+
+    if smd.evolution._blas_threads() is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    ckpt = tmp_path / "wide.ckpt"
+    save_checkpoint(init_network(NetworkSpec([2, 256, 256, 2], seed=3)), ckpt)
+    payload = {
+        "task": small_task(tmp_path, n_eval=1000),
+        "model": {"checkpoint": str(ckpt)},
+        **sections,
+    }
+    path = write_config(tmp_path / f"{command}.json", payload)
+    script = (
+        "import os, sys\n"
+        "import smd.cli, smd.evolution\n"
+        "forked = sys.argv[1] == 'forked'\n"
+        "smd.cli._usable_cpus = lambda: 2 if forked else 1\n"
+        "smd.evolution._FORK_MIN_MACS = 0 if forked else smd.evolution._FORK_MIN_MACS\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "code = smd.cli.main(sys.argv[2:])\n"
+        "print(smd.evolution._blas_threads()[0](), len(forks))\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p
+    ))
+    written = []
+    for how, threads, forked in (("serial", "1", 0), ("serial", "2", 0), ("forked", "2", forks)):
+        out = tmp_path / f"{how}{threads}"
+        done = subprocess.run(
+            [sys.executable, "-c", script, how, command, "--config", path, "--out", str(out)],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == f"{threads} {forked}"
+        written.append([(out / f).read_bytes() for f in artifacts])
+    assert written[0] == written[1] == written[2]
 
 
 def assert_flag_rejected(argv, capsys):
@@ -906,7 +958,7 @@ def contract_base(tmp_path_factory):
     """An explicit-mutation evolve config on a tiny [2, 8, 2] task, and the
     outcome of running it."""
     from smd.checkpoint import save_checkpoint
-    from smd.network import NetworkSpec, init_network
+    from smd.network import Network, NetworkSpec, ParamVector, init_network
 
     base = tmp_path_factory.mktemp("contract")
     save_checkpoint(init_network(NetworkSpec([2, 8, 2], seed=5)), base / "tiny.ckpt")
@@ -1970,6 +2022,27 @@ class TestInputPaths:
         assert main(["evolve", "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(absent) in err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "kind, code", [("missing", errno.ENOENT), ("directory", errno.EISDIR)],
+        ids=["missing", "directory"],
+    )
+    def test_unreadable_val_csv_is_named_once(
+        self, key_bases, tmp_path, monkeypatch, capsys, kind, code
+    ):
+        """A CSV that cannot be opened reads as every other input path does."""
+        inputs, bases = key_bases
+        monkeypatch.chdir(inputs)
+        _, cfg = bases["evolve_split_csv"]
+        bad = tmp_path / "bad.csv"
+        if kind == "directory":
+            bad.mkdir()
+        cfg = dict(cfg, task=dict(cfg["task"], val_csv=str(bad)))
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "config.json", cfg)
+        assert main(["evolve", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {os.strerror(code)}\n"
         assert not any(out.iterdir())
 
 

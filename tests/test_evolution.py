@@ -39,7 +39,7 @@ from smd.mutation import (
 from smd.network import Network, NetworkSpec, ParamVector, forward, init_network, softmax
 from smd.training import train_model
 
-from oracles import child_genome, seed_record_genome
+from oracles import child_genome, float32_logits, seed_record_genome
 
 
 def make_population(fitness, nll=None):
@@ -84,6 +84,17 @@ class TestEvaluateFitness:
         val = Dataset(np.array([[1.0], [2.0], [-3.0]]), np.array([0, 0, 1]), 2)
         fitness = scored(parent, params, 1, 0, val).fitness
         assert fitness[0] == 1.0
+
+    def test_a_child_beyond_the_float32_range_is_an_error(self):
+        """A float32-maximum parent plus noise is finite in float64 but
+        would score as inf in float32."""
+        spec = NetworkSpec([2, 8, 2], seed=1)
+        top = float(np.finfo(np.float32).max)
+        parent = Network(spec, ParamVector(np.full(spec.param_count(), top)))
+        params = MutationParams(sigma=1e37, rho=0.5)
+        with pytest.raises(ConfigurationError) as exc:
+            scored(parent, params, 4, 0, make_spirals(50, seed=2))
+        assert str(exc.value) == "genome parameters beyond the float32 range cannot be scored"
 
 
 class TestSelectTopK:
@@ -159,7 +170,7 @@ class TestEnsemblePredict:
         x = rng.normal(size=(6, 2))
         np.testing.assert_array_equal(
             evolution._ensemble_probs(parent, params, [child], x)[0],
-            softmax(forward(Network(parent.spec, genome), x)),
+            softmax(float32_logits(parent.spec, genome, x)),
         )
 
     def test_two_member_arithmetic(self):

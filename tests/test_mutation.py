@@ -19,9 +19,16 @@ from smd.mutation import (
     spawn_mutations,
     working_genomes,
 )
-from smd.network import Network, NetworkSpec, ParamVector, forward, predict
+from smd.network import NetworkSpec, ParamVector, predict
 
-from oracles import child_genome, mask_to_rle, partition_masks, rle_to_mask, seed_record_genome
+from oracles import (
+    child_genome,
+    float32_logits,
+    mask_to_rle,
+    partition_masks,
+    rle_to_mask,
+    seed_record_genome,
+)
 
 
 def f32_genome(rng, w):
@@ -482,7 +489,7 @@ class TestWorkingGenome:
         x = np.random.default_rng(6).normal(size=(20, 3))
         scored = predict(self.SPEC, working_genomes(theta, params, children), x)
         for genome, (_, got, _) in zip(owned, scored, strict=True):
-            assert got.tobytes() == forward(Network(self.SPEC, genome), x).tobytes()
+            assert got.tobytes() == float32_logits(self.SPEC, genome, x).tobytes()
         assert theta.values.tobytes() == before
 
     @pytest.mark.parametrize("mirrored, anti_random", STRATEGIES)

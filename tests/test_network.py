@@ -14,12 +14,13 @@ from smd.network import (
     forward,
     init_network,
     nll_loss,
+    predict,
     softmax,
     unflatten,
     workspace,
 )
 
-from oracles import flatten, rowwise_softmax
+from oracles import flatten, float32_logits, rowwise_softmax
 
 
 class TestNetworkSpec:
@@ -330,3 +331,90 @@ class TestWorkspace:
         net = init_network(NetworkSpec([3, 2], seed=1))
         x = np.random.default_rng(1).normal(size=(6, 3))
         assert forward(net, x, workspace(net.spec, 0)).tobytes() == forward(net, x).tobytes()
+
+
+class TestPredict:
+    """`predict` scores in float32: its logits are the float32 oracle's, bit
+    for bit, returned as float64."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=2, max_size=5),
+        activation=st.sampled_from(ACTIVATIONS),
+        rows=st.integers(1, 300),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_float32_oracle(self, sizes, activation, rows, seed):
+        rng = np.random.default_rng(seed)
+        spec = NetworkSpec(sizes, hidden_activation=activation, seed=seed)
+        genomes = [ParamVector(rng.normal(size=spec.param_count())) for _ in range(3)]
+        x = rng.normal(size=(rows, sizes[0]))
+        x_before = x.copy()
+        scored = list(predict(spec, iter(genomes), x))
+        assert all(got is genome for (got, _, _), genome in zip(scored, genomes, strict=True))
+        for genome, (_, logits, probs) in zip(genomes, scored):
+            assert logits.dtype == probs.dtype == np.float64
+            assert logits.tobytes() == float32_logits(spec, genome, x_before).tobytes()
+            assert probs.tobytes() == softmax(logits).tobytes()
+        assert x.tobytes() == x_before.tobytes()
+
+    def test_one_workspace_and_one_parameter_buffer_per_pass(self):
+        """Scoring eight genomes holds no more float32 genome copies than
+        scoring one; only the logits the consumer holds differ."""
+        spec = NetworkSpec([2, 256, 256, 2], seed=2)
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(500, 2))
+
+        def peak(count):
+            genomes = [ParamVector(rng.normal(size=spec.param_count())) for _ in range(count)]
+            tracemalloc.start()
+            try:
+                for _ in predict(spec, genomes, x):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) < peak(1) + spec.param_count() * 4 / 2
+
+    def test_input_shape_is_checked(self):
+        spec = NetworkSpec([3, 4, 2])
+        with pytest.raises(ShapeError, match=r"inputs must be \(n, 3\), got \(4, 2\)"):
+            next(predict(spec, [init_network(spec).params], np.zeros((4, 2))))
+
+    def test_genome_length_is_checked(self):
+        spec = NetworkSpec([3, 4, 2])
+        with pytest.raises(ShapeError, match="spec needs 26"):
+            next(predict(spec, [ParamVector(np.zeros(25))], np.zeros((4, 3))))
+
+    @pytest.mark.parametrize("where", ["genome", "inputs"])
+    def test_a_value_beyond_the_float32_range_is_an_error(self, where):
+        """It would cast to inf; the error names what holds it."""
+        spec = NetworkSpec([3, 4, 2])
+        genome = init_network(spec).params
+        x = np.zeros((4, 3))
+        if where == "genome":
+            genome.values[5] = 3.5e38
+        else:
+            x[2, 1] = -3.5e38
+        what = "genome parameters" if where == "genome" else "inputs"
+        with pytest.raises(ConfigurationError) as exc:
+            next(predict(spec, [genome], x))
+        assert str(exc.value) == f"{what} beyond the float32 range cannot be scored"
+
+    def test_logits_beyond_the_float32_range_are_an_error(self):
+        """Finite float32 weights can still overflow float32 in the forward
+        pass, where float64 would not; the logits are checked."""
+        spec = NetworkSpec([2, 16, 2])
+        genome = ParamVector(np.full(spec.param_count(), 1e30))
+        x = np.ones((4, 2))
+        assert np.isfinite(forward(Network(spec, genome), x)).all()
+        with pytest.raises(ConfigurationError) as exc:
+            next(predict(spec, [genome], x))
+        assert str(exc.value) == "logits beyond the float32 range cannot be scored"
+
+    def test_the_float32_maximum_is_scored(self):
+        spec = NetworkSpec([1, 1])
+        top = float(np.finfo(np.float32).max)
+        ((_, logits, _),) = predict(spec, [ParamVector(np.array([1.0, 0.0]))], np.array([[top]]))
+        assert logits.item() == top

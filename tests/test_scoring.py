@@ -3,8 +3,8 @@
 Each child's validation logits are computed and softmaxed once, in
 `evaluate_fitness`, and the probabilities are reused for fitness, NLL, KL
 to the parent and the ensemble's validation accuracy. These tests pin the
-resulting `forward` call counts, check the cached values against a direct
-recompute bit for bit, and pin the bytes of the evolve and ablate
+resulting forward-pass counts, check the cached values against a direct
+float32 recompute bit for bit, and pin the bytes of the evolve and ablate
 artifacts on a tiny config.
 """
 
@@ -14,7 +14,6 @@ import json
 import numpy as np
 import pytest
 
-import smd.divergence as divergence
 import smd.evolution as evolution
 import smd.mutation as mutation
 import smd.network as network
@@ -22,26 +21,25 @@ from smd.cli import main
 from smd.divergence import grid_search
 from smd.evolution import evaluate_fitness, run_ablation, run_generation
 from smd.mutation import MutationParams, derive_seed, spawn_mutations
-from smd.network import Network, ParamVector, forward, softmax, workspace
+from smd.network import Network, ParamVector, softmax, workspace
 
-from oracles import kl_from_logits, seed_record_genome
+from oracles import float32_logits, kl_from_logits, seed_record_genome
 
 POP, TOP_K = 8, 4
 
 
 @pytest.fixture()
 def forward_calls(monkeypatch):
-    """Counts every `forward` call made from `smd.evolution` and
-    `smd.divergence`, and from `smd.network.predict`, which runs every child."""
-    calls = []
+    """Counts every run of `smd.network`'s layer loop, which
+    `smd.network.predict` runs once per genome it scores: every child, and
+    every single network of `smd.evolution` and `smd.divergence`."""
+    calls, layers = [], network._layers
 
-    def counting(net, inputs, *scratch):
-        calls.append(len(inputs))
-        return forward(net, inputs, *scratch)
+    def counting(spec, values, x, scratch):
+        calls.append(len(x))
+        return layers(spec, values, x, scratch)
 
-    monkeypatch.setattr(evolution, "forward", counting)
-    monkeypatch.setattr(divergence, "forward", counting)
-    monkeypatch.setattr(network, "forward", counting)
+    monkeypatch.setattr(network, "_layers", counting)
     return calls
 
 
@@ -51,9 +49,9 @@ def workspaces(monkeypatch):
     per `forward` call that is handed none."""
     made = []
 
-    def counting(spec, rows):
+    def counting(spec, rows, *dtype):
         made.append(rows)
-        return workspace(spec, rows)
+        return workspace(spec, rows, *dtype)
 
     monkeypatch.setattr(network, "workspace", counting)
     return made
@@ -191,7 +189,7 @@ class TestCachedScores:
         pop = evaluate_fitness(t.parent, params, children, t.val)
         for child, cached in zip(pop.children, pop.val_probs, strict=True):
             genome = seed_record_genome(t.parent.params, pop.mutation, child)
-            direct = softmax(forward(Network(t.parent.spec, genome), t.val.inputs))
+            direct = softmax(float32_logits(t.parent.spec, genome, t.val.inputs))
             assert cached.tobytes() == direct.tobytes()
 
     @pytest.mark.parametrize("generations", [1, 2])
@@ -217,15 +215,13 @@ class TestCachedScores:
                 current = Network(current.spec, ParamVector(quantized))
         assert report["selected"] == selected
 
-        parent_logits = forward(current, t.val.inputs)
-        nets = [
-            Network(current.spec, seed_record_genome(current.params, params, c))
-            for c in pop.children
-        ]
-        for record, net in zip(report["per_child"], nets):
-            kl = kl_from_logits(parent_logits, forward(net, t.val.inputs))
+        parent_logits = float32_logits(current.spec, current.params, t.val.inputs)
+        genomes = [seed_record_genome(current.params, params, c) for c in pop.children]
+        logits = [float32_logits(current.spec, g, t.val.inputs) for g in genomes]
+        for record, child_logits in zip(report["per_child"], logits):
+            kl = kl_from_logits(parent_logits, child_logits)
             assert record["kl_to_parent"] == kl
-        probs = np.mean([softmax(forward(nets[i], t.val.inputs)) for i in selected], axis=0)
+        probs = np.mean([softmax(logits[i]) for i in selected], axis=0)
         ens_val = float((probs.argmax(axis=1) == t.val.labels).mean())
         assert report["ensemble_val_accuracy"] == ens_val
 
@@ -294,21 +290,20 @@ class TestAblationPoints:
 
 
 # SHA-256s of the artifacts the tiny configs below write, keyed by path
-# under the output directory. `eval_report.json` and `ablation.csv` were
-# recorded when noise became one draw per support coordinate (every rho > 0
-# value moved; the rho-0 ablation rows kept their bytes); the others when
-# the train, search and best-of-3 evolve artifacts were added to this test.
-# Float64 numpy on OpenBLAS; another BLAS build may round a matmul
-# differently and legitimately change them.
+# under the output directory. `training_log.csv` was recorded when the
+# train, search and best-of-3 evolve artifacts were added to this test;
+# every other digest when scoring moved to float32 (`network.predict`).
+# Numpy on OpenBLAS, training in float64 and scoring in float32; another
+# BLAS build may round a matmul differently and legitimately change them.
 GOLDEN = {
     "training_log.csv": "205b4de12b4eba464196f4d3d6107bf07bd62866043c9dfba428a0b0e49c72f5",
-    "search_result.json": "f99a15c430ff004bac28053ab96cf39ceba756694ee1a6479adbf7554a20532b",
-    "sweep.csv": "ff444a334380c694b0ffdbe55f38b4535dec07a9c54926c307dc3586b6ff07d1",
-    "eval_report.json": "8b0b5cf3f5f188d9f63d3a600fa1fc9546cd4ff1a99b46fd777ff2434234b4b0",
-    "eval_report.csv": "b83ef391ee4ea2acf80bc57dc6f65e05a44c6978859c1cbfd9d59eca038b0851",
-    "repeats/eval_report.json": "fc03f49c9c86d261470a2f622dc52aed1e9c77e119b154bac39329254da7ce7e",
-    "repeats/eval_report.csv": "b34bda434b19d3d086bd9ff16f1d29490a41f5c4e54294216dc538056bff95d7",
-    "ablation.csv": "4233414fa6d36f7f6e09491c323054ed160b7391d11e740fbd98a453946dd449",
+    "search_result.json": "f36da403f51898179314c3331894293b2c3374a8143c93e0db12c1dd1951be6b",
+    "sweep.csv": "5fdeb0342815b49d6367b32a5a6d78f113f898870d32d42d12f821e49fda4013",
+    "eval_report.json": "b3e9d90a93b2c561c3865a9fe083f189e412551109c04e8c500dcfa0c0a41a0c",
+    "eval_report.csv": "3318c9818b5e4db114036cad6a9f6fa4bd688ad689c27e0b204b97ed82ae19d6",
+    "repeats/eval_report.json": "0abfcb54a99474358d3cd493dd9d6e484cdef791e4562cd74c3675364a7b8577",
+    "repeats/eval_report.csv": "de10f4a9e0a69ad3ab280af7df197a7e23f39e38e794749a9353360eaf3b3b46",
+    "ablation.csv": "d2d49ff80799b5fc10c27d9fa2313536342caf8353ee6ca077ec6cbd99997ef3",
 }
 
 
