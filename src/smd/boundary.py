@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, artifact_set
 from .errors import TaskMismatchError
-from .mutation import Child, MutationParams, derive_seed, working_genomes
-from .network import Network, forward, softmax, workspace
+from .mutation import Child, MutationParams, child_patches, derive_seed
+from .network import Network, ParamVector, forward, softmax, workspace
 
 # Spawn-key namespace for boundary-cell perturbations.
 _BOUNDARY_NS = 4
@@ -84,7 +84,8 @@ def evaluate_grid(
 
 
 def perturbed_network(parent: Network, sigma: float, rho: float, seed: int) -> Network:
-    """One sampled mutation of the parent; sigma == 0 returns the parent."""
+    """One sampled mutation of the parent, as a float64 genome of its own
+    for the float64 boundary forward; sigma == 0 returns the parent."""
     if sigma == 0.0:
         return parent
     child = Child(
@@ -94,9 +95,10 @@ def perturbed_network(parent: Network, sigma: float, rho: float, seed: int) -> N
         role="solo",
     )
     params = MutationParams(sigma=sigma, rho=rho)
-    # Unpacking runs the pass to its end, so its working copy is ours.
-    (genome,) = working_genomes(parent.params, params, [child])
-    return Network(parent.spec, genome)
+    ((index, values),) = child_patches(parent.params, params, [child])
+    genome = parent.params.values.copy()
+    genome[index] = values
+    return Network(parent.spec, ParamVector(genome))
 
 
 def write_grid_csv(grid: BoundaryGrid, path: str | Path) -> None:
@@ -147,7 +149,11 @@ def export_boundary_cells(
 ) -> list[Path]:
     """Write one CSV and one PGM per (sigma, rho) cell; returns the paths.
     The keyword parameters are the checked `boundary` section's keys; `seed`
-    is the master seed of every cell's perturbation."""
+    is the master seed of every cell's perturbation.
+
+    Each cell is written as soon as it is computed, to a temporary of
+    `datasets.artifact_set`, so no two grids are held at once; the files
+    replace their destinations together once every cell is written."""
     if data.inputs.shape[1] != 2:
         raise TaskMismatchError(
             f"boundary export needs 2-D data, got {data.inputs.shape[1]} features"
@@ -159,14 +165,14 @@ def export_boundary_cells(
     # glibc's heap and raises the command's peak RSS.
     scratch = workspace(parent.spec, min(_BLOCK, resolution**2))
     written = []
-    for ci, sigma in enumerate(sigma_grid):
-        for cj, rho in enumerate(rho_grid):
-            cell_seed = derive_seed(seed, ci * len(rho_grid) + cj)
-            net = perturbed_network(parent, sigma, rho, cell_seed)
-            grid = evaluate_grid(net, bounds, resolution, scratch)
-            csv_path = out_dir / f"boundary_{cell_tag(sigma, rho)}.csv"
-            pgm_path = out_dir / f"boundary_{cell_tag(sigma, rho)}.pgm"
-            write_grid_csv(grid, csv_path)
-            write_grid_pgm(grid, pgm_path)
-            written.extend([csv_path, pgm_path])
+    with artifact_set(out_dir) as stage:
+        for ci, sigma in enumerate(sigma_grid):
+            for cj, rho in enumerate(rho_grid):
+                cell_seed = derive_seed(seed, ci * len(rho_grid) + cj)
+                net = perturbed_network(parent, sigma, rho, cell_seed)
+                grid = evaluate_grid(net, bounds, resolution, scratch)
+                for suffix, write in (("csv", write_grid_csv), ("pgm", write_grid_pgm)):
+                    name = f"boundary_{cell_tag(sigma, rho)}.{suffix}"
+                    write(grid, stage(name))
+                    written.append(out_dir / name)
     return written

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import config as cfgmod
 from .boundary import export_boundary_cells
 from .checkpoint import load_checkpoint, save_checkpoint
-from .datasets import Dataset, write_csv
+from .datasets import Dataset, artifact_set, write_csv
 from .divergence import grid_search, write_sweep_csv
 from .errors import (
     CheckpointError,
@@ -79,22 +79,23 @@ def cmd_train(run: dict) -> int:
     val_acc = accuracy(softmax(forward(trained, val.inputs)), val.labels)
 
     ckpt_path = run["out_dir"] / "model.ckpt"
-    save_checkpoint(trained, ckpt_path)
-    write_csv(
-        run["out_dir"] / "training_log.csv",
-        ("epoch", "train_loss", "train_acc"),
-        ((row["epoch"], row["loss"], row["accuracy"]) for row in history),
-    )
-    _write_json(
-        run["out_dir"] / "train_summary.json",
-        {
-            "checkpoint": ckpt_path.name,
-            "epochs": run["train"]["epochs"],
-            "final_train_loss": history[-1]["loss"],
-            "final_train_accuracy": history[-1]["accuracy"],
-            "val_accuracy": val_acc,
-        },
-    )
+    with artifact_set(run["out_dir"]) as stage:
+        save_checkpoint(trained, stage(ckpt_path.name))
+        write_csv(
+            stage("training_log.csv"),
+            ("epoch", "train_loss", "train_acc"),
+            ((row["epoch"], row["loss"], row["accuracy"]) for row in history),
+        )
+        _write_json(
+            stage("train_summary.json"),
+            {
+                "checkpoint": ckpt_path.name,
+                "epochs": run["train"]["epochs"],
+                "final_train_loss": history[-1]["loss"],
+                "final_train_accuracy": history[-1]["accuracy"],
+                "val_accuracy": val_acc,
+            },
+        )
     print(f"checkpoint {ckpt_path} | val accuracy {val_acc:.4f}")
     return EXIT_OK
 
@@ -110,8 +111,9 @@ def cmd_search(run: dict) -> int:
     _, val, _ = cfgmod.build_task_data(run["task"], train=False, evaluation=True)
     parent = _load_parent(run["checkpoint"], val)
     result, cells = grid_search(parent, val, **run["search"])
-    _write_json(run["out_dir"] / "search_result.json", result)
-    write_sweep_csv(cells, run["out_dir"] / "sweep.csv")
+    with artifact_set(run["out_dir"]) as stage:
+        _write_json(stage("search_result.json"), result)
+        write_sweep_csv(cells, stage("sweep.csv"))
     print(
         f"sigma {result['sigma']:g} | rho {result['rho']:g} | mean KL {result['mean_kl']:.4f}"
         f" | in_band {result['in_band']}"
@@ -147,8 +149,9 @@ def cmd_evolve(run: dict) -> int:
     report = run_generation(
         parent, run["mutation"], val, test, jobs=_usable_cpus(), **run["evolution"]
     )
-    _write_json(run["out_dir"] / "eval_report.json", report)
-    write_eval_csv(report, run["out_dir"] / "eval_report.csv")
+    with artifact_set(run["out_dir"]) as stage:
+        _write_json(stage("eval_report.json"), report)
+        write_eval_csv(report, stage("eval_report.csv"))
     print(_summary_line(report))
     return EXIT_OK
 
@@ -164,7 +167,8 @@ def cmd_boundary(run: dict) -> int:
 def cmd_ablate(run: dict) -> int:
     parent, val, test = _evaluation_data(run)
     rows = run_ablation(parent, val, test, jobs=_usable_cpus(), **run["ablation"])
-    write_ablation_csv(rows, run["out_dir"] / "ablation.csv")
+    with artifact_set(run["out_dir"]) as stage:
+        write_ablation_csv(rows, stage("ablation.csv"))
     print(f"wrote {len(rows)} ablation rows to {run['out_dir'] / 'ablation.csv'}")
     return EXIT_OK
 

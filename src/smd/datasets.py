@@ -1,11 +1,15 @@
-"""Synthetic spiral data, deterministic splits, CSV ingestion, and the one
-CSV writer of the artifacts."""
+"""Synthetic spiral data, deterministic splits, CSV ingestion, the one
+CSV writer of the artifacts, and the staging that writes a command's
+artifacts as one set."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import errno
 import math
-from collections.abc import Iterable, Sequence
+import os
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,3 +160,34 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([repr(v) if isinstance(v, float) else str(v) for v in row] for row in rows)
+
+
+@contextlib.contextmanager
+def artifact_set(out_dir: str | Path) -> Iterator[Callable[[str], Path]]:
+    """Write a command's artifacts as one set: all of them, or none.
+
+    Yields `stage(name)`, the temporary path in `out_dir` to write the
+    artifact `name` to (`.<name>.partial`). When the block ends, every
+    destination is checked before the first `os.replace`: one that is a
+    directory raises `IsADirectoryError` naming it, and none is replaced.
+    A block that raises replaces none either. The temporaries left are
+    removed, so a failed command leaves `out_dir` as it was.
+    """
+    staged = {}  # destination -> its temporary
+
+    def stage(name: str) -> Path:
+        destination = Path(out_dir) / name
+        staged[destination] = destination.with_name(f".{name}.partial")
+        return staged[destination]
+
+    try:
+        yield stage
+        for destination in staged:
+            if destination.is_dir() and not destination.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(destination))
+        for destination, temporary in staged.items():
+            os.replace(temporary, destination)
+    finally:
+        for temporary in staged.values():
+            with contextlib.suppress(OSError):
+                temporary.unlink()

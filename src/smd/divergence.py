@@ -16,8 +16,8 @@ import numpy as np
 
 from .datasets import Dataset, write_csv
 from .metrics import accuracy
-from .mutation import MutationParams, derive_seed, spawn_mutations, working_genomes
-from .network import EPS_PROB, Network, predict
+from .mutation import MutationParams, child_patches, derive_seed, spawn_mutations
+from .network import EPS_PROB, UNPATCHED, Network, predict
 
 # Spawn-key namespace for per-cell search randomness.
 _CELL_NS = 2
@@ -76,7 +76,9 @@ def sweep_cells(
     `network.predict` pass, which softmaxes each child's logits once, for
     both its KL and its accuracy; the logits give its MSE.
     """
-    ((_, parent_logits, parent_probs),) = predict(parent.spec, [parent.params], probe.inputs)
+    ((_, parent_logits, parent_probs),) = predict(
+        parent.spec, parent.params, [UNPATCHED], probe.inputs
+    )
     parent_probs = clamp_probs(parent_probs)
     cells = []
     for cj, rho in enumerate(rho_grid):
@@ -85,9 +87,9 @@ def sweep_cells(
             cell_seed = derive_seed(master_seed, _CELL_NS, cell_index)
             params = _search_spawn_params(sigma, rho, samples_per_cell)
             children = spawn_mutations(parent.params, params, samples_per_cell, cell_seed)
-            genomes = working_genomes(parent.params, params, children)
+            patches = child_patches(parent.params, params, children)
             kls, mses, accs = [], [], []
-            for _, logits, probs in predict(parent.spec, genomes, probe.inputs):
+            for _, logits, probs in predict(parent.spec, parent.params, patches, probe.inputs):
                 kls.append(kl_from_probs(parent_probs, probs))
                 mses.append(mse_from_logits(parent_logits, logits))
                 accs.append(accuracy(probs, probe.labels))

@@ -3,7 +3,10 @@ score fitness on validation data, select top-k, and combine the winners by
 weight averaging and softmax ensembling.
 
 Model selection touches only the validation set; the test set is read
-exactly once, when the final report metrics are computed.
+exactly once, when the final report metrics are computed. A child is a
+seed record; every pass over children (scoring, the weight average)
+consumes `mutation.child_patches`, each child's support and its values
+there, so no pass builds a float64 child genome.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 from .datasets import Dataset, write_csv
 from .errors import WorkerError
 from .metrics import accuracy, metric_triple
-from .mutation import Child, MutationParams, derive_seed, spawn_mutations, working_genomes
-from .network import Network, ParamVector, nll_loss, predict
+from .mutation import Child, MutationParams, child_patches, derive_seed, spawn_mutations
+from .network import UNPATCHED, Network, ParamVector, nll_loss, predict
 from .divergence import clamp_probs, kl_from_probs
 
 # Spawn-key namespaces separating per-generation and per-repeat randomness.
@@ -43,12 +46,12 @@ ABLATION_CSV_COLUMNS = ("sigma", "rho", "mode", "seed", "mean_kl", "avg_acc", "e
 class Population:
     """A scored generation, as `evaluate_fitness` builds it.
 
-    The children are seed records; genomes are rebuilt from `mutation` and
-    the parent only while a child is run. Per child, in order: its
-    validation accuracy, its validation NLL and its validation softmax
-    probabilities, (n, C). The probabilities are the child's one softmax;
-    fitness, NLL, the KL probe and the ensemble's validation accuracy all
-    read them.
+    The children are seed records; a child's patch is drawn from
+    `mutation` and the parent only while the child is scored. Per child,
+    in order: its validation accuracy, its validation NLL and its
+    validation softmax probabilities, (n, C). The probabilities are the
+    child's one softmax; fitness, NLL, the KL probe and the ensemble's
+    validation accuracy all read them.
     """
 
     parent: Network
@@ -74,11 +77,12 @@ def evaluate_fitness(
 ) -> Population:
     """The scored population of `children` (the parent is never scored).
 
-    This is the one validation pass per child: `network.predict` runs each
-    child's working genome forward once and softmaxes its logits once. The
-    probabilities give the child's fitness (validation accuracy) and its
-    validation NLL, the selection tie-break, and are kept for the KL probe
-    and the ensemble's validation accuracy.
+    This is the one validation pass per child: `network.predict` writes
+    each child's patch onto its float32 copy of the parent, runs it
+    forward once and softmaxes its logits once. The probabilities give
+    the child's fitness (validation accuracy) and its validation NLL, the
+    selection tie-break, and are kept for the KL probe and the ensemble's
+    validation accuracy.
 
     A pass of at least `_FORK_MIN_MACS` with jobs > 1 is split into at most
     `jobs` contiguous runs of whole groups (partners share a mask draw),
@@ -93,8 +97,8 @@ def evaluate_fitness(
     runs = list(zip(bounds, bounds[1:]))
 
     def score(run: tuple[int, int]) -> list[np.ndarray]:
-        genomes = working_genomes(parent.params, params, children[run[0] : run[1]])
-        return [probs for _, _, probs in predict(parent.spec, genomes, val.inputs)]
+        patches = child_patches(parent.params, params, children[run[0] : run[1]])
+        return [probs for _, _, probs in predict(parent.spec, parent.params, patches, val.inputs)]
 
     scored = _map_points(score, runs, n)
     val_probs = [probs for run in runs for probs in scored[run]]
@@ -114,22 +118,30 @@ def select_top_k(pop: Population, k: int) -> list[int]:
     return order[:k]
 
 
-def average_weights(candidates: Iterable[ParamVector]) -> ParamVector:
-    """Coordinatewise arithmetic mean of the candidate genomes.
+def average_weights(
+    theta: ParamVector, patches: Iterable[tuple[np.ndarray | slice, np.ndarray]]
+) -> ParamVector:
+    """Coordinatewise arithmetic mean of the children that `patches` make
+    of theta.
 
-    A running sum in candidate order, then one division: the same
-    operations as `np.mean(np.stack(...), axis=0)` without the stack.
-    Candidates are read one at a time, so a generator of genomes is never
-    held whole, and a candidate may be rewritten once it is summed.
+    A running sum in patch order, then one division: the first child is
+    theta with its values written at its support, and each later child
+    adds theta everywhere but its support, where its values are added
+    instead. Every coordinate receives the same float64 additions, in the
+    same order, as a running sum of whole child genomes would give it, and
+    as `np.mean(np.stack(...), axis=0)` does, without building any child.
     """
     total, n = None, 0
-    for c in candidates:
+    for index, values in patches:
         if total is None:
-            total = c.values.copy()
+            total = theta.values.copy()
+            total[index] = values
         else:
-            total += c.values
+            patched = total[index] + values  # a new array, so a slice's view is not kept
+            total += theta.values
+            total[index] = patched
         n += 1
-        del c  # release it before the next candidate is built
+        patched = values = None  # release them before the next patch is drawn
     total /= n
     return ParamVector(total)
 
@@ -144,14 +156,16 @@ def _ensemble_probs(
     """The ensemble's prediction, the unweighted mean of the members'
     softmax outputs, and the members' weight average.
 
-    One `network.predict` pass, in member order: each member is written
-    into one working genome, scored, and added to the running sum of the
-    average, so each member is built once for both.
+    One `network.predict` pass, in member order: each member's patch is
+    drawn once, scored, and added to the running sum of the average.
     """
     member_probs = []
-    scored = predict(parent.spec, working_genomes(parent.params, params, members), inputs)
-    # Keep each member's probabilities as the average pulls its genome.
-    average = average_weights(member_probs.append(probs) or genome for genome, _, probs in scored)
+    patches = child_patches(parent.params, params, members)
+    scored = predict(parent.spec, parent.params, patches, inputs)
+    # Keep each member's probabilities as the average pulls its patch.
+    average = average_weights(
+        parent.params, (member_probs.append(probs) or patch for patch, _, probs in scored)
+    )
     return _mean_probs(member_probs), average
 
 
@@ -176,7 +190,7 @@ def _evolve(
 
     Returns the final generation's scored population (its parent is the
     chained model) and the selected indices. Every generation but the last
-    averages its selected genomes, in selection order, into the next
+    averages its selected children, in selection order, into the next
     parent; `_report` builds the final average. A chained parent is
     quantized to float32 values, as a checkpoint round-trip would, so its
     mirrored children still average back to it exactly. Each generation
@@ -190,7 +204,8 @@ def _evolve(
         selected = select_top_k(pop, top_k)
         if gen < generations - 1:
             chosen = [pop.children[i] for i in selected]
-            averaged = average_weights(working_genomes(current.params, params, chosen))
+            patches = child_patches(current.params, params, chosen)
+            averaged = average_weights(current.params, patches)
             quantized = averaged.values.astype(np.float32).astype(np.float64)
             current = Network(current.spec, ParamVector(quantized))
     return pop, selected
@@ -200,8 +215,8 @@ def _score_parent(parent: Network, val: Dataset, test: Dataset) -> tuple[np.ndar
     """The parent's clamped validation distribution (the fixed side of the
     KL probe) and its test metrics, each from a `network.predict` pass, so
     the parent is scored as its children are."""
-    ((_, _, val_probs),) = predict(parent.spec, [parent.params], val.inputs)
-    ((_, _, test_probs),) = predict(parent.spec, [parent.params], test.inputs)
+    ((_, _, val_probs),) = predict(parent.spec, parent.params, [UNPATCHED], val.inputs)
+    ((_, _, test_probs),) = predict(parent.spec, parent.params, [UNPATCHED], test.inputs)
     return clamp_probs(val_probs), metric_triple(test_probs, test.labels)
 
 
@@ -219,8 +234,8 @@ def _report(
     cached validation probabilities and its parent's `_score_parent` result.
 
     Only the averaged model and the ensemble members are run forward, on
-    the test set. One `_ensemble_probs` pass builds each member from its seed
-    record once, for both the average and the ensemble.
+    the test set. One `_ensemble_probs` pass draws each member's patch from
+    its seed record once, for both the average and the ensemble.
     """
     parent_val_probs, parent_metrics = parent_scores
     child_kls = [kl_from_probs(parent_val_probs, p) for p in pop.val_probs]
@@ -240,7 +255,7 @@ def _report(
     chosen = [pop.children[i] for i in selected]
     ensemble_probs, average = _ensemble_probs(pop.parent, pop.mutation, chosen, test.inputs)
     ensemble = metric_triple(ensemble_probs, test.labels)
-    ((_, _, averaged_probs),) = predict(pop.parent.spec, [average], test.inputs)
+    ((_, _, averaged_probs),) = predict(pop.parent.spec, average, [UNPATCHED], test.inputs)
     averaged = metric_triple(averaged_probs, test.labels)
     return {
         "parent": parent_metrics,
@@ -288,10 +303,11 @@ def run_generation(
     parent and the ensemble's validation accuracy, so one generation runs
     P + k + 3 forward passes: P on validation, then the parent on
     validation and test, and the averaged model and k members on test.
-    Children are kept as seed records, and every pass over children writes
-    each child into one working genome that `network.predict` scores: a
-    genome exists only while its child runs. The k selected genomes are
-    built once, one at a time, for both the average and the ensemble. A
+    Children are kept as seed records, and every pass over children draws
+    each child's patch, its support and its values there, which
+    `network.predict` writes onto one float32 copy of the parent: no
+    scoring pass builds a float64 child genome. The k selected patches
+    are drawn once, one at a time, for both the average and the ensemble. A
     big enough validation pass is scored on up to `jobs` forked workers
     (`evaluate_fitness`), with the same bytes.
 

@@ -9,9 +9,9 @@ complement M' for the anti-random roles. One Gaussian value is drawn per
 support coordinate, and the k-th value goes to the k-th support index in
 ascending order. M draws from the group's noise seed, M' from a seed
 derived from it, so a draw costs O(support), not O(w). At rho 0 the
-support is every coordinate and the draw is the full dense vector.
-`child_supports` is the one function that locates a child's support and
-draws its noise.
+support is every coordinate, a full slice rather than an index array,
+and the draw is the full dense vector. `child_supports` is the one
+function that locates a child's support and draws its noise.
 
 Noise values are quantized to float32-representable values. Parents
 loaded from checkpoints are float32-valued too, so sums theta +- gamma of
@@ -19,14 +19,14 @@ two 24-bit significands are exact in float64 arithmetic: mirrored pairs
 cancel exactly. Frozen coordinates are never written, so they stay
 bit-identical (-0.0 included).
 
-A child's genome lives only while its child is used. A pass over
-children (`working_genomes`) copies the parent once and rewrites that one
-working genome for each child in turn: it restores the previous child's
-support from the parent, then writes theta[support] +- noise, so a child
-costs O(support), not O(w). A mirrored partner shares its support and
-skips the restore. The yielded genome is valid until the next child is
-written; a caller that runs a pass to its end owns the last one. This
-module never runs a network: `network.predict` scores such a pass.
+A child exists only as a patch: its support index and its values there,
+theta[support] +- noise. `child_patches` yields each child's patch in
+turn, so a child costs O(support) memory and work, and no pass builds a
+w-length child genome. Mirrored partners share one index object, so a
+consumer can tell that a child overwrites the support before it.
+`network.predict` scores a patch stream on one float32 buffer, and
+`evolution.average_weights` sums one into a weight average. This module
+never runs a network.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def spawn_mutations(
     for every group with fresh noise per group; dynamic mode draws a fresh
     mask per group. All randomness derives from (master_seed, purpose,
     group), so the result is independent of evaluation order. No genome is
-    built here: `working_genomes` writes each while it is needed.
+    built here: `child_patches` yields each child's patch while it is needed.
     """
     roles = group_roles(params.mirrored, params.anti_random, pop_size)
     static_mask_seed = derive_seed(master_seed, _MASK_NS)
@@ -180,42 +180,46 @@ def spawn_mutations(
     return children
 
 
-def working_genomes(
+def child_patches(
     theta: ParamVector, params: MutationParams, children: Iterable[Child]
-) -> Iterator[ParamVector]:
-    """Yield each child's genome, in order, as one working copy of theta
-    rewritten in place: a yielded genome is valid until the next is written.
+) -> Iterator[tuple[np.ndarray | slice, np.ndarray]]:
+    """Each child's patch, in order: its support index and its values
+    there, theta[index] + sign * noise, as a new float64 array.
 
-    Before a child is written, the previous child's support is restored
-    from theta, unless the child perturbs the same support (a mirrored
-    partner), which it overwrites. Every coordinate besides the written
-    support equals theta's, and theta is never written.
+    A mirrored partner's index is the same object as its partner's. The
+    values are checked finite; every other coordinate of the child is
+    theta's, which was checked when theta was built. A value that is not
+    finite (a float64 overflow) is an error. theta is never written.
     """
-    genome = ParamVector(theta.values.copy())
-    written = None
-    for sign, index, values in child_supports(theta.w, params, children):
-        if written is not None and written is not index:
-            genome.values[written] = theta.values[written]
-        _write_support(genome.values, theta.values, sign, index, values)
-        written, values = index, None  # keep only what the restore needs
-        yield genome
+    for sign, index, noise in child_supports(theta.w, params, children):
+        base = theta.values[index]  # a view of theta for the full slice: never write it
+        with np.errstate(over="ignore"):
+            values = base + noise if sign > 0 else base - noise
+        if not np.isfinite(values).all():
+            raise ConfigurationError(
+                "mutation noise added to the parent gives non-finite parameters"
+            )
+        base = noise = None  # keep only the patch while it is used
+        yield index, values
 
 
 def child_supports(
     w: int, params: MutationParams, children: Iterable[Child]
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray | slice, np.ndarray]]:
     """Each child's sign, support indices and noise values, in order.
 
     This is the one place that maps a seed record to the coordinates its
-    child perturbs: `working_genomes` writes them, and an evolve report's
+    child perturbs: `child_patches` patches them, and an evolve report's
     `per_child` records with its `config.mutation` echo rebuild them. A
     mask is drawn once per run of consecutive children that share its
     seed: once per group in dynamic mode, once per pass in static mode.
     Each support of a mask (M, or M' for the anti-random roles) is located
     once, and the mask is released once every support the strategy uses is
-    located. Noise is drawn once per support and group. Children on one
-    support share one index array, so `written is index` tells
-    `working_genomes` that a child overwrites the support before it.
+    located. At rho 0 every mask bit is 1 whatever its seed, so no mask is
+    drawn: M is `slice(None)`, every coordinate, and M' is empty. Noise is
+    drawn once per support and group. Children on one support share one
+    index object, so `written is index` tells a consumer of patches that a
+    child overwrites the support before it.
     """
     supports_used = 2 if params.anti_random else 1
     mask_seed = drawn = None
@@ -224,7 +228,9 @@ def child_supports(
         if child.mask_seed != mask_seed:
             mask = index = noise = None  # release the previous draws before sampling
             mask_seed, index = child.mask_seed, {}
-        if on_complement not in index:
+        if on_complement not in index and params.rho == 0:
+            index[on_complement] = np.empty(0, np.intp) if on_complement else slice(None)
+        elif on_complement not in index:
             if mask is None:
                 mask = sample_mask(w, params.rho, mask_seed)
             bits = mask.view(bool)
@@ -235,30 +241,7 @@ def child_supports(
             drawn, noise = (child.seed, mask_seed), {}
         if on_complement not in noise:
             seed = derive_seed(child.seed, _COMPLEMENT_NS) if on_complement else child.seed
-            noise[on_complement] = sample_noise(
-                index[on_complement].size, params.mu, params.sigma, seed
-            )
+            support = index[on_complement]
+            size = w if isinstance(support, slice) else support.size
+            noise[on_complement] = sample_noise(size, params.mu, params.sigma, seed)
         yield sign, index[on_complement], noise[on_complement]
-
-
-def _write_support(
-    genome: np.ndarray, theta: np.ndarray, sign: int, index: np.ndarray, values: np.ndarray
-) -> None:
-    """Write theta[index] + sign * values at index of genome.
-
-    Only the written values are checked finite: every other coordinate is
-    theta's, which was checked when theta was built. A value that is not
-    finite (a float64 overflow) is an error, and nothing is written.
-    """
-    patch = theta[index]
-    with np.errstate(over="ignore"):
-        if sign > 0:
-            patch += values
-        else:
-            patch -= values
-    if not np.isfinite(patch).all():
-        raise ConfigurationError(
-            "mutation noise added to the parent gives non-finite parameters"
-        )
-    genome[index] = patch
-

@@ -8,7 +8,10 @@ layout being stable across runs and checkpoints.
 
 `forward` and `predict` share one layer loop. `forward` runs it in
 float64, for training and the boundary export; `predict` runs it in
-float32, for every scoring pass, and returns float64 logits.
+float32, for every scoring pass, and returns float64 logits. A scoring
+pass takes a parent and a stream of patches (support index, values
+there): each child is written onto one float32 copy of the parent and
+its support restored after, so no pass holds a float64 child genome.
 """
 
 from __future__ import annotations
@@ -205,45 +208,62 @@ def forward(
     return _layers(net.spec, net.params.values, x, scratch)
 
 
-def _float32(values: np.ndarray, out: np.ndarray, what: str) -> np.ndarray:
-    """`values` cast into the float32 array `out`. A value beyond the float32
-    range is an error that names `what`, not an `inf`."""
+# A patch is a support index (an index array or a slice) and the float64
+# values written there; the empty patch scores a network as it is.
+UNPATCHED = (np.empty(0, np.intp), np.empty(0))
+
+
+def _float32(values: np.ndarray, out: np.ndarray, what: str, index=Ellipsis) -> np.ndarray:
+    """`values` cast into `out[index]`, of the float32 array `out`. A value
+    beyond the float32 range is an error that names `what`, not an `inf`."""
     try:
         with np.errstate(over="raise"):
-            np.copyto(out, values)
+            out[index] = values
     except FloatingPointError:
         raise ConfigurationError(f"{what} beyond the float32 range cannot be scored") from None
     return out
 
 
 def predict(
-    spec: NetworkSpec, genomes: Iterable[ParamVector], inputs: np.ndarray
-) -> Iterator[tuple[ParamVector, np.ndarray, np.ndarray]]:
-    """Each genome with its logits on `inputs` and their softmax: the one
-    scoring pass over a population, a single network's included.
+    spec: NetworkSpec,
+    theta: ParamVector,
+    patches: Iterable[tuple[np.ndarray | slice, np.ndarray]],
+    inputs: np.ndarray,
+) -> Iterator[tuple[tuple, np.ndarray, np.ndarray]]:
+    """Each patch of `theta` with its network's logits on `inputs` and their
+    softmax: the one scoring pass over a population. A single network is
+    scored as the patch `UNPATCHED`.
 
     Scoring runs in float32, the precision checkpoints store: the inputs
-    are cast once per pass, and each genome is cast into one float32
-    parameter buffer held for the pass, then run through one float32
-    `workspace`. Its logits are returned as float64, so everything
-    downstream of them stays float64. An input, a parameter or a logit
-    beyond the float32 range is an error, not an `inf`. A genome is
-    pulled only once the previous one's results are yielded, so a stream
-    that rewrites one genome in place (`working_genomes`) can feed it."""
+    and theta are each cast once per pass, into one float32 input array
+    and one float32 parameter buffer, and every network runs through one
+    float32 `workspace`. For each patch the previous patch's support is
+    restored from theta, unless the patch has the same index object (a
+    mirrored partner), and float32(values) is written at its support, so
+    scoring a child costs O(support) besides its forward pass, and no
+    w-length float64 genome is built. Logits are returned as float64, so
+    everything downstream of them stays float64. An input, a parameter
+    or a logit beyond the float32 range is an error, not an `inf`. A patch
+    is pulled only once the previous one's results are yielded."""
     x = _inputs(spec, inputs)
     x = _float32(x, np.empty(x.shape, np.float32), "inputs")
     scratch = workspace(spec, x.shape[0], np.float32)
-    params = np.empty(spec.param_count(), np.float32)
-    for genome in genomes:
-        Network(spec, genome)  # the genome's length check
-        _float32(genome.values, params, "genome parameters")
+    Network(spec, theta)  # theta's length check
+    params = _float32(theta.values, np.empty(theta.w, np.float32), "genome parameters")
+    written = None
+    for index, values in patches:
+        if written is not None and written is not index:
+            params[written] = theta.values[written]  # in range: theta was cast whole
+        _float32(values, params, "genome parameters", index)
+        written = index
         # numpy reports only this thread's FP flags, not OpenBLAS's: check the logits instead
         with np.errstate(over="ignore", invalid="ignore"):
             logits = _layers(spec, params, x, scratch)
         if not np.isfinite(logits).all():
             raise ConfigurationError("logits beyond the float32 range cannot be scored")
         logits = logits.astype(np.float64)
-        yield genome, logits, softmax(logits)
+        yield (index, values), logits, softmax(logits)
+        values = None  # release the patch before the next one is drawn
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

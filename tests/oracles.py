@@ -3,7 +3,7 @@
 None of these run in a command. `child_genome` builds a genome by its own
 scatter from a whole mask, and `seed_record_genome` rebuilds a child from
 its seed record through it, so a test that compares them with
-`mutation.working_genomes` or `mutation.child_supports` compares two
+`mutation.child_patches` or `mutation.child_supports` compares two
 separate implementations. `train_settings` gives `train_model` the
 keywords a config's `model.train` section would.
 """

@@ -22,7 +22,6 @@ from smd.mutation import (
     MutationParams,
     sample_mask,
     sample_noise,
-    working_genomes,
 )
 from smd.network import (
     Network,
@@ -36,7 +35,13 @@ from smd.network import (
 from smd.training import loss_and_grad
 
 from oracles import (
-    child_genome, cross_entropy, output_kl, output_mse, partition_masks, train_settings
+    child_genome,
+    cross_entropy,
+    output_kl,
+    output_mse,
+    partition_masks,
+    seed_record_genome,
+    train_settings,
 )
 
 
@@ -159,7 +164,7 @@ class TestCriterion04SparsityRetainsBehavior:
             params = MutationParams(sigma=sigma, rho=rho)
             for seed in range(20):
                 solo = Child(seed=2 * seed + 1, mask_seed=2 * seed, group=0, role="solo")
-                (genome,) = working_genomes(bench_task.parent.params, params, [solo])
+                genome = seed_record_genome(bench_task.parent.params, params, solo)
                 child = Network(bench_task.parent.spec, genome)
                 probs = softmax(forward(child, bench_task.test.inputs))
                 accs.append(accuracy(probs, bench_task.test.labels))

@@ -265,8 +265,8 @@ class TestEvolveCommand:
         (out / "eval_report.csv").mkdir()
         assert main(["evolve", "--config", path]) == 2
         assert capsys.readouterr().err == f"error: {out / 'eval_report.csv'}: Is a directory\n"
-        # The artifact written before the failed one is left in place.
-        assert (out / "eval_report.json").is_file()
+        # The set is written whole or not at all: the other artifact is not left behind.
+        assert not (out / "eval_report.json").exists()
 
     def test_a_child_beyond_the_float32_range_exits_2(self, trained, capsys):
         """A float32-maximum checkpoint plus noise cannot be scored in float32."""
@@ -2058,6 +2058,73 @@ class TestFileFormats:
         entry = body.split(f"\n- **{label}**")[1].split("\n- ")[0]
         header = re.search(r"`([a-z_]+(?:,[a-z_]+)+)`", entry).group(1)
         assert tuple(header.split(",")) == columns
+
+
+def tree(path):
+    """Every entry under `path`, each file with its bytes, a directory with None."""
+    return {
+        str(p.relative_to(path)): None if p.is_dir() else p.read_bytes()
+        for p in sorted(path.rglob("*"))
+    }
+
+
+class TestArtifactSets:
+    """A command writes its artifacts as one set: a write that cannot be
+    done leaves the output directory as it was."""
+
+    def test_evolve_with_a_directory_in_place_of_its_csv_leaves_the_set(self, trained, capsys):
+        """The repro: with `eval_report.csv` a directory, `evolve` exits 2
+        with the `error:` line that names it, and writes no `eval_report.json`
+        and no temporary."""
+        base, out, cfg = trained
+        payload = {
+            "task": cfg["task"],
+            "model": {"checkpoint": str(out / "model.ckpt")},
+            "mutation": {"sigma": 0.05, "rho": 0.5},
+            "evolution": {"pop_size": 8, "top_k": 4},
+            "output": {"dir": str(out)},
+        }
+        path = write_config(base / "evolve.json", payload)
+        (out / "eval_report.csv").mkdir()
+        before = tree(out)
+        assert main(["evolve", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: {out / 'eval_report.csv'}: Is a directory\n"
+        assert tree(out) == before
+
+    @pytest.mark.parametrize("blocked", ["model.ckpt", "training_log.csv", "train_summary.json"])
+    def test_train_leaves_an_earlier_set_in_place(self, trained, capsys, blocked):
+        """A rerun that cannot write one artifact replaces none of the last
+        run's, so the checkpoint and its log still belong together."""
+        base, out, cfg = trained
+        cfg2 = dict(cfg, model=dict(cfg["model"], seed=8))
+        path = write_config(base / "retrain.json", cfg2)
+        (out / blocked).unlink()
+        (out / blocked).mkdir()
+        before = tree(out)
+        assert main(["train", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: {out / blocked}: Is a directory\n"
+        assert tree(out) == before
+
+    def test_boundary_writes_no_cell_when_the_last_cannot_be_written(self, trained, capsys):
+        base, out, cfg = trained
+        payload = {
+            "task": cfg["task"],
+            "model": {"checkpoint": str(out / "model.ckpt")},
+            "boundary": {"sigma_grid": [0.05, 0.25], "rho_grid": [0.9], "resolution": 20},
+            "output": {"dir": str(out / "boundary")},
+        }
+        path = write_config(base / "boundary.json", payload)
+        blocked = out / "boundary" / "boundary_sigma0.25_rho0.9.pgm"
+        blocked.mkdir(parents=True)
+        before = tree(out)
+        assert main(["boundary", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: {blocked}: Is a directory\n"
+        assert tree(out) == before
+        blocked.rmdir()
+        assert main(["boundary", "--config", path]) == 0
+        assert sorted(tree(out / "boundary")) == [
+            f"boundary_sigma{s}_rho0.9.{x}" for s in ("0.05", "0.25") for x in ("csv", "pgm")
+        ]
 
 
 class TestOutputResolution:

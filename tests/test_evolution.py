@@ -31,6 +31,7 @@ from smd.mutation import (
     SUBSPACE_MODES,
     Child,
     MutationParams,
+    child_patches,
     derive_seed,
     sample_mask,
     sample_noise,
@@ -135,27 +136,38 @@ class TestSelectTopK:
             assert sel == select_top_k(pop, k)
 
 
+def whole(candidates):
+    """Each candidate genome as a patch over every coordinate."""
+    return [(slice(None), c.values) for c in candidates]
+
+
 class TestAverageWeights:
     def test_identical_candidates(self):
         v = ParamVector(np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(average_weights([v, v, v]).values, v.values)
+        assert np.array_equal(average_weights(v, whole([v, v, v])).values, v.values)
 
     def test_mirrored_pair_recovers_parent(self, rng):
         theta = ParamVector(rng.normal(size=64).astype(np.float32).astype(np.float64))
         noise, mask = sample_noise(64, 0.0, 0.3, 1), sample_mask(64, 0.5, 2)
-        avg = average_weights([child_genome(theta, noise[mask == 1], mask, r) for r in ("+", "-")])
+        index = np.flatnonzero(mask)
+        pair = [
+            (index, child_genome(theta, noise[index], mask, r).values[index]) for r in ("+", "-")
+        ]
+        avg = average_weights(theta, pair)
         assert np.array_equal(avg.values, theta.values)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 17])
     def test_running_sum_matches_stacked_mean(self, rng, k):
         cands = [ParamVector(rng.normal(size=257)) for _ in range(k)]
         reference = np.mean(np.stack([c.values for c in cands]), axis=0)
-        assert average_weights(cands).values.tobytes() == reference.tobytes()
+        theta = ParamVector(rng.normal(size=257))
+        assert average_weights(theta, whole(cands)).values.tobytes() == reference.tobytes()
 
     def test_permutation_stable_within_tolerance(self, rng):
         cands = [ParamVector(rng.normal(size=32)) for _ in range(5)]
-        a = average_weights(cands)
-        b = average_weights(cands[::-1])
+        theta = ParamVector(np.zeros(32))
+        a = average_weights(theta, whole(cands))
+        b = average_weights(theta, whole(cands[::-1]))
         np.testing.assert_allclose(a.values, b.values, atol=1e-7)
 
 
@@ -450,16 +462,17 @@ class TestGenerationMemory:
 
 
 class TestGenomeLifetime:
-    """Each consumer of a pass's genomes drops one before the next one is
-    built, so at most one child genome is alive besides the parent."""
+    """A pass holds each child only as its patch, its support and its
+    values there: no consumer of a pass builds a float64 child genome.
+    Peaks are traced beyond the parent, in genomes of w float64 values."""
 
     @staticmethod
-    def setup():
+    def setup(rho=0.9):
         spec = NetworkSpec([2, 400, 400, 2], seed=3)
         values = init_network(spec).params.values.astype(np.float32).astype(np.float64)
         parent = Network(spec, ParamVector(values))
         assert parent.params.w == 162_402
-        return parent, MutationParams(sigma=0.01, rho=0.9)
+        return parent, MutationParams(sigma=0.01, rho=rho)
 
     @staticmethod
     def traced_peak(run):
@@ -475,18 +488,42 @@ class TestGenomeLifetime:
         parent, params = self.setup()
         children = spawn_mutations(parent.params, params, 8, 0)
         peak = self.traced_peak(
-            lambda: average_weights(seed_record_genome(parent.params, params, c) for c in children)
+            lambda: average_weights(parent.params, child_patches(parent.params, params, children))
         )
         genome_bytes = parent.params.w * 8
-        assert peak < 3 * genome_bytes, peak / genome_bytes
+        assert peak < 2 * genome_bytes, peak / genome_bytes
 
     def test_evaluate_fitness_holds_one_genome(self):
+        """One float32 parameter buffer (half a genome) and one patch."""
         parent, params = self.setup()
         children = spawn_mutations(parent.params, params, 8, 0)
         val = make_spirals(100, seed=2)
         peak = self.traced_peak(lambda: evaluate_fitness(parent, params, children, val))
         genome_bytes = parent.params.w * 8
-        assert peak < 2.25 * genome_bytes, peak / genome_bytes
+        assert peak < 1.5 * genome_bytes, peak / genome_bytes
+
+    def test_member_pass_holds_the_average_and_one_buffer(self):
+        """The report's member pass holds the average's running sum, the
+        float32 parameter buffer and one patch; a float64 working genome
+        would add a whole genome."""
+        parent, params = self.setup()
+        members = spawn_mutations(parent.params, params, 8, 0)
+        test = make_spirals(100, seed=3)
+        peak = self.traced_peak(
+            lambda: evolution._ensemble_probs(parent, params, members, test.inputs)
+        )
+        genome_bytes = parent.params.w * 8
+        assert peak < 2.75 * genome_bytes, peak / genome_bytes
+
+    def test_dense_fitness_pass_holds_no_index_array(self):
+        """At rho 0 (the dense ES baseline) a support is a full slice: no
+        w-length index array, and no working genome, is held."""
+        parent, params = self.setup(rho=0.0)
+        children = spawn_mutations(parent.params, params, 8, 0)
+        val = make_spirals(100, seed=2)
+        peak = self.traced_peak(lambda: evaluate_fitness(parent, params, children, val))
+        genome_bytes = parent.params.w * 8
+        assert peak < 4.5 * genome_bytes, peak / genome_bytes
 
 
 class TestChainedParent:

@@ -1,24 +1,27 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import smd.mutation as mutation
+import smd.network as network
 from smd.errors import ConfigurationError, ShapeError
 from smd.mutation import (
     _COMPLEMENT_NS,
     SUBSPACE_MODES,
     MutationParams,
+    child_patches,
     child_supports,
     derive_seed,
     sample_mask,
     sample_noise,
     spawn_mutations,
-    working_genomes,
 )
+from smd.evolution import average_weights
 from smd.network import NetworkSpec, ParamVector, predict
 
 from oracles import (
@@ -49,8 +52,23 @@ def quad(theta, noise, mask):
     )
 
 
+def working_genomes(theta, params, children):
+    """Each child's whole float64 genome, written from `child_patches` into
+    one working copy of theta the way `network.predict` writes its float32
+    buffer: the previous support is restored from theta unless the next
+    patch has the same index object. A yielded genome is valid until the
+    next is written."""
+    genome, written = ParamVector(theta.values.copy()), None
+    for index, values in child_patches(theta, params, children):
+        if written is not None and written is not index:
+            genome.values[written] = theta.values[written]
+        genome.values[index] = values
+        written = index
+        yield genome
+
+
 def genomes(theta, params, children):
-    """A copy of each genome a pass writes, to keep."""
+    """A copy of each child's genome, to keep."""
     return [ParamVector(g.values.copy()) for g in working_genomes(theta, params, children)]
 
 
@@ -386,12 +404,12 @@ class TestSupportDraw:
         children = spawn_mutations(theta, params, 2, master_seed=1)
         tracemalloc.start()
         try:
-            for _ in working_genomes(theta, params, children):
+            for _ in child_patches(theta, params, children):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the working genome takes w*8 bytes; one dense float64 draw adds w*8 more
+        # a patch takes O(support); one dense float64 draw alone adds w*8
         assert peak < 1.75 * w * 8
         plus, minus = genomes(theta, params, children)
         assert np.array_equal((plus.values + minus.values) / 2.0, theta.values)
@@ -406,6 +424,22 @@ class TestSupportDraw:
         assert np.array_equal(minus_m.values, theta.values - noise)
         assert plus_comp.values.tobytes() == theta.values.tobytes()
         assert minus_comp.values.tobytes() == theta.values.tobytes()
+
+
+    def test_rho_zero_draws_no_mask_and_never_writes_theta(self, rng, monkeypatch):
+        """At rho 0 a support is the full slice, whose gather is a view of
+        theta: neither the patches nor their consumers may write through it."""
+        theta = f32_genome(rng, NetworkSpec([3, 16, 2]).param_count())
+        before = theta.values.tobytes()
+        params = MutationParams(sigma=0.1, rho=0.0)
+        children = spawn_mutations(theta, params, 4, master_seed=3)
+        monkeypatch.setattr(mutation, "sample_mask", lambda *args: pytest.fail("a mask was drawn"))
+        patches = list(child_patches(theta, params, children))
+        assert [index for index, _ in patches] == [slice(None)] * 4
+        assert patches[0][0] is patches[1][0]  # mirrored partners share one index object
+        average_weights(theta, iter(patches))
+        list(predict(NetworkSpec([3, 16, 2]), theta, iter(patches), np.ones((2, 3))))
+        assert theta.values.tobytes() == before
 
 
 class TestRoleTable:
@@ -461,9 +495,10 @@ STRATEGIES = [(False, False), (True, False), (False, True), (True, True)]
 
 
 class TestWorkingGenome:
-    """A scoring pass rewrites one working genome in place for each child;
-    every child must equal the genome `oracles.seed_record_genome` rebuilds
-    from its seed record, and the parent must never be written."""
+    """A scoring pass writes each child's patch onto one working copy of
+    the parent; every child must equal the genome
+    `oracles.seed_record_genome` rebuilds from its seed record, and the
+    parent must never be written."""
 
     SPEC = NetworkSpec([3, 32, 32, 2], seed=1)
 
@@ -487,7 +522,7 @@ class TestWorkingGenome:
         assert working == [g.values.tobytes() for g in owned]
         assert len(set(working)) > 1
         x = np.random.default_rng(6).normal(size=(20, 3))
-        scored = predict(self.SPEC, working_genomes(theta, params, children), x)
+        scored = predict(self.SPEC, theta, child_patches(theta, params, children), x)
         for genome, (_, got, _) in zip(owned, scored, strict=True):
             assert got.tobytes() == float32_logits(self.SPEC, genome, x).tobytes()
         assert theta.values.tobytes() == before
@@ -496,10 +531,10 @@ class TestWorkingGenome:
     def test_pass_closed_midway_leaves_the_parent(self, mirrored, anti_random):
         theta, params, children = self.pass_setup(mirrored, anti_random, "dynamic", 0.5)
         before = theta.values.tobytes()
-        genomes = working_genomes(theta, params, children)
-        for genome in itertools.islice(genomes, len(children) // 2 + 1):
-            assert genome.values.tobytes() != before
-        genomes.close()
+        patches = child_patches(theta, params, children)
+        for index, values in itertools.islice(patches, len(children) // 2 + 1):
+            assert values.tobytes() != theta.values[index].tobytes()
+        patches.close()
         assert theta.values.tobytes() == before
 
     def test_huge_noise_on_a_huge_parent_is_an_error(self):
@@ -508,7 +543,7 @@ class TestWorkingGenome:
         params = MutationParams(sigma=1e39, rho=0.5)
         children = spawn_mutations(theta, params, 2, master_seed=1)
         with pytest.raises(ConfigurationError):
-            next(predict(self.SPEC, working_genomes(theta, params, children), x))
+            next(predict(self.SPEC, theta, child_patches(theta, params, children), x))
 
     def test_overflowing_write_is_an_error(self, monkeypatch):
         """Float32-range noise cannot overflow a finite float64 parent; the
@@ -518,8 +553,71 @@ class TestWorkingGenome:
         children = spawn_mutations(theta, params, 2, master_seed=1)
         monkeypatch.setattr(mutation, "sample_noise", lambda n, *args: np.full(n, 1e308))
         with pytest.raises(ConfigurationError, match="non-finite"):
-            next(working_genomes(theta, params, children))
+            next(child_patches(theta, params, children))
         assert np.all(theta.values == 1.7e308)
+
+
+class TestPatchPass:
+    """The patch pass against whole genomes rebuilt from seed records, for
+    every strategy and mode, at rho 0 (the dense baseline, where the rules
+    allow it), 0.5 and 0.9, in a first generation and in a second one whose
+    parent is a chained, float32-quantized average."""
+
+    SPEC = NetworkSpec([3, 16, 2], seed=4)
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        mirrored=st.booleans(),
+        anti_random=st.booleans(),
+        mode=st.sampled_from(SUBSPACE_MODES),
+        rho=st.sampled_from([0.0, 0.5, 0.9]),
+        generations=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_patches_are_the_seed_record_genomes(
+        self, mirrored, anti_random, mode, rho, generations, seed
+    ):
+        assume(rho > 0 or not anti_random)  # at rho 0 the complement M' is empty
+        params = MutationParams(
+            sigma=0.1, rho=rho, subspace_mode=mode, mirrored=mirrored, anti_random=anti_random
+        )
+        group = (2 if mirrored else 1) * (2 if anti_random else 1)
+        theta = f32_genome(np.random.default_rng(seed), self.SPEC.param_count())
+        theta.values[::5] = -0.0  # a written frozen coordinate would show in its bits
+        x = np.random.default_rng(seed + 1).normal(size=(8, 3))
+        for gen in range(generations):
+            before = theta.values.tobytes()
+            children = spawn_mutations(theta, params, 2 * group, derive_seed(seed, gen))
+            owned = [seed_record_genome(theta, params, c) for c in children]
+            buffers, layers = [], network._layers
+
+            def recording(spec, values, *args):
+                buffers.append(values.copy())
+                return layers(spec, values, *args)
+
+            with mock.patch.object(network, "_layers", recording):
+                scored = list(predict(self.SPEC, theta, child_patches(theta, params, children), x))
+            for child, genome, buffer, (_, logits, _) in zip(
+                children, owned, buffers, scored, strict=True
+            ):
+                assert logits.tobytes() == float32_logits(self.SPEC, genome, x).tobytes()
+                assert buffer.tobytes() == genome.values.astype(np.float32).tobytes()
+                mask = sample_mask(theta.w, rho, child.mask_seed)
+                frozen = (mask == 1) if child.role.endswith("'") else (mask == 0)
+                f32_theta = theta.values[frozen].astype(np.float32)
+                assert buffer[frozen].tobytes() == f32_theta.tobytes()
+            chosen = [children[0], children[-1]]
+            average = average_weights(theta, child_patches(theta, params, chosen))
+            total = owned[0].values.copy()
+            total += owned[-1].values
+            total /= 2
+            assert average.values.tobytes() == total.tobytes()
+            if mirrored:  # by value: a -0.0 on the support averages back to 0.0
+                pair = children[: group : group // 2]  # + and - on one support
+                pair = average_weights(theta, child_patches(theta, params, pair))
+                assert np.array_equal(pair.values, theta.values)
+            assert theta.values.tobytes() == before
+            theta = ParamVector(average.values.astype(np.float32).astype(np.float64))
 
 
 class TestMaskDraws:

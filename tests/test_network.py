@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from smd.errors import ConfigurationError, ShapeError
 from smd.network import (
     ACTIVATIONS,
+    UNPATCHED,
     Network,
     NetworkSpec,
     ParamVector,
@@ -347,29 +348,44 @@ class TestPredict:
     def test_matches_the_float32_oracle(self, sizes, activation, rows, seed):
         rng = np.random.default_rng(seed)
         spec = NetworkSpec(sizes, hidden_activation=activation, seed=seed)
-        genomes = [ParamVector(rng.normal(size=spec.param_count())) for _ in range(3)]
+        w = spec.param_count()
+        theta = ParamVector(rng.normal(size=w))
+        theta_before = theta.values.tobytes()
+        index = np.flatnonzero(rng.random(w) < 0.5)
+        patches = [  # a sparse child, a partner on its index object, a dense child, the parent
+            (index, rng.normal(size=index.size)),
+            (index, rng.normal(size=index.size)),
+            (slice(None), rng.normal(size=w)),
+            UNPATCHED,
+        ]
         x = rng.normal(size=(rows, sizes[0]))
         x_before = x.copy()
-        scored = list(predict(spec, iter(genomes), x))
-        assert all(got is genome for (got, _, _), genome in zip(scored, genomes, strict=True))
-        for genome, (_, logits, probs) in zip(genomes, scored):
+        scored = list(predict(spec, theta, iter(patches), x))
+        for (index, values), ((got_index, got_values), logits, probs) in zip(
+            patches, scored, strict=True
+        ):
+            assert got_index is index and got_values is values
+            genome = theta.values.copy()
+            genome[index] = values
             assert logits.dtype == probs.dtype == np.float64
-            assert logits.tobytes() == float32_logits(spec, genome, x_before).tobytes()
+            assert logits.tobytes() == float32_logits(spec, ParamVector(genome), x_before).tobytes()
             assert probs.tobytes() == softmax(logits).tobytes()
         assert x.tobytes() == x_before.tobytes()
+        assert theta.values.tobytes() == theta_before
 
     def test_one_workspace_and_one_parameter_buffer_per_pass(self):
-        """Scoring eight genomes holds no more float32 genome copies than
-        scoring one; only the logits the consumer holds differ."""
+        """Scoring eight dense patches holds no more float32 genome copies
+        than scoring one; only the logits the consumer holds differ."""
         spec = NetworkSpec([2, 256, 256, 2], seed=2)
         rng = np.random.default_rng(2)
         x = rng.normal(size=(500, 2))
+        theta = ParamVector(rng.normal(size=spec.param_count()))
 
         def peak(count):
-            genomes = [ParamVector(rng.normal(size=spec.param_count())) for _ in range(count)]
+            patches = [(slice(None), rng.normal(size=spec.param_count())) for _ in range(count)]
             tracemalloc.start()
             try:
-                for _ in predict(spec, genomes, x):
+                for _ in predict(spec, theta, patches, x):
                     pass
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -380,12 +396,12 @@ class TestPredict:
     def test_input_shape_is_checked(self):
         spec = NetworkSpec([3, 4, 2])
         with pytest.raises(ShapeError, match=r"inputs must be \(n, 3\), got \(4, 2\)"):
-            next(predict(spec, [init_network(spec).params], np.zeros((4, 2))))
+            next(predict(spec, init_network(spec).params, [UNPATCHED], np.zeros((4, 2))))
 
     def test_genome_length_is_checked(self):
         spec = NetworkSpec([3, 4, 2])
         with pytest.raises(ShapeError, match="spec needs 26"):
-            next(predict(spec, [ParamVector(np.zeros(25))], np.zeros((4, 3))))
+            next(predict(spec, ParamVector(np.zeros(25)), [UNPATCHED], np.zeros((4, 3))))
 
     @pytest.mark.parametrize("where", ["genome", "inputs"])
     def test_a_value_beyond_the_float32_range_is_an_error(self, where):
@@ -399,8 +415,16 @@ class TestPredict:
             x[2, 1] = -3.5e38
         what = "genome parameters" if where == "genome" else "inputs"
         with pytest.raises(ConfigurationError) as exc:
-            next(predict(spec, [genome], x))
+            next(predict(spec, genome, [UNPATCHED], x))
         assert str(exc.value) == f"{what} beyond the float32 range cannot be scored"
+
+    def test_patch_values_beyond_the_float32_range_are_an_error(self):
+        spec = NetworkSpec([3, 4, 2])
+        theta = init_network(spec).params
+        patch = (np.array([3, 5]), np.array([0.5, -3.5e38]))
+        with pytest.raises(ConfigurationError) as exc:
+            next(predict(spec, theta, [patch], np.zeros((4, 3))))
+        assert str(exc.value) == "genome parameters beyond the float32 range cannot be scored"
 
     def test_logits_beyond_the_float32_range_are_an_error(self):
         """Finite float32 weights can still overflow float32 in the forward
@@ -410,11 +434,12 @@ class TestPredict:
         x = np.ones((4, 2))
         assert np.isfinite(forward(Network(spec, genome), x)).all()
         with pytest.raises(ConfigurationError) as exc:
-            next(predict(spec, [genome], x))
+            next(predict(spec, genome, [UNPATCHED], x))
         assert str(exc.value) == "logits beyond the float32 range cannot be scored"
 
     def test_the_float32_maximum_is_scored(self):
         spec = NetworkSpec([1, 1])
         top = float(np.finfo(np.float32).max)
-        ((_, logits, _),) = predict(spec, [ParamVector(np.array([1.0, 0.0]))], np.array([[top]]))
+        genome = ParamVector(np.array([1.0, 0.0]))
+        ((_, logits, _),) = predict(spec, genome, [UNPATCHED], np.array([[top]]))
         assert logits.item() == top

@@ -52,6 +52,68 @@ def test_workspaces_are_made_only_where_they_are_decided():
     assert makers <= WORKSPACE_MAKERS
 
 
+# The functions that may copy a genome's `values` whole (`.copy()`,
+# `.astype(...)`, `np.copy`, `np.array`), each once per pass or per
+# network, never once per child: a scoring pass holds each child as a patch.
+GENOME_COPIES = {
+    ("evolution", "average_weights"),  # the running sum of one average
+    ("boundary", "perturbed_network"),  # the float64 genome of one boundary cell
+    ("evolution", "_evolve"),  # the chained parent, quantized once per generation
+    ("training", "train_model"),  # the parameters being trained
+    ("checkpoint", "save_checkpoint"),  # the float32 bytes of a checkpoint
+}
+# The functions that may allocate a float32 array: `network.predict`, whose
+# pass holds one float32 parameter buffer and one float32 input array.
+FLOAT32_ALLOCATORS = {("network", "predict")}
+
+
+def _calls_by_function():
+    """(module, function, call) for each call in a module-level function or
+    a method, nested functions' calls counted as their enclosing one's."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for func in members:
+                if isinstance(func, ast.FunctionDef):
+                    for call in ast.walk(func):
+                        if isinstance(call, ast.Call):
+                            yield path.stem, func.name, call
+
+
+def _is_values(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "values"
+
+
+def _copies_values(call: ast.Call) -> bool:
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return False
+    if func.attr in ("copy", "astype") and _is_values(func.value):
+        return True
+    return func.attr in ("copy", "array") and bool(call.args) and _is_values(call.args[0])
+
+
+def _allocates_float32(call: ast.Call) -> bool:
+    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+    arguments = [*call.args, *(keyword.value for keyword in call.keywords)]
+    return name in ("empty", "zeros", "ones", "full") and any(
+        getattr(node, "attr", None) == "float32" for arg in arguments for node in ast.walk(arg)
+    )
+
+
+def test_genomes_are_copied_only_where_it_is_decided():
+    """No scoring pass builds a float64 child genome: a whole copy of a
+    genome's values, or a float32 allocation, outside the functions named
+    above would let one come back unnoticed."""
+    calls = list(_calls_by_function())
+    copies = {(module, func) for module, func, call in calls if _copies_values(call)}
+    float32 = {(module, func) for module, func, call in calls if _allocates_float32(call)}
+    assert copies <= GENOME_COPIES
+    assert float32 <= FLOAT32_ALLOCATORS
+    assert ("network", "predict") in float32
+
+
 # Modules that no command should pay to import at start-up: importing
 # multiprocessing and concurrent.futures costs about 21 ms. `ctypes` is
 # imported only where workers are forked, to find OpenBLAS's thread

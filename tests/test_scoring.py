@@ -124,10 +124,11 @@ class TestForwardCallCount:
 
 
 class TestWorkCounts:
-    """A pass writes every child into one working genome, and the report
-    builds each selected member once, for the average and the ensemble."""
+    """A pass holds every child as a patch on one float32 buffer, and the
+    report draws each selected member once, for the average and the
+    ensemble."""
 
-    def test_scoring_builds_one_param_vector(self, spiral_task, monkeypatch):
+    def test_scoring_builds_no_param_vector(self, spiral_task, monkeypatch):
         t = spiral_task
         params = params_of()
         children = spawn_mutations(t.parent.params, params, POP, 4)
@@ -139,7 +140,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(ParamVector, "__post_init__", counting)
         evaluate_fitness(t.parent, params, children, t.val)
-        assert len(built) == 1
+        assert len(built) == 0
 
     def test_report_draws_each_member_once(self, spiral_task, monkeypatch):
         t = spiral_task
@@ -172,9 +173,9 @@ class TestWorkCounts:
         t = spiral_task
         calls, real = [], evolution.average_weights
 
-        def counting(candidates):
+        def counting(theta, patches):
             calls.append(1)
-            return real(candidates)
+            return real(theta, patches)
 
         monkeypatch.setattr(evolution, "average_weights", counting)
         run_generation(t.parent, params_of(), t.val, t.test, **sizes(generations, 7, repeats=3))
@@ -206,8 +207,9 @@ class TestCachedScores:
             pop = evaluate_fitness(current, params, children, t.val)
             selected = evolution.select_top_k(pop, TOP_K)
             chosen = [pop.children[i] for i in selected]
+            candidates = [seed_record_genome(current.params, params, c) for c in chosen]
             averaged = evolution.average_weights(
-                [seed_record_genome(current.params, params, c) for c in chosen]
+                current.params, [(slice(None), g.values) for g in candidates]
             )
             if gen < generations - 1:
                 # A chained parent is float32-valued, like a loaded checkpoint.
