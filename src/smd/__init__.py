@@ -23,6 +23,7 @@ from .metrics import accuracy, ece, metric_triple
 from .mutation import (
     Child,
     MutationParams,
+    child_patches,
     sample_mask,
     sample_noise,
     spawn_mutations,

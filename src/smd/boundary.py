@@ -171,8 +171,9 @@ def export_boundary_cells(
                 cell_seed = derive_seed(seed, ci * len(rho_grid) + cj)
                 net = perturbed_network(parent, sigma, rho, cell_seed)
                 grid = evaluate_grid(net, bounds, resolution, scratch)
-                for suffix, write in (("csv", write_grid_csv), ("pgm", write_grid_pgm)):
-                    name = f"boundary_{cell_tag(sigma, rho)}.{suffix}"
-                    write(grid, stage(name))
-                    written.append(out_dir / name)
+                csv_name = f"boundary_{cell_tag(sigma, rho)}.csv"
+                pgm_name = f"boundary_{cell_tag(sigma, rho)}.pgm"
+                write_grid_csv(grid, stage(csv_name))
+                write_grid_pgm(grid, stage(pgm_name))
+                written.extend([out_dir / csv_name, out_dir / pgm_name])
     return written

@@ -22,7 +22,9 @@ import numpy as np
 from .datasets import Dataset, write_csv
 from .errors import WorkerError
 from .metrics import accuracy, metric_triple
-from .mutation import Child, MutationParams, child_patches, derive_seed, spawn_mutations
+from .mutation import (
+    Child, MutationParams, child_patches, derive_seed, gather, spawn_mutations
+)
 from .network import UNPATCHED, Network, ParamVector, nll_loss, predict
 from .divergence import clamp_probs, kl_from_probs
 
@@ -137,7 +139,8 @@ def average_weights(
             total = theta.values.copy()
             total[index] = values
         else:
-            patched = total[index] + values  # a new array, so a slice's view is not kept
+            patched = gather(total, index)
+            patched += values
             total += theta.values
             total[index] = patched
         n += 1

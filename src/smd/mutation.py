@@ -192,15 +192,25 @@ def child_patches(
     finite (a float64 overflow) is an error. theta is never written.
     """
     for sign, index, noise in child_supports(theta.w, params, children):
-        base = theta.values[index]  # a view of theta for the full slice: never write it
+        values = gather(theta.values, index)
         with np.errstate(over="ignore"):
-            values = base + noise if sign > 0 else base - noise
+            if sign > 0:
+                values += noise
+            else:
+                values -= noise
         if not np.isfinite(values).all():
             raise ConfigurationError(
                 "mutation noise added to the parent gives non-finite parameters"
             )
-        base = noise = None  # keep only the patch while it is used
+        noise = None  # keep only the patch while it is used
         yield index, values
+
+
+def gather(values: np.ndarray, index: np.ndarray | slice) -> np.ndarray:
+    """`values[index]` as an array of its own, safe to write: an index
+    array's gather is already a copy, and the full slice's view is copied."""
+    picked = values[index]
+    return picked.copy() if isinstance(index, slice) else picked
 
 
 def child_supports(
