@@ -202,7 +202,7 @@ def child_patches(
             raise ConfigurationError(
                 "mutation noise added to the parent gives non-finite parameters"
             )
-        noise = None  # keep only the patch while it is used
+        noise = None  # so the next group's noise is not drawn while this one is held
         yield index, values
 
 

@@ -434,7 +434,10 @@ class TestSupportDraw:
         params = MutationParams(sigma=0.1, rho=0.0)
         children = spawn_mutations(theta, params, 4, master_seed=3)
         monkeypatch.setattr(mutation, "sample_mask", lambda *args: pytest.fail("a mask was drawn"))
-        patches = list(child_patches(theta, params, children))
+        patches = []
+        for patch in child_patches(theta, params, children):  # a mirrored pair would cancel
+            assert theta.values.tobytes() == before
+            patches.append(patch)
         assert [index for index, _ in patches] == [slice(None)] * 4
         assert patches[0][0] is patches[1][0]  # mirrored partners share one index object
         average_weights(theta, iter(patches))
