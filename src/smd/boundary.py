@@ -14,8 +14,9 @@ import numpy as np
 
 from .datasets import Dataset, artifact_set
 from .errors import TaskMismatchError
+from .evolution import average_weights
 from .mutation import Child, MutationParams, child_patches, derive_seed
-from .network import Network, ParamVector, forward, softmax, workspace
+from .network import Network, forward, softmax, workspace
 
 # Spawn-key namespace for boundary-cell perturbations.
 _BOUNDARY_NS = 4
@@ -85,7 +86,8 @@ def evaluate_grid(
 
 def perturbed_network(parent: Network, sigma: float, rho: float, seed: int) -> Network:
     """One sampled mutation of the parent, as a float64 genome of its own
-    for the float64 boundary forward; sigma == 0 returns the parent."""
+    for the float64 boundary forward: the average of its one patch, which
+    is that child exactly. sigma == 0 returns the parent."""
     if sigma == 0.0:
         return parent
     child = Child(
@@ -94,11 +96,8 @@ def perturbed_network(parent: Network, sigma: float, rho: float, seed: int) -> N
         group=0,
         role="solo",
     )
-    params = MutationParams(sigma=sigma, rho=rho)
-    ((index, values),) = child_patches(parent.params, params, [child])
-    genome = parent.params.values.copy()
-    genome[index] = values
-    return Network(parent.spec, ParamVector(genome))
+    patches = child_patches(parent.params, MutationParams(sigma=sigma, rho=rho), [child])
+    return Network(parent.spec, average_weights(parent.params, patches))
 
 
 def write_grid_csv(grid: BoundaryGrid, path: str | Path) -> None:

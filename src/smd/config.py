@@ -173,6 +173,8 @@ _SECTIONS = {
 _STRATEGY = ("mu", "subspace_mode", "mirrored", "anti_random")
 # The model keys that build a network; a checkpoint brings its own network.
 _ARCHITECTURE = ("layer_sizes", "hidden_activation", "seed")
+# The model.train keys that only the Adam optimizer reads.
+_ADAM = {"adam_beta1", "adam_beta2", "adam_eps"}
 
 
 def _unique(pairs: list[tuple[str, object]]) -> dict:
@@ -258,7 +260,7 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
     run = {
         "out_dir": out_dir,
         "task": checked["task"],
-        **_model(checked["model"], command, written["model"]),
+        **_model(checked["model"], command, cfg["model"]),
     }
     if command == "search":
         if written["mutation"] != {"search"}:
@@ -320,15 +322,17 @@ def _task_rules(task: dict, written) -> None:
         raise ConfigurationError(f"fractions must sum to 1, got {sum(task['eval_fractions'])}")
 
 
-def _model(model: dict, command: str, written) -> dict:
-    """The checkpoint path, or for `train` the network spec and training settings."""
+def _model(model: dict, command: str, raw: dict) -> dict:
+    """The checkpoint path, or for `train` the network spec and training
+    settings. `raw`, the section as written, sets no key that nothing
+    reads: no architecture key beside `checkpoint`, no Adam key beside sgd."""
     if ("train" in model) == ("checkpoint" in model):
         raise ConfigurationError("model section needs exactly one of 'train' or 'checkpoint'")
     wanted = "train" if command == "train" else "checkpoint"
     if wanted not in model:
         raise ConfigurationError(f"the {command} command needs model.{wanted}")
     if command != "train":
-        overridden = sorted(written.intersection(_ARCHITECTURE))
+        overridden = sorted(raw.keys() & set(_ARCHITECTURE))
         if overridden:
             raise ConfigurationError(
                 f"model keys {overridden} do not apply beside 'checkpoint', "
@@ -337,6 +341,9 @@ def _model(model: dict, command: str, written) -> dict:
         return {"checkpoint": Path(model["checkpoint"])}
     if "layer_sizes" not in model:
         raise ConfigurationError("model section needs 'layer_sizes' to train from scratch")
+    unread = sorted(_ADAM.intersection(raw["train"]))
+    if unread and model["train"]["optimizer"] == "sgd":
+        raise ConfigurationError(f"model.train '{unread[0]}' is not read by the sgd optimizer")
     spec = NetworkSpec(**{k: model[k] for k in _ARCHITECTURE})
     return {"spec": spec, "train": model["train"]}
 

@@ -126,23 +126,21 @@ def average_weights(
     """Coordinatewise arithmetic mean of the children that `patches` make
     of theta.
 
-    A running sum in patch order, then one division: the first child is
-    theta with its values written at its support, and each later child
-    adds theta everywhere but its support, where its values are added
-    instead. Every coordinate receives the same float64 additions, in the
-    same order, as a running sum of whole child genomes would give it, and
-    as `np.mean(np.stack(...), axis=0)` does, without building any child.
+    A running sum in patch order, then one division: each child adds theta
+    everywhere but its support, where its values are added instead. Every
+    coordinate receives the same float64 additions, in the same order, as
+    a running sum of whole child genomes would give it, and as
+    `np.mean(np.stack(...), axis=0)` does, without building any child. The
+    mean of one child is that child's genome, exactly.
     """
-    total, n = None, 0
+    # -0.0 + x is x bit for bit for every finite x, +-0.0 included, so the
+    # first child needs no branch of its own.
+    total, n = np.full(theta.w, -0.0), 0
     for index, values in patches:
-        if total is None:
-            total = theta.values.copy()
-            total[index] = values
-        else:
-            patched = gather(total, index)
-            patched += values
-            total += theta.values
-            total[index] = patched
+        patched = gather(total, index)
+        patched += values
+        total += theta.values
+        total[index] = patched
         n += 1
         patched = values = None  # release them before the next patch is drawn
     total /= n

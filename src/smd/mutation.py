@@ -9,8 +9,8 @@ complement M' for the anti-random roles. One Gaussian value is drawn per
 support coordinate, and the k-th value goes to the k-th support index in
 ascending order. M draws from the group's noise seed, M' from a seed
 derived from it, so a draw costs O(support), not O(w). At rho 0 the
-support is every coordinate, a full slice rather than an index array,
-and the draw is the full dense vector. `child_supports` is the one
+support is every coordinate, one full slice rather than an index array,
+and the draw is the full dense vector. `child_patches` is the one
 function that locates a child's support and draws its noise.
 
 Noise values are quantized to float32-representable values. Parents
@@ -22,11 +22,12 @@ bit-identical (-0.0 included).
 A child exists only as a patch: its support index and its values there,
 theta[support] +- noise. `child_patches` yields each child's patch in
 turn, so a child costs O(support) memory and work, and no pass builds a
-w-length child genome. Mirrored partners share one index object, so a
-consumer can tell that a child overwrites the support before it.
-`network.predict` scores a patch stream on one float32 buffer, and
-`evolution.average_weights` sums one into a weight average. This module
-never runs a network.
+w-length child genome. Children on one support share one index object
+(mirrored partners, and every M child at rho 0), so a consumer can tell
+that a child overwrites the support before it. `network.predict` scores
+a patch stream on one float32 buffer, and `evolution.average_weights`
+sums one into a weight average (the average of one patch is that child's
+float64 genome). This module never runs a network.
 """
 
 from __future__ import annotations
@@ -180,56 +181,30 @@ def spawn_mutations(
     return children
 
 
+# Rho 0's M (every coordinate) and M' (none): one object each for every group.
+_EVERY = slice(None)
+_NONE = np.empty(0, np.intp)
+
+
 def child_patches(
     theta: ParamVector, params: MutationParams, children: Iterable[Child]
 ) -> Iterator[tuple[np.ndarray | slice, np.ndarray]]:
     """Each child's patch, in order: its support index and its values
     there, theta[index] + sign * noise, as a new float64 array.
 
-    A mirrored partner's index is the same object as its partner's. The
-    values are checked finite; every other coordinate of the child is
-    theta's, which was checked when theta was built. A value that is not
-    finite (a float64 overflow) is an error. theta is never written.
-    """
-    for sign, index, noise in child_supports(theta.w, params, children):
-        values = gather(theta.values, index)
-        with np.errstate(over="ignore"):
-            if sign > 0:
-                values += noise
-            else:
-                values -= noise
-        if not np.isfinite(values).all():
-            raise ConfigurationError(
-                "mutation noise added to the parent gives non-finite parameters"
-            )
-        noise = None  # so the next group's noise is not drawn while this one is held
-        yield index, values
-
-
-def gather(values: np.ndarray, index: np.ndarray | slice) -> np.ndarray:
-    """`values[index]` as an array of its own, safe to write: an index
-    array's gather is already a copy, and the full slice's view is copied."""
-    picked = values[index]
-    return picked.copy() if isinstance(index, slice) else picked
-
-
-def child_supports(
-    w: int, params: MutationParams, children: Iterable[Child]
-) -> Iterator[tuple[int, np.ndarray | slice, np.ndarray]]:
-    """Each child's sign, support indices and noise values, in order.
-
     This is the one place that maps a seed record to the coordinates its
-    child perturbs: `child_patches` patches them, and an evolve report's
-    `per_child` records with its `config.mutation` echo rebuild them. A
-    mask is drawn once per run of consecutive children that share its
-    seed: once per group in dynamic mode, once per pass in static mode.
-    Each support of a mask (M, or M' for the anti-random roles) is located
-    once, and the mask is released once every support the strategy uses is
-    located. At rho 0 every mask bit is 1 whatever its seed, so no mask is
-    drawn: M is `slice(None)`, every coordinate, and M' is empty. Noise is
-    drawn once per support and group. Children on one support share one
-    index object, so `written is index` tells a consumer of patches that a
-    child overwrites the support before it.
+    child perturbs; an evolve report's `per_child` records with its
+    `config.mutation` echo rebuild them. A mask is drawn once per run of
+    consecutive children that share its seed: once per group in dynamic
+    mode, once per pass in static mode. Each support of a mask (M, or M'
+    for the anti-random roles) is located once, and the mask is released
+    once every support the strategy uses is located. At rho 0 no mask is
+    drawn: M is `_EVERY` and M' is `_NONE` in every group. Noise is drawn
+    once per support and group. Children on one support share one index
+    object, so `written is index` tells a consumer that a child
+    overwrites the support before it. The values are checked finite (theta
+    was checked when it was built); one that is not (a float64 overflow)
+    is an error. theta is never written.
     """
     supports_used = 2 if params.anti_random else 1
     mask_seed = drawn = None
@@ -239,19 +214,36 @@ def child_supports(
             mask = index = noise = None  # release the previous draws before sampling
             mask_seed, index = child.mask_seed, {}
         if on_complement not in index and params.rho == 0:
-            index[on_complement] = np.empty(0, np.intp) if on_complement else slice(None)
+            index[on_complement] = _NONE if on_complement else _EVERY
         elif on_complement not in index:
             if mask is None:
-                mask = sample_mask(w, params.rho, mask_seed)
+                mask = sample_mask(theta.w, params.rho, mask_seed)
             bits = mask.view(bool)
             index[on_complement] = np.flatnonzero(~bits if on_complement else bits)
             if len(index) >= supports_used:
                 mask = bits = None  # the view holds the mask too
+        support = index[on_complement]
         if drawn != (child.seed, mask_seed):
             drawn, noise = (child.seed, mask_seed), {}
         if on_complement not in noise:
             seed = derive_seed(child.seed, _COMPLEMENT_NS) if on_complement else child.seed
-            support = index[on_complement]
-            size = w if isinstance(support, slice) else support.size
+            size = theta.w if support is _EVERY else support.size
             noise[on_complement] = sample_noise(size, params.mu, params.sigma, seed)
-        yield sign, index[on_complement], noise[on_complement]
+        values = gather(theta.values, support)
+        with np.errstate(over="ignore"):
+            if sign > 0:
+                values += noise[on_complement]
+            else:
+                values -= noise[on_complement]
+        if not np.isfinite(values).all():
+            raise ConfigurationError(
+                "mutation noise added to the parent gives non-finite parameters"
+            )
+        yield support, values
+
+
+def gather(values: np.ndarray, index: np.ndarray | slice) -> np.ndarray:
+    """`values[index]` as an array of its own, safe to write: an index
+    array's gather is already a copy, and the full slice's view is copied."""
+    picked = values[index]
+    return picked.copy() if isinstance(index, slice) else picked

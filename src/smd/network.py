@@ -239,12 +239,12 @@ def predict(
     and one float32 parameter buffer, and every network runs through one
     float32 `workspace`. For each patch the previous patch's support is
     restored from theta, unless the patch has the same index object (a
-    mirrored partner), and float32(values) is written at its support, so
-    scoring a child costs O(support) besides its forward pass, and no
-    w-length float64 genome is built. Logits are returned as float64, so
-    everything downstream of them stays float64. An input, a parameter
-    or a logit beyond the float32 range is an error, not an `inf`. A patch
-    is pulled only once the previous one's results are yielded."""
+    mirrored partner, or any M child at rho 0), and float32(values) is
+    written at its support: scoring a child costs O(support) besides its
+    forward pass, and no w-length float64 genome is built. Logits are
+    returned as float64, so everything downstream of them stays float64.
+    An input, a parameter or a logit beyond the float32 range is an error,
+    not an `inf`. A patch is pulled only once the previous one is yielded."""
     x = _inputs(spec, inputs)
     x = _float32(x, np.empty(x.shape, np.float32), "inputs")
     scratch = workspace(spec, x.shape[0], np.float32)

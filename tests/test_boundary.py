@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from smd.boundary import (
     _BLOCK,
+    _BOUNDARY_NS,
     BoundaryGrid,
     cell_tag,
     evaluate_grid,
@@ -28,7 +29,18 @@ from smd.checkpoint import save_checkpoint
 from smd.cli import main
 from smd.config import check, load_config
 from smd.datasets import make_spirals
-from smd.network import NetworkSpec, forward, init_network, softmax, workspace
+from smd.mutation import Child, MutationParams, derive_seed
+from smd.network import (
+    Network,
+    NetworkSpec,
+    ParamVector,
+    forward,
+    init_network,
+    softmax,
+    workspace,
+)
+
+from oracles import seed_record_genome
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src"
@@ -73,6 +85,22 @@ class TestPerturbedNetwork:
         a = perturbed_network(net, 0.1, 0.5, seed=2)
         b = perturbed_network(net, 0.1, 0.5, seed=2)
         assert np.array_equal(a.params.values, b.params.values)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    def test_is_the_seed_record_genome(self, net, rho):
+        values = net.params.values.copy()
+        values[::3], values[1::3] = -0.0, 0.0  # frozen signed zeros show in the bytes
+        parent = Network(net.spec, ParamVector(values))
+        child = Child(
+            seed=derive_seed(2, _BOUNDARY_NS, 1),
+            mask_seed=derive_seed(2, _BOUNDARY_NS, 0),
+            group=0,
+            role="solo",
+        )
+        genome = seed_record_genome(parent.params, MutationParams(sigma=0.1, rho=rho), child)
+        perturbed = perturbed_network(parent, 0.1, rho, seed=2)
+        assert perturbed.params.values.tobytes() == genome.values.tobytes()
+        assert parent.params.values.tobytes() == values.tobytes()
 
 
 class TestPgm:

@@ -62,18 +62,18 @@ def mask_dump(out):
     support>", rebuilt from eval_report.json's `per_child` seed records and
     `config.mutation` echo, and the width of the checkpoint in `out`."""
     from smd.checkpoint import load_checkpoint
-    from smd.mutation import Child, MutationParams, child_supports
+    from smd.mutation import Child, MutationParams, child_patches
 
     from oracles import mask_to_rle
 
     report = json.loads((out / "eval_report.json").read_text())
-    w = load_checkpoint(out / "model.ckpt").params.w
+    theta = load_checkpoint(out / "model.ckpt").params
     params = MutationParams(**report["config"]["mutation"])
     records = report["per_child"]
     children = [Child(c["seed"], c["mask_seed"], c["group"], c["role"]) for c in records]
     lines = []
-    for c, (_, index, _) in zip(records, child_supports(w, params, children), strict=True):
-        support = np.zeros(w, dtype=np.uint8)
+    for c, (index, _) in zip(records, child_patches(theta, params, children), strict=True):
+        support = np.zeros(theta.w, dtype=np.uint8)
         support[index] = 1
         lines.append(f"{c['index']} group={c['group']} role={c['role']} {mask_to_rle(support)}")
     return "\n".join(lines) + "\n"
@@ -1182,6 +1182,8 @@ class TestConfigKeyContract:
         node[key] = value
         if f"{name}.{key}" == "task.dataset":
             del node["train_csv"], node["eval_csv"]
+        if f"{name}.{key}" == "model.train.optimizer":  # sgd reads no Adam key
+            del node["adam_beta1"], node["adam_beta2"], node["adam_eps"]
         before = _run_outcome(command, cfg)
         after = _run_outcome(command, changed)
         assert before[0] in (0, 4) and after[0] in (0, 4)
@@ -1541,6 +1543,21 @@ class TestUnreadConfig:
         assert capsys.readouterr().err == (
             "error: the search command's mutation section holds a 'search' directive and "
             f"nothing else, got keys {sorted(mutation)}\n"
+        )
+        assert calls == []
+
+    @pytest.mark.parametrize("key", ["adam_beta1", "adam_beta2", "adam_eps"])
+    def test_adam_key_beside_sgd_exits_2(self, run_in, monkeypatch, capsys, key):
+        calls = count_forward(monkeypatch)
+        command, cfg = run_in["train"]
+        written = cfg["model"]["train"]
+        train = {k: v for k, v in written.items() if not k.startswith("adam_")}
+        train.update(optimizer="sgd", **{key: written[key]})
+        assert _run_outcome(command, dict(cfg, model=dict(cfg["model"], train=train))) == (
+            2, [], []
+        )
+        assert capsys.readouterr().err == (
+            f"error: model.train '{key}' is not read by the sgd optimizer\n"
         )
         assert calls == []
 

@@ -163,6 +163,48 @@ class TestAverageWeights:
         theta = ParamVector(rng.normal(size=257))
         assert average_weights(theta, whole(cands)).values.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_patch_average_is_the_running_sum_of_seed_record_genomes(self, k, rho):
+        """theta holds -0.0 and +0.0 on the supports and off them; an
+        average of one child is that child, signed zeros included."""
+        w = 400
+        values = np.random.default_rng(k).normal(0, 0.2, w).astype(np.float32)
+        values[::4], values[2::4] = -0.0, 0.0
+        theta = ParamVector(values.astype(np.float64))
+        params = MutationParams(sigma=0.1, rho=rho, mirrored=False)
+        children = spawn_mutations(theta, params, k, master_seed=11)
+        genomes = [seed_record_genome(theta, params, c).values for c in children]
+        total = genomes[0].copy()
+        for genome in genomes[1:]:
+            total += genome
+        total /= k
+        average = average_weights(theta, child_patches(theta, params, children))
+        assert average.values.tobytes() == total.tobytes()
+        if rho > 0:  # at rho 0 every coordinate is on the support
+            on = sample_mask(w, rho, children[0].mask_seed) == 1
+            zero = theta.values == 0
+            for where in (on, ~on):
+                assert (where & zero & np.signbit(theta.values)).any()
+                assert (where & zero & ~np.signbit(theta.values)).any()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_signed_zero_values_keep_their_sign(self, n):
+        """A patch that writes -0.0 or +0.0 on a support averages to the
+        running sum of its whole genomes bit for bit, first child included."""
+        theta = ParamVector(np.array([-0.0, -0.0, 0.0, 0.0, -0.0, 1.5]))
+        mask = np.array([1, 1, 1, 1, 0, 0], dtype=np.uint8)
+        noise = np.array([-0.0, 0.0, -0.0, 0.0])
+        index = np.flatnonzero(mask)
+        genomes = [child_genome(theta, noise, mask, "solo").values for _ in range(n)]
+        total = genomes[0].copy()
+        for genome in genomes[1:]:
+            total += genome
+        total /= n
+        average = average_weights(theta, [(index, g[index]) for g in genomes])
+        assert average.values.tobytes() == total.tobytes()
+        assert np.signbit(average.values[:5]).tolist() == [True, False, False, False, True]
+
     def test_permutation_stable_within_tolerance(self, rng):
         cands = [ParamVector(rng.normal(size=32)) for _ in range(5)]
         theta = ParamVector(np.zeros(32))

@@ -15,7 +15,6 @@ from smd.mutation import (
     SUBSPACE_MODES,
     MutationParams,
     child_patches,
-    child_supports,
     derive_seed,
     sample_mask,
     sample_noise,
@@ -440,6 +439,7 @@ class TestSupportDraw:
             patches.append(patch)
         assert [index for index, _ in patches] == [slice(None)] * 4
         assert patches[0][0] is patches[1][0]  # mirrored partners share one index object
+        assert patches[0][0] is patches[2][0]  # and so do the groups: predict restores nothing
         average_weights(theta, iter(patches))
         list(predict(NetworkSpec([3, 16, 2]), theta, iter(patches), np.ones((2, 3))))
         assert theta.values.tobytes() == before
@@ -630,7 +630,8 @@ class TestMaskDraws:
     @pytest.mark.parametrize(
         "builder",
         [
-            pytest.param(lambda theta, *args: child_supports(theta.w, *args), id="child_supports"),
+            # the id predates the patch stream, which now locates the supports
+            pytest.param(child_patches, id="child_supports"),
             working_genomes,
         ],
     )

@@ -56,8 +56,6 @@ def test_workspaces_are_made_only_where_they_are_decided():
 # `.astype(...)`, `np.copy`, `np.array`), each once per pass or per
 # network, never once per child: a scoring pass holds each child as a patch.
 GENOME_COPIES = {
-    ("evolution", "average_weights"),  # the running sum of one average
-    ("boundary", "perturbed_network"),  # the float64 genome of one boundary cell
     ("evolution", "_evolve"),  # the chained parent, quantized once per generation
     ("training", "train_model"),  # the parameters being trained
     ("checkpoint", "save_checkpoint"),  # the float32 bytes of a checkpoint
