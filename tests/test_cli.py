@@ -60,7 +60,7 @@ def small_task(out_dir, n_eval=600):
 def mask_dump(out):
     """One line per reported child, "<index> group=<g> role=<r> <RLE of its
     support>", rebuilt from eval_report.json's `per_child` seed records and
-    `config.mutation` echo, and the width of the checkpoint in `out`."""
+    `config.mutation` echo, and the parameters of the checkpoint in `out`."""
     from smd.checkpoint import load_checkpoint
     from smd.mutation import Child, MutationParams, child_patches
 

@@ -630,7 +630,7 @@ class TestMaskDraws:
     @pytest.mark.parametrize(
         "builder",
         [
-            # the id predates the patch stream, which now locates the supports
+            # the patch stream alone: each child's support, and no genome built
             pytest.param(child_patches, id="child_supports"),
             working_genomes,
         ],
