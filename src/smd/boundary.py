@@ -14,7 +14,7 @@ import numpy as np
 
 from .datasets import Dataset, artifact_set
 from .errors import TaskMismatchError
-from .evolution import average_weights
+from .evolution import average_weights, one_blas_thread
 from .mutation import Child, MutationParams, child_patches, derive_seed
 from .network import Network, forward, softmax, workspace
 
@@ -152,7 +152,11 @@ def export_boundary_cells(
 
     Each cell is written as soon as it is computed, to a temporary of
     `datasets.artifact_set`, so no two grids are held at once; the files
-    replace their destinations together once every cell is written."""
+    replace their destinations together once every cell is written. The
+    cells run under `evolution.one_blas_thread`: the bytes do not depend
+    on the thread count, and a second OpenBLAS thread would touch GEMM
+    buffers of its own on the first 8,000-point block, which raises the
+    command's peak RSS."""
     if data.inputs.shape[1] != 2:
         raise TaskMismatchError(
             f"boundary export needs 2-D data, got {data.inputs.shape[1]} features"
@@ -164,7 +168,7 @@ def export_boundary_cells(
     # glibc's heap and raises the command's peak RSS.
     scratch = workspace(parent.spec, min(_BLOCK, resolution**2))
     written = []
-    with artifact_set(out_dir) as stage:
+    with artifact_set(out_dir) as stage, one_blas_thread():
         for ci, sigma in enumerate(sigma_grid):
             for cj, rho in enumerate(rho_grid):
                 cell_seed = derive_seed(seed, ci * len(rho_grid) + cj)

@@ -176,6 +176,11 @@ _ARCHITECTURE = ("layer_sizes", "hidden_activation", "seed")
 # The model.train keys that only the Adam optimizer reads.
 _ADAM = {"adam_beta1", "adam_beta2", "adam_eps"}
 
+# The most bytes a boundary export's two resolution^2 grid arrays (an intp
+# class and a float64 confidence per lattice point) may take: 1 GiB, so a
+# resolution of at most 8,192.
+_BOUNDARY_GRID_BYTES = 1 << 30
+
 
 def _unique(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object; a key it repeats is an error, not a silent overwrite."""
@@ -281,6 +286,12 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
         if len({cell_tag(s, r) for s in sigmas for r in rhos}) != len(sigmas) * len(rhos):
             raise ConfigurationError(
                 f"boundary grids name the same cell twice: sigma_grid {sigmas}, rho_grid {rhos}"
+            )
+        resolution = checked["boundary"]["resolution"]
+        if 16 * resolution**2 > _BOUNDARY_GRID_BYTES:
+            raise ConfigurationError(
+                f"boundary.resolution {resolution} needs {16 * resolution**2} bytes of grid "
+                f"arrays (16 per lattice point), above the bound of {_BOUNDARY_GRID_BYTES}"
             )
         run["boundary"] = checked["boundary"]
     elif command == "ablate":

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import pickle
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -438,38 +439,59 @@ def _blas_threads():
     return None
 
 
+@contextmanager
+def one_blas_thread():
+    """Run the block at one OpenBLAS thread, then give the caller's count
+    back, also when the block raises. Yields whether it could pin:
+    False without OpenBLAS thread functions (another BLAS, or no
+    /proc/self/maps), and the block then runs at whatever count it had.
+
+    A block under the pin touches only the calling thread's GEMM buffers;
+    a second thread's would be allocated on the first big product, and a
+    forked worker inherits the pinned count."""
+    blas = _blas_threads()
+    if blas is None:
+        yield False
+        return
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(threads)
+
+
 def _map_points(task, points: list, jobs: int) -> dict:
     """`task(point)` for each point, keyed by point.
 
     With jobs > 1, `min(jobs, len(points))` workers are forked from this
     process, and worker j runs `points[j::jobs]`. A worker inherits `task`
     and all it reads copy-on-write; only its pickled values, or its error,
-    cross its pipe back. This process sets OpenBLAS to one thread just
-    before the forks, so each worker inherits one (2 workers at 2 threads
-    each on 2 cores ran 3x slower than serially; a worker that set it
-    itself started a spinning pool thread), and restores its count after.
-    Without OpenBLAS thread functions (or /proc/self/maps, so no fork)
-    the points run here. A worker's error is raised here with its own
-    type; a worker that dies raises `WorkerError`. Every worker is reaped
-    before this returns or raises.
+    cross its pipe back. The forks run under `one_blas_thread`, so each
+    worker inherits one OpenBLAS thread (2 workers at 2 threads each on 2
+    cores ran 3x slower than serially; a worker that set it itself started
+    a spinning pool thread), and this process has its count back after.
+    Where it cannot pin (so no /proc/self/maps and no fork) the points run
+    here. A worker's error is raised here with its own type; a worker that
+    dies raises `WorkerError`. Every worker is reaped before this returns
+    or raises.
     """
     jobs = min(jobs, len(points))
-    blas = _blas_threads() if jobs > 1 else None
-    if blas is None:
+    if jobs <= 1:
         return {point: task(point) for point in points}
-    get_threads, set_threads = blas
-    threads = get_threads()
-    set_threads(1)
-    workers = []  # (pid, the read end of its pipe)
-    try:
-        for j in range(jobs):
-            workers.append(_fork_worker(task, points[j::jobs]))
-        replies = [pipe.read() for _, pipe in workers]
-    finally:
-        set_threads(threads)
-        for _, pipe in workers:
-            pipe.close()  # a worker still writing then fails instead of blocking
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
+    with one_blas_thread() as pinned:
+        if not pinned:
+            return {point: task(point) for point in points}
+        workers = []  # (pid, the read end of its pipe)
+        try:
+            for j in range(jobs):
+                workers.append(_fork_worker(task, points[j::jobs]))
+            replies = [pipe.read() for _, pipe in workers]
+        finally:
+            for _, pipe in workers:
+                pipe.close()  # a worker still writing then fails instead of blocking
+            statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
     values = {}
     for j, (status, reply) in enumerate(zip(statuses, replies)):
         if status != 0:

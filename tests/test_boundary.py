@@ -25,10 +25,13 @@ from smd.boundary import (
     write_grid_csv,
     write_grid_pgm,
 )
+import smd.config as cfgmod
+import smd.evolution as evolution
 from smd.checkpoint import save_checkpoint
 from smd.cli import main
 from smd.config import check, load_config
 from smd.datasets import make_spirals
+from smd.errors import ConfigurationError
 from smd.mutation import Child, MutationParams, derive_seed
 from smd.network import (
     Network,
@@ -375,6 +378,61 @@ class TestBlocks:
         assert written[0] == written[1]
 
 
+
+class TestOneBlasThread:
+    """The export runs every cell at one OpenBLAS thread and gives the
+    caller's count back, also when a cell raises."""
+
+    @pytest.fixture()
+    def threads(self):
+        """The OpenBLAS thread count getter, with the count set to 2 for the
+        test and the previous count restored after it."""
+        blas = evolution._blas_threads()
+        if blas is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        get_threads, set_threads = blas
+        before = get_threads()
+        set_threads(2)
+        yield get_threads
+        set_threads(before)
+
+    def export(self, net, data, tmp_path):
+        return export_boundary_cells(
+            net, data, tmp_path, sigma_grid=[0.0, 0.05], rho_grid=[0.9], resolution=100, seed=3
+        )
+
+    def test_every_forward_runs_at_one_thread(self, net, data, tmp_path, monkeypatch, threads):
+        seen = []
+
+        def recording_forward(net, inputs, scratch=None):
+            seen.append(threads())
+            return forward(net, inputs, scratch)
+
+        monkeypatch.setattr("smd.boundary.forward", recording_forward)
+        assert threads() == 2
+        self.export(net, data, tmp_path)
+        # two cells, each one 8,000-point block and one 2,000-point block
+        assert seen == [1, 1, 1, 1]
+        assert threads() == 2
+
+    def test_the_callers_count_is_back_after_an_error(
+        self, net, data, tmp_path, monkeypatch, threads
+    ):
+        def failing_forward(net, inputs, scratch=None):
+            raise FloatingPointError("a failing block")
+
+        monkeypatch.setattr("smd.boundary.forward", failing_forward)
+        with pytest.raises(FloatingPointError, match="a failing block"):
+            self.export(net, data, tmp_path)
+        assert threads() == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_without_openblas_the_export_runs_unpinned(self, net, data, tmp_path, monkeypatch):
+        monkeypatch.setattr(evolution, "_blas_threads", lambda: None)
+        with evolution.one_blas_thread() as pinned:
+            assert pinned is False
+        assert len(self.export(net, data, tmp_path)) == 4
+
 @pytest.fixture()
 def boundary_run(tmp_path):
     """Write a config for `smd boundary` around a given boundary section."""
@@ -432,6 +490,31 @@ class TestStrictBoundarySection:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not any(out.glob("boundary_*"))
+
+    def test_resolution_beyond_the_grid_bound_exits_2(self, boundary_run, monkeypatch, capsys):
+        monkeypatch.setattr(cfgmod, "_BOUNDARY_GRID_BYTES", 16 * 200**2)
+        code, out = boundary_run(dict(BASE_SECTION, resolution=201))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: boundary.resolution 201 needs 646416 bytes of grid arrays "
+            "(16 per lattice point), above the bound of 640000\n"
+        )
+        assert not any(out.glob("boundary_*"))
+        cfg = load_config(CONFIG_DIR / "spiral_boundary.json")  # the shipped 200 sits at the bound
+        assert check(cfg, "boundary", str(out))["boundary"]["resolution"] == 200
+
+    @pytest.mark.parametrize("resolution, fits", [(8192, True), (8193, False), (1000000, False)])
+    def test_one_gib_of_grid_arrays_bounds_the_resolution(self, tmp_path, resolution, fits):
+        cfg = {
+            "task": {},
+            "model": {"checkpoint": "unread.ckpt"},
+            "boundary": {"sigma_grid": [0], "rho_grid": [0.5], "resolution": resolution},
+        }
+        if fits:
+            assert check(cfg, "boundary", str(tmp_path))["boundary"]["resolution"] == resolution
+        else:
+            with pytest.raises(ConfigurationError, match=f"^boundary.resolution {resolution} "):
+                check(cfg, "boundary", str(tmp_path))
 
     def test_shipped_config_passes(self, tmp_path):
         cfg = load_config(CONFIG_DIR / "spiral_boundary.json")

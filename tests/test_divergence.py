@@ -5,7 +5,15 @@ import pytest
 
 from smd.config import section
 from smd.datasets import Dataset, make_spirals
-from smd.divergence import SWEEP_COLUMNS, grid_search, select_cell, sweep_cells, write_sweep_csv
+from smd.divergence import (
+    SWEEP_COLUMNS,
+    clamp_probs,
+    grid_search,
+    kl_from_probs,
+    select_cell,
+    sweep_cells,
+    write_sweep_csv,
+)
 from smd.errors import ShapeError
 from smd.mutation import MutationParams, spawn_mutations
 from smd.network import Network, NetworkSpec, ParamVector, forward, init_network, softmax
@@ -107,6 +115,17 @@ class TestOutputKl:
         probe = random_probe(rng, 10, 2, 2)
         assert np.isfinite(output_kl(net, blown, probe))
         assert np.isfinite(output_kl(blown, net, probe))
+
+    def test_a_mean_that_rounds_below_zero_is_floored_to_zero(self):
+        """A child one ulp below its parent on one class: the rounded mean
+        of the KL terms comes out negative, and the probe reports 0.0."""
+        p = softmax(np.random.default_rng(5).normal(size=(4, 3)))
+        q = p.copy()
+        q[:, 0] = np.nextafter(p[:, 0], 0)
+        parent = clamp_probs(p)
+        raw = (parent * np.log(parent / clamp_probs(q))).sum(axis=1).mean()
+        assert raw < 0.0
+        assert kl_from_probs(parent, q) == 0.0
 
 
 class TestAgainstDirectSummation:

@@ -359,6 +359,16 @@ class TestRunGeneration:
         assert report.pop("best_repeat") == best
         assert report == singles[best]
 
+    def test_repeats_that_tie_report_the_earliest(self, spiral_task):
+        """Children within 1e-12 of the parent: every repeat's ensemble
+        scores the same validation accuracy, and run 0 is reported."""
+        report = generation(spiral_task, 15, MutationParams(sigma=1e-12, rho=0.5), repeats=3)
+        assert len({r["ensemble_val_accuracy"] for r in report["repeats"]}) == 1
+        assert report["best_repeat"] == 0
+        assert report["seed"] == report["repeats"][0]["seed"] == derive_seed(
+            15, evolution._REPEAT_NS, 0
+        )
+
     def test_per_child_kl_nonnegative(self, spiral_task):
         report = generation(spiral_task, 11)
         assert all(c["kl_to_parent"] >= 0.0 for c in report["per_child"])
