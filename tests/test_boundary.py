@@ -13,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import smd.config as cfgmod
+import smd.evolution as evolution
 from smd.boundary import (
     _BLOCK,
     _BOUNDARY_NS,
@@ -25,8 +27,6 @@ from smd.boundary import (
     write_grid_csv,
     write_grid_pgm,
 )
-import smd.config as cfgmod
-import smd.evolution as evolution
 from smd.checkpoint import save_checkpoint
 from smd.cli import main
 from smd.config import check, load_config
@@ -378,7 +378,6 @@ class TestBlocks:
         assert written[0] == written[1]
 
 
-
 class TestOneBlasThread:
     """The export runs every cell at one OpenBLAS thread and gives the
     caller's count back, also when a cell raises."""
@@ -432,6 +431,7 @@ class TestOneBlasThread:
         with evolution.one_blas_thread() as pinned:
             assert pinned is False
         assert len(self.export(net, data, tmp_path)) == 4
+
 
 @pytest.fixture()
 def boundary_run(tmp_path):
