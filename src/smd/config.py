@@ -11,8 +11,12 @@ declares is read from it (`NetworkSpec.seed`), never copied.
 `check` is the one check of a command's config, run before any data or
 checkpoint is read: it runs `section` once per section, applies every rule
 that ties keys together, and hands the command only checked values: each
-command calls its library function with its checked section as keywords,
-and asks `build_task_data` for the datasets it reads. Two library checks
+command calls its library function with its checked section as keywords
+(none of those functions declares a default of its own), and asks
+`build_task_data` for the datasets it reads. Size rules bound what a config
+asks numpy to allocate, estimated from checked values, so the check
+allocates nothing: a boundary's grids (`_BOUNDARY_GRID_BYTES`), and a
+genome or a spirals set (`_ARRAY_BYTES`). Two library checks
 run again on values it has checked: the divisibility check of
 `group_roles`, which `spawn_mutations` also calls, and
 `NetworkSpec.__post_init__`. A file that cannot be opened (the config, a
@@ -180,6 +184,9 @@ _ADAM = {"adam_beta1", "adam_beta2", "adam_eps"}
 # class and a float64 confidence per lattice point) may take: 1 GiB, so a
 # resolution of at most 8,192.
 _BOUNDARY_GRID_BYTES = 1 << 30
+# The most bytes one genome (8 per float64 parameter) or one spirals set (24
+# per sample: two float64 coordinates and an int64 label) may take: 1 GiB.
+_ARRAY_BYTES = 1 << 30
 
 
 def _unique(pairs: list[tuple[str, object]]) -> dict:
@@ -267,6 +274,23 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
         "task": checked["task"],
         **_model(checked["model"], command, cfg["model"]),
     }
+    # Sizes estimated from checked values, so a check allocates nothing.
+    task = checked["task"]
+    sizes = [
+        (f"task.{key}", task[key], 24 * task[key], "samples (24 per sample)")
+        for key in ("n_train", "n_eval") if task["dataset"] == "spirals"
+    ]
+    if command == "train":
+        spec = run["spec"]
+        sizes.append((
+            "model.layer_sizes", list(spec.layer_sizes), 8 * spec.param_count(),
+            "genome (8 per parameter)",
+        ))
+    for key, value, size, what in sizes:
+        if size > _ARRAY_BYTES:
+            raise ConfigurationError(
+                f"{key} {value} needs {size} bytes of {what}, above the bound of {_ARRAY_BYTES}"
+            )
     if command == "search":
         if written["mutation"] != {"search"}:
             raise ConfigurationError(

@@ -193,10 +193,11 @@ def _evolve(
     Returns the final generation's scored population (its parent is the
     chained model) and the selected indices. Every generation but the last
     averages its selected children, in selection order, into the next
-    parent; `_report` builds the final average. A chained parent is
-    quantized to float32 values, as a checkpoint round-trip would, so its
-    mirrored children still average back to it exactly. Each generation
-    is scored by `evaluate_fitness` on up to `jobs` workers.
+    parent; `_report` builds the final average, so a repeat that is not
+    reported builds none. A chained parent is quantized to float32 values,
+    as a checkpoint round-trip would, so its mirrored children still
+    average back to it exactly. Each generation is scored by
+    `evaluate_fitness` on up to `jobs` workers.
     """
     current = parent
     for gen in range(generations):
@@ -311,7 +312,8 @@ def run_generation(
     scoring pass builds a float64 child genome. The k selected patches
     are drawn once, one at a time, for both the average and the ensemble. A
     big enough validation pass is scored on up to `jobs` forked workers
-    (`evaluate_fitness`), with the same bytes.
+    (`evaluate_fitness`), with the same bytes; the report's test passes run
+    in this process, in selection order.
 
     With repeats R > 1, R runs evolve on validation data only, run r from
     a seed derived from (master_seed, r). Only the run whose ensemble has
@@ -372,8 +374,10 @@ def run_ablation(
     once for the whole sweep; no selection reads them.
 
     With jobs > 1 the distinct points run on up to `jobs` worker processes
-    (`_map_points`), each scored serially. Rows are looked up by point, so
-    they are the same for every `jobs`, whichever point finishes first.
+    (`_map_points`), each scored serially, so a worker never forks workers.
+    Each worker sends back three floats per point. Rows are looked up by
+    point, so they are the same for every `jobs`, whichever point finishes
+    first.
     """
     parent_scores = _score_parent(parent, val, test)
     grid = [
@@ -418,7 +422,8 @@ _BLAS_THREAD_FUNCTIONS = (
 def _blas_threads():
     """The loaded OpenBLAS's (get, set) thread-count functions, or None
     when this process has no OpenBLAS mapped (another BLAS, or no
-    /proc/self/maps)."""
+    /proc/self/maps). `ctypes` is imported here, on the first call, not
+    with the module."""
     import ctypes
 
     try:
@@ -475,7 +480,10 @@ def _map_points(task, points: list, jobs: int) -> dict:
     Where it cannot pin (so no /proc/self/maps and no fork) the points run
     here. A worker's error is raised here with its own type; a worker that
     dies raises `WorkerError`. Every worker is reaped before this returns
-    or raises.
+    or raises. Workers are plain `os.fork` children: no module of the
+    package imports `multiprocessing` or `concurrent.futures`. A profiler
+    or tracer in this process sees only the work done here, not the
+    workers'.
     """
     jobs = min(jobs, len(points))
     if jobs <= 1:

@@ -244,7 +244,10 @@ def predict(
     forward pass, and no w-length float64 genome is built. Logits are
     returned as float64, so everything downstream of them stays float64.
     An input, a parameter or a logit beyond the float32 range is an error,
-    not an `inf`. A patch is pulled only once the previous one is yielded."""
+    not an `inf`. A patch is pulled only once the previous one is yielded,
+    so a child's forward pass allocates only its patch, its logits and
+    their softmax; the workspace and the buffer are dropped when the pass
+    ends."""
     x = _inputs(spec, inputs)
     x = _float32(x, np.empty(x.shape, np.float32), "inputs")
     scratch = workspace(spec, x.shape[0], np.float32)
@@ -275,7 +278,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     reduction along a short last axis is numpy's slowest layout; on
     (2500, 2) logits this is about 9x faster. For C < 8 every value equals
     the row-wise formula's bit for bit; from C = 8 numpy sums a row
-    pairwise, so the last bit can differ.
+    pairwise, so the last bit can differ (by at most about 1e-15), and so
+    can the artifacts of such a task.
     """
     e = np.array(np.asarray(logits, dtype=np.float64).T, order="C")
     e -= e.max(axis=0)

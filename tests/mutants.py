@@ -1,13 +1,15 @@
-"""One-line mutants of the README's contracts: tier-1 must kill each one.
+"""Small mutants of the README's contracts: tier-1 must kill each one.
 
     python3 tests/mutants.py               # every row
     python3 tests/mutants.py kl_floor ...  # the named rows only
 
 Each row of `MUTANTS` names a file, an exact old text in it, the new text
-that replaces it, and the README contract the edit breaks. The whole tree
-(without version control, run outputs and caches) is copied to a temporary
-directory once unmutated and once per row; the row's edit is applied to its
-copy and `python -m pytest -x` runs there. A mutant is killed when pytest
+that replaces it, and the README contract the edit breaks; README's
+"Invariants" chapter names every row (`tests/test_invariants.py` checks
+that it does). The whole tree (without version control, run outputs and
+caches) is copied to a temporary directory once unmutated and once per
+row; the row's edit is applied to its copy and `python -m pytest -x` runs
+there. A mutant is killed when pytest
 exits non-zero. For each row the script prints the contract, the first
 failing test and the seconds taken.
 
@@ -75,6 +77,68 @@ MUTANTS = (
         "average_plus_zero", "src/smd/evolution.py",
         "np.full(theta.w, -0.0)", "np.zeros(theta.w)",
         "the averaged model and mirrored cancellation keep their bytes (-0.0 start)",
+    ),
+    Mutant(
+        "float32_range", "src/smd/network.py",
+        'with np.errstate(over="raise"):', 'with np.errstate(over="ignore"):',
+        "a genome or an input beyond the float32 range exits 2 naming it, not scored as inf",
+    ),
+    Mutant(
+        "rho0_full_slice", "src/smd/mutation.py",
+        "if on_complement not in index and params.rho == 0:", "if False:",
+        "a child is a patch: a rho-0 pass draws no mask and shares one support object",
+    ),
+    Mutant(
+        "view_gather", "src/smd/mutation.py",
+        "return picked.copy() if isinstance(index, slice) else picked", "return picked",
+        "the parent is never written: the full slice's gather is a copy",
+    ),
+    Mutant(
+        "destination_check", "src/smd/datasets.py",
+        "if destination.is_dir() and not destination.is_symlink():", "if False:",
+        "artifacts are one set: a directory in a destination's place replaces none",
+    ),
+    Mutant(
+        "mirrored_sign", "src/smd/mutation.py",
+        '"-": (-1, False),', '"-": (+1, False),',
+        "mirrored pairs cancel exactly",
+    ),
+    Mutant(
+        "unknown_key", "src/smd/config.py",
+        'unknown = raw.keys() - SCHEMA[name].keys() - {"_comment"}', "unknown = set()",
+        "config schemas are strict: an unknown key exits 2",
+    ),
+    Mutant(
+        "unseeded_noise", "src/smd/mutation.py",
+        "rng = np.random.default_rng(seed)\n    with np.errstate",
+        "rng = np.random.default_rng()\n    with np.errstate",
+        "reruns are byte-identical: every draw is seeded from the config",
+    ),
+    Mutant(
+        "draw_order", "src/smd/mutation.py",
+        "    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=key)\n",
+        '    calls = derive_seed.__dict__.setdefault("calls", [0])\n'
+        "    calls[0] += 1\n"
+        "    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(*key, calls[0]))\n",
+        "results do not depend on evaluation order: no seed depends on the draws before it",
+    ),
+    Mutant(
+        "hand_out", "src/smd/evolution.py",
+        "values.update(zip(points[j::jobs], result))",
+        "values.update(zip(points[j * len(result):], result))",
+        "results do not depend on the worker count or the hand-out order",
+    ),
+    Mutant(
+        "test_set_once", "src/smd/evolution.py",
+        "        val_acc = _ensemble_val_accuracy(run[0], run[1], val)\n",
+        "        val_acc = _ensemble_val_accuracy(run[0], run[1], val)\n"
+        "        _score_parent(run[0].parent, val, test)  # each repeat peeks at the test set\n",
+        "the test set is read once, after selection",
+    ),
+    Mutant(
+        "array_bound", "src/smd/config.py",
+        "        if size > _ARRAY_BYTES:", "        if False:",
+        "a genome or a spirals set beyond 1 GiB exits 2 before anything is allocated",
     ),
 )
 

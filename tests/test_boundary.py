@@ -335,11 +335,12 @@ class TestBlocks:
         assert made == [8000]
 
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        """`boundary` on a net whose 256 x 256 layer OpenBLAS splits between
-        threads writes the same bytes at one BLAS thread and at two. At
-        resolution 100 each cell forwards one 8,000-point block and one
-        2,000-point block. Each run is a child process with its own
-        OPENBLAS_NUM_THREADS."""
+        """`boundary` run as a child process with OPENBLAS_NUM_THREADS 1 and
+        with 2 writes the same bytes, and the command gives the
+        environment's count back. The export pins one thread, so both runs
+        forward every block at one thread:
+        `test_grid_bytes_do_not_depend_on_blas_threads` compares a two-thread
+        forward with a one-thread one."""
         import smd.evolution
 
         if smd.evolution._blas_threads() is None:
@@ -376,6 +377,36 @@ class TestBlocks:
             written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert len(written[0]) == 4
         assert written[0] == written[1]
+
+    def test_grid_bytes_do_not_depend_on_blas_threads(self):
+        """`evaluate_grid`, called outside the export's pin, gives the same
+        class and confidence bytes at one OpenBLAS thread and at two, on a
+        net whose 256 x 256 layer OpenBLAS splits between threads. At
+        resolution 100 each cell forwards one 8,000-point block and one
+        2,000-point block."""
+        import smd.evolution
+
+        blas = smd.evolution._blas_threads()
+        if blas is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        get_threads, set_threads = blas
+        parent = init_network(NetworkSpec([2, 256, 256, 2], seed=3))
+        bounds = lattice_bounds(make_spirals(200, seed=1))
+        threads = get_threads()
+        grids = {}
+        try:
+            for count in (1, 2):
+                set_threads(count)
+                if get_threads() != count:
+                    pytest.skip(f"OpenBLAS runs at most {get_threads()} thread here")
+                for sigma in (0.0, 0.05):
+                    net = perturbed_network(parent, sigma, 0.9, seed=5)
+                    grid = evaluate(net, bounds, 100)
+                    grids[count, sigma] = grid.classes.tobytes() + grid.confidence.tobytes()
+        finally:
+            set_threads(threads)
+        for sigma in (0.0, 0.05):
+            assert grids[1, sigma] == grids[2, sigma]
 
 
 class TestOneBlasThread:

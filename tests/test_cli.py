@@ -20,6 +20,7 @@ from smd.checkpoint import save_checkpoint
 from smd.cli import main
 from smd.config import REQUIRED, SCHEMA, check, load_config, section
 from smd.divergence import SWEEP_COLUMNS
+from smd.errors import ConfigurationError
 from smd.evolution import ABLATION_CSV_COLUMNS, EVAL_CSV_COLUMNS
 from smd.network import Network, NetworkSpec, ParamVector, init_network
 
@@ -139,7 +140,8 @@ class TestTrainCommand:
         assert main(["train", "--config", str(tmp_path / "absent.json")]) == 2
         assert "absent.json" in capsys.readouterr().err
 
-    def test_unknown_config_key_exits_2(self, tmp_path):
+    def test_unknown_config_key_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the default output directory `out` is made here
         cfg = {"task": {"dataset": "spirals", "n_traim": 100}, "model": {}}
         path = write_config(tmp_path / "typo.json", cfg)
         assert main(["train", "--config", path]) == 2
@@ -1714,6 +1716,75 @@ class TestStrictConfigValues:
         command, cfg = strict_bases[base]
         path = write_config(tmp_path / "config.json", cfg)
         assert main([command, "--config", path, "--out", str(tmp_path)]) in (0, 4)
+
+
+class TestAllocationBound:
+    """`config.check` bounds the genome that `model.layer_sizes` implies
+    (8 B per parameter) and each spirals set (24 B per sample) by
+    `config._ARRAY_BYTES`, from the checked values alone: a config past it
+    exits 2 naming the key, where numpy used to raise a `MemoryError`."""
+
+    def test_genome_beyond_the_bound_exits_2(self, tmp_path, monkeypatch, capsys):
+        import smd.config as cfgmod
+
+        monkeypatch.setattr(cfgmod, "_ARRAY_BYTES", 8 * 42)  # [2, 8, 2] has 42 parameters
+        task = {"n_train": 14, "n_eval": 14}  # 336 bytes each: at the bound
+        cfg = {"task": task, "model": {"layer_sizes": [2, 8, 2], "train": {}}}
+        assert check(cfg, "train", str(tmp_path / "fits"))["spec"].param_count() == 42
+        cfg["model"]["layer_sizes"] = [2, 9, 2]
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "train.json", cfg)
+        assert main(["train", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: model.layer_sizes [2, 9, 2] needs 376 bytes of genome "
+            "(8 per parameter), above the bound of 336\n"
+        )
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "search"])
+    @pytest.mark.parametrize("key", ["n_train", "n_eval"])
+    def test_spirals_set_beyond_the_bound_exits_2(
+        self, tmp_path, monkeypatch, capsys, command, key
+    ):
+        import smd.config as cfgmod
+
+        monkeypatch.setattr(cfgmod, "_ARRAY_BYTES", 24 * 600)  # small_task's n_train
+        task = {**small_task(tmp_path), key: 602}
+        cfg = {"task": task, "model": {"layer_sizes": [2, 8, 2], "train": {}}}
+        if command == "search":
+            cfg["model"] = {"checkpoint": str(tmp_path / "unread.ckpt")}
+            cfg["mutation"] = {"search": {"sigma_grid": [0.05], "rho_grid": [0.5]}}
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "config.json", cfg)
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: task.{key} 602 needs 14448 bytes of samples (24 per sample), "
+            "above the bound of 14400\n"
+        )
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "task, layer_sizes, fits",
+        [
+            ({"n_train": 44_739_242}, [2, 11_582, 11_582, 2], True),
+            ({"n_train": 44_739_244}, [2, 64, 2], False),
+            ({"n_eval": 44_739_244}, [2, 64, 2], False),
+            ({}, [2, 11_583, 11_583, 2], False),
+            ({}, [2, 10**9, 2], False),
+        ],
+    )
+    def test_one_gib_bounds_the_genome_and_each_spirals_set(
+        self, tmp_path, task, layer_sizes, fits
+    ):
+        """`check` alone, which allocates nothing, at the real bound: 1 GiB
+        holds 44,739,242 samples, and a genome of 134,217,728 parameters:
+        a `[2, h, h, 2]` net up to h = 11,582."""
+        cfg = {"task": task, "model": {"layer_sizes": layer_sizes, "train": {}}}
+        if fits:
+            assert check(cfg, "train", str(tmp_path))["spec"].param_count() <= 1 << 27
+        else:
+            with pytest.raises(ConfigurationError, match="above the bound of 1073741824$"):
+                check(cfg, "train", str(tmp_path))
 
 
 class TestMalformedCsv:
