@@ -16,16 +16,34 @@ from .datasets import Dataset, artifact_set
 from .errors import TaskMismatchError
 from .evolution import average_weights, one_blas_thread
 from .mutation import Child, MutationParams, child_patches, derive_seed
-from .network import Network, forward, softmax, workspace
+from .network import (
+    Network,
+    NetworkSpec,
+    hidden_layers,
+    output_layer,
+    softmax,
+    unflatten,
+    workspace,
+)
 
 # Spawn-key namespace for boundary-cell perturbations.
 _BOUNDARY_NS = 4
 
 _PAD = 0.1  # lattice padding, as a fraction of each side of the data's box
-# Lattice points per forward call. OpenBLAS takes another path for small
-# row counts: blocks of 2,000-7,000 change the last bits of the shipped
-# grids, 8,000 is the smallest size found that keeps them.
+# Lattice points per output-layer call. OpenBLAS takes its small-matrix
+# kernel for products of M x N x K <= 10**6, which rounds differently: the
+# shipped 64 -> 2 output layer gives other last bits on up to 7,812 rows
+# than on 8,000, and the same from 7,813 rows on. Only the output layer
+# depends on the row count: the hidden layers give the same bits on any
+# row count but one.
 _BLOCK = 8000
+# Most lattice points per hidden-layer call: each block runs its hidden
+# layers in sub-blocks through a small workspace, so only the last hidden
+# layer's activations are held for the whole block. A block is cut into
+# the fewest sub-blocks of at most this size, whose sizes differ by at
+# most one, so no sub-block has one point unless its block has: numpy
+# forwards a single row by another path, which rounds differently.
+_SUB_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -49,24 +67,40 @@ def lattice_bounds(data: Dataset) -> tuple[float, float, float, float]:
     )
 
 
+def grid_buffers(
+    spec: NetworkSpec, resolution: int
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The activation buffers of `evaluate_grid` on a `resolution` lattice:
+    a `workspace` of `_SUB_BLOCK` rows for the hidden layers, and one
+    (block, last hidden width) array for the output layer's input."""
+    block = min(_BLOCK, resolution**2)
+    return workspace(spec, min(_SUB_BLOCK, block)), np.empty((block, spec.layer_sizes[-2]))
+
+
 def evaluate_grid(
     net: Network,
     bounds: tuple[float, float, float, float],
     resolution: int,
-    scratch: tuple[np.ndarray, np.ndarray],
+    buffers: tuple[tuple[np.ndarray, np.ndarray], np.ndarray],
 ) -> BoundaryGrid:
     """Class and confidence at each lattice point, y-major.
 
     The lattice points are never built whole: they are forwarded in
-    `_BLOCK`-point blocks through the caller's `workspace(net.spec,
-    min(_BLOCK, resolution**2))` and one points buffer, so memory is
-    O(_BLOCK x widest layer + resolution^2).
+    `_BLOCK`-point blocks through the caller's `grid_buffers(net.spec,
+    resolution)` and one points buffer. Each block runs its hidden layers
+    in sub-blocks of at most `_SUB_BLOCK` points through the buffers'
+    workspace, writes the last hidden activations into their block-wide
+    array, and runs the output layer once on the whole block. Memory is
+    O(_BLOCK x last hidden width + _SUB_BLOCK x widest layer +
+    resolution^2).
     """
     x0, x1, y0, y1 = bounds
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     n = resolution * resolution
     block = min(_BLOCK, n)
+    *hidden, out = unflatten(net.spec, net.params.values)
+    scratch, last = buffers
     pts = np.empty((block, 2))
     classes = np.empty(n, dtype=np.intp)
     confidence = np.empty(n)
@@ -76,7 +110,12 @@ def evaluate_grid(
         p = pts[: stop - start]
         p[:, 0] = xs[idx % resolution]
         p[:, 1] = ys[idx // resolution]
-        probs = softmax(forward(net, p, scratch))
+        h = last[: stop - start]
+        subs = -(-len(h) // _SUB_BLOCK)
+        for i in range(subs):
+            rows = slice(len(h) * i // subs, len(h) * (i + 1) // subs)
+            h[rows] = hidden_layers(hidden, net.spec.hidden_activation, p[rows], scratch)
+        probs = softmax(output_layer(out, h))
         probs.argmax(axis=1, out=classes[start:stop])
         probs.max(axis=1, out=confidence[start:stop])
     return BoundaryGrid(
@@ -152,11 +191,13 @@ def export_boundary_cells(
 
     Each cell is written as soon as it is computed, to a temporary of
     `datasets.artifact_set`, so no two grids are held at once; the files
-    replace their destinations together once every cell is written. The
-    cells run under `evolution.one_blas_thread`: the bytes do not depend
-    on the thread count, and a second OpenBLAS thread would touch GEMM
-    buffers of its own on the first 8,000-point block, which raises the
-    command's peak RSS."""
+    replace their destinations together once every cell is written. Every
+    cell runs through the export's one `grid_buffers`, so its activation
+    memory is one block of last hidden activations and one sub-block
+    workspace, whatever the number of cells. The cells run under
+    `evolution.one_blas_thread`: the bytes do not depend on the thread
+    count, and a second OpenBLAS thread would touch GEMM buffers of its own
+    on the first block, which raises the command's peak RSS."""
     if data.inputs.shape[1] != 2:
         raise TaskMismatchError(
             f"boundary export needs 2-D data, got {data.inputs.shape[1]} features"
@@ -164,19 +205,20 @@ def export_boundary_cells(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bounds = lattice_bounds(data)
-    # One workspace for every cell: a workspace freed per cell stays in
-    # glibc's heap and raises the command's peak RSS.
-    scratch = workspace(parent.spec, min(_BLOCK, resolution**2))
+    # One set of buffers for every cell: buffers freed per cell stay in
+    # glibc's heap and raise the command's peak RSS.
+    buffers = grid_buffers(parent.spec, resolution)
     written = []
     with artifact_set(out_dir) as stage, one_blas_thread():
         for ci, sigma in enumerate(sigma_grid):
             for cj, rho in enumerate(rho_grid):
                 cell_seed = derive_seed(seed, ci * len(rho_grid) + cj)
                 net = perturbed_network(parent, sigma, rho, cell_seed)
-                grid = evaluate_grid(net, bounds, resolution, scratch)
+                grid = evaluate_grid(net, bounds, resolution, buffers)
                 csv_name = f"boundary_{cell_tag(sigma, rho)}.csv"
                 pgm_name = f"boundary_{cell_tag(sigma, rho)}.pgm"
                 write_grid_csv(grid, stage(csv_name))
                 write_grid_pgm(grid, stage(pgm_name))
                 written.extend([out_dir / csv_name, out_dir / pgm_name])
+                del grid  # not held while the next cell's grid is made
     return written

@@ -16,7 +16,8 @@ command calls its library function with its checked section as keywords
 `build_task_data` for the datasets it reads. Size rules bound what a config
 asks numpy to allocate, estimated from checked values, so the check
 allocates nothing: a boundary's grids (`_BOUNDARY_GRID_BYTES`), and a
-genome or a spirals set (`_ARRAY_BYTES`). Two library checks
+genome, a spirals set or the activations of `train`'s full-set forward
+(`_ARRAY_BYTES`). Two library checks
 run again on values it has checked: the divisibility check of
 `group_roles`, which `spawn_mutations` also calls, and
 `NetworkSpec.__post_init__`. A file that cannot be opened (the config, a
@@ -184,8 +185,10 @@ _ADAM = {"adam_beta1", "adam_beta2", "adam_eps"}
 # class and a float64 confidence per lattice point) may take: 1 GiB, so a
 # resolution of at most 8,192.
 _BOUNDARY_GRID_BYTES = 1 << 30
-# The most bytes one genome (8 per float64 parameter) or one spirals set (24
-# per sample: two float64 coordinates and an int64 label) may take: 1 GiB.
+# The most bytes one genome (8 per float64 parameter), one spirals set (24
+# per sample: two float64 coordinates and an int64 label) or the activations
+# of one forward pass (two float64 workspace buffers, 16 per row and unit of
+# the widest hidden layer) may take: 1 GiB.
 _ARRAY_BYTES = 1 << 30
 
 
@@ -286,6 +289,17 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
             "model.layer_sizes", list(spec.layer_sizes), 8 * spec.param_count(),
             "genome (8 per parameter)",
         ))
+        if task["dataset"] == "spirals":
+            # The largest full-set forward: the per-epoch pass over the
+            # training set, or the pass over the validation split (the
+            # first part of `datasets.split`).
+            val = task["n_eval"] - math.floor(task["n_eval"] * task["eval_fractions"][1])
+            rows = max(task["n_train"], val)
+            sizes.append((
+                "model.layer_sizes", list(spec.layer_sizes),
+                16 * rows * max(spec.layer_sizes[1:-1], default=0),
+                f"activations on {rows} rows (16 per row and unit of the widest hidden layer)",
+            ))
     for key, value, size, what in sizes:
         if size > _ARRAY_BYTES:
             raise ConfigurationError(

@@ -6,9 +6,11 @@ flattened row-major, followed by the bias vector of length fan_out. All
 mutation and averaging algebra elsewhere in the package relies on this
 layout being stable across runs and checkpoints.
 
-`forward` and `predict` share one layer loop. `forward` runs it in
-float64, for training and the boundary export; `predict` runs it in
-float32, for every scoring pass, and returns float64 logits. A scoring
+`forward` and `predict` share one layer loop, `hidden_layers` then
+`output_layer`. `forward` runs it in float64, for training; `predict`
+runs it in float32, for every scoring pass, and returns float64 logits;
+the boundary export runs its two halves in float64, the hidden layers on
+sub-blocks of its lattice and the output layer on whole blocks. A scoring
 pass takes a parent and a stream of patches (support index, values
 there): each child is written onto one float32 copy of the parent and
 its support restored after, so no pass holds a float64 child genome.
@@ -168,40 +170,61 @@ def _inputs(spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _layers(
-    spec: NetworkSpec, values: np.ndarray, x: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]
+def hidden_layers(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    activation: str,
+    x: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """The layer loop of `forward` and `predict`, in the dtype of `values`,
-    `x` and `scratch`.
+    """The hidden-layer loop of every forward pass: `x` through the (W, b)
+    `layers` of `unflatten` but the last, in the dtype of `x`, the layers
+    and `scratch`.
 
     Hidden layer i writes its matmul into an (n, fan_out) view of
     `scratch[i % 2]`, then adds the bias and applies the activation in
-    place; `x` and `values` are never written. Only the returned logits
-    are allocated, so they never alias the workspace.
+    place; `x` and the layers are never written. Returns the last hidden
+    layer's activations, a view of `scratch`, or `x` itself when there is
+    no hidden layer.
     """
     n = x.shape[0]
-    *hidden, (w_out, b_out) = unflatten(spec, values)
     a = x
-    for i, (w, b) in enumerate(hidden):
+    for i, (w, b) in enumerate(layers):
         buf = scratch[i % 2]
         size = n * w.shape[1]
         if buf.size < size:
             raise ShapeError(f"workspace of {buf.size} entries is too small for {n} x {w.shape[1]}")
         z = np.matmul(a, w, out=buf[:size].reshape(n, w.shape[1]))
         z += b
-        _activate_inplace(z, spec.hidden_activation)
+        _activate_inplace(z, activation)
         a = z
-    logits = a @ w_out
-    logits += b_out
+    return a
+
+
+def output_layer(layer: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarray:
+    """The logits of the last hidden activations `a` under the output
+    (W, b) `layer`. Only the logits are allocated, so they never alias a
+    workspace."""
+    w, b = layer
+    logits = a @ w
+    logits += b
     return logits
+
+
+def _layers(
+    spec: NetworkSpec, values: np.ndarray, x: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """The one layer loop of `forward` and `predict`: the logits of the
+    network `values` on `x`, through `scratch`."""
+    *hidden, out = unflatten(spec, values)
+    return output_layer(out, hidden_layers(hidden, spec.hidden_activation, x, scratch))
 
 
 def forward(
     net: Network, inputs: np.ndarray, scratch: tuple[np.ndarray, np.ndarray] | None = None
 ) -> np.ndarray:
     """Float64 logits for a batch of inputs, shape (n, output_dim), through
-    `scratch`, or a `workspace` made for this one call. Training and the
-    boundary run it; every scoring pass runs `predict`."""
+    `scratch`, or a `workspace` made for this one call. Training runs it;
+    every scoring pass runs `predict`."""
     x = _inputs(net.spec, inputs)
     if scratch is None:
         scratch = workspace(net.spec, x.shape[0])

@@ -140,6 +140,26 @@ MUTANTS = (
         "        if size > _ARRAY_BYTES:", "        if False:",
         "a genome or a spirals set beyond 1 GiB exits 2 before anything is allocated",
     ),
+    Mutant(
+        "activation_bound", "src/smd/config.py",
+        "16 * rows * max(spec.layer_sizes[1:-1], default=0),", "0,",
+        "train's activations beyond 1 GiB exit 2 before anything is allocated",
+    ),
+    Mutant(
+        "output_per_sub_block", "src/smd/boundary.py",
+        "        probs = softmax(output_layer(out, h))\n",
+        "        probs = np.concatenate([\n"
+        "            softmax(output_layer(out, h[s : s + _SUB_BLOCK]))\n"
+        "            for s in range(0, len(h), _SUB_BLOCK)\n"
+        "        ])\n",
+        "the boundary's bytes do not depend on its sub-block size: one output call per block",
+    ),
+    Mutant(
+        "one_row_sub_block", "src/smd/boundary.py",
+        "rows = slice(len(h) * i // subs, len(h) * (i + 1) // subs)",
+        "rows = slice(i * _SUB_BLOCK, (i + 1) * _SUB_BLOCK)",
+        "the boundary's bytes do not depend on its sub-block size: no one-row sub-block",
+    ),
 )
 
 

@@ -13,15 +13,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import smd.boundary as boundary
 import smd.config as cfgmod
 import smd.evolution as evolution
 from smd.boundary import (
     _BLOCK,
     _BOUNDARY_NS,
+    _SUB_BLOCK,
     BoundaryGrid,
     cell_tag,
     evaluate_grid,
     export_boundary_cells,
+    grid_buffers,
     lattice_bounds,
     perturbed_network,
     write_grid_csv,
@@ -38,7 +41,9 @@ from smd.network import (
     NetworkSpec,
     ParamVector,
     forward,
+    hidden_layers,
     init_network,
+    output_layer,
     softmax,
     workspace,
 )
@@ -50,8 +55,8 @@ SRC_DIR = CONFIG_DIR.parent / "src"
 
 
 def evaluate(net, bounds, resolution):
-    """`evaluate_grid` through a workspace of its own, as a one-grid caller makes."""
-    return evaluate_grid(net, bounds, resolution, workspace(net.spec, min(_BLOCK, resolution**2)))
+    """`evaluate_grid` through buffers of its own, as a one-grid caller makes."""
+    return evaluate_grid(net, bounds, resolution, grid_buffers(net.spec, resolution))
 
 
 @pytest.fixture()
@@ -302,37 +307,96 @@ class TestBlocks:
         np.testing.assert_allclose(grid.confidence.ravel(), probs.max(axis=1), rtol=0, atol=1e-15)
 
     def test_one_workspace_per_grid(self, net, monkeypatch):
+        made, hidden, output = [], [], []
+
+        def counting_workspace(spec, rows):
+            made.append(rows)
+            return workspace(spec, rows)
+
+        def recording_hidden_layers(layers, activation, x, scratch):
+            hidden.append((len(x), scratch))
+            return hidden_layers(layers, activation, x, scratch)
+
+        def recording_output_layer(layer, a):
+            output.append(a)
+            return output_layer(layer, a)
+
+        buffers = grid_buffers(net.spec, 200)
+        monkeypatch.setattr("smd.boundary.workspace", counting_workspace)
+        monkeypatch.setattr("smd.boundary.hidden_layers", recording_hidden_layers)
+        monkeypatch.setattr("smd.boundary.output_layer", recording_output_layer)
+        evaluate_grid(net, (-1.0, 1.0, -1.0, 1.0), 200, buffers)
+        # The grid allocates no workspace: each of the five blocks runs its
+        # hidden layers in 32 sub-blocks of 250 points through the caller's
+        # workspace, and its output layer once on the caller's block array.
+        assert made == []
+        assert [rows for rows, _ in hidden] == [250] * 32 * 5
+        assert all(scratch is buffers[0] for _, scratch in hidden)
+        assert len(output) == 5
+        assert all(a.shape == (_BLOCK, 8) and a.base is buffers[1] for a in output)
+
+    def test_one_workspace_per_export(self, net, data, tmp_path, monkeypatch):
         made, used = [], []
 
         def counting_workspace(spec, rows):
             made.append(rows)
             return workspace(spec, rows)
 
-        def recording_forward(net, inputs, scratch=None):
-            used.append(scratch)
-            return forward(net, inputs, scratch)
+        def recording_evaluate_grid(net, bounds, resolution, buffers):
+            used.append(buffers)
+            return evaluate_grid(net, bounds, resolution, buffers)
 
         monkeypatch.setattr("smd.boundary.workspace", counting_workspace)
-        monkeypatch.setattr("smd.boundary.forward", recording_forward)
-        scratch = workspace(net.spec, _BLOCK)
-        evaluate_grid(net, (-1.0, 1.0, -1.0, 1.0), 200, scratch)
-        # The grid allocates no workspace: all five blocks go through the caller's.
-        assert made == []
-        assert len(used) == 5
-        assert all(s is scratch for s in used)
-
-    def test_one_workspace_per_export(self, net, data, tmp_path, monkeypatch):
-        made = []
-
-        def counting_workspace(spec, rows):
-            made.append(rows)
-            return workspace(spec, rows)
-
-        monkeypatch.setattr("smd.boundary.workspace", counting_workspace)
+        monkeypatch.setattr("smd.boundary.evaluate_grid", recording_evaluate_grid)
         export_boundary_cells(
             net, data, tmp_path, sigma_grid=[0.05, 0.25], rho_grid=[0.0, 0.9], resolution=90, seed=3
         )
-        assert made == [8000]
+        # One sub-block workspace and one (block, last hidden width) array
+        # serve all four cells.
+        assert made == [_SUB_BLOCK]
+        assert len(used) == 4
+        assert all(buffers is used[0] for buffers in used)
+        assert used[0][1].shape == (_BLOCK, 8)
+
+    def test_export_peak_memory_is_one_block_of_last_hidden_activations(self, data, tmp_path):
+        """Two cells at resolution 200 hold one block of last hidden
+        activations, one sub-block workspace and one cell's grids. A
+        workspace of two whole blocks (8.2 MB here), or a grid kept while
+        the next cell's is made, passes the bound."""
+        net = deep_net()
+        resolution = 200
+        tracemalloc.start()
+        try:
+            export_boundary_cells(
+                net, data, tmp_path, sigma_grid=[0.0, 0.05], rho_grid=[0.9],
+                resolution=resolution, seed=3,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        activations = _BLOCK * 64 * 8 + 2 * _SUB_BLOCK * 64 * 8
+        assert peak < activations + 16 * resolution**2 + 2**20
+
+    @pytest.mark.parametrize(
+        "resolution", [90, 95, 200], ids=["tail", "one-row-tail", "five-blocks"]
+    )
+    @pytest.mark.parametrize(
+        "sizes, seed", [([2, 64, 64, 64, 2], 18), ([2, 256, 256, 2], 0)], ids=["deep", "wide"]
+    )
+    def test_bytes_do_not_depend_on_the_sub_block(self, monkeypatch, sizes, seed, resolution):
+        """Class and confidence bytes are the same for sub-blocks of 64 and
+        256 points and for none (sub-blocks of a whole block). At resolution
+        95 a tail block of 1,025 points cut at every 64 or 256 points would
+        leave a one-point sub-block."""
+        net = init_network(NetworkSpec(sizes, seed=seed))
+        bounds = lattice_bounds(make_spirals(200, seed=1))
+        grids = {}
+        for sub_block in (64, 256, _BLOCK):
+            monkeypatch.setattr(boundary, "_SUB_BLOCK", sub_block)
+            grid = evaluate(net, bounds, resolution)
+            grids[sub_block] = grid.classes.tobytes() + grid.confidence.tobytes()
+        assert grids[64] == grids[_BLOCK]
+        assert grids[256] == grids[_BLOCK]
 
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         """`boundary` run as a child process with OPENBLAS_NUM_THREADS 1 and
@@ -432,26 +496,32 @@ class TestOneBlasThread:
         )
 
     def test_every_forward_runs_at_one_thread(self, net, data, tmp_path, monkeypatch, threads):
-        seen = []
+        seen, hidden = [], set()
 
-        def recording_forward(net, inputs, scratch=None):
+        def recording_hidden_layers(layers, activation, x, scratch):
+            hidden.add(threads())
+            return hidden_layers(layers, activation, x, scratch)
+
+        def recording_output_layer(layer, a):
             seen.append(threads())
-            return forward(net, inputs, scratch)
+            return output_layer(layer, a)
 
-        monkeypatch.setattr("smd.boundary.forward", recording_forward)
+        monkeypatch.setattr("smd.boundary.hidden_layers", recording_hidden_layers)
+        monkeypatch.setattr("smd.boundary.output_layer", recording_output_layer)
         assert threads() == 2
         self.export(net, data, tmp_path)
         # two cells, each one 8,000-point block and one 2,000-point block
         assert seen == [1, 1, 1, 1]
+        assert hidden == {1}
         assert threads() == 2
 
     def test_the_callers_count_is_back_after_an_error(
         self, net, data, tmp_path, monkeypatch, threads
     ):
-        def failing_forward(net, inputs, scratch=None):
+        def failing_output_layer(layer, a):
             raise FloatingPointError("a failing block")
 
-        monkeypatch.setattr("smd.boundary.forward", failing_forward)
+        monkeypatch.setattr("smd.boundary.output_layer", failing_output_layer)
         with pytest.raises(FloatingPointError, match="a failing block"):
             self.export(net, data, tmp_path)
         assert threads() == 2

@@ -1720,15 +1720,17 @@ class TestStrictConfigValues:
 
 class TestAllocationBound:
     """`config.check` bounds the genome that `model.layer_sizes` implies
-    (8 B per parameter) and each spirals set (24 B per sample) by
-    `config._ARRAY_BYTES`, from the checked values alone: a config past it
-    exits 2 naming the key, where numpy used to raise a `MemoryError`."""
+    (8 B per parameter), each spirals set (24 B per sample) and the
+    activations of `train`'s largest full-set forward (16 B per row and
+    unit of the widest hidden layer) by `config._ARRAY_BYTES`, from the
+    checked values alone: a config past it exits 2 naming the key, where
+    numpy used to raise a `MemoryError`."""
 
     def test_genome_beyond_the_bound_exits_2(self, tmp_path, monkeypatch, capsys):
         import smd.config as cfgmod
 
         monkeypatch.setattr(cfgmod, "_ARRAY_BYTES", 8 * 42)  # [2, 8, 2] has 42 parameters
-        task = {"n_train": 14, "n_eval": 14}  # 336 bytes each: at the bound
+        task = {"n_train": 2, "n_eval": 2}  # 256 bytes of activations: inside the bound
         cfg = {"task": task, "model": {"layer_sizes": [2, 8, 2], "train": {}}}
         assert check(cfg, "train", str(tmp_path / "fits"))["spec"].param_count() == 42
         cfg["model"]["layer_sizes"] = [2, 9, 2]
@@ -1766,11 +1768,12 @@ class TestAllocationBound:
     @pytest.mark.parametrize(
         "task, layer_sizes, fits",
         [
-            ({"n_train": 44_739_242}, [2, 11_582, 11_582, 2], True),
+            ({"n_train": 44_739_242}, [2, 1, 2], True),
             ({"n_train": 44_739_244}, [2, 64, 2], False),
             ({"n_eval": 44_739_244}, [2, 64, 2], False),
             ({}, [2, 11_583, 11_583, 2], False),
             ({}, [2, 10**9, 2], False),
+            ({}, [2, 11_582, 11_582, 2], True),
         ],
     )
     def test_one_gib_bounds_the_genome_and_each_spirals_set(
@@ -1785,6 +1788,41 @@ class TestAllocationBound:
         else:
             with pytest.raises(ConfigurationError, match="above the bound of 1073741824$"):
                 check(cfg, "train", str(tmp_path))
+
+
+    @pytest.mark.parametrize(
+        "task, layer_sizes, rows",
+        [
+            ({"n_train": 20, "n_eval": 20}, [2, 8, 2], None),  # 20 rows: at the bound
+            ({"n_train": 20, "n_eval": 20}, [2, 9, 2], 20),
+            ({"n_train": 2, "n_eval": 42}, [2, 8, 2], 21),  # the validation split's rows
+            ({"n_train": 2, "n_eval": 42, "eval_fractions": [0.45, 0.55]}, [2, 8, 2], None),
+        ],
+        ids=["training-set-fits", "training-set", "validation-split", "validation-split-fits"],
+    )
+    def test_activations_beyond_the_bound_exit_2(
+        self, tmp_path, monkeypatch, capsys, task, layer_sizes, rows
+    ):
+        """`train`'s largest full-set forward runs over the training set or
+        the validation split (19 of 42 samples at fractions [0.45, 0.55])
+        through two float64 buffers of the widest hidden layer; past the
+        bound it exits 2 naming `model.layer_sizes`."""
+        import smd.config as cfgmod
+
+        monkeypatch.setattr(cfgmod, "_ARRAY_BYTES", 16 * 20 * 8)
+        cfg = {"task": task, "model": {"layer_sizes": layer_sizes, "train": {}}}
+        if rows is None:
+            assert check(cfg, "train", str(tmp_path / "fits"))["spec"].layer_sizes[1] == 8
+            return
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "train.json", cfg)
+        assert main(["train", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: model.layer_sizes {layer_sizes} needs {16 * rows * layer_sizes[1]} bytes of "
+            f"activations on {rows} rows (16 per row and unit of the widest hidden layer), "
+            "above the bound of 2560\n"
+        )
+        assert not any(out.iterdir())
 
 
 class TestMalformedCsv:
