@@ -14,7 +14,7 @@ import numpy as np
 
 from .datasets import Dataset, artifact_set
 from .errors import TaskMismatchError
-from .evolution import average_weights, one_blas_thread
+from .evolution import average_weights
 from .mutation import Child, MutationParams, child_patches, derive_seed
 from .network import (
     Network,
@@ -25,6 +25,7 @@ from .network import (
     unflatten,
     workspace,
 )
+from .workers import one_blas_thread
 
 # Spawn-key namespace for boundary-cell perturbations.
 _BOUNDARY_NS = 4
@@ -195,7 +196,7 @@ def export_boundary_cells(
     cell runs through the export's one `grid_buffers`, so its activation
     memory is one block of last hidden activations and one sub-block
     workspace, whatever the number of cells. The cells run under
-    `evolution.one_blas_thread`: the bytes do not depend on the thread
+    `workers.one_blas_thread`: the bytes do not depend on the thread
     count, and a second OpenBLAS thread would touch GEMM buffers of its own
     on the first block, which raises the command's peak RSS."""
     if data.inputs.shape[1] != 2:

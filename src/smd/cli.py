@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import config as cfgmod
+from . import workers
 from .boundary import export_boundary_cells
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import Dataset, artifact_set, write_csv
@@ -147,7 +147,7 @@ def cmd_evolve(run: dict) -> int:
     parent, val, test = _evaluation_data(run)
     # Best-of-R selection peeks only at validation-side accuracy.
     report = run_generation(
-        parent, run["mutation"], val, test, jobs=_usable_cpus(), **run["evolution"]
+        parent, run["mutation"], val, test, jobs=workers.usable_cpus(), **run["evolution"]
     )
     with artifact_set(run["out_dir"]) as stage:
         _write_json(stage("eval_report.json"), report)
@@ -166,7 +166,7 @@ def cmd_boundary(run: dict) -> int:
 
 def cmd_ablate(run: dict) -> int:
     parent, val, test = _evaluation_data(run)
-    rows = run_ablation(parent, val, test, jobs=_usable_cpus(), **run["ablation"])
+    rows = run_ablation(parent, val, test, jobs=workers.usable_cpus(), **run["ablation"])
     with artifact_set(run["out_dir"]) as stage:
         write_ablation_csv(rows, stage("ablation.csv"))
     print(f"wrote {len(rows)} ablation rows to {run['out_dir'] / 'ablation.csv'}")
@@ -192,14 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
     return parser
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity mask, which honours
-    `taskset`), or the machine's count where there is no mask."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def main(argv: list[str] | None = None) -> int:

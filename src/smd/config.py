@@ -15,11 +15,10 @@ command calls its library function with its checked section as keywords
 (none of those functions declares a default of its own), and asks
 `build_task_data` for the datasets it reads. Size rules bound what a config
 asks numpy to allocate, estimated from checked values, so the check
-allocates nothing: a boundary's grids (`_BOUNDARY_GRID_BYTES`), and a
-genome, a spirals set or the activations of `train`'s full-set forward
-(`_ARRAY_BYTES`). Two library checks
-run again on values it has checked: the divisibility check of
-`group_roles`, which `spawn_mutations` also calls, and
+allocates nothing: a genome, a spirals set, the activations of `train`'s
+full-set forward and a boundary's grids each take at most `_ARRAY_BYTES`.
+Two library checks run again on values it has checked: the divisibility
+check of `group_roles`, which `spawn_mutations` also calls, and
 `NetworkSpec.__post_init__`. A file that cannot be opened (the config, a
 search result) raises its `OSError`, which names the path and which
 `cli.main` reports. All randomness is seeded from config fields; nothing
@@ -181,14 +180,12 @@ _ARCHITECTURE = ("layer_sizes", "hidden_activation", "seed")
 # The model.train keys that only the Adam optimizer reads.
 _ADAM = {"adam_beta1", "adam_beta2", "adam_eps"}
 
-# The most bytes a boundary export's two resolution^2 grid arrays (an intp
-# class and a float64 confidence per lattice point) may take: 1 GiB, so a
-# resolution of at most 8,192.
-_BOUNDARY_GRID_BYTES = 1 << 30
 # The most bytes one genome (8 per float64 parameter), one spirals set (24
-# per sample: two float64 coordinates and an int64 label) or the activations
+# per sample: two float64 coordinates and an int64 label), the activations
 # of one forward pass (two float64 workspace buffers, 16 per row and unit of
-# the widest hidden layer) may take: 1 GiB.
+# the widest hidden layer) or a boundary export's two resolution^2 grid
+# arrays (an intp class and a float64 confidence, 16 per lattice point, so
+# a resolution of at most 8,192) may take: 1 GiB.
 _ARRAY_BYTES = 1 << 30
 
 
@@ -300,6 +297,12 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
                 16 * rows * max(spec.layer_sizes[1:-1], default=0),
                 f"activations on {rows} rows (16 per row and unit of the widest hidden layer)",
             ))
+    elif command == "boundary":
+        resolution = checked["boundary"]["resolution"]
+        sizes.append((
+            "boundary.resolution", resolution, 16 * resolution**2,
+            "grid arrays (16 per lattice point)",
+        ))
     for key, value, size, what in sizes:
         if size > _ARRAY_BYTES:
             raise ConfigurationError(
@@ -324,12 +327,6 @@ def check(cfg: dict, command: str, cli_out: str | None) -> dict:
         if len({cell_tag(s, r) for s in sigmas for r in rhos}) != len(sigmas) * len(rhos):
             raise ConfigurationError(
                 f"boundary grids name the same cell twice: sigma_grid {sigmas}, rho_grid {rhos}"
-            )
-        resolution = checked["boundary"]["resolution"]
-        if 16 * resolution**2 > _BOUNDARY_GRID_BYTES:
-            raise ConfigurationError(
-                f"boundary.resolution {resolution} needs {16 * resolution**2} bytes of grid "
-                f"arrays (16 per lattice point), above the bound of {_BOUNDARY_GRID_BYTES}"
             )
         run["boundary"] = checked["boundary"]
     elif command == "ablate":

@@ -219,16 +219,12 @@ def _layers(
     return output_layer(out, hidden_layers(hidden, spec.hidden_activation, x, scratch))
 
 
-def forward(
-    net: Network, inputs: np.ndarray, scratch: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
+def forward(net: Network, inputs: np.ndarray) -> np.ndarray:
     """Float64 logits for a batch of inputs, shape (n, output_dim), through
-    `scratch`, or a `workspace` made for this one call. Training runs it;
-    every scoring pass runs `predict`."""
+    a `workspace` made for this one call. Training runs it; every scoring
+    pass runs `predict`."""
     x = _inputs(net.spec, inputs)
-    if scratch is None:
-        scratch = workspace(net.spec, x.shape[0])
-    return _layers(net.spec, net.params.values, x, scratch)
+    return _layers(net.spec, net.params.values, x, workspace(net.spec, x.shape[0]))
 
 
 # A patch is a support index (an index array or a slice) and the float64

@@ -7,18 +7,12 @@ import pytest
 
 import numpy as np
 
-from smd import (
-    Dataset,
-    Network,
-    NetworkSpec,
-    init_network,
-    make_spirals,
-    split,
-    train_model,
-)
 from smd.checkpoint import load_checkpoint, save_checkpoint
 from smd.config import check
+from smd.datasets import Dataset, make_spirals, split
 from smd.errors import ConfigurationError
+from smd.network import Network, NetworkSpec, init_network
+from smd.training import train_model
 
 from oracles import train_settings
 

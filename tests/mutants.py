@@ -58,14 +58,14 @@ MUTANTS = (
     ),
     Mutant(
         "boundary_pin", "src/smd/boundary.py",
-        "from .evolution import average_weights, one_blas_thread\n",
-        "from contextlib import nullcontext as one_blas_thread\n\n"
-        "from .evolution import average_weights\n",
+        "from .workers import one_blas_thread\n",
+        "from contextlib import nullcontext as one_blas_thread\n",
         "the boundary export runs at one OpenBLAS thread and restores the count",
     ),
     Mutant(
         "resolution_bound", "src/smd/config.py",
-        "if 16 * resolution**2 > _BOUNDARY_GRID_BYTES:", "if False:",
+        '"boundary.resolution", resolution, 16 * resolution**2,',
+        '"boundary.resolution", resolution, 0,',
         "boundary.resolution is bounded: its two grid arrays take at most 1 GiB",
     ),
     Mutant(
@@ -123,7 +123,7 @@ MUTANTS = (
         "results do not depend on evaluation order: no seed depends on the draws before it",
     ),
     Mutant(
-        "hand_out", "src/smd/evolution.py",
+        "hand_out", "src/smd/workers.py",
         "values.update(zip(points[j::jobs], result))",
         "values.update(zip(points[j * len(result):], result))",
         "results do not depend on the worker count or the hand-out order",

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import smd.boundary as boundary
 import smd.config as cfgmod
-import smd.evolution as evolution
+import smd.workers as workers
 from smd.boundary import (
     _BLOCK,
     _BOUNDARY_NS,
@@ -405,9 +405,9 @@ class TestBlocks:
         forward every block at one thread:
         `test_grid_bytes_do_not_depend_on_blas_threads` compares a two-thread
         forward with a one-thread one."""
-        import smd.evolution
+        import smd.workers
 
-        if smd.evolution._blas_threads() is None:
+        if smd.workers._blas_threads() is None:
             pytest.skip("numpy is not linked against OpenBLAS")
         ckpt = tmp_path / "wide.ckpt"
         save_checkpoint(init_network(NetworkSpec([2, 256, 256, 2], seed=3)), ckpt)
@@ -420,9 +420,9 @@ class TestBlocks:
         path.write_text(json.dumps(payload))
         script = (
             "import sys\n"
-            "import smd.cli, smd.evolution\n"
+            "import smd.cli, smd.workers\n"
             "code = smd.cli.main(sys.argv[1:])\n"
-            "print(smd.evolution._blas_threads()[0]())\n"
+            "print(smd.workers._blas_threads()[0]())\n"
             "sys.exit(code)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -448,9 +448,9 @@ class TestBlocks:
         net whose 256 x 256 layer OpenBLAS splits between threads. At
         resolution 100 each cell forwards one 8,000-point block and one
         2,000-point block."""
-        import smd.evolution
+        import smd.workers
 
-        blas = smd.evolution._blas_threads()
+        blas = smd.workers._blas_threads()
         if blas is None:
             pytest.skip("numpy is not linked against OpenBLAS")
         get_threads, set_threads = blas
@@ -481,7 +481,7 @@ class TestOneBlasThread:
     def threads(self):
         """The OpenBLAS thread count getter, with the count set to 2 for the
         test and the previous count restored after it."""
-        blas = evolution._blas_threads()
+        blas = workers._blas_threads()
         if blas is None:
             pytest.skip("numpy is not linked against OpenBLAS")
         get_threads, set_threads = blas
@@ -528,8 +528,8 @@ class TestOneBlasThread:
         assert not any(tmp_path.iterdir())
 
     def test_without_openblas_the_export_runs_unpinned(self, net, data, tmp_path, monkeypatch):
-        monkeypatch.setattr(evolution, "_blas_threads", lambda: None)
-        with evolution.one_blas_thread() as pinned:
+        monkeypatch.setattr(workers, "_blas_threads", lambda: None)
+        with workers.one_blas_thread() as pinned:
             assert pinned is False
         assert len(self.export(net, data, tmp_path)) == 4
 
@@ -593,7 +593,7 @@ class TestStrictBoundarySection:
         assert not any(out.glob("boundary_*"))
 
     def test_resolution_beyond_the_grid_bound_exits_2(self, boundary_run, monkeypatch, capsys):
-        monkeypatch.setattr(cfgmod, "_BOUNDARY_GRID_BYTES", 16 * 200**2)
+        monkeypatch.setattr(cfgmod, "_ARRAY_BYTES", 16 * 200**2)
         code, out = boundary_run(dict(BASE_SECTION, resolution=201))
         assert code == 2
         assert capsys.readouterr().err == (

@@ -633,9 +633,9 @@ class TestAblateWorkers:
     @pytest.fixture()
     def cpus(self, monkeypatch):
         """Sets the usable CPU count `ablate` sees."""
-        import smd.cli
+        import smd.workers
 
-        return lambda n: monkeypatch.setattr(smd.cli, "_usable_cpus", lambda: n)
+        return lambda n: monkeypatch.setattr(smd.workers, "usable_cpus", lambda: n)
 
     def test_csv_identical_for_every_worker_count(self, ablate_run, cpus):
         written = set()
@@ -678,21 +678,21 @@ class TestAblateWorkers:
             os.waitpid(-1, os.WNOHANG)
 
     def test_usable_cpus_at_least_one(self, monkeypatch):
-        """`run_ablation` takes its worker count from `_usable_cpus` and
+        """`run_ablation` takes its worker count from `usable_cpus` and
         does not check it again."""
-        import smd.cli
+        import smd.workers
 
-        assert smd.cli._usable_cpus() >= 1
+        assert smd.workers.usable_cpus() >= 1
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert smd.cli._usable_cpus() == 1
+        assert smd.workers.usable_cpus() == 1
 
     @pytest.mark.parametrize("base", ["train", "search", "evolve", "boundary", "ablate"])
     def test_other_commands_import_no_multiprocessing(self, key_bases, tmp_path, base):
         """No command imports `multiprocessing` or `concurrent.futures`, not
         even where `ablate`'s sweep and `evolve`'s scoring fork workers: the
         script forces two workers and a forked scoring pass."""
-        import smd.evolution
+        import smd.workers
 
         inputs, bases = key_bases
         command, cfg = bases[base]
@@ -701,8 +701,8 @@ class TestAblateWorkers:
         path = write_config(tmp_path / "config.json", dict(cfg, output={"dir": str(tmp_path)}))
         script = (
             "import os, sys\n"
-            "import smd.cli, smd.evolution\n"
-            "smd.cli._usable_cpus = lambda: 2\n"
+            "import smd.cli, smd.evolution, smd.workers\n"
+            "smd.workers.usable_cpus = lambda: 2\n"
             "smd.evolution._FORK_MIN_MACS = 0\n"
             "forks, fork = [], os.fork\n"
             "os.fork = lambda: forks.append(1) or fork()\n"
@@ -718,7 +718,7 @@ class TestAblateWorkers:
             cwd=inputs, env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        forks = 2 if command in ("evolve", "ablate") and smd.evolution._blas_threads() else 0
+        forks = 2 if command in ("evolve", "ablate") and smd.workers._blas_threads() else 0
         assert done.stdout.splitlines()[-1] == f"{forks} False False"
 
 
@@ -731,15 +731,15 @@ class TestEvolveWorkers:
     def forked(self, monkeypatch):
         """Forces forked scoring; returns a setter of the usable CPU count
         and the os.fork calls made in this process."""
-        import smd.cli
         import smd.evolution
+        import smd.workers
 
         monkeypatch.setattr(smd.evolution, "_FORK_MIN_MACS", 0)
         calls, real = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real())
 
         def cpus(n):
-            monkeypatch.setattr(smd.cli, "_usable_cpus", lambda: n)
+            monkeypatch.setattr(smd.workers, "usable_cpus", lambda: n)
 
         return cpus, calls
 
@@ -864,9 +864,9 @@ def blas_thread_runs(tmp_path, command, sections, artifacts, forks=2):
     OPENBLAS_NUM_THREADS 1 and 2, then with two usable CPUs (and forked
     scoring at any size) at 2, which forks `forks` workers. Each run must
     keep its thread count, and all must write the same `artifacts` bytes."""
-    import smd.evolution
+    import smd.workers
 
-    if smd.evolution._blas_threads() is None:
+    if smd.workers._blas_threads() is None:
         pytest.skip("numpy is not linked against OpenBLAS")
     ckpt = tmp_path / "wide.ckpt"
     save_checkpoint(init_network(NetworkSpec([2, 256, 256, 2], seed=3)), ckpt)
@@ -878,14 +878,14 @@ def blas_thread_runs(tmp_path, command, sections, artifacts, forks=2):
     path = write_config(tmp_path / f"{command}.json", payload)
     script = (
         "import os, sys\n"
-        "import smd.cli, smd.evolution\n"
+        "import smd.cli, smd.evolution, smd.workers\n"
         "forked = sys.argv[1] == 'forked'\n"
-        "smd.cli._usable_cpus = lambda: 2 if forked else 1\n"
+        "smd.workers.usable_cpus = lambda: 2 if forked else 1\n"
         "smd.evolution._FORK_MIN_MACS = 0 if forked else smd.evolution._FORK_MIN_MACS\n"
         "forks, fork = [], os.fork\n"
         "os.fork = lambda: forks.append(1) or fork()\n"
         "code = smd.cli.main(sys.argv[2:])\n"
-        "print(smd.evolution._blas_threads()[0](), len(forks))\n"
+        "print(smd.workers._blas_threads()[0](), len(forks))\n"
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -10,6 +10,7 @@ import pytest
 
 import smd.config as cfgmod
 import smd.evolution as evolution
+import smd.workers as workers
 from smd.boundary import export_boundary_cells
 from smd.checkpoint import load_checkpoint, save_checkpoint
 from smd.cli import main
@@ -716,26 +717,26 @@ class TestAblationJobs:
     def test_rows_do_not_depend_on_hand_out_order(
         self, spiral_task, serial_rows, monkeypatch, jobs
     ):
-        real = evolution._map_points
+        real = evolution.map_points
         handed = []  # the points of each call: the sweep's, then its scoring passes' runs
 
         def reversed_points(task, points, jobs):
             handed.append(points[::-1])
             return real(task, points[::-1], jobs)
 
-        monkeypatch.setattr(evolution, "_map_points", reversed_points)
+        monkeypatch.setattr(evolution, "map_points", reversed_points)
         assert self.ablate(spiral_task, jobs) == serial_rows
         assert len(handed[0]) == 12 and handed[0][0] == (0.1, 0.5, "dynamic", 1)
 
     def test_runs_here_without_blas_thread_functions(
         self, spiral_task, serial_rows, monkeypatch, forks
     ):
-        monkeypatch.setattr(evolution, "_blas_threads", lambda: None)
+        monkeypatch.setattr(workers, "_blas_threads", lambda: None)
         assert self.ablate(spiral_task, 2) == serial_rows
         assert forks == []
 
     def test_workers_run_one_thread_and_the_parent_keeps_its_count(self, spiral_task):
-        blas = evolution._blas_threads()
+        blas = workers._blas_threads()
         if blas is None:
             pytest.skip("numpy is not linked against OpenBLAS")
         get_threads, set_threads = blas
@@ -748,7 +749,7 @@ class TestAblationJobs:
         set_threads(2)
         try:
             # One BLAS thread and no OpenBLAS pool thread beside the worker's own.
-            assert set(evolution._map_points(threads, [0, 1, 2], 2).values()) == {(1, 1)}
+            assert set(workers.map_points(threads, [0, 1, 2], 2).values()) == {(1, 1)}
             assert get_threads() == 2
             self.ablate(spiral_task, 2)
             assert get_threads() == 2
@@ -764,7 +765,7 @@ class TestAblationJobs:
 
     def test_a_worker_that_dies_raises_worker_error_and_every_worker_is_reaped(self):
         with pytest.raises(WorkerError, match="a worker process died"):
-            evolution._map_points(lambda point: os._exit(3), [0, 1, 2], 2)
+            workers.map_points(lambda point: os._exit(3), [0, 1, 2], 2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -780,7 +781,7 @@ class TestAblationJobs:
 
         monkeypatch.setattr(evolution, "evaluate_fitness", recording)
         monkeypatch.setattr(evolution, "_FORK_MIN_MACS", 0)
-        monkeypatch.setattr(evolution, "_blas_threads", lambda: None)  # the points run here
+        monkeypatch.setattr(workers, "_blas_threads", lambda: None)  # the points run here
         assert self.ablate(spiral_task, 2) == serial_rows
         assert jobs == [1] * 12
 
@@ -818,14 +819,14 @@ class TestForkedScoring:
     )
     def test_runs_are_whole_groups(self, spiral_task, monkeypatch, forks, strategy, runs):
         """Three jobs: two quads give two runs, eight solo children three."""
-        handed, real = [], evolution._map_points
+        handed, real = [], evolution.map_points
 
         def recording(task, points, jobs):
             handed.extend(points)
             return real(task, points, jobs)
 
         serial = self.score(spiral_task, 1, *strategy)
-        monkeypatch.setattr(evolution, "_map_points", recording)
+        monkeypatch.setattr(evolution, "map_points", recording)
         monkeypatch.setattr(evolution, "_FORK_MIN_MACS", 0)
         self.assert_same(self.score(spiral_task, 3, *strategy), serial)
         assert handed == runs
@@ -838,7 +839,7 @@ class TestForkedScoring:
         if case != "below_break_even":
             monkeypatch.setattr(evolution, "_FORK_MIN_MACS", 0)
         if case == "no_blas_thread_functions":
-            monkeypatch.setattr(evolution, "_blas_threads", lambda: None)
+            monkeypatch.setattr(workers, "_blas_threads", lambda: None)
         self.assert_same(self.score(spiral_task, jobs), serial)
         assert forks == []
 

@@ -19,6 +19,7 @@ from smd.network import (
     softmax,
     unflatten,
     workspace,
+    _layers,
 )
 
 from oracles import flatten, float32_logits, rowwise_softmax
@@ -294,7 +295,7 @@ class TestWorkspace:
         for n in rows:
             x = rng.normal(size=(n, sizes[0]))
             x_before = x.copy()
-            logits = forward(net, x, scratch)
+            logits = _layers(net.spec, net.params.values, x, scratch)
             assert x.tobytes() == x_before.tobytes()
             assert logits.tobytes() == _reference_forward(net, x_before).tobytes()
             assert not any(np.shares_memory(logits, buf) for buf in scratch)
@@ -316,7 +317,7 @@ class TestWorkspace:
         scratch = workspace(spec, 2500)
         tracemalloc.start()
         try:
-            forward(net, x, scratch)
+            _layers(spec, net.params.values, x, scratch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -326,12 +327,13 @@ class TestWorkspace:
         spec = NetworkSpec([2, 16, 2], seed=1)
         x = np.zeros((11, 2))
         with pytest.raises(ShapeError):
-            forward(init_network(spec), x, workspace(spec, 10))
+            _layers(spec, init_network(spec).params.values, x, workspace(spec, 10))
 
     def test_no_hidden_layer_needs_no_workspace(self):
         net = init_network(NetworkSpec([3, 2], seed=1))
         x = np.random.default_rng(1).normal(size=(6, 3))
-        assert forward(net, x, workspace(net.spec, 0)).tobytes() == forward(net, x).tobytes()
+        logits = _layers(net.spec, net.params.values, x, workspace(net.spec, 0))
+        assert logits.tobytes() == forward(net, x).tobytes()
 
 
 class TestPredict:

@@ -36,8 +36,8 @@ def test_every_public_definition_is_used_inside_the_package():
 
 
 # The modules that may make an activation workspace: `network`, whose
-# `predict` makes one per scoring pass and whose `forward` makes one for a
-# call handed none, and `boundary`, which makes one for a whole export.
+# `predict` makes one per scoring pass and whose `forward` makes one per
+# call, and `boundary`, which makes one for a whole export.
 WORKSPACE_MAKERS = {"boundary.py", "network.py"}
 
 
@@ -114,12 +114,15 @@ def test_genomes_are_copied_only_where_it_is_decided():
 
 # Modules that no command should pay to import at start-up: importing
 # multiprocessing and concurrent.futures costs about 21 ms. `ctypes` is
-# imported only where workers are forked, to find OpenBLAS's thread
-# functions.
+# imported only by `workers._blas_threads`, on the first OpenBLAS pin, to
+# find OpenBLAS's thread functions.
 DEFERRED_IMPORTS = ("multiprocessing", "concurrent.futures", "ctypes")
 # Modules no code of the package imports at all: its workers are plain
-# forks (`evolution._map_points`), which need no process pool.
+# forks (`workers.map_points`), which need no process pool.
 POOL_IMPORTS = ("multiprocessing", "concurrent.futures")
+# How work leaves the command process, which only `workers` decides: the
+# forks and their reaping, the usable CPU count, and the OpenBLAS lookup.
+PROCESS_MACHINERY = {"os.fork", "os.waitpid", "os.sched_getaffinity", "ctypes", "/proc/self/maps"}
 
 
 def _imports(tree: ast.Module, module_level: bool = True) -> list[str]:
@@ -154,6 +157,27 @@ def test_no_module_imports_the_worker_pool_at_module_level():
 
 def test_no_module_imports_a_process_pool():
     assert _found(POOL_IMPORTS, module_level=False) == []
+
+
+def _process_machinery(tree: ast.Module) -> set[str]:
+    """The `PROCESS_MACHINERY` a file imports, calls, reads or names."""
+    names = set(_imports(tree, module_level=False))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names & PROCESS_MACHINERY
+
+
+def test_only_workers_touches_processes_and_blas_threads():
+    found = {
+        path.name: _process_machinery(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: uses for name, uses in found.items() if uses} == {
+        "workers.py": PROCESS_MACHINERY
+    }
 
 
 def test_a_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
